@@ -9,31 +9,9 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 or a JSON object when --error-json is set. All output files are written
 atomically (temp file in the target directory, then rename).
 
-Configuration: a flat key = value file (--config) supplies defaults that
-command-line flags override. Keys, with their types:
-
-    tracker.iou_gate              float   IoU gate for track association
-    tracker.max_gap_frames        int     frames a track may coast unmatched
-    tracker.min_track_len_for_id  int     shortest track given an identity
-    proximity.max_gap             float   center distance gate, face heights
-    proximity.max_depth_disparity float   absolute log height-ratio gate
-    association.mode              str     video-level or proximal
-    network.efficiency_mode       str     both, binary or weighted
-    network.tol                   float   eigenvector convergence tolerance
-    network.max_iter              int     eigenvector iteration cap
-    gem.desired_edge_length       float
-    gem.max_rounds_factor         int
-    gem.initial_temperature       float
-    gem.max_temperature           float
-    gem.gravity                   float
-    gem.stop_temperature_fraction float
-    seed                          int     layout and synthesis seed
-    paths.detections_dir          str
-    paths.roster                  str
-    paths.out_dir                 str
-
-Blank lines and lines starting with # are ignored. Unknown keys and
-values of the wrong type are rejected (exit 2) naming the key.
+Configuration: a flat key = value file (--config) supplies settings that
+command-line flags override; the README's Configuration section lists
+the keys, their types and defaults.
 """
 
 from __future__ import annotations
@@ -42,8 +20,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import association, evaluation, ingest, layout, network, synth, tracking
 from .geometry import ProximityParams
@@ -67,50 +45,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-_CONFIG_SPEC: dict[str, type] = {
-    "tracker.iou_gate": float,
-    "tracker.max_gap_frames": int,
-    "tracker.min_track_len_for_id": int,
-    "proximity.max_gap": float,
-    "proximity.max_depth_disparity": float,
-    "association.mode": str,
-    "network.efficiency_mode": str,
-    "network.tol": float,
-    "network.max_iter": int,
-    "gem.desired_edge_length": float,
-    "gem.max_rounds_factor": int,
-    "gem.initial_temperature": float,
-    "gem.max_temperature": float,
-    "gem.gravity": float,
-    "gem.stop_temperature_fraction": float,
-    "seed": int,
-    "paths.detections_dir": str,
-    "paths.roster": str,
-    "paths.out_dir": str,
-}
-
-# argparse dest -> config key, for flags that mirror config entries
-_FLAG_KEYS = {
-    "iou_gate": "tracker.iou_gate",
-    "max_gap_frames": "tracker.max_gap_frames",
-    "min_track_len": "tracker.min_track_len_for_id",
-    "prox_max_gap": "proximity.max_gap",
-    "prox_max_depth_disparity": "proximity.max_depth_disparity",
-    "mode": "association.mode",
-    "efficiency_mode": "network.efficiency_mode",
-    "tol": "network.tol",
-    "max_iter": "network.max_iter",
-    "edge_length": "gem.desired_edge_length",
-    "max_rounds_factor": "gem.max_rounds_factor",
-    "initial_temperature": "gem.initial_temperature",
-    "max_temperature": "gem.max_temperature",
-    "gravity": "gem.gravity",
-    "stop_fraction": "gem.stop_temperature_fraction",
-    "seed": "seed",
-    "detections_dir": "paths.detections_dir",
-    "roster": "paths.roster",
-    "out_dir": "paths.out_dir",
-}
+_ASSOCIATION_MODES = ("video-level", "proximal")
+_EFFICIENCY_MODES = ("both", "binary", "weighted")
 
 
 @dataclass
@@ -127,6 +63,53 @@ class PipelineConfig:
     roster_path: str | None = None
     out_dir: str | None = None
 
+    def __post_init__(self):
+        if self.association_mode not in _ASSOCIATION_MODES:
+            raise ValueError(
+                f"association.mode: must be 'video-level' or 'proximal', got {self.association_mode!r}"
+            )
+        if self.efficiency_mode not in _EFFICIENCY_MODES:
+            raise ValueError(
+                "network.efficiency_mode: must be 'both', 'binary' or 'weighted', "
+                f"got {self.efficiency_mode!r}"
+            )
+        if not self.tol > 0:
+            raise ValueError(f"network.tol: must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"network.max_iter: must be at least 1, got {self.max_iter}")
+
+
+class _Setting(NamedTuple):
+    key: str  # config-file key; "section.name" sets that field of a params section
+    flag: str
+    type: type
+    field: str | None = None  # the PipelineConfig attribute, for keys outside the sections
+    choices: tuple[str, ...] | None = None
+
+
+_SETTINGS = (
+    _Setting("tracker.iou_gate", "--iou-gate", float),
+    _Setting("tracker.max_gap_frames", "--max-gap-frames", int),
+    _Setting("tracker.min_track_len_for_id", "--min-track-len", int),
+    _Setting("proximity.max_gap", "--prox-max-gap", float),
+    _Setting("proximity.max_depth_disparity", "--prox-max-depth-disparity", float),
+    _Setting("association.mode", "--mode", str, "association_mode", _ASSOCIATION_MODES),
+    _Setting("network.efficiency_mode", "--efficiency-mode", str, "efficiency_mode", _EFFICIENCY_MODES),
+    _Setting("network.tol", "--tol", float, "tol"),
+    _Setting("network.max_iter", "--max-iter", int, "max_iter"),
+    _Setting("gem.desired_edge_length", "--edge-length", float),
+    _Setting("gem.max_rounds_factor", "--max-rounds-factor", int),
+    _Setting("gem.initial_temperature", "--initial-temperature", float),
+    _Setting("gem.max_temperature", "--max-temperature", float),
+    _Setting("gem.gravity", "--gravity", float),
+    _Setting("gem.stop_temperature_fraction", "--stop-fraction", float),
+    _Setting("seed", "--seed", int),
+    _Setting("paths.detections_dir", "--detections-dir", str, "detections_dir"),
+    _Setting("paths.roster", "--roster", str, "roster_path"),
+    _Setting("paths.out_dir", "--out-dir", str, "out_dir"),
+)
+_SETTING_BY_KEY = {s.key: s for s in _SETTINGS}
+
 
 def _parse_config_text(text: str, origin: str) -> dict:
     values: dict[str, object] = {}
@@ -139,11 +122,11 @@ def _parse_config_text(text: str, origin: str) -> dict:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value'")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in _CONFIG_SPEC:
+        if key not in _SETTING_BY_KEY:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
-        typ = _CONFIG_SPEC[key]
+        typ = _SETTING_BY_KEY[key].type
         try:
-            values[key] = typ(raw_value) if typ is not str else raw_value
+            values[key] = typ(raw_value)
         except ValueError:
             raise ConfigError(
                 f"{origin}:{lineno}: {key}: expected {typ.__name__}, got {raw_value!r}"
@@ -152,85 +135,37 @@ def _parse_config_text(text: str, origin: str) -> dict:
 
 
 def _build_config(values: dict) -> PipelineConfig:
-    def take(key, default):
-        return values.get(key, default)
-
+    """PipelineConfig from the settings given; the dataclasses default the rest."""
+    top: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
+    for s in _SETTINGS:
+        if s.key in values:
+            section, _, name = (s.field or s.key).rpartition(".")
+            (sections.setdefault(section, {}) if section else top)[name] = values[s.key]
+    defaults = PipelineConfig()
+    for section, changes in sections.items():
+        try:
+            top[section] = replace(getattr(defaults, section), **changes)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
     try:
-        tracker = TrackerParams(
-            iou_gate=take("tracker.iou_gate", 0.3),
-            max_gap_frames=take("tracker.max_gap_frames", 10),
-            min_track_len_for_id=take("tracker.min_track_len_for_id", 3),
-        )
+        return replace(defaults, **top)
     except ValueError as exc:
-        raise ConfigError(f"tracker: {exc}") from None
-    try:
-        prox_defaults = ProximityParams()
-        proximity = ProximityParams(
-            max_gap=take("proximity.max_gap", prox_defaults.max_gap),
-            max_depth_disparity=take(
-                "proximity.max_depth_disparity", prox_defaults.max_depth_disparity
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"proximity: {exc}") from None
-    mode = take("association.mode", "video-level")
-    if mode not in ("video-level", "proximal"):
-        raise ConfigError(f"association.mode: must be 'video-level' or 'proximal', got {mode!r}")
-    efficiency_mode = take("network.efficiency_mode", "both")
-    if efficiency_mode not in ("both", "binary", "weighted"):
-        raise ConfigError(
-            f"network.efficiency_mode: must be 'both', 'binary' or 'weighted', got {efficiency_mode!r}"
-        )
-    tol = take("network.tol", 1e-10)
-    if not tol > 0:
-        raise ConfigError(f"network.tol: must be positive, got {tol}")
-    max_iter = take("network.max_iter", 10000)
-    if max_iter < 1:
-        raise ConfigError(f"network.max_iter: must be at least 1, got {max_iter}")
-    try:
-        gem = GemParams(
-            desired_edge_length=take("gem.desired_edge_length", 128.0),
-            max_rounds_factor=take("gem.max_rounds_factor", 40),
-            initial_temperature=take("gem.initial_temperature", None),
-            max_temperature=take("gem.max_temperature", 256.0),
-            gravity=take("gem.gravity", 1.0 / 16.0),
-            stop_temperature_fraction=take("gem.stop_temperature_fraction", 1.0 / 50.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"gem: {exc}") from None
-    return PipelineConfig(
-        tracker=tracker,
-        proximity=proximity,
-        association_mode=mode,
-        efficiency_mode=efficiency_mode,
-        tol=tol,
-        max_iter=max_iter,
-        gem=gem,
-        seed=take("seed", None),
-        detections_dir=take("paths.detections_dir", None),
-        roster_path=take("paths.roster", None),
-        out_dir=take("paths.out_dir", None),
-    )
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str | os.PathLike) -> PipelineConfig:
     """Load a config file; absent keys take their defaults."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return _build_config(_parse_config_text(text, os.fspath(path)))
+    return _build_config(_parse_config_text(_read_text(path), os.fspath(path)))
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge config-file values with command-line overrides."""
-    values: dict[str, object] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            values.update(_parse_config_text(fh.read(), os.fspath(config_path)))
-    for dest, key in _FLAG_KEYS.items():
-        flag_value = getattr(args, dest, None)
+    values = _parse_config_text(_read_text(args.config), args.config) if args.config else {}
+    for s in _SETTINGS:
+        flag_value = getattr(args, s.key, None)
         if flag_value is not None:
-            values[key] = flag_value
+            values[s.key] = flag_value
     return _build_config(values)
 
 
@@ -455,20 +390,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if not files:
         raise ParseError(f"no .jsonl detection streams in {config.detections_dir}")
 
-    def stage(filename: str):
+    all_tracks = []
+    for filename in files:
         video_id = filename[: -len(".jsonl")]
         path = os.path.join(config.detections_dir, filename)
         stream = ingest.parse_detection_stream(_read_text(path), video_id, roster)
         tracks = tracking.build_tracks(stream, config.tracker)
-        return [tracking.fuse_identity(t, roster, config.tracker) for t in tracks]
-
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        per_video = [stage(name) for name in files]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_video = list(pool.map(stage, files))
-    all_tracks = [t for tracks in per_video for t in tracks]
+        all_tracks.extend(tracking.fuse_identity(t, roster, config.tracker) for t in tracks)
     ledger, conflicts = tracking.tracks_to_ledger(
         all_tracks, mode=config.association_mode, prox=config.proximity
     )
@@ -512,25 +440,11 @@ def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
         sub.add_argument("--config", help="key = value configuration file")
 
 
-def _add_tracker_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--iou-gate", type=float, dest="iou_gate")
-    sub.add_argument("--max-gap-frames", type=int, dest="max_gap_frames")
-    sub.add_argument("--min-track-len", type=int, dest="min_track_len")
-
-
-def _add_gem_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--edge-length", type=float, dest="edge_length")
-    sub.add_argument("--max-rounds-factor", type=int, dest="max_rounds_factor")
-    sub.add_argument("--initial-temperature", type=float, dest="initial_temperature")
-    sub.add_argument("--max-temperature", type=float, dest="max_temperature")
-    sub.add_argument("--gravity", type=float, dest="gravity")
-    sub.add_argument("--stop-fraction", type=float, dest="stop_fraction")
-
-
-def _add_network_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--efficiency-mode", dest="efficiency_mode", choices=["both", "binary", "weighted"])
-    sub.add_argument("--tol", type=float, dest="tol")
-    sub.add_argument("--max-iter", type=int, dest="max_iter")
+def _add_settings(sub: argparse.ArgumentParser, *groups: str) -> None:
+    """Add the flags of the settings whose key is, or lies under, one of groups."""
+    for s in _SETTINGS:
+        if any(s.key == g or s.key.startswith(g + ".") for g in groups):
+            sub.add_argument(s.flag, dest=s.key, type=s.type, choices=s.choices)
 
 
 def _build_parser() -> _Parser:
@@ -541,9 +455,8 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--detections", required=True)
     p.add_argument("--video-id", required=True)
-    p.add_argument("--roster", dest="roster")
     p.add_argument("--out", required=True)
-    _add_tracker_flags(p)
+    _add_settings(p, "tracker", "paths.roster")
     p.set_defaults(func=_cmd_track)
 
     p = subs.add_parser("eval-det", help="detection AP and FNR against ground truth")
@@ -569,37 +482,30 @@ def _build_parser() -> _Parser:
     p.add_argument("--tracks", action="append")
     p.add_argument("--ledger")
     p.add_argument("--pair-ledger", dest="pair_ledger")
-    p.add_argument("--roster", dest="roster")
-    p.add_argument("--mode", choices=["video-level", "proximal"])
     p.add_argument("--out", required=True)
     p.add_argument("--ledger-out", dest="ledger_out")
     p.add_argument("--conflicts-out", dest="conflicts_out")
-    _add_tracker_flags(p)
-    p.add_argument("--prox-max-gap", type=float, dest="prox_max_gap")
-    p.add_argument("--prox-max-depth-disparity", type=float, dest="prox_max_depth_disparity")
+    _add_settings(p, "association", "proximity", "paths.roster")
     p.set_defaults(func=_cmd_cooccur)
 
     p = subs.add_parser("network", help="network measures from an association matrix")
     _add_common(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", required=True)
-    _add_network_flags(p)
+    _add_settings(p, "network")
     p.set_defaults(func=_cmd_network)
 
     p = subs.add_parser("layout", help="GEM layout rendered to SVG and DOT")
     _add_common(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--report")
-    p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--svg-out", dest="svg_out")
     p.add_argument("--dot-out", dest="dot_out")
-    _add_gem_flags(p)
-    _add_network_flags(p)
+    _add_settings(p, "seed", "gem", "network")
     p.set_defaults(func=_cmd_layout)
 
     p = subs.add_parser("synth", help="generate a synthetic scenario with ground truth")
     _add_common(p)
-    p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--individuals", type=_positive_int, default=12)
     p.add_argument("--matrilines", type=_positive_int, default=3)
     p.add_argument("--videos", type=_positive_int, default=200)
@@ -608,22 +514,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--fn-rate", type=float, default=0.0, dest="fn_rate")
     p.add_argument("--jitter-px", type=float, default=0.0, dest="jitter_px")
     p.add_argument("--id-confusion-rate", type=float, default=0.0, dest="id_confusion_rate")
-    p.add_argument("--out-dir", dest="out_dir")
+    _add_settings(p, "seed", "paths.out_dir")
     p.set_defaults(func=_cmd_synth)
 
     p = subs.add_parser("pipeline", help="detections per video to matrix, report and SVG")
     _add_common(p)
-    p.add_argument("--detections-dir", dest="detections_dir")
-    p.add_argument("--roster", dest="roster")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--mode", choices=["video-level", "proximal"])
-    _add_tracker_flags(p)
-    p.add_argument("--prox-max-gap", type=float, dest="prox_max_gap")
-    p.add_argument("--prox-max-depth-disparity", type=float, dest="prox_max_depth_disparity")
-    _add_gem_flags(p)
-    _add_network_flags(p)
+    _add_settings(p, "paths", "seed", "association", "tracker", "proximity", "gem", "network")
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -126,6 +126,22 @@ def pr_curve(preds: list[Detection], gts: list[BBox], iou_threshold: float) -> P
     return PRCurve(points=points)
 
 
+def _precision_envelope(flags: list[bool], n_gt: int) -> tuple[list[float], list[float]]:
+    """Recall after each score-ordered prediction, and the precision envelope
+    max{P at recall >= r} there."""
+    recalls = []
+    envelope = []
+    tp = 0
+    for k, flag in enumerate(flags, start=1):
+        if flag:
+            tp += 1
+        recalls.append(tp / n_gt)
+        envelope.append(tp / k)
+    for k in range(len(envelope) - 2, -1, -1):
+        envelope[k] = max(envelope[k], envelope[k + 1])
+    return recalls, envelope
+
+
 def average_precision(
     preds: list[Detection],
     gts: list[BBox],
@@ -135,32 +151,21 @@ def average_precision(
     """Interpolated average precision at the given IoU threshold.
 
     "101point" averages the precision envelope max{P at recall >= r} over
-    the grid r = 0.00, 0.01, ..., 1.00. "exact" integrates the same
-    envelope over recall without gridding. Defined as 1.0 when there are
-    neither ground truths nor predictions (vacuous success) and 0.0 when
-    only one side is empty.
+    the grid r = 0.00, 0.01, ..., 1.00; it is pooled_detection_metrics on
+    one group. "exact" integrates the same envelope over recall without
+    gridding. Defined as 1.0 when there are neither ground truths nor
+    predictions (vacuous success) and 0.0 when only one side is empty.
     """
     _check_threshold(iou_threshold)
     if interpolation not in ("101point", "exact"):
         raise ValueError(f"interpolation must be '101point' or 'exact', got {interpolation!r}")
+    if interpolation == "101point":
+        return pooled_detection_metrics([(preds, gts)], iou_threshold)["average_precision"]
     if not gts:
         return 1.0 if not preds else 0.0
     if not preds:
         return 0.0
-    curve = pr_curve(preds, gts, iou_threshold).points
-    recalls = [r for r, _p, _s in curve]
-    envelope = [p for _r, p, _s in curve]
-    for k in range(len(envelope) - 2, -1, -1):
-        envelope[k] = max(envelope[k], envelope[k + 1])
-    if interpolation == "101point":
-        values = []
-        k = 0
-        for i in range(101):
-            r = i / 100.0
-            while k < len(recalls) and recalls[k] < r:
-                k += 1
-            values.append(envelope[k] if k < len(recalls) else 0.0)
-        return math.fsum(values) / 101.0
+    recalls, envelope = _precision_envelope(_tp_flags(preds, gts, iou_threshold), len(gts))
     total = []
     prev_recall = 0.0
     for k in range(len(recalls)):
@@ -251,31 +256,23 @@ def pooled_detection_metrics(
     _check_threshold(iou_threshold)
     pooled: list[tuple[float, int, int, bool]] = []  # (-score, group, idx, is_tp)
     n_gt = 0
-    fn_at_threshold = 0
+    tp_at_threshold = 0
     for g, (preds, gts) in enumerate(groups):
         n_gt += len(gts)
-        flags = _tp_flags(preds, gts, iou_threshold)
-        order = _score_order(preds)
-        for pos, i in enumerate(order):
-            pooled.append((-preds[i].score, g, i, flags[pos]))
-        kept = [p for p in preds if p.score >= score_threshold]
-        fn_at_threshold += len(match_detections(kept, gts, iou_threshold).unmatched_gts)
+        # The predictions kept at the score threshold are a prefix of the
+        # score order, so matching them alone makes the same matches as the
+        # full matching does over that prefix.
+        for i, flag in zip(_score_order(preds), _tp_flags(preds, gts, iou_threshold)):
+            pooled.append((-preds[i].score, g, i, flag))
+            if flag and preds[i].score >= score_threshold:
+                tp_at_threshold += 1
     pooled.sort()
     if n_gt == 0:
         ap = 1.0 if not pooled else 0.0
     elif not pooled:
         ap = 0.0
     else:
-        tp = 0
-        recalls = []
-        envelope = []
-        for k, (_s, _g, _i, flag) in enumerate(pooled, start=1):
-            if flag:
-                tp += 1
-            recalls.append(tp / n_gt)
-            envelope.append(tp / k)
-        for k in range(len(envelope) - 2, -1, -1):
-            envelope[k] = max(envelope[k], envelope[k + 1])
+        recalls, envelope = _precision_envelope([flag for *_, flag in pooled], n_gt)
         values = []
         k = 0
         for i in range(101):
@@ -286,7 +283,7 @@ def pooled_detection_metrics(
         ap = math.fsum(values) / 101.0
     return {
         "average_precision": ap,
-        "false_negative_rate": (fn_at_threshold / n_gt) if n_gt else 0.0,
+        "false_negative_rate": ((n_gt - tp_at_threshold) / n_gt) if n_gt else 0.0,
         "iou_threshold": iou_threshold,
         "score_threshold": score_threshold,
         "n_ground_truths": n_gt,

@@ -63,17 +63,16 @@ class GemParams:
         for name in (
             "desired_edge_length",
             "max_rounds_factor",
+            "initial_temperature",
             "max_temperature",
             "gravity",
             "stop_temperature_fraction",
         ):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.initial_temperature is not None and not self.initial_temperature > 0:
-            raise ValueError(
-                f"initial_temperature must be positive, got {self.initial_temperature}"
-            )
+            if value is None and name == "initial_temperature":
+                continue
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def start_temperature(self) -> float:

@@ -6,20 +6,26 @@ directly observable; one test goes through the installed console script.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from troopnet.cli import load_config, main
+from troopnet import cli
+from troopnet.cli import PipelineConfig, load_config, main
 from troopnet.ingest import (
     parse_association_matrix,
     parse_occurrence_ledger,
     parse_report,
     parse_tracks,
 )
+from troopnet.layout import GemParams
 
 
 @pytest.fixture()
@@ -208,6 +214,99 @@ def test_config_seed_satisfies_layout_and_flag_wins(tmp_path, fixture_matrix_pat
     assert overridden.read_bytes() != from_config.read_bytes()
 
 
+# every config key: its pipeline flag and two values that differ from the default
+_KEY_FLAG_VALUES = [
+    ("tracker.iou_gate", "--iou-gate", "0.5", "0.7"),
+    ("tracker.max_gap_frames", "--max-gap-frames", "4", "6"),
+    ("tracker.min_track_len_for_id", "--min-track-len", "2", "5"),
+    ("proximity.max_gap", "--prox-max-gap", "1.5", "3.0"),
+    ("proximity.max_depth_disparity", "--prox-max-depth-disparity", "0.25", "0.5"),
+    ("association.mode", "--mode", "proximal", "video-level"),
+    ("network.efficiency_mode", "--efficiency-mode", "binary", "weighted"),
+    ("network.tol", "--tol", "1e-08", "1e-06"),
+    ("network.max_iter", "--max-iter", "50", "70"),
+    ("gem.desired_edge_length", "--edge-length", "64.0", "96.0"),
+    ("gem.max_rounds_factor", "--max-rounds-factor", "5", "7"),
+    ("gem.initial_temperature", "--initial-temperature", "30.0", "50.0"),
+    ("gem.max_temperature", "--max-temperature", "128.0", "300.0"),
+    ("gem.gravity", "--gravity", "0.1", "0.2"),
+    ("gem.stop_temperature_fraction", "--stop-fraction", "0.01", "0.05"),
+    ("seed", "--seed", "3", "4"),
+    ("paths.detections_dir", "--detections-dir", "d1", "d2"),
+    ("paths.roster", "--roster", "r1.csv", "r2.csv"),
+    ("paths.out_dir", "--out-dir", "o1", "o2"),
+]
+
+
+def _pipeline_config(*argv):
+    return cli._resolve_config(cli._build_parser().parse_args(["pipeline", *argv]))
+
+
+def test_config_table_covers_every_key():
+    assert [row[0] for row in _KEY_FLAG_VALUES] == [s.key for s in cli._SETTINGS]
+
+
+@pytest.mark.parametrize("key,flag,value,other", _KEY_FLAG_VALUES, ids=[r[0] for r in _KEY_FLAG_VALUES])
+def test_config_key_equals_its_flag_and_flag_wins(tmp_path, key, flag, value, other):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    from_file = _pipeline_config("--config", str(cfg))
+    assert from_file == load_config(cfg)
+    assert from_file != PipelineConfig()
+    assert from_file == _pipeline_config(flag, value)
+    overridden = _pipeline_config("--config", str(cfg), flag, other)
+    assert overridden == _pipeline_config(flag, other)
+    assert overridden != from_file
+
+
+def _readme_default(cell: str, typ: type):
+    if cell == "none":
+        return None
+    if cell.startswith("ln "):
+        return math.log(float(cell[3:]))
+    if "/" in cell:
+        num, den = cell.split("/")
+        return float(num) / float(den)
+    return typ(cell)
+
+
+def test_readme_configuration_table_matches_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (\w+) \| ([^|]+?) \|", section, flags=re.M)
+    defaults = PipelineConfig()
+    expected = []
+    for s in cli._SETTINGS:
+        default = functools.reduce(getattr, (s.field or s.key).split("."), defaults)
+        expected.append((s.key, s.type.__name__, default))
+    types = {"float": float, "int": int, "str": str}
+    listed = [(key, name, _readme_default(cell, types[name])) for key, name, cell in rows]
+    assert listed == expected
+
+
+_GEM_FIELDS = [
+    "desired_edge_length", "max_rounds_factor", "initial_temperature",
+    "max_temperature", "gravity", "stop_temperature_fraction",
+]
+
+
+@pytest.mark.parametrize("name", _GEM_FIELDS)
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_gem_rejects_non_finite_values(tmp_path, fixture_matrix_path, capsys, name, value):
+    with pytest.raises(ValueError, match=name):
+        GemParams(**{name: float(value)})
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"gem.{name} = {value}\n")
+    svg = tmp_path / "a.svg"
+    code = main(
+        ["layout", "--config", str(cfg), "--matrix", str(fixture_matrix_path), "--seed", "1",
+         "--svg-out", str(svg)]
+    )
+    assert code == 2
+    assert re.search(rf"gem(\.|: ){name}", capsys.readouterr().err)
+    assert not svg.exists()
+
+
 # ---------------------------------------------------------------------------
 # stage subcommands
 
@@ -372,11 +471,11 @@ def test_synth_outputs_parse_cleanly(synth_run):
     assert all(t.video_id == "v0000" for t in tracks)
 
 
-def _run_pipeline(synth_dir, out_dir, *extra):
+def _run_pipeline(synth_dir, out_dir):
     return main(
         ["pipeline", "--detections-dir", str(synth_dir / "detections"),
          "--roster", str(synth_dir / "roster.csv"), "--out-dir", str(out_dir),
-         "--seed", "5", "--min-track-len", "1", *extra]
+         "--seed", "5", "--min-track-len", "1"]
     )
 
 
@@ -403,15 +502,6 @@ def test_pipeline_reruns_byte_identical(tmp_path, synth_run):
     assert _run_pipeline(synth_run, second) == 0
     for name in _PIPELINE_FILES:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
-
-
-def test_pipeline_jobs_do_not_change_output(tmp_path, synth_run):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    assert _run_pipeline(synth_run, serial) == 0
-    assert _run_pipeline(synth_run, threaded, "--jobs", "3") == 0
-    for name in _PIPELINE_FILES:
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
 
 
 def test_pipeline_equals_stage_composition(tmp_path, synth_run):

@@ -351,12 +351,45 @@ def test_confusion_rejects_unknown_names():
 def test_pooled_single_group_matches_plain_metrics():
     preds, gts = _two_gt_instance()
     out = pooled_detection_metrics([(preds, gts)], 0.5)
-    assert out["average_precision"] == pytest.approx(average_precision(preds, gts, 0.5), abs=1e-12)
+    assert out["average_precision"] == average_precision(preds, gts, 0.5)
     assert out["false_negative_rate"] == false_negative_rate(preds, gts, 0.5)
     assert out["n_ground_truths"] == 2
     assert out["n_predictions"] == 3
     assert out["iou_threshold"] == 0.5
     assert out["score_threshold"] == 0.5
+
+
+_grid_box = st.builds(
+    BBox,
+    st.integers(0, 3).map(lambda v: 8.0 * v),
+    st.integers(0, 1).map(lambda v: 8.0 * v),
+    st.sampled_from([8.0, 10.0, 12.0]),
+    st.sampled_from([8.0, 10.0]),
+)
+_grid_group = st.tuples(
+    st.lists(
+        st.builds(Detection, _grid_box, st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])),
+        max_size=6,
+    ),
+    st.lists(_grid_box, max_size=5),
+)
+
+
+@given(
+    st.lists(_grid_group, max_size=4),
+    st.sampled_from([0.1, 0.3, 0.5]),
+    st.sampled_from([0.0, 0.3, 0.5, 0.6, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_pooled_fnr_equals_per_group_reference(groups, iou_threshold, score_threshold):
+    # overlapping boxes and tied scores on a coarse grid exercise the greedy order
+    n_gt = sum(len(gts) for _preds, gts in groups)
+    missed = sum(
+        round(false_negative_rate(preds, gts, iou_threshold, score_threshold) * len(gts))
+        for preds, gts in groups
+    )
+    out = pooled_detection_metrics(groups, iou_threshold, score_threshold)
+    assert out["false_negative_rate"] == ((missed / n_gt) if n_gt else 0.0)
 
 
 def test_pooled_two_groups_hand_case():
