@@ -6,148 +6,4 @@ graphs, with a deterministic synthetic-data generator for end-to-end
 verification.
 """
 
-from .association import OccurrenceCounts, count_occurrences, simple_ratio_matrix, unobserved_individuals
-from .bundled import load_troop_matrix, load_troop_roster
-from .evaluation import (
-    IdSample,
-    average_precision,
-    confusion_matrix,
-    false_negative_rate,
-    match_detections,
-    topk_accuracy,
-)
-from .geometry import BBox, ProximityParams, center_distance, iou, is_proximal
-from .ingest import (
-    AssociationMatrix,
-    Detection,
-    DetectionStream,
-    Frame,
-    GroundTruthSet,
-    Individual,
-    LedgerEntry,
-    OccurrenceLedger,
-    PairEntry,
-    PairLedger,
-    ParseError,
-    Roster,
-    parse_association_matrix,
-    parse_detection_stream,
-    parse_ground_truth,
-    parse_occurrence_ledger,
-    parse_pair_ledger,
-    parse_report,
-    parse_roster,
-    parse_tracks,
-    write_detection_stream,
-    write_ledger,
-    write_matrix,
-    write_pair_ledger,
-    write_report,
-    write_roster,
-    write_tracks,
-)
-from .layout import GemParams, LayoutResult, gem_layout, render_dot, render_svg
-from .network import (
-    ConvergenceError,
-    IndividualMeasures,
-    NetworkReport,
-    connected_components,
-    degree_strength,
-    density,
-    eigenvector_centrality,
-    eigenvector_residual,
-    global_efficiency,
-    network_report,
-)
-from .rng import Rng, derive_seed
-from .synth import NoiseParams, SynthScenario, build_scenario, generate_troop, sample_detection_stream, sample_ledger
-from .tracking import (
-    Identity,
-    IdentityConflict,
-    Observation,
-    Track,
-    TrackerParams,
-    build_tracks,
-    fuse_identity,
-    tracks_to_ledger,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AssociationMatrix",
-    "BBox",
-    "ConvergenceError",
-    "Detection",
-    "DetectionStream",
-    "Frame",
-    "GemParams",
-    "GroundTruthSet",
-    "IdSample",
-    "Identity",
-    "IdentityConflict",
-    "Individual",
-    "IndividualMeasures",
-    "LayoutResult",
-    "LedgerEntry",
-    "NetworkReport",
-    "NoiseParams",
-    "Observation",
-    "OccurrenceCounts",
-    "OccurrenceLedger",
-    "PairEntry",
-    "PairLedger",
-    "ParseError",
-    "ProximityParams",
-    "Rng",
-    "Roster",
-    "SynthScenario",
-    "Track",
-    "TrackerParams",
-    "average_precision",
-    "build_scenario",
-    "build_tracks",
-    "center_distance",
-    "confusion_matrix",
-    "connected_components",
-    "count_occurrences",
-    "degree_strength",
-    "density",
-    "derive_seed",
-    "eigenvector_centrality",
-    "eigenvector_residual",
-    "false_negative_rate",
-    "fuse_identity",
-    "gem_layout",
-    "generate_troop",
-    "global_efficiency",
-    "iou",
-    "is_proximal",
-    "load_troop_matrix",
-    "load_troop_roster",
-    "match_detections",
-    "network_report",
-    "parse_association_matrix",
-    "parse_detection_stream",
-    "parse_ground_truth",
-    "parse_occurrence_ledger",
-    "parse_pair_ledger",
-    "parse_report",
-    "parse_roster",
-    "parse_tracks",
-    "render_dot",
-    "render_svg",
-    "sample_detection_stream",
-    "sample_ledger",
-    "simple_ratio_matrix",
-    "topk_accuracy",
-    "tracks_to_ledger",
-    "unobserved_individuals",
-    "write_detection_stream",
-    "write_ledger",
-    "write_matrix",
-    "write_pair_ledger",
-    "write_report",
-    "write_roster",
-    "write_tracks",
-]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -75,6 +76,8 @@ class PipelineConfig:
             )
         if not self.tol > 0:
             raise ValueError(f"network.tol: must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"network.tol: must be finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"network.max_iter: must be at least 1, got {self.max_iter}")
 
@@ -212,41 +215,18 @@ def _cmd_eval_det(args: argparse.Namespace) -> int:
         if ann.image_id in image_frame:
             frames.setdefault(image_frame[ann.image_id], ([], []))[1].append(ann.bbox)
     groups = [frames[fi] for fi in sorted(frames)]
-    metrics = evaluation.pooled_detection_metrics(
-        groups, iou_threshold=args.iou_threshold, score_threshold=args.score_threshold
-    )
+    # flags left out are absent from args, so the defaults stay in evaluation
+    thresholds = {
+        name: getattr(args, name) for name in ("iou_threshold", "score_threshold") if hasattr(args, name)
+    }
+    metrics = evaluation.pooled_detection_metrics(groups, **thresholds)
     atomic_write_text(args.out, ingest.write_json(metrics))
     return 0
 
 
-def _parse_id_samples(text: str) -> list[evaluation.IdSample]:
-    samples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"samples line {lineno}: malformed JSON: {exc}") from None
-        if not isinstance(rec, dict) or "class_scores" not in rec or "true_label" not in rec:
-            raise ParseError(f"samples line {lineno}: needs 'class_scores' and 'true_label'")
-        scores = rec["class_scores"]
-        if not isinstance(scores, dict) or not scores:
-            raise ParseError(f"samples line {lineno}: class_scores must be a non-empty object")
-        try:
-            scores = {str(k): float(v) for k, v in scores.items()}
-        except (TypeError, ValueError):
-            raise ParseError(f"samples line {lineno}: class_scores values must be numbers") from None
-        samples.append(evaluation.IdSample(class_scores=scores, true_label=str(rec["true_label"])))
-    if not samples:
-        raise ParseError("samples file contains no samples")
-    return samples
-
-
 def _cmd_eval_id(args: argparse.Namespace) -> int:
     roster = _read_roster(args.roster)
-    samples = _parse_id_samples(_read_text(args.samples))
+    samples = ingest.parse_id_samples(_read_text(args.samples))
     ks = sorted(set(args.k or [1, 5]))
     confusion = evaluation.confusion_matrix(samples, roster)
     report = {
@@ -464,8 +444,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--ground-truth", required=True)
     p.add_argument("--video-id", required=True)
-    p.add_argument("--iou-threshold", type=float, default=0.5)
-    p.add_argument("--score-threshold", type=float, default=0.5)
+    p.add_argument("--iou-threshold", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--score-threshold", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval_det)
 

@@ -66,6 +66,11 @@ def _check_threshold(iou_threshold: float) -> None:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
 
 
+def _check_score_threshold(score_threshold: float) -> None:
+    if not math.isfinite(score_threshold):
+        raise ValueError(f"score_threshold must be finite, got {score_threshold}")
+
+
 def _score_order(preds: list[Detection]) -> list[int]:
     return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
 
@@ -186,6 +191,7 @@ def false_negative_rate(
     0.0 when there are no ground truths; 1.0 when nothing is detected.
     """
     _check_threshold(iou_threshold)
+    _check_score_threshold(score_threshold)
     if not gts:
         return 0.0
     kept = [p for p in preds if p.score >= score_threshold]
@@ -243,7 +249,7 @@ def confusion_matrix(samples: list[IdSample], roster: Roster, normalize: bool = 
 
 def pooled_detection_metrics(
     groups: list[tuple[list[Detection], list[BBox]]],
-    iou_threshold: float,
+    iou_threshold: float = 0.5,
     score_threshold: float = 0.5,
 ) -> dict:
     """Detection metrics pooled over frames or images.
@@ -254,6 +260,7 @@ def pooled_detection_metrics(
     underlying counts.
     """
     _check_threshold(iou_threshold)
+    _check_score_threshold(score_threshold)
     pooled: list[tuple[float, int, int, bool]] = []  # (-score, group, idx, is_tp)
     n_gt = 0
     tp_at_threshold = 0

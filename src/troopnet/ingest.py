@@ -2,10 +2,10 @@
 
 Parsers and writers for every file the toolkit reads or emits: rosters,
 COCO-style ground truth, per-frame detection streams, occurrence ledgers,
-association matrices, track files and report JSON. All text is UTF-8 with
-LF line endings; every parser rejects bad input with the offending record
-or line named, and writers are deterministic so identical data always
-produces identical bytes.
+association matrices, track files, report JSON and identification samples
+(parse_id_samples). All text is UTF-8 with LF line endings; every parser
+rejects bad input with the offending record or line named, and writers are
+deterministic so identical data always produces identical bytes.
 """
 
 from __future__ import annotations
@@ -52,12 +52,16 @@ __all__ = [
     "write_tracks",
     "parse_report",
     "write_report",
+    "parse_id_samples",
     "write_json",
     "atomic_write_text",
     "atomic_write_bytes",
 ]
 
 SEXES = ("female", "male", "unknown")
+_ROSTER_HEADER = ("name", "sex", "age_years")
+_LEDGER_HEADER = ("video_id", "present")
+_PAIR_LEDGER_HEADER = ("video_id", "pair")
 
 MIRROR_TOLERANCE = 1e-9  # max allowed disagreement between mirror cells
 SYMMETRY_TOLERANCE = 1e-12
@@ -71,6 +75,62 @@ def _num(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"expected a number, got {x!r}")
     return float(x)
+
+
+# ---------------------------------------------------------------------------
+# framing: text, JSON values, CSV tables and JSON-lines records
+
+
+def _text(data: str | bytes) -> str:
+    return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
+def _loads(text: str, locus: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{locus}: malformed JSON: {exc}") from None
+
+
+def _csv_rows(data: str | bytes, what: str, header: tuple[str, ...]):
+    """Yield (line number, row) for each data row of a CSV table.
+
+    The first row must be exactly header. Rows whose cells are all empty
+    are skipped; every other row must have one cell per header column.
+    Line numbers count CSV records from 1, the header included.
+    """
+    rows = csv.reader(io.StringIO(_text(data)))
+    if next(rows, None) != list(header):
+        raise ParseError(f"{what}: expected header '{','.join(header)}'")
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(cell == "" for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{what} line {lineno}: expected {len(header)} columns, got {len(row)}")
+        yield lineno, row
+
+
+def _json_lines(data: str | bytes, prefix: str):
+    """Yield (line number, value) for each non-blank line of a JSON-lines file.
+
+    Line numbers count from 1, blank lines included. A line that is not
+    JSON raises ParseError located as prefix + "line N".
+    """
+    for lineno, line in enumerate(_text(data).splitlines(), start=1):
+        if line.strip():
+            yield lineno, _loads(line, f"{prefix}line {lineno}")
+
+
+def _write_csv(header, rows) -> str:
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+def _write_json_lines(objs) -> str:
+    return "".join(json.dumps(obj, separators=(",", ":"), ensure_ascii=False) + "\n" for obj in objs)
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +180,8 @@ def parse_roster(text: str | bytes) -> Roster:
 
     A blank age cell means the age is unknown.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["name", "sex", "age_years"]:
-        raise ParseError("roster: expected header 'name,sex,age_years'")
     individuals = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(cell == "" for cell in row):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"roster line {lineno}: expected 3 columns, got {len(row)}")
-        name, sex, age_cell = row
+    for lineno, (name, sex, age_cell) in _csv_rows(text, "roster", _ROSTER_HEADER):
         age = None
         if age_cell != "":
             try:
@@ -149,12 +199,10 @@ def parse_roster(text: str | bytes) -> Roster:
 
 
 def write_roster(roster: Roster) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["name", "sex", "age_years"])
-    for ind in roster.individuals:
-        w.writerow([ind.name, ind.sex, "" if ind.age_years is None else ind.age_years])
-    return out.getvalue()
+    return _write_csv(
+        _ROSTER_HEADER,
+        ([ind.name, ind.sex, "" if ind.age_years is None else ind.age_years] for ind in roster.individuals),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +240,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
     to the image id. Unknown fields are ignored. Boxes are [x, y, w, h],
     must be valid and must lie within the image bounds.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"ground truth: malformed JSON: {exc}") from None
+    doc = _loads(_text(data), "ground truth")
     if not isinstance(doc, dict):
         raise ParseError("ground truth: top level must be a JSON object")
 
@@ -333,17 +376,9 @@ def parse_detection_stream(data: str | bytes, video_id: str, roster: Roster | No
     they are not. When a roster is given, class-score keys are validated
     against it. Blank lines are ignored.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     frames: list[Frame] = []
     prev_index = None
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: malformed JSON: {exc}") from None
+    for lineno, obj in _json_lines(data, ""):
         if not isinstance(obj, dict) or not isinstance(obj.get("frame_index"), int):
             raise ParseError(f"line {lineno}: needs integer 'frame_index'")
         index = obj["frame_index"]
@@ -369,14 +404,10 @@ def _detection_obj(det: Detection) -> dict:
 
 
 def write_detection_stream(stream: DetectionStream) -> str:
-    lines = []
-    for frame in stream.frames:
-        obj = {
-            "frame_index": frame.frame_index,
-            "detections": [_detection_obj(d) for d in frame.detections],
-        }
-        lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+    return _write_json_lines(
+        {"frame_index": frame.frame_index, "detections": [_detection_obj(d) for d in frame.detections]}
+        for frame in stream.frames
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +445,9 @@ def parse_occurrence_ledger(text: str | bytes, roster: Roster | None = None) -> 
     The present cell holds comma-joined names (the csv layer quotes it).
     When a roster is given every name must belong to it.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["video_id", "present"]:
-        raise ParseError("ledger: expected header 'video_id,present'")
     entries = []
     seen = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(cell == "" for cell in row):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"ledger line {lineno}: expected 2 columns, got {len(row)}")
-        video_id, cell = row
+    for lineno, (video_id, cell) in _csv_rows(text, "ledger", _LEDGER_HEADER):
         if video_id in seen:
             raise ParseError(f"ledger line {lineno}: duplicate video_id {video_id!r}")
         seen.add(video_id)
@@ -442,12 +463,10 @@ def parse_occurrence_ledger(text: str | bytes, roster: Roster | None = None) -> 
 def write_ledger(ledger: OccurrenceLedger, roster: Roster | None = None) -> str:
     """Write a ledger CSV; names within a row follow roster order when a
     roster is given, lexicographic order otherwise."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["video_id", "present"])
-    for entry in ledger.entries:
-        w.writerow([entry.video_id, ",".join(_sorted_names(entry.present, roster))])
-    return out.getvalue()
+    return _write_csv(
+        _LEDGER_HEADER,
+        ([entry.video_id, ",".join(_sorted_names(entry.present, roster))] for entry in ledger.entries),
+    )
 
 
 @dataclass
@@ -475,19 +494,9 @@ class PairLedger:
 
 def parse_pair_ledger(text: str | bytes, roster: Roster | None = None) -> PairLedger:
     """Parse a pair ledger CSV: header video_id,pair; one joint record per row."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["video_id", "pair"]:
-        raise ParseError("pair ledger: expected header 'video_id,pair'")
     order: list[str] = []
     pairs_by_video: dict[str, set] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(cell == "" for cell in row):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"pair ledger line {lineno}: expected 2 columns, got {len(row)}")
-        video_id, cell = row
+    for lineno, (video_id, cell) in _csv_rows(text, "pair ledger", _PAIR_LEDGER_HEADER):
         names = cell.split(",")
         if len(names) != 2 or not all(names) or names[0] == names[1]:
             raise ParseError(f"pair ledger line {lineno}: pair cell must join two distinct names")
@@ -503,13 +512,10 @@ def parse_pair_ledger(text: str | bytes, roster: Roster | None = None) -> PairLe
 
 
 def write_pair_ledger(ledger: PairLedger) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["video_id", "pair"])
-    for entry in ledger.entries:
-        for pair in sorted(entry.pairs):
-            w.writerow([entry.video_id, ",".join(pair)])
-    return out.getvalue()
+    return _write_csv(
+        _PAIR_LEDGER_HEADER,
+        ([entry.video_id, ",".join(pair)] for entry in ledger.entries for pair in sorted(entry.pairs)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +570,7 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
     that disagree by more than 1e-9 are an error. Rows may be shorter than
     the header (missing trailing cells are blank).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell != "" for cell in row)]
+    rows = [row for row in csv.reader(io.StringIO(_text(text))) if any(cell != "" for cell in row)]
     if not rows:
         raise ParseError("matrix: empty input")
     header = rows[0]
@@ -620,16 +624,11 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
 
 def write_matrix(m: AssociationMatrix) -> str:
     """Write the full symmetric matrix; zeros become blank cells."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([""] + list(m.names))
-    for i, name in enumerate(m.names):
-        row = [name]
-        for j in range(m.n):
-            v = m.values[i, j].item()
-            row.append("" if v == 0.0 else repr(v))
-        w.writerow(row)
-    return out.getvalue()
+    rows = (
+        [name] + ["" if v == 0.0 else repr(v) for v in m.values[i].tolist()]
+        for i, name in enumerate(m.names)
+    )
+    return _write_csv(["", *m.names], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +636,8 @@ def write_matrix(m: AssociationMatrix) -> str:
 
 
 def write_tracks(tracks) -> str:
-    lines = []
-    for t in tracks:
-        obj = {
+    return _write_json_lines(
+        {
             "track_id": t.track_id,
             "video_id": t.video_id,
             "observations": [
@@ -650,23 +648,15 @@ def write_tracks(tracks) -> str:
             if t.identity is None
             else {"name": t.identity.name, "confidence": t.identity.confidence},
         }
-        lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+        for t in tracks
+    )
 
 
 def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
     from .tracking import Identity, Observation, Track
 
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     tracks = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"tracks line {lineno}: malformed JSON: {exc}") from None
+    for lineno, obj in _json_lines(data, "tracks "):
         try:
             observations = []
             for k, o in enumerate(obj["observations"]):
@@ -701,6 +691,35 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
 
 
 # ---------------------------------------------------------------------------
+# identification samples (JSON-lines, one sample per line)
+
+
+def parse_id_samples(data: str | bytes) -> list:
+    """Parse identification samples: {"class_scores": {...}, "true_label": ...} per line.
+
+    class_scores must be a non-empty object of numbers. Blank lines are
+    ignored; a file with no samples is an error.
+    """
+    from .evaluation import IdSample
+
+    samples = []
+    for lineno, rec in _json_lines(data, "samples "):
+        if not isinstance(rec, dict) or "class_scores" not in rec or "true_label" not in rec:
+            raise ParseError(f"samples line {lineno}: needs 'class_scores' and 'true_label'")
+        scores = rec["class_scores"]
+        if not isinstance(scores, dict) or not scores:
+            raise ParseError(f"samples line {lineno}: class_scores must be a non-empty object")
+        try:
+            scores = {str(k): float(v) for k, v in scores.items()}
+        except (TypeError, ValueError):
+            raise ParseError(f"samples line {lineno}: class_scores values must be numbers") from None
+        samples.append(IdSample(class_scores=scores, true_label=str(rec["true_label"])))
+    if not samples:
+        raise ParseError("samples file contains no samples")
+    return samples
+
+
+# ---------------------------------------------------------------------------
 # reports and generic JSON
 
 
@@ -732,12 +751,7 @@ def write_report(report) -> str:
 def parse_report(data: str | bytes):
     from .network import IndividualMeasures, NetworkReport
 
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"report: malformed JSON: {exc}") from None
+    obj = _loads(_text(data), "report")
     try:
         return NetworkReport(
             density=_num(obj["density"]),

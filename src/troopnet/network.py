@@ -92,8 +92,13 @@ def eigenvector_centrality(m: AssociationMatrix, tol: float = 1e-10, max_iter: i
     a matching negative eigenvalue and the iteration would oscillate).
 
     Raises ConvergenceError (carrying the last step size) when max_iter is
-    exceeded, and ValueError when the matrix has no positive entry.
+    exceeded, and ValueError when the matrix has no positive entry, tol is
+    not positive and finite, or max_iter is below 1.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = m.n
     top = m.values.max() if n else 0.0
     if top <= 0.0:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from troopnet import bundled, network_report
+from troopnet import bundled
 from troopnet.ingest import AssociationMatrix
+from troopnet.network import network_report
 
 
 @pytest.fixture(scope="session")

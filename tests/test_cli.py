@@ -124,6 +124,15 @@ def test_error_json_shape(tmp_path, capsys):
     assert "nope.csv" in record["error"]
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_network_tol_must_be_finite(tmp_path, fixture_matrix_path, capsys, value):
+    out = tmp_path / "r.json"
+    code = main(["network", "--matrix", str(fixture_matrix_path), "--out", str(out), "--tol", value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("network.tol: must be")
+    assert not out.exists()
+
+
 def test_convergence_failure_exits_three(tmp_path, fixture_matrix_path, capsys):
     code = main(
         ["network", "--matrix", str(fixture_matrix_path), "--out",
@@ -348,7 +357,7 @@ def test_track_roundtrip_with_identities(tmp_path):
     assert tracks[0].identity.confidence == pytest.approx(0.9)
 
 
-def test_eval_det_hand_case(tmp_path):
+def _eval_det_inputs(tmp_path):
     preds = tmp_path / "preds.jsonl"
     _write_stream(
         preds,
@@ -377,17 +386,32 @@ def test_eval_det_hand_case(tmp_path):
             }
         )
     )
+    return ["eval-det", "--predictions", str(preds), "--ground-truth", str(gt), "--video-id", "v1"]
+
+
+def test_eval_det_hand_case(tmp_path):
     out = tmp_path / "metrics.json"
-    code = main(
-        ["eval-det", "--predictions", str(preds), "--ground-truth", str(gt),
-         "--video-id", "v1", "--out", str(out)]
-    )
+    code = main([*_eval_det_inputs(tmp_path), "--out", str(out)])
     assert code == 0
     metrics = json.loads(out.read_text())
     assert metrics["average_precision"] == pytest.approx(253.0 / 303.0, abs=1e-9)
     assert metrics["false_negative_rate"] == 0.0
     assert metrics["n_ground_truths"] == 2
     assert metrics["n_predictions"] == 3
+    assert (metrics["iou_threshold"], metrics["score_threshold"]) == (0.5, 0.5)
+
+
+def test_eval_det_passes_given_thresholds_and_rejects_nan(tmp_path, capsys):
+    cmd = _eval_det_inputs(tmp_path)
+    out = tmp_path / "metrics.json"
+    assert main([*cmd, "--score-threshold", "0.75", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())
+    assert (metrics["iou_threshold"], metrics["score_threshold"]) == (0.5, 0.75)
+    assert metrics["false_negative_rate"] == 0.5
+    bad = tmp_path / "nan.json"
+    assert main([*cmd, "--score-threshold", "nan", "--out", str(bad)]) == 2
+    assert "score_threshold must be finite" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_eval_id_hand_case(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -254,6 +256,15 @@ def test_fnr_empty_rules():
     assert false_negative_rate([], [], 0.5) == 0.0
     assert false_negative_rate([_det(0.0, 0.0, 5.0, 5.0, 0.9)], [], 0.5) == 0.0
     assert false_negative_rate([], [G1], 0.5) == 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_score_threshold_must_be_finite(value):
+    preds = [_det(0.0, 0.0, 10.0, 10.0, 0.9)]
+    with pytest.raises(ValueError, match="score_threshold must be finite"):
+        false_negative_rate(preds, [G1], 0.5, score_threshold=value)
+    with pytest.raises(ValueError, match="score_threshold must be finite"):
+        pooled_detection_metrics([(preds, [G1])], score_threshold=value)
 
 
 # ---------------------------------------------------------------------------

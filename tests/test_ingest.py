@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from troopnet.ingest import (
     parse_association_matrix,
     parse_detection_stream,
     parse_ground_truth,
+    parse_id_samples,
     parse_occurrence_ledger,
     parse_pair_ledger,
     parse_report,
@@ -504,6 +506,133 @@ def test_report_round_trip():
 def test_report_parse_rejects_missing_field():
     with pytest.raises(ParseError):
         parse_report(json.dumps({"density": 0.1}))
+
+
+# ---------------------------------------------------------------------------
+# framing errors: one row per parser and error, with the full message
+
+
+_parse_stream = partial(parse_detection_stream, video_id="v")
+
+_FRAMING_ERRORS = [
+    ("roster-no-header", parse_roster, "", "roster: expected header 'name,sex,age_years'"),
+    (
+        "roster-wrong-header", parse_roster,
+        "name,sex\nA,female\n",
+        "roster: expected header 'name,sex,age_years'",
+    ),
+    (
+        "roster-columns", parse_roster,
+        "name,sex,age_years\nA,female,3\nB,male\n",
+        "roster line 3: expected 3 columns, got 2",
+    ),
+    (
+        "roster-blank-rows-skipped", parse_roster,
+        "name,sex,age_years\n\nA,female,3\n,,\nB,male\n",
+        "roster line 5: expected 3 columns, got 2",
+    ),
+    ("ledger-no-header", parse_occurrence_ledger, "", "ledger: expected header 'video_id,present'"),
+    (
+        "ledger-wrong-header", parse_occurrence_ledger,
+        "video_id,pair\nv1,A\n",
+        "ledger: expected header 'video_id,present'",
+    ),
+    (
+        "ledger-columns", parse_occurrence_ledger,
+        "video_id,present\nv1,A,B\n",
+        "ledger line 2: expected 2 columns, got 3",
+    ),
+    (
+        "ledger-blank-rows-skipped", parse_occurrence_ledger,
+        "video_id,present\n\nv1,A\n,\nv2\n",
+        "ledger line 5: expected 2 columns, got 1",
+    ),
+    ("pair-no-header", parse_pair_ledger, "", "pair ledger: expected header 'video_id,pair'"),
+    (
+        "pair-wrong-header", parse_pair_ledger,
+        'video_id,present\nv1,"A,B"\n',
+        "pair ledger: expected header 'video_id,pair'",
+    ),
+    (
+        "pair-columns", parse_pair_ledger,
+        "video_id,pair\nv1\n",
+        "pair ledger line 2: expected 2 columns, got 1",
+    ),
+    (
+        "pair-blank-rows-skipped", parse_pair_ledger,
+        'video_id,pair\n\n,\nv1,"A,B",x\n',
+        "pair ledger line 4: expected 2 columns, got 3",
+    ),
+    (
+        "stream-malformed", _parse_stream,
+        '{"frame_index": 0}\n{"frame_index": 1,\n',
+        "line 2: malformed JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 19 (char 18)",
+    ),
+    (
+        "stream-blank-lines-skipped", _parse_stream,
+        '\n{"frame_index": 0}\n  \n{oops}\n',
+        "line 4: malformed JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    (
+        "tracks-malformed", parse_tracks,
+        '{"track_id": \n',
+        "tracks line 1: malformed JSON: Expecting value: line 1 column 14 (char 13)",
+    ),
+    (
+        "tracks-blank-lines-skipped", parse_tracks,
+        "\n\n[1,\n",
+        "tracks line 3: malformed JSON: Expecting value: line 1 column 4 (char 3)",
+    ),
+    (
+        "samples-malformed", parse_id_samples,
+        '{"class_scores": {"A": 1.0}, "true_label": "A"}\n{"class_scores"\n',
+        "samples line 2: malformed JSON: Expecting ':' delimiter: line 1 column 16 (char 15)",
+    ),
+    (
+        "samples-blank-lines-skipped", parse_id_samples,
+        '\n \n{"true_label": "A"}\n',
+        "samples line 3: needs 'class_scores' and 'true_label'",
+    ),
+    ("samples-none", parse_id_samples, "\n\n", "samples file contains no samples"),
+    (
+        "ground-truth-malformed", parse_ground_truth,
+        "{",
+        "ground truth: malformed JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    (
+        "report-malformed", parse_report,
+        "[",
+        "report: malformed JSON: Expecting value: line 1 column 2 (char 1)",
+    ),
+    ("matrix-blank-rows-only", parse_association_matrix, "\n,\n", "matrix: empty input"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,message", [row[1:] for row in _FRAMING_ERRORS], ids=[row[0] for row in _FRAMING_ERRORS]
+)
+def test_framing_error_messages(parse, text, message):
+    for data in (text, text.encode("utf-8")):
+        with pytest.raises(ParseError) as exc:
+            parse(data)
+        assert str(exc.value) == message
+
+
+def test_id_samples_parse_bytes_like_text():
+    text = (
+        '{"class_scores": {"A": 0.75, "B": 0.25}, "true_label": "B"}\n'
+        "\n"
+        '{"class_scores": {"A": 1}, "true_label": "A"}\n'
+    )
+    samples = parse_id_samples(text)
+    assert [(s.class_scores, s.true_label) for s in samples] == [
+        ({"A": 0.75, "B": 0.25}, "B"),
+        ({"A": 1.0}, "A"),
+    ]
+    assert parse_id_samples(text.encode("utf-8")) == samples
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ centrality and global efficiency."""
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +113,17 @@ def test_centrality_requires_positive_entry():
     m = matrix_from_dyads(["A", "B"], {})
     with pytest.raises(ValueError, match="positive"):
         eigenvector_centrality(m)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0}, {"max_iter": 0}],
+    ids=["tol-inf", "tol-nan", "tol-zero", "max_iter-zero"],
+)
+def test_centrality_rejects_bad_tol_and_max_iter(kwargs):
+    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        eigenvector_centrality(m, **kwargs)
 
 
 def test_centrality_convergence_error_carries_residual():
@@ -388,3 +401,13 @@ def test_report_agrees_with_pieces(troop_matrix):
     for ind in report.individuals:
         assert (ind.degree, ind.strength) == ds[ind.name]
         assert ind.eigenvector == eig[ind.name]
+
+
+def test_network_import_leaves_scipy_unloaded():
+    # The package root imports no submodule, so library code that needs only
+    # the bundled matrix and the network measures does not load scipy, which
+    # only the tracker uses.
+    code = "import sys, troopnet.bundled, troopnet.network; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
