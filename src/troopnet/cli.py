@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 from . import association, evaluation, ingest, layout, network, synth, tracking
@@ -46,10 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-_ASSOCIATION_MODES = ("video-level", "proximal")
-_EFFICIENCY_MODES = ("both", "binary", "weighted")
-
-
 @dataclass
 class PipelineConfig:
     tracker: TrackerParams = field(default_factory=TrackerParams)
@@ -65,11 +61,11 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.association_mode not in _ASSOCIATION_MODES:
+        if self.association_mode not in tracking.ASSOCIATION_MODES:
             raise ValueError(
                 f"association.mode: must be 'video-level' or 'proximal', got {self.association_mode!r}"
             )
-        if self.efficiency_mode not in _EFFICIENCY_MODES:
+        if self.efficiency_mode not in network.EFFICIENCY_MODES:
             raise ValueError(
                 "network.efficiency_mode: must be 'both', 'binary' or 'weighted', "
                 f"got {self.efficiency_mode!r}"
@@ -96,8 +92,8 @@ _SETTINGS = (
     _Setting("tracker.min_track_len_for_id", "--min-track-len", int),
     _Setting("proximity.max_gap", "--prox-max-gap", float),
     _Setting("proximity.max_depth_disparity", "--prox-max-depth-disparity", float),
-    _Setting("association.mode", "--mode", str, "association_mode", _ASSOCIATION_MODES),
-    _Setting("network.efficiency_mode", "--efficiency-mode", str, "efficiency_mode", _EFFICIENCY_MODES),
+    _Setting("association.mode", "--mode", str, "association_mode", tracking.ASSOCIATION_MODES),
+    _Setting("network.efficiency_mode", "--efficiency-mode", str, "efficiency_mode", network.EFFICIENCY_MODES),
     _Setting("network.tol", "--tol", float, "tol"),
     _Setting("network.max_iter", "--max-iter", int, "max_iter"),
     _Setting("gem.desired_edge_length", "--edge-length", float),
@@ -183,10 +179,62 @@ def _read_roster(path: str | None):
     return ingest.parse_roster(_read_text(path))
 
 
-def _require_seed(config: PipelineConfig) -> int:
-    if config.seed is None:
-        raise UsageError("a seed is required: pass --seed or set the 'seed' config key")
-    return config.seed
+# what each required PipelineConfig value is called, and how to give it
+_REQUIRED = {
+    "seed": ("a seed", "--seed or set the 'seed' config key"),
+    "detections_dir": ("a detections directory", "--detections-dir"),
+    "roster_path": ("a roster", "--roster"),
+    "out_dir": ("an output directory", "--out-dir"),
+}
+
+
+def _required(config: PipelineConfig, *attrs: str) -> tuple:
+    """The config's values of attrs, checked in order; a missing one is a usage error.
+
+    Seed 0 is a seed, but an empty path is no path.
+    """
+    values = tuple(getattr(config, attr) for attr in attrs)
+    for attr, value in zip(attrs, values):
+        if (value is None) if attr == "seed" else (not value):
+            what, how = _REQUIRED[attr]
+            raise UsageError(f"{what} is required: pass {how}")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# stages, each shared by its subcommand and the pipeline
+
+
+def _stream_tracks(path: str, video_id: str, roster, config: PipelineConfig) -> list[tracking.Track]:
+    """Tracks of one detection stream, with fused identities when there is a roster."""
+    stream = ingest.parse_detection_stream(_read_text(path), video_id, roster)
+    tracks = tracking.build_tracks(stream, config.tracker)
+    if roster is not None:
+        tracks = [tracking.fuse_identity(t, roster, config.tracker) for t in tracks]
+    return tracks
+
+
+def _matrix(ledger, roster) -> ingest.AssociationMatrix:
+    """Simple-ratio matrix over the roster's names, or the sorted counted names without one."""
+    counts = association.count_occurrences(ledger)
+    names = roster.names if roster is not None else sorted(counts.per_individual)
+    return association.simple_ratio_matrix(counts, names)
+
+
+def _report(matrix: ingest.AssociationMatrix, config: PipelineConfig) -> network.NetworkReport:
+    return network.network_report(
+        matrix, tol=config.tol, max_iter=config.max_iter, efficiency_mode=config.efficiency_mode
+    )
+
+
+def _ledger_text(ledger, roster) -> str:
+    if isinstance(ledger, ingest.PairLedger):
+        return ingest.write_pair_ledger(ledger)
+    return ingest.write_ledger(ledger, roster)
+
+
+def _conflicts_text(conflicts: list[tracking.IdentityConflict]) -> str:
+    return ingest.write_json([asdict(c) for c in conflicts])
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +244,7 @@ def _require_seed(config: PipelineConfig) -> int:
 def _cmd_track(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     roster = _read_roster(config.roster_path)
-    stream = ingest.parse_detection_stream(_read_text(args.detections), args.video_id, roster)
-    tracks = tracking.build_tracks(stream, config.tracker)
-    if roster is not None:
-        tracks = [tracking.fuse_identity(t, roster, config.tracker) for t in tracks]
+    tracks = _stream_tracks(args.detections, args.video_id, roster, config)
     atomic_write_text(args.out, ingest.write_tracks(tracks))
     return 0
 
@@ -257,42 +302,19 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
         ledger = ingest.parse_occurrence_ledger(_read_text(args.ledger), roster)
     else:
         ledger = ingest.parse_pair_ledger(_read_text(args.pair_ledger), roster)
-    counts = association.count_occurrences(ledger)
-    if roster is not None:
-        names = roster.names
-    else:
-        names = sorted(counts.per_individual)
-    matrix = association.simple_ratio_matrix(counts, names)
+    matrix = _matrix(ledger, roster)
     atomic_write_text(args.out, ingest.write_matrix(matrix))
     if args.ledger_out:
-        if isinstance(ledger, ingest.PairLedger):
-            atomic_write_text(args.ledger_out, ingest.write_pair_ledger(ledger))
-        else:
-            atomic_write_text(args.ledger_out, ingest.write_ledger(ledger, roster))
+        atomic_write_text(args.ledger_out, _ledger_text(ledger, roster))
     if args.conflicts_out:
-        atomic_write_text(args.conflicts_out, ingest.write_json(_conflict_records(conflicts)))
+        atomic_write_text(args.conflicts_out, _conflicts_text(conflicts))
     return 0
-
-
-def _conflict_records(conflicts) -> list[dict]:
-    return [
-        {
-            "video_id": c.video_id,
-            "frame_index": c.frame_index,
-            "name": c.name,
-            "track_ids": list(c.track_ids),
-        }
-        for c in conflicts
-    ]
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     matrix = ingest.parse_association_matrix(_read_text(args.matrix))
-    report = network.network_report(
-        matrix, tol=config.tol, max_iter=config.max_iter, efficiency_mode=config.efficiency_mode
-    )
-    atomic_write_text(args.out, ingest.write_report(report))
+    atomic_write_text(args.out, ingest.write_report(_report(matrix, config)))
     return 0
 
 
@@ -300,14 +322,12 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if not args.svg_out and not args.dot_out:
         raise UsageError("at least one of --svg-out or --dot-out is required")
-    seed = _require_seed(config)
+    (seed,) = _required(config, "seed")
     matrix = ingest.parse_association_matrix(_read_text(args.matrix))
     if args.report:
         report = ingest.parse_report(_read_text(args.report))
     else:
-        report = network.network_report(
-            matrix, tol=config.tol, max_iter=config.max_iter, efficiency_mode=config.efficiency_mode
-        )
+        report = _report(matrix, config)
     if args.svg_out:
         placed = layout.gem_layout(matrix, config.gem, seed)
         atomic_write_bytes(args.svg_out, layout.render_svg(matrix, placed, report))
@@ -318,10 +338,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    seed = _require_seed(config)
-    out_dir = config.out_dir
-    if not out_dir:
-        raise UsageError("an output directory is required: pass --out-dir")
+    seed, out_dir = _required(config, "seed", "out_dir")
     try:
         noise = synth.NoiseParams(
             fp_rate=args.fp_rate,
@@ -357,49 +374,32 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    seed = _require_seed(config)
-    if not config.detections_dir:
-        raise UsageError("a detections directory is required: pass --detections-dir")
-    if not config.roster_path:
-        raise UsageError("a roster is required: pass --roster")
-    if not config.out_dir:
-        raise UsageError("an output directory is required: pass --out-dir")
-    roster = _read_roster(config.roster_path)
-    names = sorted(os.listdir(config.detections_dir))
-    files = [n for n in names if n.endswith(".jsonl")]
+    seed, detections_dir, roster_path, out_dir = _required(
+        config, "seed", "detections_dir", "roster_path", "out_dir"
+    )
+    roster = _read_roster(roster_path)
+    files = sorted(n for n in os.listdir(detections_dir) if n.endswith(".jsonl"))
     if not files:
-        raise ParseError(f"no .jsonl detection streams in {config.detections_dir}")
+        raise ParseError(f"no .jsonl detection streams in {detections_dir}")
 
     all_tracks = []
     for filename in files:
         video_id = filename[: -len(".jsonl")]
-        path = os.path.join(config.detections_dir, filename)
-        stream = ingest.parse_detection_stream(_read_text(path), video_id, roster)
-        tracks = tracking.build_tracks(stream, config.tracker)
-        all_tracks.extend(tracking.fuse_identity(t, roster, config.tracker) for t in tracks)
+        all_tracks.extend(_stream_tracks(os.path.join(detections_dir, filename), video_id, roster, config))
     ledger, conflicts = tracking.tracks_to_ledger(
         all_tracks, mode=config.association_mode, prox=config.proximity
     )
-    counts = association.count_occurrences(ledger)
-    matrix = association.simple_ratio_matrix(counts, roster.names)
-    report = network.network_report(
-        matrix, tol=config.tol, max_iter=config.max_iter, efficiency_mode=config.efficiency_mode
-    )
+    matrix = _matrix(ledger, roster)
+    report = _report(matrix, config)
     placed = layout.gem_layout(matrix, config.gem, seed)
 
-    out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    if isinstance(ledger, ingest.PairLedger):
-        atomic_write_text(os.path.join(out_dir, "ledger.csv"), ingest.write_pair_ledger(ledger))
-    else:
-        atomic_write_text(os.path.join(out_dir, "ledger.csv"), ingest.write_ledger(ledger, roster))
+    atomic_write_text(os.path.join(out_dir, "ledger.csv"), _ledger_text(ledger, roster))
     atomic_write_text(os.path.join(out_dir, "matrix.csv"), ingest.write_matrix(matrix))
     atomic_write_text(os.path.join(out_dir, "report.json"), ingest.write_report(report))
     atomic_write_bytes(os.path.join(out_dir, "network.svg"), layout.render_svg(matrix, placed, report))
     atomic_write_text(os.path.join(out_dir, "network.dot"), layout.render_dot(matrix, report))
-    atomic_write_text(
-        os.path.join(out_dir, "conflicts.json"), ingest.write_json(_conflict_records(conflicts))
-    )
+    atomic_write_text(os.path.join(out_dir, "conflicts.json"), _conflicts_text(conflicts))
     return 0
 
 

@@ -697,8 +697,9 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
 def parse_id_samples(data: str | bytes) -> list:
     """Parse identification samples: {"class_scores": {...}, "true_label": ...} per line.
 
-    class_scores must be a non-empty object of numbers. Blank lines are
-    ignored; a file with no samples is an error.
+    class_scores must be a non-empty object of numbers in [0, 1], checked
+    like a detection's class scores. Blank lines are ignored; a file with
+    no samples is an error.
     """
     from .evaluation import IdSample
 
@@ -706,13 +707,18 @@ def parse_id_samples(data: str | bytes) -> list:
     for lineno, rec in _json_lines(data, "samples "):
         if not isinstance(rec, dict) or "class_scores" not in rec or "true_label" not in rec:
             raise ParseError(f"samples line {lineno}: needs 'class_scores' and 'true_label'")
-        scores = rec["class_scores"]
-        if not isinstance(scores, dict) or not scores:
+        raw_scores = rec["class_scores"]
+        if not isinstance(raw_scores, dict) or not raw_scores:
             raise ParseError(f"samples line {lineno}: class_scores must be a non-empty object")
-        try:
-            scores = {str(k): float(v) for k, v in scores.items()}
-        except (TypeError, ValueError):
-            raise ParseError(f"samples line {lineno}: class_scores values must be numbers") from None
+        scores = {}
+        for name, value in raw_scores.items():
+            try:
+                v = _num(value)
+            except ValueError:
+                raise ParseError(f"samples line {lineno}: class_scores values must be numbers") from None
+            if not 0.0 <= v <= 1.0:  # also rejects NaN
+                raise ParseError(f"samples line {lineno}: class_scores[{name!r}] = {v} outside [0, 1]")
+            scores[name] = v
         samples.append(IdSample(class_scores=scores, true_label=str(rec["true_label"])))
     if not samples:
         raise ParseError("samples file contains no samples")

@@ -26,7 +26,10 @@ __all__ = [
     "global_efficiency",
     "connected_components",
     "network_report",
+    "EFFICIENCY_MODES",
 ]
+
+EFFICIENCY_MODES = ("both", "binary", "weighted")  # network_report's efficiency_mode values
 
 
 @dataclass
@@ -225,7 +228,7 @@ def network_report(
     "binary" or "weighted"; the skipped value is reported as 0.0 with a
     warning.
     """
-    if efficiency_mode not in ("both", "binary", "weighted"):
+    if efficiency_mode not in EFFICIENCY_MODES:
         raise ValueError(
             f"efficiency_mode must be 'both', 'binary' or 'weighted', got {efficiency_mode!r}"
         )

@@ -10,7 +10,7 @@ function of the stream and parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,8 +27,10 @@ __all__ = [
     "build_tracks",
     "fuse_identity",
     "tracks_to_ledger",
+    "ASSOCIATION_MODES",
 ]
 
+ASSOCIATION_MODES = ("video-level", "proximal")  # tracks_to_ledger's mode values
 _FORBIDDEN = 1e9  # cost placeholder for pairs outside the IoU gate
 
 
@@ -87,17 +89,6 @@ class IdentityConflict:
     frame_index: int
     name: str
     track_ids: tuple[int, ...]
-
-
-@dataclass
-class _Builder:
-    track_id: int
-    observations: list[Observation] = field(default_factory=list)
-    last_frame: int = -1
-
-    @property
-    def last_bbox(self) -> BBox:
-        return self.observations[-1].bbox
 
 
 def _canonical_assignment(cost: list[list[float]], rows: list[int], cols: list[int]) -> dict[int, int]:
@@ -161,19 +152,24 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
 
     Every detection lands in exactly one track. Cost ties are broken toward
     the lower frame, then the lower detection index, then the lower
-    track id, so identical input always yields identical tracks.
+    track id, so identical input always yields identical tracks. A frame
+    index that does not increase on the one before raises ValueError.
     """
-    active: list[_Builder] = []  # in track_id order
-    done: list[_Builder] = []
+    active: list[Track] = []  # in track_id order: survivors keep it, new ids are larger
+    done: list[Track] = []
     next_id = 0
+    last_fi = None
     for frame in stream.frames:
         fi = frame.frame_index
+        if last_fi is not None and fi <= last_fi:
+            raise ValueError(f"frame_index must strictly increase, got {fi} after {last_fi}")
+        last_fi = fi
         still_active = []
-        for builder in active:
-            if fi - builder.last_frame - 1 > params.max_gap_frames:
-                done.append(builder)
+        for track in active:
+            if fi - track.observations[-1].frame_index - 1 > params.max_gap_frames:
+                done.append(track)
             else:
-                still_active.append(builder)
+                still_active.append(track)
         active = still_active
 
         detections = frame.detections
@@ -181,9 +177,10 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
         if active and detections:
             cost = [[_FORBIDDEN] * len(detections) for _ in active]
             any_allowed = False
-            for r, builder in enumerate(active):
+            for r, track in enumerate(active):
+                last_bbox = track.observations[-1].bbox
                 for c, det in enumerate(detections):
-                    overlap = iou(builder.last_bbox, det.bbox)
+                    overlap = iou(last_bbox, det.bbox)
                     if overlap >= params.iou_gate:
                         cost[r][c] = 1.0 - overlap
                         any_allowed = True
@@ -196,21 +193,14 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
                 frame_index=fi, bbox=det.bbox, score=det.score, class_scores=det.class_scores
             )
             if c in assignment:
-                builder = active[assignment[c]]
-                builder.observations.append(obs)
-                builder.last_frame = fi
+                active[assignment[c]].observations.append(obs)
             else:
-                active.append(_Builder(track_id=next_id, observations=[obs], last_frame=fi))
+                active.append(Track(track_id=next_id, video_id=stream.video_id, observations=[obs]))
                 next_id += 1
-        # keep active sorted by track_id so cost-matrix rows stay canonical
-        active.sort(key=lambda b: b.track_id)
 
     done.extend(active)
-    done.sort(key=lambda b: b.track_id)
-    return [
-        Track(track_id=b.track_id, video_id=stream.video_id, observations=b.observations)
-        for b in done
-    ]
+    done.sort(key=lambda t: t.track_id)
+    return done
 
 
 def fuse_identity(track: Track, roster: Roster, params: TrackerParams = TrackerParams()) -> Track:
@@ -239,22 +229,6 @@ def fuse_identity(track: Track, roster: Roster, params: TrackerParams = TrackerP
     return replace(track, identity=Identity(name=best, confidence=sums[best] / scored_frames))
 
 
-def _conflicts_for_video(video_id: str, tracks: list[Track]) -> list[IdentityConflict]:
-    by_frame_name: dict[tuple[int, str], list[int]] = {}
-    for t in tracks:
-        if t.identity is None:
-            continue
-        for obs in t.observations:
-            by_frame_name.setdefault((obs.frame_index, t.identity.name), []).append(t.track_id)
-    out = []
-    for (fi, name), ids in sorted(by_frame_name.items()):
-        if len(ids) > 1:
-            out.append(
-                IdentityConflict(video_id=video_id, frame_index=fi, name=name, track_ids=tuple(sorted(ids)))
-            )
-    return out
-
-
 def tracks_to_ledger(
     tracks: list[Track],
     mode: str = "video-level",
@@ -266,46 +240,46 @@ def tracks_to_ledger(
     identified track bears its name; proximal mode records a pair jointly
     for a video when some frame shows both boxes proximal, and returns a
     PairLedger. Tracks without an identity are excluded. Simultaneous
-    same-name tracks are kept and returned as identity conflicts.
+    same-name tracks are kept and returned as identity conflicts, ordered
+    by video (first appearance), frame and name.
     """
-    if mode not in ("video-level", "proximal"):
+    if mode not in ASSOCIATION_MODES:
         raise ValueError(f"mode must be 'video-level' or 'proximal', got {mode!r}")
-    order: list[str] = []
-    by_video: dict[str, list[Track]] = {}
+    by_video: dict[str, list[Track]] = {}  # videos in order of first appearance
     for t in tracks:
-        if t.video_id not in by_video:
-            by_video[t.video_id] = []
-            order.append(t.video_id)
-        by_video[t.video_id].append(t)
+        by_video.setdefault(t.video_id, []).append(t)
 
+    entries: list[LedgerEntry | PairEntry] = []
     conflicts: list[IdentityConflict] = []
-    for video_id in order:
-        conflicts.extend(_conflicts_for_video(video_id, by_video[video_id]))
-
-    if mode == "video-level":
-        entries = []
-        for video_id in order:
-            present = frozenset(t.identity.name for t in by_video[video_id] if t.identity is not None)
-            entries.append(LedgerEntry(video_id=video_id, present=present))
-        return OccurrenceLedger(entries), conflicts
-
-    pair_entries = []
-    for video_id in order:
-        identified = [t for t in by_video[video_id] if t.identity is not None]
-        boxes_by_frame: dict[int, list[tuple[str, BBox]]] = {}
+    for video_id, video_tracks in by_video.items():
+        identified = [t for t in video_tracks if t.identity is not None]
+        boxes_by_frame: dict[int, list[tuple[str, int, BBox]]] = {}
         for t in identified:
             for obs in t.observations:
-                boxes_by_frame.setdefault(obs.frame_index, []).append((t.identity.name, obs.bbox))
+                boxes_by_frame.setdefault(obs.frame_index, []).append((t.identity.name, t.track_id, obs.bbox))
         pairs = set()
         for fi in sorted(boxes_by_frame):
-            entries_here = boxes_by_frame[fi]
-            for i in range(len(entries_here)):
-                for j in range(i + 1, len(entries_here)):
-                    name_a, box_a = entries_here[i]
-                    name_b, box_b = entries_here[j]
-                    if name_a == name_b:
-                        continue
-                    if is_proximal(box_a, box_b, prox):
-                        pairs.add(tuple(sorted((name_a, name_b))))
-        pair_entries.append(PairEntry(video_id=video_id, pairs=frozenset(pairs)))
-    return PairLedger(pair_entries), conflicts
+            boxes = boxes_by_frame[fi]
+            if len(boxes) < 2:
+                continue
+            ids_by_name: dict[str, list[int]] = {}
+            for name, track_id, _ in boxes:
+                ids_by_name.setdefault(name, []).append(track_id)
+            if len(ids_by_name) < len(boxes):
+                for name in sorted(ids_by_name):
+                    ids = ids_by_name[name]
+                    if len(ids) > 1:
+                        conflicts.append(IdentityConflict(video_id, fi, name, tuple(sorted(ids))))
+            if mode == "proximal":
+                for i, (name_a, _, box_a) in enumerate(boxes):
+                    for name_b, _, box_b in boxes[i + 1 :]:
+                        if name_a != name_b and is_proximal(box_a, box_b, prox):
+                            pairs.add(tuple(sorted((name_a, name_b))))
+        if mode == "video-level":
+            present = frozenset(t.identity.name for t in identified)
+            entries.append(LedgerEntry(video_id=video_id, present=present))
+        else:
+            entries.append(PairEntry(video_id=video_id, pairs=frozenset(pairs)))
+    if mode == "video-level":
+        return OccurrenceLedger(entries), conflicts
+    return PairLedger(entries), conflicts

@@ -436,6 +436,24 @@ def test_eval_id_hand_case(tmp_path):
     assert report["confusion"][1] == [1.0, 0.0]
 
 
+def test_eval_id_rejects_scores_outside_the_unit_interval(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")
+    samples = tmp_path / "samples.jsonl"
+    out = tmp_path / "id.json"
+    cmd = ["eval-id", "--samples", str(samples), "--roster", str(roster), "--out", str(out)]
+    for scores, message in [
+        ('{"A": NaN, "B": "0.9"}', "samples line 1: class_scores['A'] = nan outside [0, 1]"),
+        ('{"A": 0.5, "B": "0.9"}', "samples line 1: class_scores values must be numbers"),
+        ('{"A": true}', "samples line 1: class_scores values must be numbers"),
+        ('{"A": 1.5, "B": -0.2}', "samples line 1: class_scores['A'] = 1.5 outside [0, 1]"),
+    ]:
+        samples.write_text('{"class_scores": %s, "true_label": "A"}\n' % scores)
+        assert main(cmd) == 2, scores
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+
 def test_eval_id_rejects_empty_samples(tmp_path, capsys):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nA,unknown,\n")
@@ -495,11 +513,11 @@ def test_synth_outputs_parse_cleanly(synth_run):
     assert all(t.video_id == "v0000" for t in tracks)
 
 
-def _run_pipeline(synth_dir, out_dir):
+def _run_pipeline(synth_dir, out_dir, *extra):
     return main(
         ["pipeline", "--detections-dir", str(synth_dir / "detections"),
          "--roster", str(synth_dir / "roster.csv"), "--out-dir", str(out_dir),
-         "--seed", "5", "--min-track-len", "1"]
+         "--seed", "5", "--min-track-len", "1", *extra]
     )
 
 
@@ -528,9 +546,19 @@ def test_pipeline_reruns_byte_identical(tmp_path, synth_run):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_pipeline_equals_stage_composition(tmp_path, synth_run):
+# synth's 160 px grid never passes the default proximity gate of 2.0
+_MODE_ARGS = {
+    "video-level": [],
+    "proximal": ["--mode", "proximal", "--prox-max-gap", "3.0"],
+}
+
+
+@pytest.mark.parametrize("mode", list(_MODE_ARGS))
+def test_pipeline_equals_stage_composition(tmp_path, synth_run, mode):
     pipe_out = tmp_path / "pipe"
-    assert _run_pipeline(synth_run, pipe_out) == 0
+    assert _run_pipeline(synth_run, pipe_out, *_MODE_ARGS[mode]) == 0
+    if mode == "proximal":  # the pair ledger has one row per pair seen
+        assert len((pipe_out / "ledger.csv").read_text().splitlines()) > 1
 
     stage_dir = tmp_path / "stages"
     stage_dir.mkdir()
@@ -548,11 +576,13 @@ def test_pipeline_equals_stage_composition(tmp_path, synth_run):
 
     matrix_out = stage_dir / "matrix.csv"
     argv = ["cooccur", "--roster", str(synth_run / "roster.csv"),
-            "--out", str(matrix_out)]
+            "--out", str(matrix_out), "--ledger-out", str(stage_dir / "ledger.csv"),
+            "--conflicts-out", str(stage_dir / "conflicts.json"), *_MODE_ARGS[mode]]
     for path in track_files:
         argv.extend(["--tracks", str(path)])
     assert main(argv) == 0
-    assert matrix_out.read_bytes() == (pipe_out / "matrix.csv").read_bytes()
+    for name in ("matrix.csv", "ledger.csv", "conflicts.json"):
+        assert (stage_dir / name).read_bytes() == (pipe_out / name).read_bytes(), name
 
     report_out = stage_dir / "report.json"
     assert main(["network", "--matrix", str(matrix_out), "--out", str(report_out)]) == 0

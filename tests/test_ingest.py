@@ -635,6 +635,28 @@ def test_id_samples_parse_bytes_like_text():
     assert parse_id_samples(text.encode("utf-8")) == samples
 
 
+_BAD_SAMPLE_SCORES = [
+    ('"0.9"', "class_scores values must be numbers"),
+    ("true", "class_scores values must be numbers"),
+    ("null", "class_scores values must be numbers"),
+    ("NaN", "class_scores['B'] = nan outside [0, 1]"),
+    ("Infinity", "class_scores['B'] = inf outside [0, 1]"),
+    ("1.5", "class_scores['B'] = 1.5 outside [0, 1]"),
+    ("-0.2", "class_scores['B'] = -0.2 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("score,message", _BAD_SAMPLE_SCORES, ids=[row[0] for row in _BAD_SAMPLE_SCORES])
+def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
+    text = (
+        '{"class_scores": {"A": 0.5}, "true_label": "A"}\n'
+        '{"class_scores": {"A": 0, "B": %s}, "true_label": "B"}\n' % score
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_id_samples(text)
+    assert str(exc.value) == f"samples line 2: {message}"
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 

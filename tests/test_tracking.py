@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troopnet.geometry import BBox, ProximityParams
+from troopnet.geometry import BBox, ProximityParams, is_proximal
 from troopnet.ingest import Detection, DetectionStream, Frame, Individual, Roster
 from troopnet.tracking import (
     Identity,
@@ -120,6 +122,13 @@ def test_track_validation():
             video_id="v",
             observations=[Observation(3, BOX, 0.5), Observation(2, BOX, 0.5)],
         )
+
+
+def test_frame_index_must_increase():
+    # no track spans the repeated frame, so only build_tracks itself can see it
+    for frames in ([_frame(0, BOX), _frame(0, FAR)], [_frame(5, BOX), _frame(2, FAR)]):
+        with pytest.raises(ValueError, match="frame_index must strictly increase"):
+            build_tracks(_stream(*frames))
 
 
 def test_tracker_params_validation():
@@ -304,3 +313,65 @@ def test_tracks_without_identity_excluded():
     tracks = [Track(track_id=0, video_id="v1", observations=[Observation(0, BOX, 0.9)])]
     ledger, _ = tracks_to_ledger(tracks, mode="video-level")
     assert ledger.entries[0].present == frozenset()
+
+
+@st.composite
+def _ledger_tracks(draw):
+    """Tracks over 1-3 videos in any order, names from three, boxes on a coarse grid."""
+    tracks = []
+    videos = draw(st.lists(st.sampled_from(["v0", "v1", "v2"]), min_size=1, max_size=3, unique=True))
+    for video_id in videos:
+        for track_id in range(draw(st.integers(1, 6))):
+            frames = sorted(draw(st.sets(st.integers(0, 3), min_size=1, max_size=4)))
+            observations = [
+                Observation(
+                    fi,
+                    BBox(draw(st.integers(0, 3)) * 40.0, draw(st.integers(0, 1)) * 40.0,
+                         48.0, draw(st.sampled_from([48.0, 96.0]))),
+                    0.9,
+                )
+                for fi in frames
+            ]
+            name = draw(st.none() | st.sampled_from("ABC"))
+            identity = None if name is None else Identity(name, 0.9)
+            tracks.append(Track(track_id, video_id, observations, identity))
+    return draw(st.permutations(tracks))
+
+
+def _ledger_oracle(tracks, prox):
+    """Per video in first-appearance order: present names, proximal pairs;
+    and the (video, frame, name, track ids) conflicts, by brute force."""
+    videos = list(dict.fromkeys(t.video_id for t in tracks))
+    present, pairs, conflicts = {}, {}, []
+    for v in videos:
+        boxes = [
+            (t.identity.name, t.track_id, o.frame_index, o.bbox)
+            for t in tracks
+            if t.video_id == v and t.identity is not None
+            for o in t.observations
+        ]
+        present[v] = frozenset(name for name, _, _, _ in boxes)
+        pairs[v] = frozenset(
+            tuple(sorted((na, nb)))
+            for (na, _, fa, ba), (nb, _, fb, bb) in itertools.combinations(boxes, 2)
+            if fa == fb and na != nb and is_proximal(ba, bb, prox)
+        )
+        for fi, name in sorted({(f, n) for n, _, f, _ in boxes}):
+            ids = sorted(i for n, i, f, _ in boxes if (f, n) == (fi, name))
+            if len(ids) > 1:
+                conflicts.append((v, fi, name, tuple(ids)))
+    return videos, present, pairs, conflicts
+
+
+@given(_ledger_tracks())
+@settings(max_examples=150, deadline=None)
+def test_tracks_to_ledger_matches_brute_force(tracks):
+    prox = ProximityParams()
+    videos, present, pairs, conflicts = _ledger_oracle(tracks, prox)
+    for mode, expected in (("video-level", present), ("proximal", pairs)):
+        ledger, found = tracks_to_ledger(tracks, mode=mode, prox=prox)
+        if mode == "video-level":
+            assert [(e.video_id, e.present) for e in ledger.entries] == [(v, expected[v]) for v in videos]
+        else:
+            assert [(e.video_id, e.pairs) for e in ledger.entries] == [(v, expected[v]) for v in videos]
+        assert [(c.video_id, c.frame_index, c.name, c.track_ids) for c in found] == conflicts
