@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,22 +72,11 @@ def _check_score_threshold(score_threshold: float) -> None:
         raise ValueError(f"score_threshold must be finite, got {score_threshold}")
 
 
-def _score_order(preds: list[Detection]) -> list[int]:
-    return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-
-
-def match_detections(preds: list[Detection], gts: list[BBox], iou_threshold: float) -> MatchResult:
-    """Greedy one-to-one matching of predictions to ground-truth boxes.
-
-    Predictions are processed in descending score order (ties by input
-    order); each takes the unmatched ground truth of highest IoU at or
-    above the threshold, IoU ties going to the lower ground-truth index.
-    """
-    _check_threshold(iou_threshold)
+def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
+    """The greedy pass of match_detections: yield (prediction index, matched
+    ground-truth index or -1, IoU) for each prediction, in score order."""
     taken = [False] * len(gts)
-    pairs = []
-    unmatched_preds = []
-    for i in _score_order(preds):
+    for i in sorted(range(len(preds)), key=lambda i: (-preds[i].score, i)):
         best_j = -1
         best_iou = 0.0
         for j, gt in enumerate(gts):
@@ -98,53 +88,49 @@ def match_detections(preds: list[Detection], gts: list[BBox], iou_threshold: flo
                 best_j = j
         if best_j >= 0:
             taken[best_j] = True
-            pairs.append(MatchPair(prediction_index=i, gt_index=best_j, iou=best_iou))
-        else:
-            unmatched_preds.append(i)
+        yield i, best_j, best_iou
+
+
+def match_detections(preds: list[Detection], gts: list[BBox], iou_threshold: float) -> MatchResult:
+    """Greedy one-to-one matching of predictions to ground-truth boxes.
+
+    Predictions are processed in descending score order (ties by input
+    order); each takes the unmatched ground truth of highest IoU at or
+    above the threshold, IoU ties going to the lower ground-truth index.
+    """
+    _check_threshold(iou_threshold)
+    steps = list(_greedy(preds, gts, iou_threshold))
+    pairs = [MatchPair(prediction_index=i, gt_index=j, iou=o) for i, j, o in steps if j >= 0]
+    matched = {p.gt_index for p in pairs}
     return MatchResult(
         pairs=pairs,
-        unmatched_predictions=sorted(unmatched_preds),
-        unmatched_gts=[j for j, t in enumerate(taken) if not t],
+        unmatched_predictions=sorted(i for i, j, _o in steps if j < 0),
+        unmatched_gts=[j for j in range(len(gts)) if j not in matched],
     )
 
 
-def _tp_flags(preds: list[Detection], gts: list[BBox], iou_threshold: float) -> list[bool]:
-    """True-positive flag per prediction, in descending score order."""
-    result = match_detections(preds, gts, iou_threshold)
-    matched = {p.prediction_index for p in result.pairs}
-    return [i in matched for i in _score_order(preds)]
+def _curve(flags: list[bool], n_gt: int) -> list[tuple[float, float]]:
+    """(recall, precision) after each score-ordered prediction; recall is 0.0
+    without ground truths."""
+    points = []
+    tp = 0
+    for k, flag in enumerate(flags, start=1):
+        tp += flag
+        points.append((tp / n_gt if n_gt else 0.0, tp / k))
+    return points
+
+
+def _envelope(points: list[tuple[float, float]]) -> list[float]:
+    """The precision envelope max{P at recall >= r} at each curve point."""
+    return list(accumulate((p for _r, p in reversed(points)), max))[::-1]
 
 
 def pr_curve(preds: list[Detection], gts: list[BBox], iou_threshold: float) -> PRCurve:
     """Cumulative precision/recall after each prediction, best score first."""
     _check_threshold(iou_threshold)
-    flags = _tp_flags(preds, gts, iou_threshold)
-    order = _score_order(preds)
-    n_gt = len(gts)
-    points = []
-    tp = 0
-    for k, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-        recall = tp / n_gt if n_gt else 0.0
-        points.append((recall, tp / k, preds[order[k - 1]].score))
-    return PRCurve(points=points)
-
-
-def _precision_envelope(flags: list[bool], n_gt: int) -> tuple[list[float], list[float]]:
-    """Recall after each score-ordered prediction, and the precision envelope
-    max{P at recall >= r} there."""
-    recalls = []
-    envelope = []
-    tp = 0
-    for k, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-        recalls.append(tp / n_gt)
-        envelope.append(tp / k)
-    for k in range(len(envelope) - 2, -1, -1):
-        envelope[k] = max(envelope[k], envelope[k + 1])
-    return recalls, envelope
+    steps = list(_greedy(preds, gts, iou_threshold))
+    points = _curve([j >= 0 for _i, j, _o in steps], len(gts))
+    return PRCurve(points=[(r, p, preds[i].score) for (r, p), (i, _j, _o) in zip(points, steps)])
 
 
 def average_precision(
@@ -170,13 +156,13 @@ def average_precision(
         return 1.0 if not preds else 0.0
     if not preds:
         return 0.0
-    recalls, envelope = _precision_envelope(_tp_flags(preds, gts, iou_threshold), len(gts))
+    points = _curve([j >= 0 for _i, j, _o in _greedy(preds, gts, iou_threshold)], len(gts))
     total = []
     prev_recall = 0.0
-    for k in range(len(recalls)):
-        if recalls[k] > prev_recall:
-            total.append((recalls[k] - prev_recall) * envelope[k])
-            prev_recall = recalls[k]
+    for (recall, _p), envelope in zip(points, _envelope(points)):
+        if recall > prev_recall:
+            total.append((recall - prev_recall) * envelope)
+            prev_recall = recall
     return math.fsum(total)
 
 
@@ -269,9 +255,9 @@ def pooled_detection_metrics(
         # The predictions kept at the score threshold are a prefix of the
         # score order, so matching them alone makes the same matches as the
         # full matching does over that prefix.
-        for i, flag in zip(_score_order(preds), _tp_flags(preds, gts, iou_threshold)):
-            pooled.append((-preds[i].score, g, i, flag))
-            if flag and preds[i].score >= score_threshold:
+        for i, j, _o in _greedy(preds, gts, iou_threshold):
+            pooled.append((-preds[i].score, g, i, j >= 0))
+            if j >= 0 and preds[i].score >= score_threshold:
                 tp_at_threshold += 1
     pooled.sort()
     if n_gt == 0:
@@ -279,14 +265,15 @@ def pooled_detection_metrics(
     elif not pooled:
         ap = 0.0
     else:
-        recalls, envelope = _precision_envelope([flag for *_, flag in pooled], n_gt)
+        points = _curve([flag for *_, flag in pooled], n_gt)
+        envelope = _envelope(points)
         values = []
         k = 0
         for i in range(101):
             r = i / 100.0
-            while k < len(recalls) and recalls[k] < r:
+            while k < len(points) and points[k][0] < r:
                 k += 1
-            values.append(envelope[k] if k < len(recalls) else 0.0)
+            values.append(envelope[k] if k < len(points) else 0.0)
         ap = math.fsum(values) / 101.0
     return {
         "average_precision": ap,

@@ -77,6 +77,18 @@ def _num(x) -> float:
     return float(x)
 
 
+def _int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _check_id(x, locus: str, what: str) -> None:
+    """Record ids are JSON integers or strings, never lists, objects or bools."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ParseError(f"{locus}: {what} must be an integer or a string, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # framing: text, JSON values, CSV tables and JSON-lines records
 
@@ -252,12 +264,13 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
             raise ParseError(f"ground truth: category {i}: needs 'id' and 'name'") from None
 
     images = []
-    by_id: dict[int, GTImage] = {}
+    by_id: dict[int | str, GTImage] = {}
     for i, rec in enumerate(doc.get("images", [])):
         locus = f"ground truth: image {i}"
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError(f"{locus}: missing 'id'")
         img_id = rec["id"]
+        _check_id(img_id, locus, "'id'")
         if img_id in by_id:
             raise ParseError(f"{locus}: duplicate image id {img_id}")
         try:
@@ -267,9 +280,10 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
             raise ParseError(f"{locus} (id {img_id}): needs numeric 'width' and 'height'") from None
         if width <= 0 or height <= 0:
             raise ParseError(f"{locus} (id {img_id}): non-positive dimensions")
-        frame_index = rec.get("frame_index", img_id)
-        if not isinstance(frame_index, int):
-            raise ParseError(f"{locus} (id {img_id}): frame_index must be an integer")
+        try:
+            frame_index = _int(rec.get("frame_index", img_id))
+        except ValueError:
+            raise ParseError(f"{locus} (id {img_id}): frame_index must be an integer") from None
         img = GTImage(
             image_id=img_id,
             video_id=str(rec.get("video_id", "")),
@@ -285,6 +299,8 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
         locus = f"ground truth: annotation {i}"
         if not isinstance(rec, dict):
             raise ParseError(f"{locus}: not an object")
+        if "image_id" in rec:
+            _check_id(rec["image_id"], locus, "image_id")
         img = by_id.get(rec.get("image_id"))
         if img is None:
             raise ParseError(f"{locus}: unknown image_id {rec.get('image_id')!r}")
@@ -298,6 +314,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
         if box.x < 0 or box.y < 0 or box.x + box.w > img.width or box.y + box.h > img.height:
             raise ParseError(f"{locus}: bbox exceeds image bounds ({img.width}x{img.height})")
         if "category_id" in rec:
+            _check_id(rec["category_id"], locus, "category_id")
             if rec["category_id"] not in categories:
                 raise ParseError(f"{locus}: unknown category_id {rec['category_id']!r}")
             label = categories[rec["category_id"]]
@@ -338,6 +355,8 @@ class DetectionStream:
 
 
 def _parse_detection(obj, locus: str, roster: Roster | None) -> Detection:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{locus}: not an object")
     raw = obj.get("bbox")
     if not isinstance(raw, list) or len(raw) != 4:
         raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
@@ -379,9 +398,10 @@ def parse_detection_stream(data: str | bytes, video_id: str, roster: Roster | No
     frames: list[Frame] = []
     prev_index = None
     for lineno, obj in _json_lines(data, ""):
-        if not isinstance(obj, dict) or not isinstance(obj.get("frame_index"), int):
-            raise ParseError(f"line {lineno}: needs integer 'frame_index'")
-        index = obj["frame_index"]
+        try:
+            index = _int(obj["frame_index"])
+        except (KeyError, TypeError, ValueError):  # TypeError: obj is not an object
+            raise ParseError(f"line {lineno}: needs integer 'frame_index'") from None
         if prev_index is not None and index <= prev_index:
             raise ParseError(f"line {lineno}: frame_index {index} not greater than previous {prev_index}")
         prev_index = index
@@ -661,11 +681,13 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
             observations = []
             for k, o in enumerate(obj["observations"]):
                 det = _parse_detection(o, f"tracks line {lineno}: observation {k}", roster)
-                if not isinstance(o.get("frame_index"), int):
-                    raise ParseError(f"tracks line {lineno}: observation {k}: needs integer frame_index")
+                try:
+                    frame_index = _int(o.get("frame_index"))
+                except ValueError:
+                    raise ValueError(f"observation {k}: needs integer frame_index") from None
                 observations.append(
                     Observation(
-                        frame_index=o["frame_index"],
+                        frame_index=frame_index,
                         bbox=det.bbox,
                         score=det.score,
                         class_scores=det.class_scores,
@@ -674,11 +696,19 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
             identity = None
             if obj.get("identity") is not None:
                 ident = obj["identity"]
-                identity = Identity(name=str(ident["name"]), confidence=_num(ident["confidence"]))
+                if not isinstance(ident["name"], str):
+                    raise ValueError(f"identity name must be a string, got {ident['name']!r}")
+                identity = Identity(name=ident["name"], confidence=_num(ident["confidence"]))
+                if not 0.0 <= identity.confidence <= 1.0:  # also rejects NaN
+                    raise ValueError(f"identity confidence {identity.confidence} outside [0, 1]")
+                if roster is not None and identity.name not in roster:
+                    raise ValueError(f"unknown individual {identity.name!r} in identity")
+            if not isinstance(obj["video_id"], str):
+                raise ValueError(f"video_id must be a string, got {obj['video_id']!r}")
             tracks.append(
                 Track(
-                    track_id=int(obj["track_id"]),
-                    video_id=str(obj["video_id"]),
+                    track_id=_int(obj["track_id"]),
+                    video_id=obj["video_id"],
                     observations=observations,
                     identity=identity,
                 )
@@ -766,7 +796,7 @@ def parse_report(data: str | bytes):
             individuals=[
                 IndividualMeasures(
                     name=str(ind["name"]),
-                    degree=int(ind["degree"]),
+                    degree=_int(ind["degree"]),
                     strength=_num(ind["strength"]),
                     eigenvector=_num(ind["eigenvector"]),
                 )

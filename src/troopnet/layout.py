@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
 from .ingest import AssociationMatrix
-from .network import NetworkReport
+from .network import NetworkReport, _edges
 from .rng import Rng
 
 __all__ = [
@@ -115,14 +115,10 @@ def gem_layout(m: AssociationMatrix, params: GemParams | None = None, seed: int 
 
     edge_len = params.desired_edge_length
     edge_sq = edge_len * edge_len
-    values = m.values
     rng = Rng(seed)
 
-    degrees = [sum(1 for j in range(n) if values[i, j] > 0.0) for i in range(n)]
-    phi = [1.0 + degrees[i] / 2.0 for i in range(n)]
-    neighbors = [
-        [(j, float(values[i, j])) for j in range(n) if values[i, j] > 0.0] for i in range(n)
-    ]
+    neighbors = _edges(m)
+    phi = [1.0 + len(row) / 2.0 for row in neighbors]
 
     spread = edge_len * math.sqrt(float(n))
     xs: list[float] = []
@@ -249,13 +245,7 @@ def _radius_map(report: NetworkReport) -> dict[str, float]:
 
 
 def _positive_dyads(m: AssociationMatrix) -> list[tuple[int, int, float]]:
-    out = []
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            w = float(m.values[i, j])
-            if w > 0.0:
-                out.append((i, j, w))
-    return out
+    return [(i, j, w) for i, row in enumerate(_edges(m)) for j, w in row if j > i]
 
 
 def render_svg(m: AssociationMatrix, layout: LayoutResult, report: NetworkReport) -> bytes:

@@ -13,6 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ingest import AssociationMatrix
 
 __all__ = [
@@ -62,22 +64,30 @@ def _require_pairs(m: AssociationMatrix, what: str) -> None:
         raise ValueError(f"{what} needs at least 2 individuals, got {m.n}")
 
 
+def _edges(m: AssociationMatrix) -> list[list[tuple[int, float]]]:
+    """Each vertex's (partner, weight) list over the positive entries of its row
+    (the diagonal is exactly zero), partners in index order. The one reader
+    of m.values for every measure here and in layout."""
+    out = []
+    for row in m.values:
+        partners = np.flatnonzero(row > 0.0)
+        out.append(list(zip(partners.tolist(), row[partners].tolist())))
+    return out
+
+
 def density(m: AssociationMatrix) -> float:
     """Fraction of unordered pairs with a positive association index."""
     _require_pairs(m, "density")
     n = m.n
-    positive = sum(1 for i in range(n) for j in range(i + 1, n) if m.values[i, j] > 0.0)
+    positive = sum(1 for i, row in enumerate(_edges(m)) for j, _w in row if j > i)
     return positive / (n * (n - 1) / 2)
 
 
 def degree_strength(m: AssociationMatrix) -> dict[str, tuple[int, float]]:
     """Per-individual (degree, strength): partner count and row sum."""
-    out = {}
-    for i, name in enumerate(m.names):
-        row = m.values[i]
-        deg = int((row > 0.0).sum())
-        out[name] = (deg, math.fsum(row.tolist()))
-    return out
+    return {
+        name: (len(row), math.fsum(w for _j, w in row)) for name, row in zip(m.names, _edges(m))
+    }
 
 
 def eigenvector_centrality(m: AssociationMatrix, tol: float = 1e-10, max_iter: int = 10000) -> dict[str, float]:
@@ -102,20 +112,20 @@ def eigenvector_centrality(m: AssociationMatrix, tol: float = 1e-10, max_iter: i
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    n = m.n
-    top = m.values.max() if n else 0.0
+    edges = _edges(m)
+    top = max((w for row in edges for _j, w in row), default=0.0)
     if top <= 0.0:
         raise ValueError("eigenvector centrality needs at least one positive entry")
-    rows = (m.values / top).tolist()
-    v = [1.0] * n
+    rows = [[(j, w / top) for j, w in row] for row in edges]
+    v = [1.0] * m.n
     diff = math.inf
     for _ in range(max_iter):
-        nxt = [math.fsum(row[j] * v[j] for j in range(n)) + v[i] for i, row in enumerate(rows)]
+        nxt = [math.fsum(w * v[j] for j, w in row) + v[i] for i, row in enumerate(rows)]
         peak = max(nxt)
         if peak <= 0.0:
             raise ConvergenceError("power iteration collapsed to the zero vector", math.inf)
         nxt = [x / peak for x in nxt]
-        diff = max(abs(nxt[i] - v[i]) for i in range(n))
+        diff = max(abs(a - b) for a, b in zip(nxt, v))
         v = nxt
         if diff < tol:
             return dict(zip(m.names, v))
@@ -128,24 +138,12 @@ def eigenvector_centrality(m: AssociationMatrix, tol: float = 1e-10, max_iter: i
 def eigenvector_residual(m: AssociationMatrix, centrality: dict[str, float]) -> float:
     """Max-norm residual ||Mv - lambda*v|| with lambda the Rayleigh quotient."""
     v = [centrality[name] for name in m.names]
-    rows = m.values.tolist()
-    mv = [math.fsum(row[j] * v[j] for j in range(m.n)) for row in rows]
+    mv = [math.fsum(w * v[j] for j, w in row) for row in _edges(m)]
     vv = math.fsum(x * x for x in v)
     if vv == 0.0:
         return 0.0
     lam = math.fsum(v[i] * mv[i] for i in range(m.n)) / vv
     return max(abs(mv[i] - lam * v[i]) for i in range(m.n))
-
-
-def _adjacency(m: AssociationMatrix) -> list[list[tuple[int, float]]]:
-    n = m.n
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i in range(n):
-        row = m.values[i]
-        for j in range(n):
-            if i != j and row[j] > 0.0:
-                adj[i].append((j, float(row[j])))
-    return adj
 
 
 def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
@@ -159,7 +157,7 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
     if mode not in ("binary", "weighted"):
         raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
     n = m.n
-    adj = _adjacency(m)
+    adj = _edges(m)
     contributions: list[float] = []
     if mode == "binary":
         for src in range(n):
@@ -193,7 +191,7 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
 
 def connected_components(m: AssociationMatrix) -> list[list[str]]:
     """Vertex components over positive edges, in matrix order."""
-    adj = _adjacency(m)
+    adj = _edges(m)
     seen = [False] * m.n
     components = []
     for start in range(m.n):
@@ -245,7 +243,7 @@ def network_report(
         eff_wgt = 0.0
         warnings.append("weighted efficiency not computed (efficiency_mode=binary)")
     ds = degree_strength(m)
-    if m.values.max() <= 0.0:
+    if not any(deg for deg, _s in ds.values()):
         eig = {name: 0.0 for name in m.names}
         warnings.append("matrix has no positive entries; eigenvector centrality reported as zeros")
     else:

@@ -7,6 +7,7 @@ directly observable; one test goes through the installed console script.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import re
@@ -414,6 +415,46 @@ def test_eval_det_passes_given_thresholds_and_rejects_nan(tmp_path, capsys):
     assert not bad.exists()
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {"images": [{"id": [1], "width": 10, "height": 10}], "annotations": []},
+            "ground truth: image 0: 'id' must be an integer or a string, got [1]",
+        ),
+        (
+            {"images": [{"id": 1, "width": 10, "height": 10}],
+             "annotations": [{"image_id": [1], "bbox": [0, 0, 1, 1], "label": "face"}]},
+            "ground truth: annotation 0: image_id must be an integer or a string, got [1]",
+        ),
+    ],
+    ids=["image-id", "annotation-image-id"],
+)
+def test_eval_det_rejects_unhashable_ids(tmp_path, capsys, doc, message):
+    cmd = _eval_det_inputs(tmp_path)
+    Path(cmd[cmd.index("--ground-truth") + 1]).write_text(json.dumps(doc))
+    out = tmp_path / "metrics.json"
+    assert main([*cmd, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_cooccur_rejects_track_identity_off_roster(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("name,sex,age_years\nAyu,female,9\n")
+    tracks = tmp_path / "tracks.jsonl"
+    obs = {"frame_index": 0, "bbox": [0, 0, 1, 1], "score": 0.9}
+    tracks.write_text(
+        json.dumps({"track_id": 0, "video_id": "v", "observations": [obs],
+                    "identity": {"name": "Zed", "confidence": 0.9}}) + "\n"
+    )
+    out = tmp_path / "matrix.csv"
+    argv = ["cooccur", "--tracks", str(tracks), "--roster", str(roster), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "tracks line 1: unknown individual 'Zed' in identity\n"
+    assert not out.exists()
+
+
 def test_eval_id_hand_case(tmp_path):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")
@@ -618,3 +659,92 @@ def test_console_script_entry_point(tmp_path, fixture_matrix_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert parse_report(out.read_text()).density == pytest.approx(0.17305458768873402)
+
+
+# ---------------------------------------------------------------------------
+# output bytes pinned across versions
+
+# SHA-256 of each output file. Reruns in one process are compared above;
+# these digests also hold the bytes fixed from one version of the code to
+# the next, so a change that is meant to be a pure refactor shows here.
+_PINNED_DIGESTS = {
+    "pipeline/video-level/ledger.csv": "fe47b11ac25f8339d03eeccc1e6a9829f0c78930004fad542a14a110144c2c66",
+    "pipeline/video-level/matrix.csv": "b4814d67c000a34c62706aab369ad314ce6c26cf245169494dfca83cf972f1f8",
+    "pipeline/video-level/report.json": "5f16774abb911db244e7f9b323bbb0e8ed2ef9037dff857ac4b7e87ac1b3c865",
+    "pipeline/video-level/network.svg": "6216b0c6440803e6ecbdb9f965726bcbb73cd4b44384a51af8221615626ca666",
+    "pipeline/video-level/network.dot": "e2008ded28ddd78c0ccdf6b175626ac177d292d04476c09956461551c16f5f6b",
+    "pipeline/video-level/conflicts.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "pipeline/proximal/ledger.csv": "e27bf01bf1fcda8b0f9935ad8562cb7472adc7e39e8bff84d615359d999a10f0",
+    "pipeline/proximal/matrix.csv": "970204b96e513aea81c2b0c1e5e850e8ba70e98666bd91abe21a8dd5c4bfb1ce",
+    "pipeline/proximal/report.json": "be19ea62b5138c7f1c79f256540969342450da628b8ffe313cd88fa500cca0ff",
+    "pipeline/proximal/network.svg": "fcbab3f1ae08ea89c589eb5e2fdf9c4826b22cbf723b0c8df049906a0ad9810c",
+    "pipeline/proximal/network.dot": "67d43432a1e60ce916341ed2845349759a4151ac47be035937f37bf1ec8b6b01",
+    "pipeline/proximal/conflicts.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "network/report.json": "c4ee3708058a149ee5616f5b5a3fe31785e3eeef57f9e5becc7f7fb24d2f1814",
+    "layout/network.svg": "a3201a96d0441925611aa639a8406fbafbd7992d68f437e1fddb1ec7355df5d9",
+    "layout/network.dot": "396adbb75241d9ff38870a8a3d562c20522e67132a861a4b0b9d4ce5475ad83d",
+    "eval-det/hand.json": "7654eb3e26523ab90969a4e0ca7675d2ded199297f3169bdac5b826a695ac8f6",
+    "eval-det/noisy.json": "38c67e95906bf80f1b3f8bbea9f3506b1161cf130143f9c9f29c691af203f7ed",
+    "eval-det/strict.json": "051c086d2cd1db15f287c11a1bbfa78449b71b485d95723ce49dfb8d9c486d5d",
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _gt_from_tracks(tracks_path, video_id) -> dict:
+    """A ground-truth document with one image per frame of the given tracks.
+
+    Each box is shifted right by 0, 3, ..., 12 px in turn, so the IoU with
+    the detection it came from ranges over 1.0 down to 0.68.
+    """
+    frames: dict[int, list] = {}
+    for track in parse_tracks(tracks_path.read_text()):
+        for obs in track.observations:
+            box = obs.bbox
+            boxes = frames.setdefault(obs.frame_index, [])
+            boxes.append([box.x + 3.0 * (len(boxes) % 5), box.y, box.w, box.h])
+    images, annotations = [], []
+    for fi in sorted(frames):
+        images.append({"id": fi, "video_id": video_id, "frame_index": fi, "width": 4096, "height": 4096})
+        annotations.extend({"image_id": fi, "bbox": box, "label": "face"} for box in frames[fi])
+    return {"images": images, "annotations": annotations}
+
+
+def test_outputs_match_pinned_digests(tmp_path, fixture_matrix_path):
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "7", "--matrilines", "2", "--videos", "10",
+         "--frames", "12", "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2",
+         "--id-confusion-rate", "0.2", "--out-dir", str(scenario)]
+    ) == 0
+    outputs = {}
+    for mode, extra in _MODE_ARGS.items():
+        out = tmp_path / mode
+        assert _run_pipeline(scenario, out, *extra) == 0
+        outputs.update({f"pipeline/{mode}/{name}": out / name for name in _PIPELINE_FILES})
+
+    report = tmp_path / "report.json"
+    svg = tmp_path / "network.svg"
+    dot = tmp_path / "network.dot"
+    assert main(["network", "--matrix", str(fixture_matrix_path), "--out", str(report)]) == 0
+    assert main(
+        ["layout", "--matrix", str(fixture_matrix_path), "--report", str(report), "--seed", "5",
+         "--svg-out", str(svg), "--dot-out", str(dot)]
+    ) == 0
+    outputs.update({"network/report.json": report, "layout/network.svg": svg, "layout/network.dot": dot})
+
+    hand = tmp_path / "hand.json"
+    assert main([*_eval_det_inputs(tmp_path), "--out", str(hand)]) == 0
+    outputs["eval-det/hand.json"] = hand
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps(_gt_from_tracks(scenario / "tracks" / "v0003.jsonl", "v0003")))
+    noisy = ["eval-det", "--predictions", str(scenario / "detections" / "v0003.jsonl"),
+             "--ground-truth", str(gt), "--video-id", "v0003"]
+    for name, thresholds in [("noisy", []), ("strict", ["--iou-threshold", "0.9", "--score-threshold", "0.7"])]:
+        out = tmp_path / f"{name}.json"
+        assert main([*noisy, *thresholds, "--out", str(out)]) == 0
+        outputs[f"eval-det/{name}.json"] = out
+
+    assert {name: _digest(path) for name, path in outputs.items()} == _PINNED_DIGESTS

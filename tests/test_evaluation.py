@@ -403,6 +403,40 @@ def test_pooled_fnr_equals_per_group_reference(groups, iou_threshold, score_thre
     assert out["false_negative_rate"] == ((missed / n_gt) if n_gt else 0.0)
 
 
+def _curve_from_matching(preds, gts, iou_threshold):
+    """(recall, precision, score) after each prediction in score order,
+    counted afresh at each step from match_detections' pairs."""
+    matched = {pair.prediction_index for pair in match_detections(preds, gts, iou_threshold).pairs}
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    points = []
+    for k, i in enumerate(order, start=1):
+        tp = sum(1 for seen in order[:k] if seen in matched)
+        points.append((tp / len(gts) if gts else 0.0, tp / k, preds[i].score))
+    return points
+
+
+def _exact_ap_from_curve(points, n_gt):
+    """Sum of recall steps times the best precision at any recall at least as high."""
+    if not n_gt or not points:
+        return 1.0 if not n_gt and not points else 0.0
+    total = []
+    prev = 0.0
+    for recall, _p, _s in points:
+        if recall > prev:
+            total.append((recall - prev) * max(p for r, p, _s in points if r >= recall))
+            prev = recall
+    return math.fsum(total)
+
+
+@given(_grid_group, st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_pr_curve_and_exact_ap_equal_matching_oracle(group, iou_threshold):
+    preds, gts = group
+    points = _curve_from_matching(preds, gts, iou_threshold)
+    assert pr_curve(preds, gts, iou_threshold).points == points
+    assert average_precision(preds, gts, iou_threshold, "exact") == _exact_ap_from_curve(points, len(gts))
+
+
 def test_pooled_two_groups_hand_case():
     hit = ([_det(0.0, 0.0, 10.0, 10.0, 0.9)], [G1])
     miss = ([_det(300.0, 300.0, 10.0, 10.0, 0.8)], [G2])

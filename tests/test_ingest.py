@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from functools import partial
 
@@ -509,10 +510,33 @@ def test_report_parse_rejects_missing_field():
 
 
 # ---------------------------------------------------------------------------
-# framing errors: one row per parser and error, with the full message
+# framing and field-type errors: one row per parser and error, with the full message
 
 
 _parse_stream = partial(parse_detection_stream, video_id="v")
+
+
+def _gt_text(image: dict, annotation: dict | None = None) -> str:
+    image = {"id": 1, "width": 10, "height": 10, **image}
+    annotation = {"image_id": 1, "bbox": [0, 0, 1, 1], "label": "face", **(annotation or {})}
+    return json.dumps({"images": [image], "annotations": [annotation]})
+
+
+def _track_text(observation: dict | None = None, identity: dict | None = None, **fields) -> str:
+    obs = {"frame_index": 0, "bbox": [0, 0, 1, 1], "score": 0.9, **(observation or {})}
+    track = {"track_id": 0, "video_id": "v", "observations": [obs], "identity": identity, **fields}
+    return json.dumps(track) + "\n"
+
+
+def _report_text(degree) -> str:
+    ind = {"name": "A", "degree": degree, "strength": 0.5, "eigenvector": 1.0}
+    return json.dumps(
+        {"density": 0.5, "global_efficiency_binary": 0.5, "global_efficiency_weighted": 0.5, "individuals": [ind]}
+    )
+
+
+_ONE_NAME_ROSTER = Roster([Individual("Ayu")])
+
 
 _FRAMING_ERRORS = [
     ("roster-no-header", parse_roster, "", "roster: expected header 'name,sex,age_years'"),
@@ -608,6 +632,86 @@ _FRAMING_ERRORS = [
         "report: malformed JSON: Expecting value: line 1 column 2 (char 1)",
     ),
     ("matrix-blank-rows-only", parse_association_matrix, "\n,\n", "matrix: empty input"),
+    # field types: integers are never bools or floats, ids never lists or objects
+    (
+        "gt-image-id-list", parse_ground_truth, _gt_text({"id": [1]}),
+        "ground truth: image 0: 'id' must be an integer or a string, got [1]",
+    ),
+    (
+        "gt-image-id-object", parse_ground_truth, _gt_text({"id": {"k": 1}}),
+        "ground truth: image 0: 'id' must be an integer or a string, got {'k': 1}",
+    ),
+    (
+        "gt-image-id-bool", parse_ground_truth, _gt_text({"id": True}),
+        "ground truth: image 0: 'id' must be an integer or a string, got True",
+    ),
+    (
+        "gt-annotation-image-id-list", parse_ground_truth, _gt_text({}, {"image_id": [1]}),
+        "ground truth: annotation 0: image_id must be an integer or a string, got [1]",
+    ),
+    (
+        "gt-annotation-image-id-float", parse_ground_truth, _gt_text({}, {"image_id": 1.0}),
+        "ground truth: annotation 0: image_id must be an integer or a string, got 1.0",
+    ),
+    (
+        "gt-annotation-category-id-list", parse_ground_truth, _gt_text({}, {"category_id": [7]}),
+        "ground truth: annotation 0: category_id must be an integer or a string, got [7]",
+    ),
+    (
+        "gt-frame-index-bool", parse_ground_truth, _gt_text({"frame_index": True}),
+        "ground truth: image 0 (id 1): frame_index must be an integer",
+    ),
+    (
+        "stream-frame-index-bool", _parse_stream, '{"frame_index": true, "detections": []}\n',
+        "line 1: needs integer 'frame_index'",
+    ),
+    (
+        "stream-frame-index-float", _parse_stream, '{"frame_index": 2.0, "detections": []}\n',
+        "line 1: needs integer 'frame_index'",
+    ),
+    (
+        "stream-detection-not-object", _parse_stream, '{"frame_index": 0, "detections": [1]}\n',
+        "line 1: detection 0: not an object",
+    ),
+    (
+        "tracks-frame-index-bool", parse_tracks, _track_text({"frame_index": True}),
+        "tracks line 1: observation 0: needs integer frame_index",
+    ),
+    (
+        "tracks-observation-not-object", parse_tracks, _track_text().replace('[{', '[1, {'),
+        "tracks line 1: observation 0: not an object",
+    ),
+    (
+        "tracks-track-id-float", parse_tracks, _track_text(track_id=1.7),
+        "tracks line 1: expected an integer, got 1.7",
+    ),
+    (
+        "tracks-track-id-bool", parse_tracks, _track_text(track_id=True),
+        "tracks line 1: expected an integer, got True",
+    ),
+    (
+        "tracks-video-id-number", parse_tracks, _track_text(video_id=5),
+        "tracks line 1: video_id must be a string, got 5",
+    ),
+    (
+        "tracks-identity-name-number", parse_tracks, _track_text(identity={"name": 5, "confidence": 0.5}),
+        "tracks line 1: identity name must be a string, got 5",
+    ),
+    (
+        "tracks-confidence-above-one", parse_tracks, _track_text(identity={"name": "Ayu", "confidence": 7}),
+        "tracks line 1: identity confidence 7.0 outside [0, 1]",
+    ),
+    (
+        "tracks-confidence-nan", parse_tracks, _track_text(identity={"name": "Ayu", "confidence": math.nan}),
+        "tracks line 1: identity confidence nan outside [0, 1]",
+    ),
+    (
+        "tracks-identity-off-roster", partial(parse_tracks, roster=_ONE_NAME_ROSTER),
+        _track_text(identity={"name": "Zed", "confidence": 0.9}),
+        "tracks line 1: unknown individual 'Zed' in identity",
+    ),
+    ("report-degree-float", parse_report, _report_text(2.9), "report: expected an integer, got 2.9"),
+    ("report-degree-bool", parse_report, _report_text(True), "report: expected an integer, got True"),
 ]
 
 
@@ -655,6 +759,16 @@ def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
     with pytest.raises(ParseError) as exc:
         parse_id_samples(text)
     assert str(exc.value) == f"samples line 2: {message}"
+
+
+def test_string_ids_and_roster_identities_accepted():
+    gt = parse_ground_truth(_gt_text({"id": "img-1", "frame_index": 3}, {"image_id": "img-1"}))
+    assert (gt.images[0].image_id, gt.images[0].frame_index, gt.annotations[0].image_id) == ("img-1", 3, "img-1")
+    (track,) = parse_tracks(
+        _track_text(identity={"name": "Ayu", "confidence": 1}, track_id=4), roster=_ONE_NAME_ROSTER
+    )
+    assert (track.track_id, track.video_id, track.identity) == (4, "v", Identity("Ayu", 1.0))
+    assert parse_report(_report_text(3)).individuals[0].degree == 3
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,70 @@ def test_fixture_residual(troop_matrix):
     assert max(eig.values()) == 1.0
 
 
+@st.composite
+def _near_symmetric_matrices(draw):
+    """Valid matrices with zero rows, zero cells and mirror cells that differ
+    by up to 9e-13, including a zero facing a tiny positive value."""
+    n = draw(st.integers(2, 8))
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in isolated or j in isolated:
+                continue
+            w = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)))
+            mirror = min(max(w + draw(st.sampled_from([0.0, 1e-13, -1e-13, 9e-13])), 0.0), 1.0)
+            values[i, j], values[j, i] = (w, mirror) if draw(st.booleans()) else (mirror, w)
+    return AssociationMatrix(names=[f"n{k}" for k in range(n)], values=values)
+
+
+def _dense_residual(rows, v):
+    n = len(v)
+    mv = [math.fsum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
+    vv = math.fsum(x * x for x in v)
+    if vv == 0.0:
+        return 0.0
+    lam = math.fsum(v[i] * mv[i] for i in range(n)) / vv
+    return max(abs(mv[i] - lam * v[i]) for i in range(n))
+
+
+def _dense_centrality(rows):
+    """The power iteration of eigenvector_centrality over every cell, zeros included."""
+    n = len(rows)
+    top = max(max(row) for row in rows)
+    scaled = [[x / top for x in row] for row in rows]
+    v = [1.0] * n
+    for _ in range(10000):
+        nxt = [math.fsum(scaled[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
+        peak = max(nxt)
+        nxt = [x / peak for x in nxt]
+        diff = max(abs(a - b) for a, b in zip(nxt, v))
+        v = nxt
+        if diff < 1e-10:
+            return v
+    return None
+
+
+@given(_near_symmetric_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_measures_equal_dense_formulas(m, data):
+    n = m.n
+    rows = m.values.tolist()
+    positive = sum(1 for i in range(n) for j in range(i + 1, n) if rows[i][j] > 0.0)
+    assert density(m) == positive / (n * (n - 1) / 2)
+    assert degree_strength(m) == {
+        name: (sum(1 for x in row if x > 0.0), math.fsum(row)) for name, row in zip(m.names, rows)
+    }
+    v = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    assert eigenvector_residual(m, dict(zip(m.names, v))) == _dense_residual(rows, v)
+    if m.values.max() > 0.0:
+        dense = _dense_centrality(rows)
+        assume(dense is not None)
+        eig = eigenvector_centrality(m)
+        assert [eig[name] for name in m.names] == dense
+        assert eigenvector_residual(m, eig) == _dense_residual(rows, dense)
+
+
 # ---------------------------------------------------------------------------
 # global efficiency
 
