@@ -173,6 +173,15 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _parse_file(parse, path: str, *args):
+    """parse(the text of path, *args), with path named in a ParseError."""
+    text = _read_text(path)
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _read_roster(path: str | None):
     if path is None:
         return None
@@ -207,10 +216,10 @@ def _required(config: PipelineConfig, *attrs: str) -> tuple:
 
 def _stream_tracks(path: str, video_id: str, roster, config: PipelineConfig) -> list[tracking.Track]:
     """Tracks of one detection stream, with fused identities when there is a roster."""
-    stream = ingest.parse_detection_stream(_read_text(path), video_id, roster)
+    stream = _parse_file(ingest.parse_detection_stream, path, video_id, roster)
     tracks = tracking.build_tracks(stream, config.tracker)
     if roster is not None:
-        tracks = [tracking.fuse_identity(t, roster, config.tracker) for t in tracks]
+        tracks = [tracking.fuse_identity(t, params=config.tracker) for t in tracks]
     return tracks
 
 
@@ -294,7 +303,7 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
     if args.tracks:
         tracks = []
         for path in args.tracks:
-            tracks.extend(ingest.parse_tracks(_read_text(path), roster))
+            tracks.extend(_parse_file(ingest.parse_tracks, path, roster))
         ledger, conflicts = tracking.tracks_to_ledger(
             tracks, mode=config.association_mode, prox=config.proximity
         )

@@ -213,9 +213,8 @@ def confusion_matrix(samples: list[IdSample], roster: Roster, normalize: bool = 
     With normalize, rows with at least one sample are divided by their sum;
     all-zero rows stay zero. Row and column order follow the roster.
     """
-    names = roster.names
-    index = {name: i for i, name in enumerate(names)}
-    counts = np.zeros((len(names), len(names)))
+    index = roster.positions
+    counts = np.zeros((len(roster), len(roster)))
     for i, sample in enumerate(samples):
         if not sample.class_scores:
             raise ValueError(f"sample {i}: empty class_scores")
@@ -226,7 +225,7 @@ def confusion_matrix(samples: list[IdSample], roster: Roster, normalize: bool = 
             raise ValueError(f"sample {i}: unknown predicted name {predicted!r}")
         counts[index[sample.true_label], index[predicted]] += 1.0
     if normalize:
-        for r in range(len(names)):
+        for r in range(len(roster)):
             row_sum = counts[r].sum()
             if row_sum > 0:
                 counts[r] = counts[r] / row_sum

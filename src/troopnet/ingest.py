@@ -158,6 +158,8 @@ class Individual:
     def __post_init__(self):
         if not self.name:
             raise ValueError("individual name must be non-empty")
+        if "," in self.name:  # ledger cells join names with commas
+            raise ValueError(f"individual name {self.name!r} contains a comma")
         if self.sex not in SEXES:
             raise ValueError(f"sex must be one of {SEXES}, got {self.sex!r}")
         if self.age_years is not None:
@@ -165,23 +167,26 @@ class Individual:
                 raise ValueError(f"age_years must be a non-negative integer, got {self.age_years!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Roster:
-    individuals: list[Individual]
+    """The known individuals, in order; positions maps each name to its index."""
+
+    individuals: tuple[Individual, ...]
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for ind in self.individuals:
-            if ind.name in seen:
+        object.__setattr__(self, "individuals", tuple(self.individuals))
+        object.__setattr__(self, "positions", {})
+        for i, ind in enumerate(self.individuals):
+            if self.positions.setdefault(ind.name, i) != i:
                 raise ValueError(f"duplicate individual name {ind.name!r}")
-            seen.add(ind.name)
 
     @property
     def names(self) -> list[str]:
         return [ind.name for ind in self.individuals]
 
     def __contains__(self, name: str) -> bool:
-        return any(ind.name == name for ind in self.individuals)
+        return name in self.positions
 
     def __len__(self) -> int:
         return len(self.individuals)
@@ -247,7 +252,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
     """Parse a COCO-style ground-truth JSON document.
 
     Recognized structure: top-level "images", "annotations" and optional
-    "categories" lists. Image records may carry "video_id" and
+    "categories" lists. Image records may carry "video_id" (a string) and
     "frame_index"; absent, the video id defaults to "" and the frame index
     to the image id. Unknown fields are ignored. Boxes are [x, y, w, h],
     must be valid and must lie within the image bounds.
@@ -284,9 +289,12 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
             frame_index = _int(rec.get("frame_index", img_id))
         except ValueError:
             raise ParseError(f"{locus} (id {img_id}): frame_index must be an integer") from None
+        video_id = rec.get("video_id", "")
+        if not isinstance(video_id, str):
+            raise ParseError(f"{locus} (id {img_id}): video_id must be a string, got {video_id!r}")
         img = GTImage(
             image_id=img_id,
-            video_id=str(rec.get("video_id", "")),
+            video_id=video_id,
             frame_index=frame_index,
             width=width,
             height=height,
@@ -455,8 +463,7 @@ class OccurrenceLedger:
 def _sorted_names(names, roster: Roster | None) -> list[str]:
     if roster is None:
         return sorted(names)
-    order = {name: i for i, name in enumerate(roster.names)}
-    return sorted(names, key=lambda n: (order.get(n, len(order)), n))
+    return sorted(names, key=lambda n: (roster.positions.get(n, len(roster)), n))
 
 
 def parse_occurrence_ledger(text: str | bytes, roster: Roster | None = None) -> OccurrenceLedger:
@@ -728,8 +735,8 @@ def parse_id_samples(data: str | bytes) -> list:
     """Parse identification samples: {"class_scores": {...}, "true_label": ...} per line.
 
     class_scores must be a non-empty object of numbers in [0, 1], checked
-    like a detection's class scores. Blank lines are ignored; a file with
-    no samples is an error.
+    like a detection's class scores; true_label must be a string. Blank
+    lines are ignored; a file with no samples is an error.
     """
     from .evaluation import IdSample
 
@@ -749,7 +756,10 @@ def parse_id_samples(data: str | bytes) -> list:
             if not 0.0 <= v <= 1.0:  # also rejects NaN
                 raise ParseError(f"samples line {lineno}: class_scores[{name!r}] = {v} outside [0, 1]")
             scores[name] = v
-        samples.append(IdSample(class_scores=scores, true_label=str(rec["true_label"])))
+        label = rec["true_label"]
+        if not isinstance(label, str):
+            raise ParseError(f"samples line {lineno}: true_label must be a string, got {label!r}")
+        samples.append(IdSample(class_scores=scores, true_label=label))
     if not samples:
         raise ParseError("samples file contains no samples")
     return samples

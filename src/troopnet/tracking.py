@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox, ProximityParams, iou, is_proximal
-from .ingest import DetectionStream, LedgerEntry, OccurrenceLedger, PairEntry, PairLedger, Roster
+from .ingest import DetectionStream, LedgerEntry, OccurrenceLedger, PairEntry, PairLedger
 
 __all__ = [
     "Observation",
@@ -203,13 +203,14 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
     return done
 
 
-def fuse_identity(track: Track, roster: Roster, params: TrackerParams = TrackerParams()) -> Track:
+def fuse_identity(track: Track, params: TrackerParams = TrackerParams()) -> Track:
     """Attach the fused identity: argmax of the mean per-frame score vector.
 
     Frames without class_scores contribute nothing. Mean-score ties go to
     the lexicographically later name, matching the top-k ranking rule. The
     identity is omitted when the track is shorter than
-    min_track_len_for_id or no observation carries scores.
+    min_track_len_for_id or no observation carries scores. Names are not
+    checked here; parse_detection_stream checks them against the roster.
     """
     if len(track.observations) < params.min_track_len_for_id:
         return replace(track, identity=None)
@@ -220,8 +221,6 @@ def fuse_identity(track: Track, roster: Roster, params: TrackerParams = TrackerP
             continue
         scored_frames += 1
         for name, value in obs.class_scores.items():
-            if name not in roster:
-                raise ValueError(f"class_scores name {name!r} is not on the roster")
             sums[name] = sums.get(name, 0.0) + value
     if scored_frames == 0 or not sums:
         return replace(track, identity=None)

@@ -448,7 +448,7 @@ def test_c7_end_to_end_recovery():
             tracks = []
             for vid in sorted(streams):
                 for t in build_tracks(streams[vid]):
-                    tracks.append(fuse_identity(t, scenario.roster))
+                    tracks.append(fuse_identity(t))
             ledger, _conflicts = tracks_to_ledger(tracks, mode="video-level")
             matrix = simple_ratio_matrix(count_occurrences(ledger), scenario.roster.names)
             return scenario, matrix

@@ -451,7 +451,7 @@ def test_cooccur_rejects_track_identity_off_roster(tmp_path, capsys):
     out = tmp_path / "matrix.csv"
     argv = ["cooccur", "--tracks", str(tracks), "--roster", str(roster), "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "tracks line 1: unknown individual 'Zed' in identity\n"
+    assert capsys.readouterr().err == f"{tracks}: tracks line 1: unknown individual 'Zed' in identity\n"
     assert not out.exists()
 
 
@@ -638,6 +638,23 @@ def test_pipeline_equals_stage_composition(tmp_path, synth_run, mode):
     assert code == 0
     assert svg_out.read_bytes() == (pipe_out / "network.svg").read_bytes()
     assert dot_out.read_bytes() == (pipe_out / "network.dot").read_bytes()
+
+
+def test_pipeline_parse_error_names_the_file(tmp_path, capsys):
+    detections = tmp_path / "detections"
+    detections.mkdir()
+    _write_stream(detections / "v1.jsonl", [{"frame_index": 0, "detections": []}])
+    _write_stream(detections / "v2.jsonl", [{"frame_index": True, "detections": []}])
+    roster = tmp_path / "roster.csv"
+    roster.write_text("name,sex,age_years\nAyu,female,9\n")
+    out = tmp_path / "out"
+    code = main(
+        ["pipeline", "--detections-dir", str(detections), "--roster", str(roster),
+         "--out-dir", str(out), "--seed", "1"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"{detections / 'v2.jsonl'}: line 1: needs integer 'frame_index'\n"
+    assert not out.exists()
 
 
 def test_pipeline_missing_inputs_are_usage_errors(tmp_path, synth_run, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -89,6 +90,23 @@ def test_roster_bad_age():
 def test_roster_duplicate_names_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse_roster("name,sex,age_years\nAyu,female,3\nAyu,male,4\n")
+
+
+def test_roster_name_with_comma_rejected():
+    # ledger cells join names with commas, so such a name would read back as two
+    with pytest.raises(ValueError, match="comma"):
+        Individual("Ayu,Bora")
+    with pytest.raises(ParseError) as exc:
+        parse_roster('name,sex,age_years\nCiri,female,3\n"Ayu,Bora",male,4\n')
+    assert str(exc.value) == "roster line 3: individual name 'Ayu,Bora' contains a comma"
+
+
+def test_roster_is_frozen_with_tuple_individuals():
+    roster = Roster([Individual("Ayu"), Individual("Bora")])
+    assert roster.individuals == (Individual("Ayu"), Individual("Bora"))
+    assert parse_roster(write_roster(roster)) == roster
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        roster.individuals = (Individual("Ciri"),)
 
 
 def test_individual_validation():
@@ -302,6 +320,9 @@ def test_ledger_write_orders_by_roster_when_given():
     ledger = OccurrenceLedger([LedgerEntry("v1", frozenset({"Ayu", "Bora"}))])
     assert "Bora,Ayu" in write_ledger(ledger, roster)
     assert "Ayu,Bora" in write_ledger(ledger)
+    # names off the roster follow the roster's, in lexicographic order
+    ledger = OccurrenceLedger([LedgerEntry("v1", frozenset({"Zed", "Ayu", "Cai", "Bora"}))])
+    assert write_ledger(ledger, roster) == 'video_id,present\nv1,"Bora,Ayu,Cai,Zed"\n'
 
 
 def test_ledger_duplicate_video_rejected():
@@ -621,6 +642,11 @@ _FRAMING_ERRORS = [
     ),
     ("samples-none", parse_id_samples, "\n\n", "samples file contains no samples"),
     (
+        "samples-true-label-number", parse_id_samples,
+        '{"class_scores": {"5": 1.0}, "true_label": 5}\n',
+        "samples line 1: true_label must be a string, got 5",
+    ),
+    (
         "ground-truth-malformed", parse_ground_truth,
         "{",
         "ground truth: malformed JSON: Expecting property name enclosed in double quotes: "
@@ -656,6 +682,10 @@ _FRAMING_ERRORS = [
     (
         "gt-annotation-category-id-list", parse_ground_truth, _gt_text({}, {"category_id": [7]}),
         "ground truth: annotation 0: category_id must be an integer or a string, got [7]",
+    ),
+    (
+        "gt-video-id-list", parse_ground_truth, _gt_text({"video_id": [5]}),
+        "ground truth: image 0 (id 1): video_id must be a string, got [5]",
     ),
     (
         "gt-frame-index-bool", parse_ground_truth, _gt_text({"frame_index": True}),
@@ -764,6 +794,7 @@ def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
 def test_string_ids_and_roster_identities_accepted():
     gt = parse_ground_truth(_gt_text({"id": "img-1", "frame_index": 3}, {"image_id": "img-1"}))
     assert (gt.images[0].image_id, gt.images[0].frame_index, gt.annotations[0].image_id) == ("img-1", 3, "img-1")
+    assert gt.images[0].video_id == ""  # absent
     (track,) = parse_tracks(
         _track_text(identity={"name": "Ayu", "confidence": 1}, track_id=4), roster=_ONE_NAME_ROSTER
     )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troopnet.geometry import BBox, ProximityParams, is_proximal
-from troopnet.ingest import Detection, DetectionStream, Frame, Individual, Roster
+from troopnet.ingest import Detection, DetectionStream, Frame
 from troopnet.tracking import (
     Identity,
     Observation,
@@ -180,9 +180,6 @@ def test_raising_gap_never_adds_tracks(stream, gap):
 # identity fusion
 
 
-ROSTER = Roster([Individual("A"), Individual("B"), Individual("C")])
-
-
 def _scored_track(score_maps, video_id="v"):
     observations = [
         Observation(fi, BOX, 0.9, scores) for fi, scores in enumerate(score_maps)
@@ -198,47 +195,41 @@ def test_fuse_identity_mean_argmax():
             {"A": 0.9, "B": 0.1},
         ]
     )
-    fused = fuse_identity(track, ROSTER)
+    fused = fuse_identity(track)
     assert fused.identity == Identity("A", pytest.approx((0.6 + 0.2 + 0.9) / 3))
 
 
 def test_fuse_identity_unanimous_confidence_one():
     track = _scored_track([{"A": 1.0}] * 3)
-    fused = fuse_identity(track, ROSTER)
+    fused = fuse_identity(track)
     assert fused.identity == Identity("A", 1.0)
 
 
 def test_fuse_identity_short_track_skipped():
     track = _scored_track([{"A": 1.0}])
-    assert fuse_identity(track, ROSTER).identity is None
-    assert fuse_identity(track, ROSTER, TrackerParams(min_track_len_for_id=1)).identity is not None
+    assert fuse_identity(track).identity is None
+    assert fuse_identity(track, TrackerParams(min_track_len_for_id=1)).identity is not None
 
 
 def test_fuse_identity_no_scores_skipped():
     track = _scored_track([None, None, None])
-    assert fuse_identity(track, ROSTER).identity is None
+    assert fuse_identity(track).identity is None
 
 
 def test_fuse_identity_missing_frames_contribute_nothing():
     track = _scored_track([{"A": 0.9}, None, {"A": 0.3}])
-    fused = fuse_identity(track, ROSTER)
+    fused = fuse_identity(track)
     assert fused.identity == Identity("A", pytest.approx(0.6))
 
 
 def test_fuse_identity_tie_goes_to_later_name():
     track = _scored_track([{"A": 0.5, "B": 0.5}] * 3)
-    assert fuse_identity(track, ROSTER).identity.name == "B"
-
-
-def test_fuse_identity_unknown_name_rejected():
-    track = _scored_track([{"Zed": 1.0}] * 3)
-    with pytest.raises(ValueError, match="Zed"):
-        fuse_identity(track, ROSTER)
+    assert fuse_identity(track).identity.name == "B"
 
 
 def test_fuse_identity_does_not_mutate_input():
     track = _scored_track([{"A": 1.0}] * 3)
-    fuse_identity(track, ROSTER)
+    fuse_identity(track)
     assert track.identity is None
 
 
