@@ -185,7 +185,7 @@ def _parse_file(parse, path: str, *args):
 def _read_roster(path: str | None):
     if path is None:
         return None
-    return ingest.parse_roster(_read_text(path))
+    return _parse_file(ingest.parse_roster, path)
 
 
 # what each required PipelineConfig value is called, and how to give it
@@ -259,8 +259,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_det(args: argparse.Namespace) -> int:
-    stream = ingest.parse_detection_stream(_read_text(args.predictions), args.video_id)
-    gt = ingest.parse_ground_truth(_read_text(args.ground_truth))
+    stream = _parse_file(ingest.parse_detection_stream, args.predictions, args.video_id)
+    gt = _parse_file(ingest.parse_ground_truth, args.ground_truth)
     frames: dict[int, tuple[list, list]] = {}
     for frame in stream.frames:
         frames.setdefault(frame.frame_index, ([], []))[0].extend(frame.detections)
@@ -280,7 +280,7 @@ def _cmd_eval_det(args: argparse.Namespace) -> int:
 
 def _cmd_eval_id(args: argparse.Namespace) -> int:
     roster = _read_roster(args.roster)
-    samples = ingest.parse_id_samples(_read_text(args.samples))
+    samples = _parse_file(ingest.parse_id_samples, args.samples)
     ks = sorted(set(args.k or [1, 5]))
     confusion = evaluation.confusion_matrix(samples, roster)
     report = {
@@ -308,9 +308,9 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
             tracks, mode=config.association_mode, prox=config.proximity
         )
     elif args.ledger:
-        ledger = ingest.parse_occurrence_ledger(_read_text(args.ledger), roster)
+        ledger = _parse_file(ingest.parse_occurrence_ledger, args.ledger, roster)
     else:
-        ledger = ingest.parse_pair_ledger(_read_text(args.pair_ledger), roster)
+        ledger = _parse_file(ingest.parse_pair_ledger, args.pair_ledger, roster)
     matrix = _matrix(ledger, roster)
     atomic_write_text(args.out, ingest.write_matrix(matrix))
     if args.ledger_out:
@@ -322,7 +322,7 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
 
 def _cmd_network(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    matrix = ingest.parse_association_matrix(_read_text(args.matrix))
+    matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
     atomic_write_text(args.out, ingest.write_report(_report(matrix, config)))
     return 0
 
@@ -332,9 +332,9 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     if not args.svg_out and not args.dot_out:
         raise UsageError("at least one of --svg-out or --dot-out is required")
     (seed,) = _required(config, "seed")
-    matrix = ingest.parse_association_matrix(_read_text(args.matrix))
+    matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
     if args.report:
-        report = ingest.parse_report(_read_text(args.report))
+        report = _parse_file(ingest.parse_report, args.report)
     else:
         report = _report(matrix, config)
     if args.svg_out:

@@ -83,6 +83,19 @@ def _int(x) -> int:
     return x
 
 
+def _str(x, what: str) -> str:
+    if not isinstance(x, str):
+        raise ValueError(f"{what} must be a string, got {x!r}")
+    return x
+
+
+def _cell_number(cell: str, convert):
+    """convert(cell), refusing the digit-group underscores and non-ASCII digits int() and float() allow."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(f"not a plain number: {cell!r}")
+    return convert(cell)
+
+
 def _check_id(x, locus: str, what: str) -> None:
     """Record ids are JSON integers or strings, never lists, objects or bools."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
@@ -202,7 +215,7 @@ def parse_roster(text: str | bytes) -> Roster:
         age = None
         if age_cell != "":
             try:
-                age = int(age_cell)
+                age = _cell_number(age_cell, int)
             except ValueError:
                 raise ParseError(f"roster line {lineno}: age_years {age_cell!r} is not an integer") from None
         try:
@@ -264,9 +277,11 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
     categories = {}
     for i, cat in enumerate(doc.get("categories", [])):
         try:
-            categories[cat["id"]] = str(cat["name"])
+            categories[cat["id"]] = cat["name"]
         except (TypeError, KeyError):
             raise ParseError(f"ground truth: category {i}: needs 'id' and 'name'") from None
+        if not isinstance(cat["name"], str):
+            raise ParseError(f"ground truth: category {i}: name must be a string, got {cat['name']!r}")
 
     images = []
     by_id: dict[int | str, GTImage] = {}
@@ -327,7 +342,9 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
                 raise ParseError(f"{locus}: unknown category_id {rec['category_id']!r}")
             label = categories[rec["category_id"]]
         elif "label" in rec:
-            label = str(rec["label"])
+            label = rec["label"]
+            if not isinstance(label, str):
+                raise ParseError(f"{locus}: label must be a string, got {label!r}")
         else:
             raise ParseError(f"{locus}: needs 'category_id' or 'label'")
         annotations.append(GTAnnotation(image_id=img.image_id, bbox=box, label=label))
@@ -625,7 +642,7 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
             if cell.strip() == "":
                 continue
             try:
-                v = float(cell)
+                v = _cell_number(cell, float)
             except ValueError:
                 raise ParseError(f"matrix row {i + 2}, column {names[j]!r}: {cell!r} is not a number") from None
             if not math.isfinite(v) or not 0.0 <= v <= 1.0:
@@ -805,14 +822,14 @@ def parse_report(data: str | bytes):
             global_efficiency_weighted=_num(obj["global_efficiency_weighted"]),
             individuals=[
                 IndividualMeasures(
-                    name=str(ind["name"]),
+                    name=_str(ind["name"], f"individual {k}: name"),
                     degree=_int(ind["degree"]),
                     strength=_num(ind["strength"]),
                     eigenvector=_num(ind["eigenvector"]),
                 )
-                for ind in obj["individuals"]
+                for k, ind in enumerate(obj["individuals"])
             ],
-            warnings=[str(wt) for wt in obj.get("warnings", [])],
+            warnings=[_str(wt, f"warning {k}") for k, wt in enumerate(obj.get("warnings", []))],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"report: {exc}") from None

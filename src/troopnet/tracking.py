@@ -10,10 +10,8 @@ function of the stream and parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox, ProximityParams, iou, is_proximal
 from .ingest import DetectionStream, LedgerEntry, OccurrenceLedger, PairEntry, PairLedger
@@ -89,6 +87,58 @@ class IdentityConflict:
     frame_index: int
     name: str
     track_ids: tuple[int, ...]
+
+
+def _assign(cost: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment of a finite cost matrix, as (rows, cols) in ascending rows.
+
+    A port of the rectangular shortest augmenting path solver (Crouse 2016)
+    behind linear_sum_assignment. It keeps that code's float operations,
+    their order and its tie rules, so it returns the same pairs.
+    """
+    transpose = len(cost[0]) < len(cost)  # a tall matrix is solved transposed
+    cost = [list(column) for column in zip(*cost)] if transpose else cost
+    nr, nc = len(cost), len(cost[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        shortest = [math.inf] * nc
+        seen_rows, seen_cols = [False] * nr, [False] * nc
+        remaining = list(range(nc - 1, -1, -1))  # scanned from the last column
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            seen_rows[i] = True
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r, s = min_val + row[j] - ui - v[j], shortest[j]  # r summed left to right
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it  # a tie goes to an unassigned column
+            min_val, j = lowest, remaining[index]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+        u[cur] += min_val
+        for i in range(nr):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(nc):
+            if seen_cols[j]:
+                v[j] -= min_val - shortest[j]
+        j, i = sink, -1
+        while i != cur:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    pairs = sorted((r, c) for c, r in enumerate(col4row)) if transpose else list(enumerate(col4row))
+    return [r for r, _ in pairs], [c for _, c in pairs]
 
 
 def _canonical_assignment(cost: list[list[float]], rows: list[int], cols: list[int]) -> dict[int, int]:
@@ -185,8 +235,7 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
                         cost[r][c] = 1.0 - overlap
                         any_allowed = True
             if any_allowed:
-                rows, cols = linear_sum_assignment(np.asarray(cost))
-                assignment = _canonical_assignment(cost, list(rows), list(cols))
+                assignment = _canonical_assignment(cost, *_assign(cost))
 
         for c, det in enumerate(detections):
             obs = Observation(

@@ -432,10 +432,11 @@ def test_eval_det_passes_given_thresholds_and_rejects_nan(tmp_path, capsys):
 )
 def test_eval_det_rejects_unhashable_ids(tmp_path, capsys, doc, message):
     cmd = _eval_det_inputs(tmp_path)
-    Path(cmd[cmd.index("--ground-truth") + 1]).write_text(json.dumps(doc))
+    gt = Path(cmd[cmd.index("--ground-truth") + 1])
+    gt.write_text(json.dumps(doc))
     out = tmp_path / "metrics.json"
     assert main([*cmd, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == f"{gt}: {message}\n"
     assert not out.exists()
 
 
@@ -491,7 +492,7 @@ def test_eval_id_rejects_scores_outside_the_unit_interval(tmp_path, capsys):
     ]:
         samples.write_text('{"class_scores": %s, "true_label": "A"}\n' % scores)
         assert main(cmd) == 2, scores
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err == f"{samples}: {message}\n"
         assert not out.exists()
 
 
@@ -657,6 +658,49 @@ def test_pipeline_parse_error_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+# one row per command input that is parsed: (flag, bad file text, message
+# after the path, the command's other arguments given the tmp dir)
+_BAD_INPUTS = {
+    "eval-det-predictions": (
+        "--predictions", '{"frame_index": true, "detections": []}\n', "line 1: needs integer 'frame_index'",
+        lambda d: ["eval-det", "--ground-truth", str(d / "gt.json"), "--video-id", "v1", "--out", str(d / "o")],
+    ),
+    "eval-id-roster": (
+        "--roster", "name,sex,age_years\nAyu,female,1_0\n", "roster line 2: age_years '1_0' is not an integer",
+        lambda d: ["eval-id", "--samples", str(d / "samples.jsonl"), "--out", str(d / "o")],
+    ),
+    "cooccur-ledger": (
+        "--ledger", "video_id,pair\n", "ledger: expected header 'video_id,present'",
+        lambda d: ["cooccur", "--out", str(d / "o")],
+    ),
+    "cooccur-pair-ledger": (
+        "--pair-ledger", "video_id,pair\nv1\n", "pair ledger line 2: expected 2 columns, got 1",
+        lambda d: ["cooccur", "--out", str(d / "o")],
+    ),
+    "network-matrix": (
+        "--matrix", ",A,B\nA,,0.2_5\nB,0.25,\n", "matrix row 2, column 'B': '0.2_5' is not a number",
+        lambda d: ["network", "--out", str(d / "o")],
+    ),
+    "layout-report": (
+        "--report", '{"density": 0.5}', "report: 'global_efficiency_binary'",
+        lambda d: ["layout", "--matrix", str(d / "matrix.csv"), "--seed", "1", "--svg-out", str(d / "o")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_parse_errors_name_the_file(tmp_path, capsys, case):
+    flag, text, message, other_args = _BAD_INPUTS[case]
+    _eval_det_inputs(tmp_path)  # writes gt.json
+    (tmp_path / "samples.jsonl").write_text('{"class_scores": {"Ayu": 1.0}, "true_label": "Ayu"}\n')
+    (tmp_path / "matrix.csv").write_text(",A,B\nA,,0.5\nB,0.5,\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main([*other_args(tmp_path), flag, str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_missing_inputs_are_usage_errors(tmp_path, synth_run, capsys):
     assert main(["pipeline", "--out-dir", str(tmp_path / "x"), "--seed", "1"]) == 1
     assert main(
@@ -676,6 +720,40 @@ def test_console_script_entry_point(tmp_path, fixture_matrix_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert parse_report(out.read_text()).density == pytest.approx(0.17305458768873402)
+
+
+# A toy synth, pipeline and track run through cli.main; with "blocked" as
+# its first argument, every import of scipy raises ImportError.
+_TOY_RUN = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from troopnet.cli import main
+out = sys.argv[2]
+synth = out + "/synth"
+for argv in (
+    ["synth", "--seed", "3", "--individuals", "6", "--matrilines", "2", "--videos", "4", "--frames", "10",
+     "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2", "--id-confusion-rate", "0.2",
+     "--out-dir", synth],
+    ["pipeline", "--detections-dir", synth + "/detections", "--roster", synth + "/roster.csv",
+     "--out-dir", out + "/pipeline", "--seed", "5", "--min-track-len", "1"],
+    ["track", "--detections", synth + "/detections/v0001.jsonl", "--video-id", "v0001",
+     "--roster", synth + "/roster.csv", "--out", out + "/track.jsonl"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_toy_run_without_scipy_matches_unblocked_run(tmp_path):
+    outputs = {}
+    for side in ("blocked", "unblocked"):
+        out = tmp_path / side
+        proc = subprocess.run([sys.executable, "-c", _TOY_RUN, side, str(out)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs[side] = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(outputs["blocked"]) == 3 + 2 * 4 + len(_PIPELINE_FILES) + 1
+    assert outputs["blocked"] == outputs["unblocked"]
 
 
 # ---------------------------------------------------------------------------

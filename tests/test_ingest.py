@@ -549,10 +549,11 @@ def _track_text(observation: dict | None = None, identity: dict | None = None, *
     return json.dumps(track) + "\n"
 
 
-def _report_text(degree) -> str:
-    ind = {"name": "A", "degree": degree, "strength": 0.5, "eigenvector": 1.0}
+def _report_text(degree=1, name="A", warnings=()) -> str:
+    ind = {"name": name, "degree": degree, "strength": 0.5, "eigenvector": 1.0}
     return json.dumps(
-        {"density": 0.5, "global_efficiency_binary": 0.5, "global_efficiency_weighted": 0.5, "individuals": [ind]}
+        {"density": 0.5, "global_efficiency_binary": 0.5, "global_efficiency_weighted": 0.5,
+         "individuals": [ind], "warnings": list(warnings)}
     )
 
 
@@ -742,6 +743,41 @@ _FRAMING_ERRORS = [
     ),
     ("report-degree-float", parse_report, _report_text(2.9), "report: expected an integer, got 2.9"),
     ("report-degree-bool", parse_report, _report_text(True), "report: expected an integer, got True"),
+    # strings are JSON strings, never the text of a list or an object
+    (
+        "gt-category-name-list", parse_ground_truth,
+        json.dumps({"categories": [{"id": 7, "name": ["face"]}], "images": [], "annotations": []}),
+        "ground truth: category 0: name must be a string, got ['face']",
+    ),
+    (
+        "gt-annotation-label-list", parse_ground_truth, _gt_text({}, {"label": ["face"]}),
+        "ground truth: annotation 0: label must be a string, got ['face']",
+    ),
+    (
+        "report-name-list", parse_report, _report_text(name=["A"]),
+        "report: individual 0: name must be a string, got ['A']",
+    ),
+    (
+        "report-warning-object", parse_report, _report_text(warnings=["ok", {"x": 1}]),
+        "report: warning 1 must be a string, got {'x': 1}",
+    ),
+    # numbers in CSV cells: plain ASCII, without Python's digit-group underscores
+    (
+        "roster-age-underscore", parse_roster, "name,sex,age_years\nA,female,1_0\n",
+        "roster line 2: age_years '1_0' is not an integer",
+    ),
+    (
+        "roster-age-non-ascii-digits", parse_roster, "name,sex,age_years\nA,female,\u0661\u0660\n",
+        "roster line 2: age_years '\u0661\u0660' is not an integer",
+    ),
+    (
+        "matrix-cell-underscore", parse_association_matrix, ",A,B\nA,,0.2_5\nB,0.25,\n",
+        "matrix row 2, column 'B': '0.2_5' is not a number",
+    ),
+    (
+        "matrix-cell-non-ascii-digits", parse_association_matrix, ",A,B\nA,,0.\u0665\nB,0.5,\n",
+        "matrix row 2, column 'B': '0.\u0665' is not a number",
+    ),
 ]
 
 
@@ -753,6 +789,13 @@ def test_framing_error_messages(parse, text, message):
         with pytest.raises(ParseError) as exc:
             parse(data)
         assert str(exc.value) == message
+
+
+def test_number_cells_keep_blanks_and_surrounding_spaces():
+    roster = parse_roster("name,sex,age_years\nA,female, 10 \nB,male,\n")
+    assert [ind.age_years for ind in roster.individuals] == [10, None]
+    matrix = parse_association_matrix(",A,B,C\nA,, 0.25 ,  \nB,0.25,,\nC,,,\n")
+    assert matrix.values.tolist() == [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
 
 def test_id_samples_parse_bytes_like_text():

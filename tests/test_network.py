@@ -468,10 +468,10 @@ def test_report_agrees_with_pieces(troop_matrix):
 
 
 def test_network_import_leaves_scipy_unloaded():
-    # The package root imports no submodule, so library code that needs only
-    # the bundled matrix and the network measures does not load scipy, which
-    # only the tracker uses.
-    code = "import sys, troopnet.bundled, troopnet.network; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # scipy is a test dependency only: neither the library modules nor the
+    # CLI, whose tracker solves its assignments itself, may load it.
+    for modules in ("troopnet.bundled, troopnet.network", "troopnet.cli"):
+        code = f"import sys, {modules}; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", modules

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from troopnet import tracking
 from troopnet.geometry import BBox, ProximityParams, is_proximal
 from troopnet.ingest import Detection, DetectionStream, Frame
 from troopnet.tracking import (
@@ -143,11 +147,11 @@ def test_tracker_params_validation():
 
 
 @st.composite
-def _random_streams(draw):
+def _random_streams(draw, max_dets=4):
     n_frames = draw(st.integers(1, 8))
     frames = []
     for fi in range(n_frames):
-        n_dets = draw(st.integers(0, 4))
+        n_dets = draw(st.integers(0, max_dets))
         dets = []
         for _ in range(n_dets):
             x = draw(st.integers(0, 6)) * 40.0
@@ -174,6 +178,40 @@ def test_raising_gap_never_adds_tracks(stream, gap):
     fewer = len(build_tracks(stream, TrackerParams(max_gap_frames=gap + 1)))
     more = len(build_tracks(stream, TrackerParams(max_gap_frames=gap)))
     assert fewer <= more
+
+
+# ---------------------------------------------------------------------------
+# the assignment solver against its reference, linear_sum_assignment
+
+# exact ties, near ties (0.1 + 0.2 against 0.3) and the gate's sentinel
+_TIE_COSTS = [0.0, 0.25, 0.5, 0.5, 1.0, 1 / 3, 0.3, 0.1 + 0.2, 1.0 - 0.7, tracking._FORBIDDEN]
+
+
+@st.composite
+def _cost_matrices(draw):
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    row = st.lists(st.sampled_from(_TIE_COSTS), min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+def _reference_assign(cost):
+    rows, cols = linear_sum_assignment(np.asarray(cost))
+    return rows.tolist(), cols.tolist()
+
+
+@given(_cost_matrices())
+@settings(max_examples=400, deadline=None)
+def test_assign_returns_the_reference_pairs(cost):
+    assert tracking._assign(cost) == _reference_assign(cost)
+
+
+@given(_random_streams(max_dets=8), st.sampled_from([0.05, 0.3]))
+@settings(max_examples=150, deadline=None)
+def test_tracks_equal_with_the_reference_solver(stream, gate):
+    params = TrackerParams(iou_gate=gate)
+    with mock.patch.object(tracking, "_assign", _reference_assign):
+        reference = build_tracks(stream, params)
+    assert build_tracks(stream, params) == reference
 
 
 # ---------------------------------------------------------------------------
