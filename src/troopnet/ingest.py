@@ -89,6 +89,12 @@ def _str(x, what: str) -> str:
     return x
 
 
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 def _cell_number(cell: str, convert):
     """convert(cell), refusing the digit-group underscores and non-ASCII digits int() and float() allow."""
     if "_" in cell or not cell.isascii():
@@ -274,8 +280,13 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
     if not isinstance(doc, dict):
         raise ParseError("ground truth: top level must be a JSON object")
 
+    try:
+        cats, imgs, anns = (_list(doc.get(key, []), key) for key in ("categories", "images", "annotations"))
+    except ValueError as exc:
+        raise ParseError(f"ground truth: {exc}") from None
+
     categories = {}
-    for i, cat in enumerate(doc.get("categories", [])):
+    for i, cat in enumerate(cats):
         try:
             categories[cat["id"]] = cat["name"]
         except (TypeError, KeyError):
@@ -285,7 +296,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
 
     images = []
     by_id: dict[int | str, GTImage] = {}
-    for i, rec in enumerate(doc.get("images", [])):
+    for i, rec in enumerate(imgs):
         locus = f"ground truth: image {i}"
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError(f"{locus}: missing 'id'")
@@ -318,7 +329,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
         by_id[img_id] = img
 
     annotations = []
-    for i, rec in enumerate(doc.get("annotations", [])):
+    for i, rec in enumerate(anns):
         locus = f"ground truth: annotation {i}"
         if not isinstance(rec, dict):
             raise ParseError(f"{locus}: not an object")
@@ -827,9 +838,9 @@ def parse_report(data: str | bytes):
                     strength=_num(ind["strength"]),
                     eigenvector=_num(ind["eigenvector"]),
                 )
-                for k, ind in enumerate(obj["individuals"])
+                for k, ind in enumerate(_list(obj["individuals"], "individuals"))
             ],
-            warnings=[_str(wt, f"warning {k}") for k, wt in enumerate(obj.get("warnings", []))],
+            warnings=[_str(wt, f"warning {k}") for k, wt in enumerate(_list(obj.get("warnings", []), "warnings"))],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"report: {exc}") from None

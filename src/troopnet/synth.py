@@ -60,8 +60,8 @@ class NoiseParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not self.jitter_px >= 0.0:
-            raise ValueError(f"jitter_px must be non-negative, got {self.jitter_px}")
+        if not (self.jitter_px >= 0.0 and math.isfinite(self.jitter_px)):
+            raise ValueError(f"jitter_px must be finite and non-negative, got {self.jitter_px}")
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 Tracks are built by frame-to-frame association: within each frame, active
 tracks and detections are matched one-to-one by minimum total cost with
-cost = 1 - IoU, pairs below the IoU gate excluded. A track that goes
-unmatched for more than max_gap_frames consecutive frames is closed;
-unmatched detections open new tracks. The result is a deterministic
-function of the stream and parameters.
+cost = 1 - IoU, pairs below the IoU gate excluded, ties as the solver
+returns them. A track unmatched for more than max_gap_frames frames in a
+row is closed; unmatched detections open new tracks. The result is a
+deterministic function of the stream and parameters.
 """
 
 from __future__ import annotations
@@ -141,69 +141,15 @@ def _assign(cost: list[list[float]]) -> tuple[list[int], list[int]]:
     return [r for r, _ in pairs], [c for _, c in pairs]
 
 
-def _canonical_assignment(cost: list[list[float]], rows: list[int], cols: list[int]) -> dict[int, int]:
-    """Resolve cost ties toward lower detection index, then lower track index.
-
-    Starting from one optimal assignment (detection -> track row), applies
-    cost-neutral exchanges until no tie-break improvement remains: a
-    matched detection moves to an equal-cost lower idle track, two matched
-    pairs swap tracks when the cross costs sum equally, and a track slides
-    to an equal-cost lower unmatched detection. Each step lowers the
-    matching lexicographically, so the loop terminates on the canonical
-    optimal matching.
-    """
-    track_of = {c: r for r, c in zip(rows, cols) if cost[r][c] < _FORBIDDEN}
-    n_dets = len(cost[0]) if cost else 0
-    changed = True
-    while changed:
-        changed = False
-        for det in sorted(track_of):
-            current = track_of[det]
-            for cand in range(current):
-                if cost[cand][det] >= _FORBIDDEN:
-                    continue
-                other_det = next((d for d, r in track_of.items() if r == cand), None)
-                if other_det is None:
-                    if cost[cand][det] == cost[current][det]:
-                        track_of[det] = cand
-                        changed = True
-                        break
-                elif other_det > det:
-                    if (
-                        cost[current][other_det] < _FORBIDDEN
-                        and cost[cand][det] + cost[current][other_det]
-                        == cost[current][det] + cost[cand][other_det]
-                    ):
-                        track_of[det] = cand
-                        track_of[other_det] = current
-                        changed = True
-                        break
-            if changed:
-                break
-        if changed:
-            continue
-        for det in range(n_dets):
-            if det in track_of:
-                continue
-            for later in sorted(d for d in track_of if d > det):
-                row = track_of[later]
-                if cost[row][det] < _FORBIDDEN and cost[row][det] == cost[row][later]:
-                    del track_of[later]
-                    track_of[det] = row
-                    changed = True
-                    break
-            if changed:
-                break
-    return track_of
-
-
 def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams()) -> list[Track]:
     """Associate a stream's detections into tracks.
 
-    Every detection lands in exactly one track. Cost ties are broken toward
-    the lower frame, then the lower detection index, then the lower
-    track id, so identical input always yields identical tracks. A frame
-    index that does not increase on the one before raises ValueError.
+    Every detection lands in exactly one track. A frame keeps the pairs
+    _assign returns, less those outside the gate: cost ties follow the
+    solver, which at equal path cost takes a free column, else the first it
+    scans (one track, two equally close detections: the first). So
+    identical input yields identical tracks. A frame index that does not
+    increase on the one before raises ValueError.
     """
     active: list[Track] = []  # in track_id order: survivors keep it, new ids are larger
     done: list[Track] = []
@@ -226,16 +172,13 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
         assignment: dict[int, int] = {}
         if active and detections:
             cost = [[_FORBIDDEN] * len(detections) for _ in active]
-            any_allowed = False
             for r, track in enumerate(active):
                 last_bbox = track.observations[-1].bbox
                 for c, det in enumerate(detections):
                     overlap = iou(last_bbox, det.bbox)
                     if overlap >= params.iou_gate:
                         cost[r][c] = 1.0 - overlap
-                        any_allowed = True
-            if any_allowed:
-                assignment = _canonical_assignment(cost, *_assign(cost))
+            assignment = {c: r for r, c in zip(*_assign(cost)) if cost[r][c] < _FORBIDDEN}
 
         for c, det in enumerate(detections):
             obs = Observation(

@@ -440,6 +440,17 @@ def test_eval_det_rejects_unhashable_ids(tmp_path, capsys, doc, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["images", "annotations", "categories"])
+def test_eval_det_rejects_a_ground_truth_field_that_is_not_a_list(tmp_path, capsys, field):
+    cmd = _eval_det_inputs(tmp_path)
+    gt = Path(cmd[cmd.index("--ground-truth") + 1])
+    gt.write_text(json.dumps({**json.loads(gt.read_text()), field: 5}))
+    out = tmp_path / "metrics.json"
+    assert main([*cmd, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{gt}: ground truth: {field} must be a list, got 5\n"
+    assert not out.exists()
+
+
 def test_cooccur_rejects_track_identity_off_roster(tmp_path, capsys):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nAyu,female,9\n")
@@ -553,6 +564,14 @@ def test_synth_outputs_parse_cleanly(synth_run):
     assert len(ledger.entries) == 12
     tracks = parse_tracks((synth_run / "tracks" / "v0000.jsonl").read_text())
     assert all(t.video_id == "v0000" for t in tracks)
+
+
+def test_synth_rejects_infinite_jitter_naming_it(tmp_path, capsys):
+    argv = ["synth", "--seed", "5", "--individuals", "4", "--matrilines", "2", "--videos", "1",
+            "--frames", "2", "--jitter-px", "inf", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "jitter_px must be finite and non-negative, got inf\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _run_pipeline(synth_dir, out_dir, *extra):

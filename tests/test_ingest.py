@@ -549,11 +549,11 @@ def _track_text(observation: dict | None = None, identity: dict | None = None, *
     return json.dumps(track) + "\n"
 
 
-def _report_text(degree=1, name="A", warnings=()) -> str:
+def _report_text(degree=1, name="A", warnings=(), **fields) -> str:
     ind = {"name": name, "degree": degree, "strength": 0.5, "eigenvector": 1.0}
     return json.dumps(
         {"density": 0.5, "global_efficiency_binary": 0.5, "global_efficiency_weighted": 0.5,
-         "individuals": [ind], "warnings": list(warnings)}
+         "individuals": [ind], "warnings": warnings, **fields}
     )
 
 
@@ -760,6 +760,27 @@ _FRAMING_ERRORS = [
     (
         "report-warning-object", parse_report, _report_text(warnings=["ok", {"x": 1}]),
         "report: warning 1 must be a string, got {'x': 1}",
+    ),
+    # list fields are JSON lists: a string is not a list of its characters
+    (
+        "report-warnings-string", parse_report, _report_text(warnings="abc"),
+        "report: warnings must be a list, got 'abc'",
+    ),
+    (
+        "report-individuals-object", parse_report, _report_text(individuals={"A": 1}),
+        "report: individuals must be a list, got {'A': 1}",
+    ),
+    (
+        "gt-images-number", parse_ground_truth, json.dumps({"images": 5}),
+        "ground truth: images must be a list, got 5",
+    ),
+    (
+        "gt-annotations-object", parse_ground_truth, json.dumps({"images": [], "annotations": {"image_id": 1}}),
+        "ground truth: annotations must be a list, got {'image_id': 1}",
+    ),
+    (
+        "gt-categories-string", parse_ground_truth, json.dumps({"categories": "face", "images": []}),
+        "ground truth: categories must be a list, got 'face'",
     ),
     # numbers in CSV cells: plain ASCII, without Python's digit-group underscores
     (

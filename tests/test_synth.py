@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,8 @@ def test_noise_params_validation():
         dict(fn_rate=2.0),
         dict(id_confusion_rate=-1.0),
         dict(jitter_px=-1.0),
+        dict(jitter_px=math.inf),
+        dict(jitter_px=math.nan),
     ):
         with pytest.raises(ValueError):
             NoiseParams(**bad)

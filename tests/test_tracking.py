@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from troopnet import tracking
-from troopnet.geometry import BBox, ProximityParams, is_proximal
+from troopnet.geometry import BBox, ProximityParams, iou, is_proximal
 from troopnet.ingest import Detection, DetectionStream, Frame
 from troopnet.tracking import (
     Identity,
@@ -212,6 +212,19 @@ def test_tracks_equal_with_the_reference_solver(stream, gate):
     with mock.patch.object(tracking, "_assign", _reference_assign):
         reference = build_tracks(stream, params)
     assert build_tracks(stream, params) == reference
+
+
+def test_exact_tie_keeps_the_solver_pairs():
+    # two tracks on one box; next frame, one box 40 px below it and one on it.
+    # Both matchings cost 1 - 1/11. The tracks follow _assign's pairs; a repair
+    # toward the lower track for the lower detection would swap them.
+    stacked = BBox(0.0, 0.0, 48.0, 48.0)
+    below = BBox(0.0, 40.0, 48.0, 48.0)
+    tie = 1.0 - iou(stacked, below)
+    assert tracking._assign([[tie, 0.0], [tie, 0.0]]) == ([0, 1], [1, 0])
+    stream = _stream(_frame(0, stacked, stacked), _frame(1, below, stacked))
+    tracks = build_tracks(stream, TrackerParams(iou_gate=0.05))
+    assert [[o.bbox for o in t.observations] for t in tracks] == [[stacked, stacked], [stacked, below]]
 
 
 # ---------------------------------------------------------------------------
