@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 from . import association, evaluation, ingest, layout, network, synth, tracking
 from .geometry import ProximityParams
 from .ingest import ParseError, atomic_write_bytes, atomic_write_text
 from .layout import GemParams
+from .network import NetworkParams
 from .tracking import TrackerParams
 
 __all__ = ["PipelineConfig", "load_config", "main"]
@@ -51,31 +51,12 @@ class PipelineConfig:
     tracker: TrackerParams = field(default_factory=TrackerParams)
     proximity: ProximityParams = field(default_factory=ProximityParams)
     association_mode: str = "video-level"
-    efficiency_mode: str = "both"
-    tol: float = 1e-10
-    max_iter: int = 10000
+    network: NetworkParams = field(default_factory=NetworkParams)
     gem: GemParams = field(default_factory=GemParams)
     seed: int | None = None
     detections_dir: str | None = None
     roster_path: str | None = None
     out_dir: str | None = None
-
-    def __post_init__(self):
-        if self.association_mode not in tracking.ASSOCIATION_MODES:
-            raise ValueError(
-                f"association.mode: must be 'video-level' or 'proximal', got {self.association_mode!r}"
-            )
-        if self.efficiency_mode not in network.EFFICIENCY_MODES:
-            raise ValueError(
-                "network.efficiency_mode: must be 'both', 'binary' or 'weighted', "
-                f"got {self.efficiency_mode!r}"
-            )
-        if not self.tol > 0:
-            raise ValueError(f"network.tol: must be positive, got {self.tol}")
-        if not math.isfinite(self.tol):
-            raise ValueError(f"network.tol: must be finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"network.max_iter: must be at least 1, got {self.max_iter}")
 
 
 class _Setting(NamedTuple):
@@ -93,14 +74,10 @@ _SETTINGS = (
     _Setting("proximity.max_gap", "--prox-max-gap", float),
     _Setting("proximity.max_depth_disparity", "--prox-max-depth-disparity", float),
     _Setting("association.mode", "--mode", str, "association_mode", tracking.ASSOCIATION_MODES),
-    _Setting("network.efficiency_mode", "--efficiency-mode", str, "efficiency_mode", network.EFFICIENCY_MODES),
-    _Setting("network.tol", "--tol", float, "tol"),
-    _Setting("network.max_iter", "--max-iter", int, "max_iter"),
+    _Setting("network.tol", "--tol", float),
+    _Setting("network.max_iter", "--max-iter", int),
     _Setting("gem.desired_edge_length", "--edge-length", float),
     _Setting("gem.max_rounds_factor", "--max-rounds-factor", int),
-    _Setting("gem.initial_temperature", "--initial-temperature", float),
-    _Setting("gem.max_temperature", "--max-temperature", float),
-    _Setting("gem.gravity", "--gravity", float),
     _Setting("gem.stop_temperature_fraction", "--stop-fraction", float),
     _Setting("seed", "--seed", int),
     _Setting("paths.detections_dir", "--detections-dir", str, "detections_dir"),
@@ -123,13 +100,17 @@ def _parse_config_text(text: str, origin: str) -> dict:
         raw_value = raw_value.strip()
         if key not in _SETTING_BY_KEY:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
-        typ = _SETTING_BY_KEY[key].type
+        setting = _SETTING_BY_KEY[key]
         try:
-            values[key] = typ(raw_value)
+            values[key] = setting.type(raw_value)
         except ValueError:
             raise ConfigError(
-                f"{origin}:{lineno}: {key}: expected {typ.__name__}, got {raw_value!r}"
+                f"{origin}:{lineno}: {key}: expected {setting.type.__name__}, got {raw_value!r}"
             ) from None
+        if setting.choices and values[key] not in setting.choices:
+            raise ConfigError(
+                f"{origin}:{lineno}: {key}: expected one of {', '.join(setting.choices)}, got {raw_value!r}"
+            )
     return values
 
 
@@ -147,10 +128,7 @@ def _build_config(values: dict) -> PipelineConfig:
             top[section] = replace(getattr(defaults, section), **changes)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
-    try:
-        return replace(defaults, **top)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(defaults, **top)
 
 
 def load_config(path: str | os.PathLike) -> PipelineConfig:
@@ -228,12 +206,6 @@ def _matrix(ledger, roster) -> ingest.AssociationMatrix:
     counts = association.count_occurrences(ledger)
     names = roster.names if roster is not None else sorted(counts.per_individual)
     return association.simple_ratio_matrix(counts, names)
-
-
-def _report(matrix: ingest.AssociationMatrix, config: PipelineConfig) -> network.NetworkReport:
-    return network.network_report(
-        matrix, tol=config.tol, max_iter=config.max_iter, efficiency_mode=config.efficiency_mode
-    )
 
 
 def _ledger_text(ledger, roster) -> str:
@@ -323,7 +295,7 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
 def _cmd_network(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
-    atomic_write_text(args.out, ingest.write_report(_report(matrix, config)))
+    atomic_write_text(args.out, ingest.write_report(network.network_report(matrix, config.network)))
     return 0
 
 
@@ -336,7 +308,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     if args.report:
         report = _parse_file(ingest.parse_report, args.report)
     else:
-        report = _report(matrix, config)
+        report = network.network_report(matrix, config.network)
     if args.svg_out:
         placed = layout.gem_layout(matrix, config.gem, seed)
         atomic_write_bytes(args.svg_out, layout.render_svg(matrix, placed, report))
@@ -349,11 +321,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     seed, out_dir = _required(config, "seed", "out_dir")
     try:
+        # noise flags left out are absent from args, so the defaults stay in NoiseParams
         noise = synth.NoiseParams(
-            fp_rate=args.fp_rate,
-            fn_rate=args.fn_rate,
-            jitter_px=args.jitter_px,
-            id_confusion_rate=args.id_confusion_rate,
+            **{f.name: getattr(args, f.name) for f in fields(synth.NoiseParams) if hasattr(args, f.name)}
         )
         scenario, streams = synth.build_scenario(
             seed, args.individuals, args.matrilines, args.videos, args.frames, noise
@@ -399,7 +369,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         all_tracks, mode=config.association_mode, prox=config.proximity
     )
     matrix = _matrix(ledger, roster)
-    report = _report(matrix, config)
+    report = network.network_report(matrix, config.network)
     placed = layout.gem_layout(matrix, config.gem, seed)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -499,10 +469,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrilines", type=_positive_int, default=3)
     p.add_argument("--videos", type=_positive_int, default=200)
     p.add_argument("--frames", type=_positive_int, default=30)
-    p.add_argument("--fp-rate", type=float, default=0.0, dest="fp_rate")
-    p.add_argument("--fn-rate", type=float, default=0.0, dest="fn_rate")
-    p.add_argument("--jitter-px", type=float, default=0.0, dest="jitter_px")
-    p.add_argument("--id-confusion-rate", type=float, default=0.0, dest="id_confusion_rate")
+    p.add_argument("--fp-rate", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--fn-rate", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--jitter-px", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--id-confusion-rate", type=float, default=argparse.SUPPRESS)
     _add_settings(p, "seed", "paths.out_dir")
     p.set_defaults(func=_cmd_synth)
 

@@ -95,6 +95,12 @@ def _list(x, what: str) -> list:
     return x
 
 
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be an object, got {x!r}")
+    return x
+
+
 def _cell_number(cell: str, convert):
     """convert(cell), refusing the digit-group underscores and non-ASCII digits int() and float() allow."""
     if "_" in cell or not cell.isascii():
@@ -826,6 +832,8 @@ def parse_report(data: str | bytes):
     from .network import IndividualMeasures, NetworkReport
 
     obj = _loads(_text(data), "report")
+    if not isinstance(obj, dict):
+        raise ParseError("report: top level must be a JSON object")
     try:
         return NetworkReport(
             density=_num(obj["density"]),
@@ -833,7 +841,7 @@ def parse_report(data: str | bytes):
             global_efficiency_weighted=_num(obj["global_efficiency_weighted"]),
             individuals=[
                 IndividualMeasures(
-                    name=_str(ind["name"], f"individual {k}: name"),
+                    name=_str(_object(ind, f"individual {k}")["name"], f"individual {k}: name"),
                     degree=_int(ind["degree"]),
                     strength=_num(ind["strength"]),
                     eigenvector=_num(ind["eigenvector"]),

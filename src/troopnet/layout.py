@@ -20,7 +20,7 @@ number with six significant digits for byte-stable output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from xml.sax.saxutils import escape
 
 from .ingest import AssociationMatrix
@@ -35,50 +35,37 @@ __all__ = [
     "render_dot",
 ]
 
-# Temperature adaptation constants. A vertex's temperature is scaled by
-# 1 + cos(beta)/2 for the angle beta between successive impulses, so
-# steady motion warms and oscillation cools. An angle whose sine exceeds
-# sin(60 degrees) feeds a signed rotation gauge that halves the
-# temperature when it saturates. A linear envelope from the start
-# temperature to a small floor over the first 5/8 of the round budget
-# bounds every temperature from above, which forces the mean below the
-# stop threshold well before the round cap.
+# GEM's constants (Frick, Ludwig & Mehldau 1994). Gravity pulls a vertex
+# toward the barycenter with weight 1/16 per unit of phi. Every vertex
+# starts at a temperature equal to the desired edge length, and none
+# exceeds 256. A vertex's temperature is scaled by 1 + cos(beta)/2 for
+# the angle beta between successive impulses, so steady motion warms and
+# oscillation cools. An angle whose sine exceeds sin(60 degrees) feeds a
+# signed rotation gauge that halves the temperature when it saturates. A
+# linear envelope from the start temperature to a small floor over the
+# first 5/8 of the round budget bounds every temperature from above,
+# which forces the mean below the stop threshold well before the round
+# cap.
 _OSCILLATION_GAIN = 0.5
 _ROTATION_COOL = 0.5
 _SIN_ROTATION = math.sqrt(3.0) / 2.0
 _RAMP_SHARE = 5.0 / 8.0
 _FLOOR_FRACTION = 1.0 / 128.0
+_GRAVITY = 1.0 / 16.0
+_MAX_TEMPERATURE = 256.0
 
 
 @dataclass(frozen=True)
 class GemParams:
     desired_edge_length: float = 128.0
     max_rounds_factor: int = 40
-    initial_temperature: float | None = None
-    max_temperature: float = 256.0
-    gravity: float = 1.0 / 16.0
     stop_temperature_fraction: float = 1.0 / 50.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "desired_edge_length",
-            "max_rounds_factor",
-            "initial_temperature",
-            "max_temperature",
-            "gravity",
-            "stop_temperature_fraction",
-        ):
-            value = getattr(self, name)
-            if value is None and name == "initial_temperature":
-                continue
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    @property
-    def start_temperature(self) -> float:
-        if self.initial_temperature is None:
-            return self.desired_edge_length
-        return self.initial_temperature
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -89,25 +76,24 @@ class LayoutResult:
     params: GemParams = field(default_factory=GemParams)
 
 
-def gem_layout(m: AssociationMatrix, params: GemParams | None = None, seed: int = 0) -> LayoutResult:
+def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int = 0) -> LayoutResult:
     """Place the matrix's vertices in the plane with the GEM algorithm.
 
     Per vertex and round the impulse is
 
-        gravity:    (barycenter - pos) * gravity * phi
+        gravity:    (barycenter - pos) * phi / 16
         repulsion:  sum over other vertices of delta * E^2 / |delta|^2
         attraction: sum over positive edges of -delta * |delta|^2 * w / (E^2 * phi)
         jitter:     uniform in [-t/8, t/8] per component
 
     with E the desired edge length, phi = 1 + degree/2 and t the vertex
-    temperature. The vertex then moves by t along the impulse direction,
-    and t adapts by the angle between successive impulses (see the module
-    constants). Random draws happen in a fixed order (initial x, y per
-    vertex in matrix order; per round a vertex permutation, then jitter
-    x, y per visit), so a seed pins the exact result.
+    temperature, which starts at E. The vertex then moves by t along the
+    impulse direction, and t adapts by the angle between successive
+    impulses (see the module constants). Random draws happen in a fixed
+    order (initial x, y per vertex in matrix order; per round a vertex
+    permutation, then jitter x, y per visit), so a seed pins the exact
+    result.
     """
-    if params is None:
-        params = GemParams()
     n = m.n
     names = m.names
     if n == 1:
@@ -127,7 +113,7 @@ def gem_layout(m: AssociationMatrix, params: GemParams | None = None, seed: int 
         xs.append((rng.random() - 0.5) * spread)
         ys.append((rng.random() - 0.5) * spread)
 
-    temps = [params.start_temperature] * n
+    temps = [edge_len] * n
     skew = [0.0] * n
     last_x = [0.0] * n
     last_y = [0.0] * n
@@ -141,23 +127,20 @@ def gem_layout(m: AssociationMatrix, params: GemParams | None = None, seed: int 
     floor = edge_len * _FLOOR_FRACTION
     max_rounds = params.max_rounds_factor * n
     ramp_rounds = max_rounds * _RAMP_SHARE
-    start_temp = params.start_temperature
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
         for v in rng.permutation(n):
             t = temps[v]
             # gravity toward the barycenter (running coordinate sums)
-            g = params.gravity * phi[v]
+            g = _GRAVITY * phi[v]
             px = (sum_x / n - xs[v]) * g
             py = (sum_y / n - ys[v]) * g
             # random disturbance scaled by the vertex temperature
             px += (rng.random() - 0.5) * (t / 4.0)
             py += (rng.random() - 0.5) * (t / 4.0)
-            # repulsion from every other vertex
+            # repulsion from every other vertex (v itself is at distance zero)
             for u in range(n):
-                if u == v:
-                    continue
                 dx = xs[v] - xs[u]
                 dy = ys[v] - ys[u]
                 dist_sq = dx * dx + dy * dy
@@ -191,8 +174,8 @@ def gem_layout(m: AssociationMatrix, params: GemParams | None = None, seed: int 
                     cos_b = (px * lx + py * ly) / denom
                     sin_b = (px * ly - py * lx) / denom
                     t = t * (1.0 + _OSCILLATION_GAIN * cos_b)
-                    if t > params.max_temperature:
-                        t = params.max_temperature
+                    if t > _MAX_TEMPERATURE:
+                        t = _MAX_TEMPERATURE
                     if sin_b > _SIN_ROTATION or sin_b < -_SIN_ROTATION:
                         step = 1.0 / (2.0 * n)
                         skew[v] += step if sin_b > 0.0 else -step
@@ -202,7 +185,7 @@ def gem_layout(m: AssociationMatrix, params: GemParams | None = None, seed: int 
                     temps[v] = t
                 last_x[v] = px
                 last_y[v] = py
-        envelope = start_temp * (1.0 - rounds / ramp_rounds)
+        envelope = edge_len * (1.0 - rounds / ramp_rounds)
         if envelope < floor:
             envelope = floor
         mean_temp = 0.0

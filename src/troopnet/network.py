@@ -20,6 +20,7 @@ from .ingest import AssociationMatrix
 __all__ = [
     "IndividualMeasures",
     "NetworkReport",
+    "NetworkParams",
     "ConvergenceError",
     "density",
     "degree_strength",
@@ -28,10 +29,7 @@ __all__ = [
     "global_efficiency",
     "connected_components",
     "network_report",
-    "EFFICIENCY_MODES",
 ]
-
-EFFICIENCY_MODES = ("both", "binary", "weighted")  # network_report's efficiency_mode values
 
 
 @dataclass
@@ -49,6 +47,21 @@ class NetworkReport:
     global_efficiency_weighted: float
     individuals: list[IndividualMeasures]
     warnings: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class NetworkParams:
+    """Eigenvector power iteration: converged once a step moves every entry
+    by less than tol, a ConvergenceError after max_iter steps."""
+
+    tol: float = 1e-10
+    max_iter: int = 10000
+
+    def __post_init__(self) -> None:
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 class ConvergenceError(RuntimeError):
@@ -90,28 +103,24 @@ def degree_strength(m: AssociationMatrix) -> dict[str, tuple[int, float]]:
     }
 
 
-def eigenvector_centrality(m: AssociationMatrix, tol: float = 1e-10, max_iter: int = 10000) -> dict[str, float]:
+def eigenvector_centrality(m: AssociationMatrix, params: NetworkParams = NetworkParams()) -> dict[str, float]:
     """Dominant-eigenvector centrality of the weighted matrix.
 
     Power iteration from the uniform positive vector, renormalized by the
     maximum entry each step, stopping when successive iterates differ by
-    less than tol in max-norm; the result is scaled so that the maximum
-    entry is exactly 1. The matrix is pre-divided by its largest entry,
-    which leaves the eigenvector unchanged and makes the iteration
+    less than params.tol in max-norm; the result is scaled so that the
+    maximum entry is exactly 1. The matrix is pre-divided by its largest
+    entry, which leaves the eigenvector unchanged and makes the iteration
     invariant under exact rescaling of the weights. Iterating on M + I
     rather than M keeps the same eigenvectors while shifting every
     eigenvalue up by one, so the top one strictly dominates in magnitude
     even on bipartite graphs (a zero-diagonal star, say, where M alone has
     a matching negative eigenvalue and the iteration would oscillate).
 
-    Raises ConvergenceError (carrying the last step size) when max_iter is
-    exceeded, and ValueError when the matrix has no positive entry, tol is
-    not positive and finite, or max_iter is below 1.
+    Raises ConvergenceError (carrying the last step size) when
+    params.max_iter is exceeded, and ValueError when the matrix has no
+    positive entry.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     edges = _edges(m)
     top = max((w for row in edges for _j, w in row), default=0.0)
     if top <= 0.0:
@@ -119,7 +128,7 @@ def eigenvector_centrality(m: AssociationMatrix, tol: float = 1e-10, max_iter: i
     rows = [[(j, w / top) for j, w in row] for row in edges]
     v = [1.0] * m.n
     diff = math.inf
-    for _ in range(max_iter):
+    for _ in range(params.max_iter):
         nxt = [math.fsum(w * v[j] for j, w in row) + v[i] for i, row in enumerate(rows)]
         peak = max(nxt)
         if peak <= 0.0:
@@ -127,10 +136,10 @@ def eigenvector_centrality(m: AssociationMatrix, tol: float = 1e-10, max_iter: i
         nxt = [x / peak for x in nxt]
         diff = max(abs(a - b) for a, b in zip(nxt, v))
         v = nxt
-        if diff < tol:
+        if diff < params.tol:
             return dict(zip(m.names, v))
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations (last step {diff:.3e})",
+        f"power iteration did not converge within {params.max_iter} iterations (last step {diff:.3e})",
         diff,
     )
 
@@ -211,43 +220,21 @@ def connected_components(m: AssociationMatrix) -> list[list[str]]:
     return [[m.names[i] for i in comp] for comp in components]
 
 
-def network_report(
-    m: AssociationMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    efficiency_mode: str = "both",
-) -> NetworkReport:
+def network_report(m: AssociationMatrix, params: NetworkParams = NetworkParams()) -> NetworkReport:
     """Assemble all measures; individual order equals matrix order.
 
     A matrix with no positive entries yields all-zero eigenvector values
     with a warning instead of an error; a disconnected graph is flagged
     because eigenvector centrality then reflects only the dominant
-    component. efficiency_mode narrows the efficiency computation to
-    "binary" or "weighted"; the skipped value is reported as 0.0 with a
-    warning.
+    component.
     """
-    if efficiency_mode not in EFFICIENCY_MODES:
-        raise ValueError(
-            f"efficiency_mode must be 'both', 'binary' or 'weighted', got {efficiency_mode!r}"
-        )
     warnings: list[str] = []
-    d = density(m)
-    if efficiency_mode in ("both", "binary"):
-        eff_bin = global_efficiency(m, "binary")
-    else:
-        eff_bin = 0.0
-        warnings.append("binary efficiency not computed (efficiency_mode=weighted)")
-    if efficiency_mode in ("both", "weighted"):
-        eff_wgt = global_efficiency(m, "weighted")
-    else:
-        eff_wgt = 0.0
-        warnings.append("weighted efficiency not computed (efficiency_mode=binary)")
     ds = degree_strength(m)
     if not any(deg for deg, _s in ds.values()):
         eig = {name: 0.0 for name in m.names}
         warnings.append("matrix has no positive entries; eigenvector centrality reported as zeros")
     else:
-        eig = eigenvector_centrality(m, tol=tol, max_iter=max_iter)
+        eig = eigenvector_centrality(m, params)
         components = connected_components(m)
         if len(components) > 1:
             isolated = sum(1 for comp in components if len(comp) == 1)
@@ -260,9 +247,9 @@ def network_report(
         for name in m.names
     ]
     return NetworkReport(
-        density=d,
-        global_efficiency_binary=eff_bin,
-        global_efficiency_weighted=eff_wgt,
+        density=density(m),
+        global_efficiency_binary=global_efficiency(m, "binary"),
+        global_efficiency_weighted=global_efficiency(m, "weighted"),
         individuals=individuals,
         warnings=warnings,
     )

@@ -130,7 +130,7 @@ def test_network_tol_must_be_finite(tmp_path, fixture_matrix_path, capsys, value
     out = tmp_path / "r.json"
     code = main(["network", "--matrix", str(fixture_matrix_path), "--out", str(out), "--tol", value])
     assert code == 2
-    assert capsys.readouterr().err.startswith("network.tol: must be")
+    assert capsys.readouterr().err.startswith(f"network: tol must be positive and finite, got {value}")
     assert not out.exists()
 
 
@@ -196,6 +196,18 @@ def test_config_errors_exit_two_through_cli(tmp_path, fixture_matrix_path, capsy
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_value_outside_its_choices_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("association.mode = sideways\n")
+    out = tmp_path / "m.csv"
+    code = main(
+        ["cooccur", "--config", str(cfg), "--ledger", str(tmp_path / "l.csv"), "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"{cfg}:1: association.mode")
+    assert not out.exists()
+
+
 def test_config_seed_satisfies_layout_and_flag_wins(tmp_path, fixture_matrix_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("seed = 7\n")
@@ -232,14 +244,10 @@ _KEY_FLAG_VALUES = [
     ("proximity.max_gap", "--prox-max-gap", "1.5", "3.0"),
     ("proximity.max_depth_disparity", "--prox-max-depth-disparity", "0.25", "0.5"),
     ("association.mode", "--mode", "proximal", "video-level"),
-    ("network.efficiency_mode", "--efficiency-mode", "binary", "weighted"),
     ("network.tol", "--tol", "1e-08", "1e-06"),
     ("network.max_iter", "--max-iter", "50", "70"),
     ("gem.desired_edge_length", "--edge-length", "64.0", "96.0"),
     ("gem.max_rounds_factor", "--max-rounds-factor", "5", "7"),
-    ("gem.initial_temperature", "--initial-temperature", "30.0", "50.0"),
-    ("gem.max_temperature", "--max-temperature", "128.0", "300.0"),
-    ("gem.gravity", "--gravity", "0.1", "0.2"),
     ("gem.stop_temperature_fraction", "--stop-fraction", "0.01", "0.05"),
     ("seed", "--seed", "3", "4"),
     ("paths.detections_dir", "--detections-dir", "d1", "d2"),
@@ -294,10 +302,7 @@ def test_readme_configuration_table_matches_the_cli():
     assert listed == expected
 
 
-_GEM_FIELDS = [
-    "desired_edge_length", "max_rounds_factor", "initial_temperature",
-    "max_temperature", "gravity", "stop_temperature_fraction",
-]
+_GEM_FIELDS = ["desired_edge_length", "max_rounds_factor", "stop_temperature_fraction"]
 
 
 @pytest.mark.parametrize("name", _GEM_FIELDS)

@@ -770,6 +770,11 @@ _FRAMING_ERRORS = [
         "report-individuals-object", parse_report, _report_text(individuals={"A": 1}),
         "report: individuals must be a list, got {'A': 1}",
     ),
+    ("report-top-level-list", parse_report, "[]", "report: top level must be a JSON object"),
+    (
+        "report-individual-number", parse_report, _report_text(individuals=[5]),
+        "report: individual 0 must be an object, got 5",
+    ),
     (
         "gt-images-number", parse_ground_truth, json.dumps({"images": 5}),
         "ground truth: images must be a list, got 5",

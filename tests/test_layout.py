@@ -43,17 +43,14 @@ SQUARE = matrix_from_dyads(
 def test_gem_params_defaults():
     params = GemParams()
     assert params.desired_edge_length == 128.0
-    assert params.start_temperature == 128.0
-    assert GemParams(initial_temperature=50.0).start_temperature == 50.0
+    assert params.max_rounds_factor == 40
+    assert params.stop_temperature_fraction == 1.0 / 50.0
 
 
 def test_gem_params_validation():
     for bad in (
         dict(desired_edge_length=0.0),
         dict(max_rounds_factor=0),
-        dict(initial_temperature=-1.0),
-        dict(max_temperature=0.0),
-        dict(gravity=0.0),
         dict(stop_temperature_fraction=0.0),
     ):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from troopnet.ingest import AssociationMatrix
 from troopnet.network import (
     ConvergenceError,
+    NetworkParams,
     connected_components,
     degree_strength,
     density,
@@ -121,15 +122,14 @@ def test_centrality_requires_positive_entry():
     ids=["tol-inf", "tol-nan", "tol-zero", "max_iter-zero"],
 )
 def test_centrality_rejects_bad_tol_and_max_iter(kwargs):
-    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        eigenvector_centrality(m, **kwargs)
+        NetworkParams(**kwargs)
 
 
 def test_centrality_convergence_error_carries_residual():
     m = matrix_from_dyads(["A", "B", "C"], {("A", "B"): 0.2, ("B", "C"): 0.7})
     with pytest.raises(ConvergenceError) as exc:
-        eigenvector_centrality(m, max_iter=1)
+        eigenvector_centrality(m, NetworkParams(max_iter=1))
     assert exc.value.residual > 0.0
 
 
@@ -150,7 +150,7 @@ def test_centrality_matches_dense_eigensolver(seed, n):
 def test_centrality_residual_within_tolerance(seed, n):
     m = _random_positive_matrix(seed, n)
     tol = 1e-10
-    eig = eigenvector_centrality(m, tol=tol)
+    eig = eigenvector_centrality(m, NetworkParams(tol=tol))
     assert eigenvector_residual(m, eig) <= 10.0 * tol
 
 
@@ -430,26 +430,6 @@ def test_report_zero_matrix_warns():
     ]
 
 
-def test_report_efficiency_mode_narrowing():
-    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
-    binary_only = network_report(m, efficiency_mode="binary")
-    assert binary_only.global_efficiency_binary == 1.0
-    assert binary_only.global_efficiency_weighted == 0.0
-    assert binary_only.warnings == ["weighted efficiency not computed (efficiency_mode=binary)"]
-    weighted_only = network_report(m, efficiency_mode="weighted")
-    assert weighted_only.global_efficiency_binary == 0.0
-    assert weighted_only.global_efficiency_weighted == 0.5
-    assert weighted_only.warnings == ["binary efficiency not computed (efficiency_mode=weighted)"]
-    both = network_report(m, efficiency_mode="both")
-    assert both.warnings == []
-
-
-def test_report_rejects_unknown_mode():
-    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
-    with pytest.raises(ValueError, match="efficiency_mode"):
-        network_report(m, efficiency_mode="fast")
-
-
 def test_report_individuals_follow_matrix_order(troop_matrix):
     report = network_report(troop_matrix)
     assert [ind.name for ind in report.individuals] == troop_matrix.names
@@ -465,6 +445,7 @@ def test_report_agrees_with_pieces(troop_matrix):
     for ind in report.individuals:
         assert (ind.degree, ind.strength) == ds[ind.name]
         assert ind.eigenvector == eig[ind.name]
+    assert report.warnings == []  # the troop graph is connected
 
 
 def test_network_import_leaves_scipy_unloaded():
