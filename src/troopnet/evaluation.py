@@ -1,16 +1,16 @@
 """Detection and identification metrics.
 
-Greedy score-ordered box matching, interpolated average precision, false
-negative rate, top-k accuracy and confusion matrices. Matching follows the
-usual convention: predictions are taken in descending score order and each
-claims the unmatched ground truth of highest IoU at or above the
-threshold.
+Greedy score-ordered box matching, pooled 101-point average precision and
+false negative rate, top-k accuracy and confusion matrices. Matching
+follows the usual convention: predictions are taken in descending score
+order and each claims the unmatched ground truth of highest IoU at or
+above the threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -21,11 +21,8 @@ from .ingest import Detection, Roster
 __all__ = [
     "MatchPair",
     "MatchResult",
-    "PRCurve",
     "IdSample",
     "match_detections",
-    "pr_curve",
-    "average_precision",
     "false_negative_rate",
     "topk_accuracy",
     "confusion_matrix",
@@ -45,13 +42,6 @@ class MatchResult:
     pairs: list[MatchPair]
     unmatched_predictions: list[int]
     unmatched_gts: list[int]
-
-
-@dataclass
-class PRCurve:
-    """Precision/recall points in descending score-threshold order."""
-
-    points: list[tuple[float, float, float]] = field(default_factory=list)  # (recall, precision, score)
 
 
 @dataclass
@@ -125,47 +115,6 @@ def _envelope(points: list[tuple[float, float]]) -> list[float]:
     return list(accumulate((p for _r, p in reversed(points)), max))[::-1]
 
 
-def pr_curve(preds: list[Detection], gts: list[BBox], iou_threshold: float) -> PRCurve:
-    """Cumulative precision/recall after each prediction, best score first."""
-    _check_threshold(iou_threshold)
-    steps = list(_greedy(preds, gts, iou_threshold))
-    points = _curve([j >= 0 for _i, j, _o in steps], len(gts))
-    return PRCurve(points=[(r, p, preds[i].score) for (r, p), (i, _j, _o) in zip(points, steps)])
-
-
-def average_precision(
-    preds: list[Detection],
-    gts: list[BBox],
-    iou_threshold: float,
-    interpolation: str = "101point",
-) -> float:
-    """Interpolated average precision at the given IoU threshold.
-
-    "101point" averages the precision envelope max{P at recall >= r} over
-    the grid r = 0.00, 0.01, ..., 1.00; it is pooled_detection_metrics on
-    one group. "exact" integrates the same envelope over recall without
-    gridding. Defined as 1.0 when there are neither ground truths nor
-    predictions (vacuous success) and 0.0 when only one side is empty.
-    """
-    _check_threshold(iou_threshold)
-    if interpolation not in ("101point", "exact"):
-        raise ValueError(f"interpolation must be '101point' or 'exact', got {interpolation!r}")
-    if interpolation == "101point":
-        return pooled_detection_metrics([(preds, gts)], iou_threshold)["average_precision"]
-    if not gts:
-        return 1.0 if not preds else 0.0
-    if not preds:
-        return 0.0
-    points = _curve([j >= 0 for _i, j, _o in _greedy(preds, gts, iou_threshold)], len(gts))
-    total = []
-    prev_recall = 0.0
-    for (recall, _p), envelope in zip(points, _envelope(points)):
-        if recall > prev_recall:
-            total.append((recall - prev_recall) * envelope)
-            prev_recall = recall
-    return math.fsum(total)
-
-
 def false_negative_rate(
     preds: list[Detection],
     gts: list[BBox],
@@ -207,11 +156,11 @@ def topk_accuracy(samples: list[IdSample], k: int) -> float:
     return hits / len(samples)
 
 
-def confusion_matrix(samples: list[IdSample], roster: Roster, normalize: bool = True) -> np.ndarray:
-    """Confusion counts, rows = true identity, columns = predicted (argmax).
+def confusion_matrix(samples: list[IdSample], roster: Roster) -> np.ndarray:
+    """Confusion matrix, rows = true identity, columns = predicted (argmax).
 
-    With normalize, rows with at least one sample are divided by their sum;
-    all-zero rows stay zero. Row and column order follow the roster.
+    Rows with at least one sample are divided by their sum; all-zero rows
+    stay zero. Row and column order follow the roster.
     """
     index = roster.positions
     counts = np.zeros((len(roster), len(roster)))
@@ -224,12 +173,8 @@ def confusion_matrix(samples: list[IdSample], roster: Roster, normalize: bool = 
         if predicted not in index:
             raise ValueError(f"sample {i}: unknown predicted name {predicted!r}")
         counts[index[sample.true_label], index[predicted]] += 1.0
-    if normalize:
-        for r in range(len(roster)):
-            row_sum = counts[r].sum()
-            if row_sum > 0:
-                counts[r] = counts[r] / row_sum
-    return counts
+    row_sums = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, row_sums, out=counts, where=row_sums > 0)
 
 
 def pooled_detection_metrics(
@@ -240,8 +185,10 @@ def pooled_detection_metrics(
     """Detection metrics pooled over frames or images.
 
     Matching is confined to each group; the PR curve pools all predictions
-    by descending score (ties by group order, then index). Returns AP
-    (101-point), the false negative rate at the score threshold, and the
+    by descending score (ties by group order, then index). Returns AP (the
+    precision envelope max{P at recall >= r} averaged over r = 0.00, 0.01,
+    ..., 1.00; 1.0 with neither ground truths nor predictions, 0.0 with
+    only one), the false negative rate at the score threshold, and the
     underlying counts.
     """
     _check_threshold(iou_threshold)

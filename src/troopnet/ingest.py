@@ -101,6 +101,12 @@ def _object(x, what: str) -> dict:
     return x
 
 
+def _key(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f"{what} needs {key!r}")
+    return obj[key]
+
+
 def _cell_number(cell: str, convert):
     """convert(cell), refusing the digit-group underscores and non-ASCII digits int() and float() allow."""
     if "_" in cell or not cell.isascii():
@@ -293,12 +299,15 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
 
     categories = {}
     for i, cat in enumerate(cats):
-        try:
-            categories[cat["id"]] = cat["name"]
-        except (TypeError, KeyError):
-            raise ParseError(f"ground truth: category {i}: needs 'id' and 'name'") from None
+        locus = f"ground truth: category {i}"
+        if not isinstance(cat, dict) or "id" not in cat or "name" not in cat:
+            raise ParseError(f"{locus}: needs 'id' and 'name'")
+        _check_id(cat["id"], locus, "'id'")
+        if cat["id"] in categories:
+            raise ParseError(f"{locus}: duplicate category id {cat['id']}")
         if not isinstance(cat["name"], str):
-            raise ParseError(f"ground truth: category {i}: name must be a string, got {cat['name']!r}")
+            raise ParseError(f"{locus}: name must be a string, got {cat['name']!r}")
+        categories[cat["id"]] = cat["name"]
 
     images = []
     by_id: dict[int | str, GTImage] = {}
@@ -315,8 +324,8 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
             height = _num(rec["height"])
         except (KeyError, ValueError):
             raise ParseError(f"{locus} (id {img_id}): needs numeric 'width' and 'height'") from None
-        if width <= 0 or height <= 0:
-            raise ParseError(f"{locus} (id {img_id}): non-positive dimensions")
+        if not (0 < width < math.inf and 0 < height < math.inf):  # also rejects NaN
+            raise ParseError(f"{locus} (id {img_id}): dimensions must be positive and finite, got {width}x{height}")
         try:
             frame_index = _int(rec.get("frame_index", img_id))
         except ValueError:
@@ -719,8 +728,9 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
     tracks = []
     for lineno, obj in _json_lines(data, "tracks "):
         try:
+            obj = _object(obj, "track")
             observations = []
-            for k, o in enumerate(obj["observations"]):
+            for k, o in enumerate(_list(_key(obj, "observations", "track"), "observations")):
                 det = _parse_detection(o, f"tracks line {lineno}: observation {k}", roster)
                 try:
                     frame_index = _int(o.get("frame_index"))
@@ -736,25 +746,24 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
                 )
             identity = None
             if obj.get("identity") is not None:
-                ident = obj["identity"]
-                if not isinstance(ident["name"], str):
-                    raise ValueError(f"identity name must be a string, got {ident['name']!r}")
-                identity = Identity(name=ident["name"], confidence=_num(ident["confidence"]))
+                ident = _object(obj["identity"], "identity")
+                identity = Identity(
+                    name=_str(_key(ident, "name", "identity"), "identity name"),
+                    confidence=_num(_key(ident, "confidence", "identity")),
+                )
                 if not 0.0 <= identity.confidence <= 1.0:  # also rejects NaN
                     raise ValueError(f"identity confidence {identity.confidence} outside [0, 1]")
                 if roster is not None and identity.name not in roster:
                     raise ValueError(f"unknown individual {identity.name!r} in identity")
-            if not isinstance(obj["video_id"], str):
-                raise ValueError(f"video_id must be a string, got {obj['video_id']!r}")
             tracks.append(
                 Track(
-                    track_id=_int(obj["track_id"]),
-                    video_id=obj["video_id"],
+                    track_id=_int(_key(obj, "track_id", "track")),
+                    video_id=_str(_key(obj, "video_id", "track"), "video_id"),
                     observations=observations,
                     identity=identity,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(f"tracks line {lineno}: {exc}") from None

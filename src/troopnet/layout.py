@@ -20,7 +20,7 @@ number with six significant digits for byte-stable output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from xml.sax.saxutils import escape
 
 from .ingest import AssociationMatrix
@@ -71,9 +71,7 @@ class GemParams:
 @dataclass
 class LayoutResult:
     positions: dict[str, tuple[float, float]]
-    seed: int
     rounds_used: int
-    params: GemParams = field(default_factory=GemParams)
 
 
 def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int = 0) -> LayoutResult:
@@ -97,7 +95,7 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     n = m.n
     names = m.names
     if n == 1:
-        return LayoutResult(positions={names[0]: (0.0, 0.0)}, seed=seed, rounds_used=0, params=params)
+        return LayoutResult(positions={names[0]: (0.0, 0.0)}, rounds_used=0)
 
     edge_len = params.desired_edge_length
     edge_sq = edge_len * edge_len
@@ -199,7 +197,7 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
             break
 
     positions = {names[i]: (xs[i], ys[i]) for i in range(n)}
-    return LayoutResult(positions=positions, seed=seed, rounds_used=rounds, params=params)
+    return LayoutResult(positions=positions, rounds_used=rounds)
 
 
 def _fmt(value: float) -> str:

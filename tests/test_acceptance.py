@@ -20,7 +20,7 @@ from scipy.stats import spearmanr
 
 from troopnet.association import count_occurrences, simple_ratio_matrix
 from troopnet.cli import main
-from troopnet.evaluation import IdSample, average_precision, confusion_matrix, topk_accuracy
+from troopnet.evaluation import IdSample, confusion_matrix, pooled_detection_metrics, topk_accuracy
 from troopnet.geometry import BBox, iou
 from troopnet.ingest import (
     AssociationMatrix,
@@ -275,7 +275,7 @@ def test_c3_detection_metric_oracles():
         worst = 0.0
         for seed in range(500):
             preds, gts = _random_instance(seed)
-            got = average_precision(preds, gts, 0.5)
+            got = pooled_detection_metrics([(preds, gts)], 0.5)["average_precision"]
             want = _oracle_ap_101(preds, gts, 0.5)
             worst = max(worst, abs(got - want))
         if worst > 1e-9:
@@ -288,7 +288,7 @@ def test_c3_detection_metric_oracles():
             Detection(bbox=BBox(100.0, 0.0, 10.0, 10.0), score=0.7),
         ]
         gts = [BBox(0.0, 0.0, 10.0, 10.0), BBox(100.0, 0.0, 10.0, 10.0)]
-        got = average_precision(preds, gts, 0.5)
+        got = pooled_detection_metrics([(preds, gts)], 0.5)["average_precision"]
         if abs(got - 253.0 / 303.0) > 1e-9:
             failures.append(f"hand-case AP {got!r} differs from 253/303")
         # top-k accuracy must be monotone in k and reach 1 at the full roster

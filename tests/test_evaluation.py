@@ -10,12 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from troopnet.evaluation import (
     IdSample,
-    average_precision,
     confusion_matrix,
     false_negative_rate,
     match_detections,
     pooled_detection_metrics,
-    pr_curve,
     topk_accuracy,
 )
 from troopnet.geometry import BBox, iou
@@ -98,38 +96,25 @@ def _two_gt_instance():
     return preds, [G1, G2]
 
 
-def test_pr_curve_hand_case():
-    preds, gts = _two_gt_instance()
-    points = pr_curve(preds, gts, 0.5).points
-    assert points == [(0.5, 1.0, 0.9), (0.5, 0.5, 0.8), (1.0, 2.0 / 3.0, 0.7)]
+def _ap(preds, gts, iou_threshold):
+    return pooled_detection_metrics([(preds, gts)], iou_threshold)["average_precision"]
 
 
 def test_average_precision_hand_case_101point():
     preds, gts = _two_gt_instance()
-    ap = average_precision(preds, gts, 0.5)
+    ap = _ap(preds, gts, 0.5)
     assert ap == pytest.approx(253.0 / 303.0, abs=1e-9)
-
-
-def test_average_precision_hand_case_exact():
-    preds, gts = _two_gt_instance()
-    ap = average_precision(preds, gts, 0.5, interpolation="exact")
-    assert ap == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 / 3.0), abs=1e-12)
 
 
 def test_average_precision_perfect_run():
     preds = [_det(0.0, 0.0, 10.0, 10.0, 0.9), _det(100.0, 0.0, 10.0, 10.0, 0.8)]
-    assert average_precision(preds, [G1, G2], 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert _ap(preds, [G1, G2], 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_precision_empty_rules():
-    assert average_precision([], [], 0.5) == 1.0
-    assert average_precision([_det(0.0, 0.0, 5.0, 5.0, 0.9)], [], 0.5) == 0.0
-    assert average_precision([], [G1], 0.5) == 0.0
-
-
-def test_average_precision_rejects_unknown_interpolation():
-    with pytest.raises(ValueError, match="interpolation"):
-        average_precision([], [], 0.5, interpolation="11point")
+    assert _ap([], [], 0.5) == 1.0
+    assert _ap([_det(0.0, 0.0, 5.0, 5.0, 0.9)], [], 0.5) == 0.0
+    assert _ap([], [G1], 0.5) == 0.0
 
 
 def _random_instance(seed, max_boxes=12):
@@ -194,7 +179,7 @@ def _oracle_ap_101(preds, gts, iou_threshold):
 @settings(max_examples=80, deadline=None)
 def test_ap_equals_exhaustive_threshold_oracle(seed):
     preds, gts = _random_instance(seed)
-    assert average_precision(preds, gts, 0.5) == pytest.approx(
+    assert _ap(preds, gts, 0.5) == pytest.approx(
         _oracle_ap_101(preds, gts, 0.5), abs=1e-9
     )
 
@@ -207,7 +192,7 @@ def test_ap_and_fnr_invariant_under_permutation(seed):
     rng = Rng(derive_seed(seed, "perm"))
     preds2 = [preds[i] for i in rng.permutation(len(preds))]
     gts2 = [gts[i] for i in rng.permutation(len(gts))]
-    assert average_precision(preds2, gts2, 0.5) == average_precision(preds, gts, 0.5)
+    assert _ap(preds2, gts2, 0.5) == _ap(preds, gts, 0.5)
     assert false_negative_rate(preds2, gts2, 0.5) == false_negative_rate(preds, gts, 0.5)
 
 
@@ -218,11 +203,11 @@ def test_breaking_a_match_never_raises_ap(seed):
     assume(preds and gts)
     result = match_detections(preds, gts, 0.5)
     assume(result.pairs)
-    before = average_precision(preds, gts, 0.5)
+    before = _ap(preds, gts, 0.5)
     k = result.pairs[0].prediction_index
     moved = list(preds)
     moved[k] = Detection(bbox=BBox(10_000.0, 10_000.0, 5.0, 5.0), score=preds[k].score)
-    assert average_precision(moved, gts, 0.5) <= before + 1e-12
+    assert _ap(moved, gts, 0.5) <= before + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +310,6 @@ def test_confusion_hand_case():
     assert m[1].tolist() == [0.0, 0.0, 0.0]
 
 
-def test_confusion_counts_unnormalized():
-    samples = [IdSample({"A": 0.9, "B": 0.1}, "A")] * 3 + [IdSample({"A": 0.2, "B": 0.8}, "A")]
-    m = confusion_matrix(samples, ROSTER3, normalize=False)
-    assert m[0].tolist() == [3.0, 1.0, 0.0]
-
-
 def test_confusion_rows_sum_to_one():
     rng = Rng(11)
     names = ROSTER3.names
@@ -362,7 +341,6 @@ def test_confusion_rejects_unknown_names():
 def test_pooled_single_group_matches_plain_metrics():
     preds, gts = _two_gt_instance()
     out = pooled_detection_metrics([(preds, gts)], 0.5)
-    assert out["average_precision"] == average_precision(preds, gts, 0.5)
     assert out["false_negative_rate"] == false_negative_rate(preds, gts, 0.5)
     assert out["n_ground_truths"] == 2
     assert out["n_predictions"] == 3
@@ -415,26 +393,23 @@ def _curve_from_matching(preds, gts, iou_threshold):
     return points
 
 
-def _exact_ap_from_curve(points, n_gt):
-    """Sum of recall steps times the best precision at any recall at least as high."""
+def _ap_101_from_curve(points, n_gt):
+    """Mean over r = 0.00, 0.01, ..., 1.00 of the best precision at any
+    recall of at least r (0.0 where none reaches r)."""
     if not n_gt or not points:
         return 1.0 if not n_gt and not points else 0.0
-    total = []
-    prev = 0.0
-    for recall, _p, _s in points:
-        if recall > prev:
-            total.append((recall - prev) * max(p for r, p, _s in points if r >= recall))
-            prev = recall
-    return math.fsum(total)
+    grid = [max((p for rec, p, _s in points if rec >= i / 100.0), default=0.0) for i in range(101)]
+    return math.fsum(grid) / 101.0
 
 
 @given(_grid_group, st.sampled_from([0.1, 0.3, 0.5, 1.0]))
 @settings(max_examples=200, deadline=None)
-def test_pr_curve_and_exact_ap_equal_matching_oracle(group, iou_threshold):
+def test_pooled_ap_equals_matching_curve_oracle(group, iou_threshold):
+    # rank order with ties by index, as the curve oracle counts them; a
+    # threshold sweep that lets tied scores enter together would disagree
     preds, gts = group
     points = _curve_from_matching(preds, gts, iou_threshold)
-    assert pr_curve(preds, gts, iou_threshold).points == points
-    assert average_precision(preds, gts, iou_threshold, "exact") == _exact_ap_from_curve(points, len(gts))
+    assert _ap(preds, gts, iou_threshold) == _ap_101_from_curve(points, len(gts))
 
 
 def test_pooled_two_groups_hand_case():

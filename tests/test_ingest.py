@@ -787,6 +787,58 @@ _FRAMING_ERRORS = [
         "gt-categories-string", parse_ground_truth, json.dumps({"categories": "face", "images": []}),
         "ground truth: categories must be a list, got 'face'",
     ),
+    # image sizes: positive and finite, so that the bounds check means something
+    (
+        "gt-size-nan", parse_ground_truth, _gt_text({"width": math.nan, "height": math.nan}, {"bbox": [500, 0, 1, 1]}),
+        "ground truth: image 0 (id 1): dimensions must be positive and finite, got nanxnan",
+    ),
+    (
+        "gt-width-nan", parse_ground_truth, _gt_text({"width": math.nan}),
+        "ground truth: image 0 (id 1): dimensions must be positive and finite, got nanx10.0",
+    ),
+    (
+        "gt-height-inf", parse_ground_truth, _gt_text({"height": math.inf}),
+        "ground truth: image 0 (id 1): dimensions must be positive and finite, got 10.0xinf",
+    ),
+    # category ids are checked like image ids
+    (
+        "gt-category-id-bool", parse_ground_truth,
+        json.dumps({"categories": [{"id": True, "name": "face"}], "images": [{"id": 1, "width": 10, "height": 10}],
+                    "annotations": [{"image_id": 1, "bbox": [0, 0, 1, 1], "category_id": 1}]}),
+        "ground truth: category 0: 'id' must be an integer or a string, got True",
+    ),
+    (
+        "gt-category-id-list", parse_ground_truth,
+        json.dumps({"categories": [{"id": [7], "name": "face"}], "images": [], "annotations": []}),
+        "ground truth: category 0: 'id' must be an integer or a string, got [7]",
+    ),
+    (
+        "gt-category-id-duplicate", parse_ground_truth,
+        json.dumps({"categories": [{"id": 7, "name": "face"}, {"id": 7, "name": "tail"}], "images": []}),
+        "ground truth: category 1: duplicate category id 7",
+    ),
+    # tracks files: every error names its field
+    ("tracks-line-not-object", parse_tracks, "[1, 2]\n", "tracks line 1: track must be an object, got [1, 2]"),
+    (
+        "tracks-track-id-missing", parse_tracks, '{"video_id": "v", "observations": []}\n',
+        "tracks line 1: track needs 'track_id'",
+    ),
+    (
+        "tracks-observations-missing", parse_tracks, '{"track_id": 0, "video_id": "v"}\n',
+        "tracks line 1: track needs 'observations'",
+    ),
+    (
+        "tracks-observations-number", parse_tracks, _track_text(observations=5),
+        "tracks line 1: observations must be a list, got 5",
+    ),
+    (
+        "tracks-identity-string", parse_tracks, _track_text(identity="A"),
+        "tracks line 1: identity must be an object, got 'A'",
+    ),
+    (
+        "tracks-confidence-missing", parse_tracks, _track_text(identity={"name": "Ayu"}),
+        "tracks line 1: identity needs 'confidence'",
+    ),
     # numbers in CSV cells: plain ASCII, without Python's digit-group underscores
     (
         "roster-age-underscore", parse_roster, "name,sex,age_years\nA,female,1_0\n",

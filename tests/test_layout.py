@@ -108,13 +108,6 @@ def test_layout_seed_changes_result():
     assert a.positions != b.positions
 
 
-def test_layout_echoes_inputs():
-    params = GemParams(desired_edge_length=64.0)
-    result = gem_layout(SQUARE, params=params, seed=9)
-    assert result.seed == 9
-    assert result.params == params
-
-
 def test_layout_terminates_on_fixture(troop_matrix):
     params = GemParams()
     result = gem_layout(troop_matrix, params=params, seed=42)
