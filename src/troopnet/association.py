@@ -36,11 +36,6 @@ class OccurrenceCounts:
         if any(n < 0 for n in self.per_individual.values()):
             raise ValueError("individual counts must be non-negative")
 
-    @property
-    def total_pair_cooccurrences(self) -> int:
-        """Total dyadic co-occurrence count, summed over all pairs."""
-        return sum(self.per_pair.values())
-
 
 def count_occurrences(ledger: OccurrenceLedger | PairLedger) -> OccurrenceCounts:
     """Count presences and joint presences over a ledger.

@@ -31,10 +31,6 @@ class BBox:
             raise ValueError(f"bbox sides must be positive, got w={self.w}, h={self.h}")
 
     @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @property
     def center(self) -> tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 

@@ -285,8 +285,9 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
     Recognized structure: top-level "images", "annotations" and optional
     "categories" lists. Image records may carry "video_id" (a string) and
     "frame_index"; absent, the video id defaults to "" and the frame index
-    to the image id. Unknown fields are ignored. Boxes are [x, y, w, h],
-    must be valid and must lie within the image bounds.
+    to the image id, which must then be an integer. No two images share a
+    (video_id, frame_index). Unknown fields are ignored. Boxes are
+    [x, y, w, h], must be valid and must lie within the image bounds.
     """
     doc = _loads(_text(data), "ground truth")
     if not isinstance(doc, dict):
@@ -311,6 +312,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
 
     images = []
     by_id: dict[int | str, GTImage] = {}
+    by_frame: dict[tuple[str, int], int | str] = {}  # (video_id, frame_index) -> image id
     for i, rec in enumerate(imgs):
         locus = f"ground truth: image {i}"
         if not isinstance(rec, dict) or "id" not in rec:
@@ -326,6 +328,8 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
             raise ParseError(f"{locus} (id {img_id}): needs numeric 'width' and 'height'") from None
         if not (0 < width < math.inf and 0 < height < math.inf):  # also rejects NaN
             raise ParseError(f"{locus} (id {img_id}): dimensions must be positive and finite, got {width}x{height}")
+        if "frame_index" not in rec and not isinstance(img_id, int):
+            raise ParseError(f"{locus}: needs 'frame_index' (image id {img_id!r} is not an integer)")
         try:
             frame_index = _int(rec.get("frame_index", img_id))
         except ValueError:
@@ -333,6 +337,11 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
         video_id = rec.get("video_id", "")
         if not isinstance(video_id, str):
             raise ParseError(f"{locus} (id {img_id}): video_id must be a string, got {video_id!r}")
+        owner = by_frame.setdefault((video_id, frame_index), img_id)
+        if owner != img_id:
+            raise ParseError(
+                f"{locus} (id {img_id}): video {video_id!r} frame {frame_index} already belongs to image id {owner!r}"
+            )
         img = GTImage(
             image_id=img_id,
             video_id=video_id,
@@ -384,6 +393,9 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
 
 @dataclass
 class Detection:
+    """One detected face: the only per-box record, in streams and in tracks alike."""
+
+    frame_index: int
     bbox: BBox
     score: float
     class_scores: dict[str, float] | None = None
@@ -405,7 +417,25 @@ class DetectionStream:
         return sum(len(f.detections) for f in self.frames)
 
 
-def _parse_detection(obj, locus: str, roster: Roster | None) -> Detection:
+def _class_scores(raw, locus: str, roster: Roster | None) -> dict[str, float]:
+    """The one class-score check: a non-empty object of numbers in [0, 1], names in the roster if given."""
+    if not isinstance(raw, dict) or not raw:
+        raise ParseError(f"{locus}: class_scores must be a non-empty object")
+    scores = {}
+    for name, value in raw.items():
+        if roster is not None and name not in roster:
+            raise ParseError(f"{locus}: unknown individual {name!r} in class_scores")
+        try:
+            v = _num(value)
+        except ValueError as exc:
+            raise ParseError(f"{locus}: class_scores[{name!r}]: {exc}") from None
+        if not 0.0 <= v <= 1.0:  # also rejects NaN
+            raise ParseError(f"{locus}: class_scores[{name!r}] = {v} outside [0, 1]")
+        scores[name] = v
+    return scores
+
+
+def _parse_detection(obj, frame_index: int | None, locus: str, roster: Roster | None) -> Detection:
     if not isinstance(obj, dict):
         raise ParseError(f"{locus}: not an object")
     raw = obj.get("bbox")
@@ -418,23 +448,9 @@ def _parse_detection(obj, locus: str, roster: Roster | None) -> Detection:
         raise ParseError(f"{locus}: {exc}") from None
     if not 0.0 <= score <= 1.0:
         raise ParseError(f"{locus}: score {score} outside [0, 1]")
-    class_scores = None
-    if obj.get("class_scores") is not None:
-        raw_scores = obj["class_scores"]
-        if not isinstance(raw_scores, dict):
-            raise ParseError(f"{locus}: class_scores must be an object")
-        class_scores = {}
-        for name, value in raw_scores.items():
-            if roster is not None and name not in roster:
-                raise ParseError(f"{locus}: unknown individual {name!r} in class_scores")
-            try:
-                v = _num(value)
-            except ValueError as exc:
-                raise ParseError(f"{locus}: class_scores[{name!r}]: {exc}") from None
-            if not 0.0 <= v <= 1.0:
-                raise ParseError(f"{locus}: class_scores[{name!r}] = {v} outside [0, 1]")
-            class_scores[name] = v
-    return Detection(bbox=box, score=score, class_scores=class_scores)
+    raw_scores = obj.get("class_scores")
+    class_scores = None if raw_scores is None else _class_scores(raw_scores, locus, roster)
+    return Detection(frame_index, box, score, class_scores)
 
 
 def parse_detection_stream(data: str | bytes, video_id: str, roster: Roster | None = None) -> DetectionStream:
@@ -460,7 +476,7 @@ def parse_detection_stream(data: str | bytes, video_id: str, roster: Roster | No
         if not isinstance(raw_dets, list):
             raise ParseError(f"line {lineno}: detections must be a list")
         detections = [
-            _parse_detection(d, f"line {lineno}: detection {k}", roster)
+            _parse_detection(d, index, f"line {lineno}: detection {k}", roster)
             for k, d in enumerate(raw_dets)
         ]
         frames.append(Frame(frame_index=index, detections=detections))
@@ -711,8 +727,7 @@ def write_tracks(tracks) -> str:
             "track_id": t.track_id,
             "video_id": t.video_id,
             "observations": [
-                {"frame_index": o.frame_index, **_detection_obj(Detection(o.bbox, o.score, o.class_scores))}
-                for o in t.observations
+                {"frame_index": o.frame_index, **_detection_obj(o)} for o in t.observations
             ],
             "identity": None
             if t.identity is None
@@ -723,7 +738,7 @@ def write_tracks(tracks) -> str:
 
 
 def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
-    from .tracking import Identity, Observation, Track
+    from .tracking import Identity, Track
 
     tracks = []
     for lineno, obj in _json_lines(data, "tracks "):
@@ -731,19 +746,13 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
             obj = _object(obj, "track")
             observations = []
             for k, o in enumerate(_list(_key(obj, "observations", "track"), "observations")):
-                det = _parse_detection(o, f"tracks line {lineno}: observation {k}", roster)
+                # the detection's own fields are checked first, then its frame_index
+                det = _parse_detection(o, None, f"tracks line {lineno}: observation {k}", roster)
                 try:
-                    frame_index = _int(o.get("frame_index"))
+                    det.frame_index = _int(o.get("frame_index"))
                 except ValueError:
                     raise ValueError(f"observation {k}: needs integer frame_index") from None
-                observations.append(
-                    Observation(
-                        frame_index=frame_index,
-                        bbox=det.bbox,
-                        score=det.score,
-                        class_scores=det.class_scores,
-                    )
-                )
+                observations.append(det)
             identity = None
             if obj.get("identity") is not None:
                 ident = _object(obj["identity"], "identity")
@@ -778,7 +787,7 @@ def parse_id_samples(data: str | bytes) -> list:
     """Parse identification samples: {"class_scores": {...}, "true_label": ...} per line.
 
     class_scores must be a non-empty object of numbers in [0, 1], checked
-    like a detection's class scores; true_label must be a string. Blank
+    by the same code as a detection's; true_label must be a string. Blank
     lines are ignored; a file with no samples is an error.
     """
     from .evaluation import IdSample
@@ -787,18 +796,7 @@ def parse_id_samples(data: str | bytes) -> list:
     for lineno, rec in _json_lines(data, "samples "):
         if not isinstance(rec, dict) or "class_scores" not in rec or "true_label" not in rec:
             raise ParseError(f"samples line {lineno}: needs 'class_scores' and 'true_label'")
-        raw_scores = rec["class_scores"]
-        if not isinstance(raw_scores, dict) or not raw_scores:
-            raise ParseError(f"samples line {lineno}: class_scores must be a non-empty object")
-        scores = {}
-        for name, value in raw_scores.items():
-            try:
-                v = _num(value)
-            except ValueError:
-                raise ParseError(f"samples line {lineno}: class_scores values must be numbers") from None
-            if not 0.0 <= v <= 1.0:  # also rejects NaN
-                raise ParseError(f"samples line {lineno}: class_scores[{name!r}] = {v} outside [0, 1]")
-            scores[name] = v
+        scores = _class_scores(rec["class_scores"], f"samples line {lineno}", None)
         label = rec["true_label"]
         if not isinstance(label, str):
             raise ParseError(f"samples line {lineno}: true_label must be a string, got {label!r}")

@@ -32,7 +32,7 @@ from .ingest import (
     Roster,
 )
 from .rng import Rng, derive_seed
-from .tracking import Observation, Track
+from .tracking import Track
 
 __all__ = [
     "NoiseParams",
@@ -205,7 +205,7 @@ def sample_detection_stream(
     span_y = _GRID_MARGIN + (len(present) // columns + 1) * _GRID_PITCH
 
     frames = []
-    observations: list[list[Observation]] = [[] for _ in present]
+    observations: list[list[Detection]] = [[] for _ in present]
     for fi in range(n_frames):
         detections = []
         for k, nm in enumerate(present):
@@ -217,21 +217,20 @@ def sample_detection_stream(
                 continue
             ox, oy = origins[k]
             det = Detection(
+                frame_index=fi,
                 bbox=BBox(ox + jx, oy + jy, _BOX_SIZE, _BOX_SIZE),
                 score=score,
                 class_scores=_class_scores(names, nm, noise.id_confusion_rate),
             )
             detections.append(det)
-            observations[k].append(
-                Observation(frame_index=fi, bbox=det.bbox, score=det.score, class_scores=det.class_scores)
-            )
+            observations[k].append(det)
         if rng.random() < noise.fp_rate:
             x = rng.random() * span_x
             y = rng.random() * span_y
             w = 32.0 + rng.random() * 32.0
             h = 32.0 + rng.random() * 32.0
             score = 0.25 + rng.random() * 0.5
-            detections.append(Detection(bbox=BBox(x, y, w, h), score=score, class_scores=None))
+            detections.append(Detection(frame_index=fi, bbox=BBox(x, y, w, h), score=score, class_scores=None))
         frames.append(Frame(frame_index=fi, detections=detections))
 
     tracks = [

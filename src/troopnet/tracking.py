@@ -1,11 +1,13 @@
 """Face tracks from detection streams, identity fusion, and ledgers.
 
-Tracks are built by frame-to-frame association: within each frame, active
-tracks and detections are matched one-to-one by minimum total cost with
-cost = 1 - IoU, pairs below the IoU gate excluded, ties as the solver
-returns them. A track unmatched for more than max_gap_frames frames in a
-row is closed; unmatched detections open new tracks. The result is a
-deterministic function of the stream and parameters.
+A track holds the stream's own Detection objects for one individual, in
+frame order. Tracks are built by frame-to-frame association: within each
+frame, active tracks and detections are matched one-to-one by minimum
+total cost with cost = 1 - IoU, pairs below the IoU gate excluded, ties
+as the solver returns them. A track unmatched for more than
+max_gap_frames frames in a row is closed; unmatched detections open new
+tracks. The result is a deterministic function of the stream and
+parameters.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .geometry import BBox, ProximityParams, iou, is_proximal
-from .ingest import DetectionStream, LedgerEntry, OccurrenceLedger, PairEntry, PairLedger
+from .ingest import Detection, DetectionStream, LedgerEntry, OccurrenceLedger, PairEntry, PairLedger
 
 __all__ = [
-    "Observation",
     "Identity",
     "Track",
     "TrackerParams",
@@ -33,14 +34,6 @@ _FORBIDDEN = 1e9  # cost placeholder for pairs outside the IoU gate
 
 
 @dataclass
-class Observation:
-    frame_index: int
-    bbox: BBox
-    score: float
-    class_scores: dict[str, float] | None = None
-
-
-@dataclass
 class Identity:
     name: str
     confidence: float
@@ -50,7 +43,7 @@ class Identity:
 class Track:
     track_id: int
     video_id: str
-    observations: list[Observation]
+    observations: list[Detection]
     identity: Identity | None = None
 
     def __post_init__(self):
@@ -144,12 +137,14 @@ def _assign(cost: list[list[float]]) -> tuple[list[int], list[int]]:
 def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams()) -> list[Track]:
     """Associate a stream's detections into tracks.
 
-    Every detection lands in exactly one track. A frame keeps the pairs
-    _assign returns, less those outside the gate: cost ties follow the
-    solver, which at equal path cost takes a free column, else the first it
-    scans (one track, two equally close detections: the first). So
-    identical input yields identical tracks. A frame index that does not
-    increase on the one before raises ValueError.
+    Every detection lands in exactly one track: tracks hold the stream's
+    own Detection objects, not copies. A frame keeps the pairs _assign
+    returns, less those outside the gate: cost ties follow the solver,
+    which at equal path cost takes a free column, else the first it scans
+    (one track, two equally close detections: the first). So identical
+    input yields identical tracks. A frame index that does not increase on
+    the one before, or a detection whose frame_index is not its frame's,
+    raises ValueError.
     """
     active: list[Track] = []  # in track_id order: survivors keep it, new ids are larger
     done: list[Track] = []
@@ -181,13 +176,12 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
             assignment = {c: r for r, c in zip(*_assign(cost)) if cost[r][c] < _FORBIDDEN}
 
         for c, det in enumerate(detections):
-            obs = Observation(
-                frame_index=fi, bbox=det.bbox, score=det.score, class_scores=det.class_scores
-            )
+            if det.frame_index != fi:
+                raise ValueError(f"detection frame_index {det.frame_index} is not its frame's {fi}")
             if c in assignment:
-                active[assignment[c]].observations.append(obs)
+                active[assignment[c]].observations.append(det)
             else:
-                active.append(Track(track_id=next_id, video_id=stream.video_id, observations=[obs]))
+                active.append(Track(track_id=next_id, video_id=stream.video_id, observations=[det]))
                 next_id += 1
 
     done.extend(active)

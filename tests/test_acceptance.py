@@ -230,7 +230,7 @@ def _random_instance(seed: int, max_each: int = 25):
         else:
             box = BBox(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0),
                        20.0 + rng.uniform(0.0, 60.0), 20.0 + rng.uniform(0.0, 60.0))
-        preds.append(Detection(bbox=box, score=rng.uniform(0.05, 1.0)))
+        preds.append(Detection(frame_index=0, bbox=box, score=rng.uniform(0.05, 1.0)))
     return preds, gts
 
 
@@ -283,9 +283,9 @@ def test_c3_detection_metric_oracles():
         # hand case: two ground truths; hits at scores 0.9 and 0.7 with a
         # miss between them give (51 + 50 * 2/3) / 101 = 253/303
         preds = [
-            Detection(bbox=BBox(0.0, 0.0, 10.0, 10.0), score=0.9),
-            Detection(bbox=BBox(300.0, 300.0, 10.0, 10.0), score=0.8),
-            Detection(bbox=BBox(100.0, 0.0, 10.0, 10.0), score=0.7),
+            Detection(frame_index=0, bbox=BBox(0.0, 0.0, 10.0, 10.0), score=0.9),
+            Detection(frame_index=0, bbox=BBox(300.0, 300.0, 10.0, 10.0), score=0.8),
+            Detection(frame_index=0, bbox=BBox(100.0, 0.0, 10.0, 10.0), score=0.7),
         ]
         gts = [BBox(0.0, 0.0, 10.0, 10.0), BBox(100.0, 0.0, 10.0, 10.0)]
         got = pooled_detection_metrics([(preds, gts)], 0.5)["average_precision"]

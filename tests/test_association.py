@@ -26,7 +26,6 @@ def test_count_occurrences_hand_case():
     counts = count_occurrences(ledger)
     assert counts.per_individual == {"A": 3, "B": 3, "C": 2}
     assert counts.per_pair == {("A", "B"): 2, ("A", "C"): 1, ("B", "C"): 2}
-    assert counts.total_pair_cooccurrences == 5
 
 
 def test_simple_ratio_worked_example():

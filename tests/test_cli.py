@@ -502,8 +502,8 @@ def test_eval_id_rejects_scores_outside_the_unit_interval(tmp_path, capsys):
     cmd = ["eval-id", "--samples", str(samples), "--roster", str(roster), "--out", str(out)]
     for scores, message in [
         ('{"A": NaN, "B": "0.9"}', "samples line 1: class_scores['A'] = nan outside [0, 1]"),
-        ('{"A": 0.5, "B": "0.9"}', "samples line 1: class_scores values must be numbers"),
-        ('{"A": true}', "samples line 1: class_scores values must be numbers"),
+        ('{"A": 0.5, "B": "0.9"}', "samples line 1: class_scores['B']: expected a number, got '0.9'"),
+        ('{"A": true}', "samples line 1: class_scores['A']: expected a number, got True"),
         ('{"A": 1.5, "B": -0.2}', "samples line 1: class_scores['A'] = 1.5 outside [0, 1]"),
     ]:
         samples.write_text('{"class_scores": %s, "true_label": "A"}\n' % scores)

@@ -22,7 +22,7 @@ from troopnet.rng import Rng, derive_seed
 
 
 def _det(x, y, w, h, score):
-    return Detection(bbox=BBox(x, y, w, h), score=score)
+    return Detection(frame_index=0, bbox=BBox(x, y, w, h), score=score)
 
 
 G1 = BBox(0.0, 0.0, 10.0, 10.0)
@@ -138,7 +138,7 @@ def _random_instance(seed, max_boxes=12):
         else:
             box = BBox(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0),
                        20.0 + rng.uniform(0.0, 60.0), 20.0 + rng.uniform(0.0, 60.0))
-        preds.append(Detection(bbox=box, score=rng.uniform(0.05, 1.0)))
+        preds.append(Detection(frame_index=0, bbox=box, score=rng.uniform(0.05, 1.0)))
     return preds, gts
 
 
@@ -206,7 +206,7 @@ def test_breaking_a_match_never_raises_ap(seed):
     before = _ap(preds, gts, 0.5)
     k = result.pairs[0].prediction_index
     moved = list(preds)
-    moved[k] = Detection(bbox=BBox(10_000.0, 10_000.0, 5.0, 5.0), score=preds[k].score)
+    moved[k] = Detection(frame_index=0, bbox=BBox(10_000.0, 10_000.0, 5.0, 5.0), score=preds[k].score)
     assert _ap(moved, gts, 0.5) <= before + 1e-12
 
 
@@ -357,7 +357,7 @@ _grid_box = st.builds(
 )
 _grid_group = st.tuples(
     st.lists(
-        st.builds(Detection, _grid_box, st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])),
+        st.builds(Detection, st.just(0), _grid_box, st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])),
         max_size=6,
     ),
     st.lists(_grid_box, max_size=5),

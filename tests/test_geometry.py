@@ -31,9 +31,8 @@ def test_bbox_rejects_bool_fields():
         BBox(True, 0, 1, 1)
 
 
-def test_bbox_area_and_center():
+def test_bbox_center():
     b = BBox(2, 4, 6, 8)
-    assert b.area == 48
     assert b.center == (5.0, 8.0)
 
 

@@ -44,7 +44,7 @@ from troopnet.ingest import (
     write_tracks,
 )
 from troopnet.network import IndividualMeasures, NetworkReport
-from troopnet.tracking import Identity, Observation, Track
+from troopnet.tracking import Identity, Track
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,12 @@ def test_ground_truth_frame_index_defaults_to_image_id():
     assert gt.images[0].video_id == ""
 
 
+def test_ground_truth_frames_are_per_video():
+    images = [{"id": i, "video_id": v, "frame_index": 0, "width": 10, "height": 10} for i, v in ((1, "a"), (2, "b"))]
+    gt = parse_ground_truth(json.dumps({"images": images}))
+    assert [(img.video_id, img.frame_index) for img in gt.images] == [("a", 0), ("b", 0)]
+
+
 def test_ground_truth_malformed_json():
     with pytest.raises(ParseError, match="malformed"):
         parse_ground_truth("{not json")
@@ -221,8 +227,8 @@ def _stream():
     return DetectionStream(
         video_id="v1",
         frames=[
-            Frame(0, [Detection(BBox(0.0, 0.0, 10.0, 10.0), 0.9, {"Ayu": 0.6, "Bora": 0.4})]),
-            Frame(2, [Detection(BBox(1.0, 1.0, 10.0, 10.0), 0.8), Detection(BBox(50.0, 50.0, 5.0, 5.0), 0.4)]),
+            Frame(0, [Detection(0, BBox(0.0, 0.0, 10.0, 10.0), 0.9, {"Ayu": 0.6, "Bora": 0.4})]),
+            Frame(2, [Detection(2, BBox(1.0, 1.0, 10.0, 10.0), 0.8), Detection(2, BBox(50.0, 50.0, 5.0, 5.0), 0.4)]),
         ],
     )
 
@@ -473,15 +479,15 @@ def test_tracks_round_trip():
             track_id=0,
             video_id="v1",
             observations=[
-                Observation(0, BBox(0.0, 0.0, 10.0, 10.0), 0.9, {"Ayu": 0.7, "Bora": 0.3}),
-                Observation(1, BBox(1.0, 0.0, 10.0, 10.0), 0.8, None),
+                Detection(0, BBox(0.0, 0.0, 10.0, 10.0), 0.9, {"Ayu": 0.7, "Bora": 0.3}),
+                Detection(1, BBox(1.0, 0.0, 10.0, 10.0), 0.8, None),
             ],
             identity=Identity("Ayu", 0.7),
         ),
         Track(
             track_id=1,
             video_id="v1",
-            observations=[Observation(4, BBox(5.0, 5.0, 3.0, 3.0), 0.55)],
+            observations=[Detection(4, BBox(5.0, 5.0, 3.0, 3.0), 0.55)],
             identity=None,
         ),
     ]
@@ -692,6 +698,28 @@ _FRAMING_ERRORS = [
         "gt-frame-index-bool", parse_ground_truth, _gt_text({"frame_index": True}),
         "ground truth: image 0 (id 1): frame_index must be an integer",
     ),
+    # one image per (video, frame), and a frame index the file gave or an integer id implies
+    (
+        "gt-frame-taken", parse_ground_truth,
+        json.dumps({"images": [{"id": i, "video_id": "v", "frame_index": 0, "width": 10, "height": 10}
+                               for i in (1, 2)]}),
+        "ground truth: image 1 (id 2): video 'v' frame 0 already belongs to image id 1",
+    ),
+    (
+        "gt-frame-index-missing-string-id", parse_ground_truth,
+        json.dumps({"images": [{"id": "a", "width": 10, "height": 10}]}),
+        "ground truth: image 0: needs 'frame_index' (image id 'a' is not an integer)",
+    ),
+    # an empty class-score object is refused, not fused as a scored frame
+    (
+        "stream-class-scores-empty", _parse_stream,
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, "class_scores": {}}]}\n',
+        "line 1: detection 0: class_scores must be a non-empty object",
+    ),
+    (
+        "tracks-class-scores-empty", parse_tracks, _track_text({"class_scores": {}}),
+        "tracks line 1: observation 0: class_scores must be a non-empty object",
+    ),
     (
         "stream-frame-index-bool", _parse_stream, '{"frame_index": true, "detections": []}\n',
         "line 1: needs integer 'frame_index'",
@@ -891,9 +919,9 @@ def test_id_samples_parse_bytes_like_text():
 
 
 _BAD_SAMPLE_SCORES = [
-    ('"0.9"', "class_scores values must be numbers"),
-    ("true", "class_scores values must be numbers"),
-    ("null", "class_scores values must be numbers"),
+    ('"0.9"', "class_scores['B']: expected a number, got '0.9'"),
+    ("true", "class_scores['B']: expected a number, got True"),
+    ("null", "class_scores['B']: expected a number, got None"),
     ("NaN", "class_scores['B'] = nan outside [0, 1]"),
     ("Infinity", "class_scores['B'] = inf outside [0, 1]"),
     ("1.5", "class_scores['B'] = 1.5 outside [0, 1]"),

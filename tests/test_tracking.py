@@ -15,7 +15,6 @@ from troopnet.geometry import BBox, ProximityParams, iou, is_proximal
 from troopnet.ingest import Detection, DetectionStream, Frame
 from troopnet.tracking import (
     Identity,
-    Observation,
     Track,
     TrackerParams,
     build_tracks,
@@ -25,7 +24,7 @@ from troopnet.tracking import (
 
 
 def _frame(fi, *boxes, score=0.9):
-    return Frame(fi, [Detection(bbox=b, score=score) for b in boxes])
+    return Frame(fi, [Detection(frame_index=fi, bbox=b, score=score) for b in boxes])
 
 
 def _stream(*frames, video_id="v"):
@@ -109,7 +108,7 @@ def test_cost_tie_goes_to_lower_detection_index():
     stream = _stream(_frame(0, BOX), _frame(1, left, right))
     tracks = build_tracks(stream, TrackerParams(iou_gate=0.1))
     assert tracks[0].observations[1].bbox == left
-    assert tracks[1].observations == [Observation(1, right, 0.9, None)]
+    assert tracks[1].observations == [Detection(1, right, 0.9, None)]
 
 
 def test_determinism_identical_streams():
@@ -124,7 +123,7 @@ def test_track_validation():
         Track(
             track_id=0,
             video_id="v",
-            observations=[Observation(3, BOX, 0.5), Observation(2, BOX, 0.5)],
+            observations=[Detection(3, BOX, 0.5), Detection(2, BOX, 0.5)],
         )
 
 
@@ -133,6 +132,22 @@ def test_frame_index_must_increase():
     for frames in ([_frame(0, BOX), _frame(0, FAR)], [_frame(5, BOX), _frame(2, FAR)]):
         with pytest.raises(ValueError, match="frame_index must strictly increase"):
             build_tracks(_stream(*frames))
+
+
+def test_tracks_hold_the_streams_own_detections():
+    stream = _stream(_frame(0, BOX, FAR), _frame(1), _frame(2, FAR, BOX), _frame(3, BOX))
+    tracks = build_tracks(stream)
+    held = {id(o): o for t in tracks for o in t.observations}
+    streamed = [d for frame in stream.frames for d in frame.detections]
+    assert len(held) == len(streamed)
+    assert all(held.get(id(d)) is d for d in streamed)
+
+
+def test_detection_frame_index_must_be_its_frames():
+    # the record and its frame carry the index twice; build_tracks refuses a disagreement
+    stream = _stream(_frame(0, BOX), Frame(1, [Detection(0, BOX, 0.9)]))
+    with pytest.raises(ValueError, match="detection frame_index 0 is not its frame's 1"):
+        build_tracks(stream)
 
 
 def test_tracker_params_validation():
@@ -156,7 +171,7 @@ def _random_streams(draw, max_dets=4):
         for _ in range(n_dets):
             x = draw(st.integers(0, 6)) * 40.0
             y = draw(st.integers(0, 2)) * 40.0
-            dets.append(Detection(bbox=BBox(x, y, 48.0, 48.0), score=0.9))
+            dets.append(Detection(frame_index=fi, bbox=BBox(x, y, 48.0, 48.0), score=0.9))
         frames.append(Frame(fi, dets))
     return DetectionStream(video_id="v", frames=frames)
 
@@ -233,7 +248,7 @@ def test_exact_tie_keeps_the_solver_pairs():
 
 def _scored_track(score_maps, video_id="v"):
     observations = [
-        Observation(fi, BOX, 0.9, scores) for fi, scores in enumerate(score_maps)
+        Detection(fi, BOX, 0.9, scores) for fi, scores in enumerate(score_maps)
     ]
     return Track(track_id=0, video_id=video_id, observations=observations)
 
@@ -289,7 +304,7 @@ def test_fuse_identity_does_not_mutate_input():
 
 
 def _identified(track_id, video_id, name, frames, box=BOX):
-    observations = [Observation(fi, box, 0.9) for fi in frames]
+    observations = [Detection(fi, box, 0.9) for fi in frames]
     return Track(
         track_id=track_id,
         video_id=video_id,
@@ -303,7 +318,7 @@ def test_video_level_ledger():
         _identified(0, "v1", "A", [0, 1]),
         _identified(1, "v1", "B", [0, 1]),
         _identified(0, "v2", "A", [0]),
-        Track(track_id=2, video_id="v1", observations=[Observation(0, BOX, 0.5)]),
+        Track(track_id=2, video_id="v1", observations=[Detection(0, BOX, 0.5)]),
     ]
     ledger, conflicts = tracks_to_ledger(tracks, mode="video-level")
     by_id = {e.video_id: e.present for e in ledger.entries}
@@ -352,7 +367,7 @@ def test_tracks_to_ledger_rejects_unknown_mode():
 
 
 def test_tracks_without_identity_excluded():
-    tracks = [Track(track_id=0, video_id="v1", observations=[Observation(0, BOX, 0.9)])]
+    tracks = [Track(track_id=0, video_id="v1", observations=[Detection(0, BOX, 0.9)])]
     ledger, _ = tracks_to_ledger(tracks, mode="video-level")
     assert ledger.entries[0].present == frozenset()
 
@@ -366,7 +381,7 @@ def _ledger_tracks(draw):
         for track_id in range(draw(st.integers(1, 6))):
             frames = sorted(draw(st.sets(st.integers(0, 3), min_size=1, max_size=4)))
             observations = [
-                Observation(
+                Detection(
                     fi,
                     BBox(draw(st.integers(0, 3)) * 40.0, draw(st.integers(0, 1)) * 40.0,
                          48.0, draw(st.sampled_from([48.0, 96.0]))),
