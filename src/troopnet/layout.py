@@ -12,9 +12,15 @@ round cap as backstop.
 
 Determinism: all randomness comes from the seeded generator in
 :mod:`troopnet.rng`, and the arithmetic uses only IEEE 754 operations with
-exact semantics (+, -, *, /, sqrt), so the same inputs produce bitwise
-identical coordinates on any conforming platform. Rendering formats every
-number with six significant digits for byte-stable output.
+exact semantics (+, -, *, /, sqrt), each rounded on its own and applied in
+a fixed order, so the same inputs produce bitwise identical coordinates on
+any conforming platform. A visit adds its impulse terms one at a time, in
+vertex order and then edge order. Two visit paths do this with the same
+bits, chosen by vertex count (``_VECTOR_MIN_N``): a scalar loop, which is
+faster on small graphs and is the reference the tests hold the other to,
+and a numpy one over whole rows that sums with ``np.add.accumulate``
+(left to right), never with ``np.sum``, ``dot`` or ``@``. Rendering
+formats every number with six significant digits for byte-stable output.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .ingest import AssociationMatrix
 from .network import NetworkReport, _edges
@@ -53,6 +61,11 @@ _RAMP_SHARE = 5.0 / 8.0
 _FLOOR_FRACTION = 1.0 / 128.0
 _GRAVITY = 1.0 / 16.0
 _MAX_TEMPERATURE = 256.0
+# Graphs with at least this many vertices take _vector_visit, smaller ones
+# _scalar_visit: numpy's fixed cost, about 13 us a visit, outweighs the
+# loop's O(n) work below about 40 vertices on dense graphs and 80 on
+# sparse ones (ROADMAP item 5 has the measured table).
+_VECTOR_MIN_N = 64
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,91 @@ class GemParams:
 class LayoutResult:
     positions: dict[str, tuple[float, float]]
     rounds_used: int
+
+
+def _scalar_visit(xs, ys, neighbors, phi, edge_sq):
+    """visit(v, px, py): the impulse (px, py) plus v's repulsion and attraction,
+    added one term at a time, vertices in index order, then v's edges."""
+    n = len(xs)
+
+    def visit(v: int, px: float, py: float) -> tuple[float, float]:
+        # repulsion from every other vertex (v itself is at distance zero)
+        for u in range(n):
+            dx = xs[v] - xs[u]
+            dy = ys[v] - ys[u]
+            dist_sq = dx * dx + dy * dy
+            if dist_sq > 0.0:
+                f = edge_sq / dist_sq
+                px += dx * f
+                py += dy * f
+        # attraction along weighted edges
+        for u, w in neighbors[v]:
+            dx = xs[v] - xs[u]
+            dy = ys[v] - ys[u]
+            dist_sq = dx * dx + dy * dy
+            f = dist_sq * w / (edge_sq * phi[v])
+            px -= dx * f
+            py -= dy * f
+        return px, py
+
+    return visit
+
+
+def _vector_visit(xs, ys, neighbors, phi, edge_sq):
+    """_scalar_visit's visit over whole numpy rows, with the same bits.
+
+    delta = pos_v - pos is the loop's (dx, dy) for every u at once; pos -
+    pos_v with signs flipped later would not do, as x - x is +0.0 either
+    way round. Repulsion terms are delta * (E^2 / d2) and attraction terms
+    delta * ((d2 * w) / -(E^2 * phi_v)), exactly -(dx * f). A skipped
+    slot (d2 not positive, or no edge) holds -0.0, which adds nothing to
+    any float. One np.add.accumulate over [impulse, repulsion...,
+    attraction...] then adds left to right as the loop does; np.sum, dot
+    and @ would not. Call it under np.errstate(all="ignore"), and move no
+    vertex between calls but the previous call's.
+    """
+    n = len(xs)
+    pos = np.array([xs, ys])
+    weights = np.zeros((n, n))
+    is_edge = np.zeros((n, n), dtype=bool)
+    for v, row in enumerate(neighbors):
+        for u, w in row:
+            weights[v, u] = w
+            is_edge[v, u] = True
+    neg_scale = [-(edge_sq * p) for p in phi]
+    columns = [pos[:, v : v + 1] for v in range(n)]
+    # one buffer for the whole sum: the impulse so far, n repulsion terms, n attraction terms
+    terms = np.empty((2, 1 + 2 * n))
+    repulsion = terms[:, 1 : 1 + n]
+    attraction = terms[:, 1 + n :]
+    sums = np.empty_like(terms)
+    delta = np.empty((2, n))
+    d2 = np.empty(n)
+    f = np.empty(n)
+    apart = np.empty(n, dtype=bool)
+    moved = 0
+
+    def visit(v: int, px: float, py: float) -> list[float]:
+        nonlocal moved
+        pos[0, moved] = xs[moved]
+        pos[1, moved] = ys[moved]
+        moved = v
+        np.subtract(columns[v], pos, out=delta)
+        np.multiply(delta, delta, out=repulsion)
+        np.add(repulsion[0], repulsion[1], out=d2)
+        np.greater(d2, 0.0, out=apart)
+        terms.fill(-0.0)
+        np.divide(edge_sq, d2, out=f)
+        np.multiply(delta, f, out=repulsion, where=apart)
+        np.multiply(d2, weights[v], out=f)
+        np.divide(f, neg_scale[v], out=f)
+        np.multiply(delta, f, out=attraction, where=is_edge[v])
+        terms[0, 0] = px
+        terms[1, 0] = py
+        np.add.accumulate(terms, axis=1, out=sums)
+        return sums[:, -1].tolist()
+
+    return visit
 
 
 def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int = 0) -> LayoutResult:
@@ -125,76 +223,62 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     floor = edge_len * _FLOOR_FRACTION
     max_rounds = params.max_rounds_factor * n
     ramp_rounds = max_rounds * _RAMP_SHARE
+    visit = (_vector_visit if n >= _VECTOR_MIN_N else _scalar_visit)(xs, ys, neighbors, phi, edge_sq)
     rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        for v in rng.permutation(n):
-            t = temps[v]
-            # gravity toward the barycenter (running coordinate sums)
-            g = _GRAVITY * phi[v]
-            px = (sum_x / n - xs[v]) * g
-            py = (sum_y / n - ys[v]) * g
-            # random disturbance scaled by the vertex temperature
-            px += (rng.random() - 0.5) * (t / 4.0)
-            py += (rng.random() - 0.5) * (t / 4.0)
-            # repulsion from every other vertex (v itself is at distance zero)
-            for u in range(n):
-                dx = xs[v] - xs[u]
-                dy = ys[v] - ys[u]
-                dist_sq = dx * dx + dy * dy
-                if dist_sq > 0.0:
-                    f = edge_sq / dist_sq
-                    px += dx * f
-                    py += dy * f
-            # attraction along weighted edges
-            for u, w in neighbors[v]:
-                dx = xs[v] - xs[u]
-                dy = ys[v] - ys[u]
-                dist_sq = dx * dx + dy * dy
-                f = dist_sq * w / (edge_sq * phi[v])
-                px -= dx * f
-                py -= dy * f
+    with np.errstate(all="ignore"):
+        while rounds < max_rounds:
+            rounds += 1
+            for v in rng.permutation(n):
+                t = temps[v]
+                # gravity toward the barycenter (running coordinate sums)
+                g = _GRAVITY * phi[v]
+                px = (sum_x / n - xs[v]) * g
+                py = (sum_y / n - ys[v]) * g
+                # random disturbance scaled by the vertex temperature
+                px += (rng.random() - 0.5) * (t / 4.0)
+                py += (rng.random() - 0.5) * (t / 4.0)
+                px, py = visit(v, px, py)
 
-            mag_sq = px * px + py * py
-            if mag_sq > 0.0 and math.isfinite(mag_sq):
-                mag = math.sqrt(mag_sq)
-                move_x = (px / mag) * t
-                move_y = (py / mag) * t
-                xs[v] += move_x
-                ys[v] += move_y
-                sum_x += move_x
-                sum_y += move_y
-                lx = last_x[v]
-                ly = last_y[v]
-                last_mag_sq = lx * lx + ly * ly
-                if last_mag_sq > 0.0 and math.isfinite(last_mag_sq):
-                    denom = mag * math.sqrt(last_mag_sq)
-                    cos_b = (px * lx + py * ly) / denom
-                    sin_b = (px * ly - py * lx) / denom
-                    t = t * (1.0 + _OSCILLATION_GAIN * cos_b)
-                    if t > _MAX_TEMPERATURE:
-                        t = _MAX_TEMPERATURE
-                    if sin_b > _SIN_ROTATION or sin_b < -_SIN_ROTATION:
-                        step = 1.0 / (2.0 * n)
-                        skew[v] += step if sin_b > 0.0 else -step
-                        if skew[v] > 1.0 or skew[v] < -1.0:
-                            t = t * _ROTATION_COOL
-                            skew[v] = 0.0
-                    temps[v] = t
-                last_x[v] = px
-                last_y[v] = py
-        envelope = edge_len * (1.0 - rounds / ramp_rounds)
-        if envelope < floor:
-            envelope = floor
-        mean_temp = 0.0
-        for i in range(n):
-            if temps[i] > envelope:
-                temps[i] = envelope
-            elif temps[i] < floor:
-                temps[i] = floor
-            mean_temp += temps[i]
-        if mean_temp / n < stop_mean:
-            break
+                mag_sq = px * px + py * py
+                if mag_sq > 0.0 and math.isfinite(mag_sq):
+                    mag = math.sqrt(mag_sq)
+                    move_x = (px / mag) * t
+                    move_y = (py / mag) * t
+                    xs[v] += move_x
+                    ys[v] += move_y
+                    sum_x += move_x
+                    sum_y += move_y
+                    lx = last_x[v]
+                    ly = last_y[v]
+                    last_mag_sq = lx * lx + ly * ly
+                    if last_mag_sq > 0.0 and math.isfinite(last_mag_sq):
+                        denom = mag * math.sqrt(last_mag_sq)
+                        cos_b = (px * lx + py * ly) / denom
+                        sin_b = (px * ly - py * lx) / denom
+                        t = t * (1.0 + _OSCILLATION_GAIN * cos_b)
+                        if t > _MAX_TEMPERATURE:
+                            t = _MAX_TEMPERATURE
+                        if sin_b > _SIN_ROTATION or sin_b < -_SIN_ROTATION:
+                            step = 1.0 / (2.0 * n)
+                            skew[v] += step if sin_b > 0.0 else -step
+                            if skew[v] > 1.0 or skew[v] < -1.0:
+                                t = t * _ROTATION_COOL
+                                skew[v] = 0.0
+                        temps[v] = t
+                    last_x[v] = px
+                    last_y[v] = py
+            envelope = edge_len * (1.0 - rounds / ramp_rounds)
+            if envelope < floor:
+                envelope = floor
+            mean_temp = 0.0
+            for i in range(n):
+                if temps[i] > envelope:
+                    temps[i] = envelope
+                elif temps[i] < floor:
+                    temps[i] = floor
+                mean_temp += temps[i]
+            if mean_temp / n < stop_mean:
+                break
 
     positions = {names[i]: (xs[i], ys[i]) for i in range(n)}
     return LayoutResult(positions=positions, rounds_used=rounds)

@@ -181,6 +181,7 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
                         queue.append(vtx)
             contributions.extend(1.0 / dist[j] for j in range(n) if j != src and dist[j] > 0)
     else:
+        lengths = [[(vtx, 1.0 / w) for vtx, w in row] for row in adj]
         for src in range(n):
             dist = [math.inf] * n
             dist[src] = 0.0
@@ -189,8 +190,8 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
                 d, u = heapq.heappop(heap)
                 if d > dist[u]:
                     continue
-                for vtx, w in adj[u]:
-                    nd = d + 1.0 / w
+                for vtx, length in lengths[u]:
+                    nd = d + length
                     if nd < dist[vtx]:
                         dist[vtx] = nd
                         heapq.heappush(heap, (nd, vtx))

@@ -802,6 +802,7 @@ _PINNED_DIGESTS = {
     "network/report.json": "c4ee3708058a149ee5616f5b5a3fe31785e3eeef57f9e5becc7f7fb24d2f1814",
     "layout/network.svg": "a3201a96d0441925611aa639a8406fbafbd7992d68f437e1fddb1ec7355df5d9",
     "layout/network.dot": "396adbb75241d9ff38870a8a3d562c20522e67132a861a4b0b9d4ce5475ad83d",
+    "layout/n96/network.svg": "78a88de1e7dae3e11534e34a58c236c2bda22d804696f32f01e5d4ccd4884c54",
     "eval-det/hand.json": "7654eb3e26523ab90969a4e0ca7675d2ded199297f3169bdac5b826a695ac8f6",
     "eval-det/noisy.json": "38c67e95906bf80f1b3f8bbea9f3506b1161cf130143f9c9f29c691af203f7ed",
     "eval-det/strict.json": "051c086d2cd1db15f287c11a1bbfa78449b71b485d95723ce49dfb8d9c486d5d",
@@ -853,6 +854,22 @@ def test_outputs_match_pinned_digests(tmp_path, fixture_matrix_path):
          "--svg-out", str(svg), "--dot-out", str(dot)]
     ) == 0
     outputs.update({"network/report.json": report, "layout/network.svg": svg, "layout/network.dot": dot})
+
+    # a layout large enough for GEM's numpy visit (layout._VECTOR_MIN_N)
+    large = tmp_path / "large"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "96", "--matrilines", "8", "--videos", "96",
+         "--frames", "1", "--out-dir", str(large)]
+    ) == 0
+    assert main(
+        ["cooccur", "--ledger", str(large / "ledger.csv"), "--roster", str(large / "roster.csv"),
+         "--out", str(large / "matrix.csv")]
+    ) == 0
+    assert main(
+        ["layout", "--matrix", str(large / "matrix.csv"), "--seed", "5", "--max-rounds-factor", "2",
+         "--svg-out", str(large / "network.svg")]
+    ) == 0
+    outputs["layout/n96/network.svg"] = large / "network.svg"
 
     hand = tmp_path / "hand.json"
     assert main([*_eval_det_inputs(tmp_path), "--out", str(hand)]) == 0

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from troopnet import layout
 from troopnet.layout import GemParams, gem_layout, render_dot, render_svg
-from troopnet.network import network_report
+from troopnet.network import _edges, network_report
 from troopnet.rng import Rng
 
 from conftest import matrix_from_dyads
@@ -139,6 +142,69 @@ def test_zero_edge_graph_spreads_out():
     result = gem_layout(m, seed=0)
     assert _dist(result, "A", "B") > 1.0
     assert _dist(result, "A", "C") > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the numpy visit against the scalar loop, bit for bit
+
+
+@st.composite
+def _graphs(draw):
+    """2 to 12 vertices; each pair an edge or not, so some vertices are isolated."""
+    n = draw(st.integers(2, 12))
+    names = [f"n{k}" for k in range(n)]
+    dyads = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+            if w > 0.0:
+                dyads[(names[i], names[j])] = w
+    return matrix_from_dyads(names, dyads)
+
+
+def _hex(point):
+    return tuple(float(c).hex() for c in point)
+
+
+# a few values drawn often, so vertices coincide (d2 == 0) and coordinates
+# overflow when squared (d2 == inf) or when subtracted (delta == inf)
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-200, 1e200, -1e200, 1e308]),
+    st.floats(-1e4, 1e4),
+)
+
+
+@given(_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_vector_visit_matches_scalar_visit(m, data):
+    n = m.n
+    xs = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
+    ys = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
+    px, py = data.draw(_COORDS), data.draw(_COORDS)
+    edge_sq = data.draw(st.sampled_from([1.0, 3.0, 128.0 * 128.0]))
+    neighbors = _edges(m)
+    phi = [1.0 + len(row) / 2.0 for row in neighbors]
+    scalar = layout._scalar_visit(xs, ys, neighbors, phi, edge_sq)
+    vector = layout._vector_visit(xs, ys, neighbors, phi, edge_sq)
+    with np.errstate(all="ignore"):
+        for v in range(n):
+            assert _hex(vector(v, px, py)) == _hex(scalar(v, px, py))
+
+
+@given(_graphs(), st.integers(0, 1000), st.integers(1, 40))
+@settings(max_examples=25, deadline=None)
+def test_vector_layout_matches_scalar_layout(m, seed, rounds_factor):
+    params = GemParams(max_rounds_factor=rounds_factor)
+    runs = []
+    # a graph of exactly _VECTOR_MIN_N vertices takes the numpy visit
+    for line in (m.n, m.n + 1):
+        with mock.patch.object(layout, "_VECTOR_MIN_N", line):
+            runs.append(gem_layout(m, params, seed))
+    vector, scalar = runs
+    assert vector.rounds_used == scalar.rounds_used
+    assert {k: _hex(p) for k, p in vector.positions.items()} == {
+        k: _hex(p) for k, p in scalar.positions.items()
+    }
 
 
 # ---------------------------------------------------------------------------
