@@ -201,6 +201,18 @@ def _stream_tracks(path: str, video_id: str, roster, config: PipelineConfig) -> 
     return tracks
 
 
+def _video_ledger(path: str, video_id: str, roster, config: PipelineConfig) -> tuple[list, list]:
+    """One stream's ledger entries and identity conflicts.
+
+    The same as tracks_to_ledger over every stream's tracks, a video at a
+    time: that groups by video and orders conflicts by video first. The
+    stream's detections and tracks are freed on return.
+    """
+    tracks = _stream_tracks(path, video_id, roster, config)
+    ledger, conflicts = tracking.tracks_to_ledger(tracks, mode=config.association_mode, prox=config.proximity)
+    return ledger.entries, conflicts
+
+
 def _matrix(ledger, roster) -> ingest.AssociationMatrix:
     """Simple-ratio matrix over the roster's names, or the sorted counted names without one."""
     counts = association.count_occurrences(ledger)
@@ -361,13 +373,16 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if not files:
         raise ParseError(f"no .jsonl detection streams in {detections_dir}")
 
-    all_tracks = []
+    entries, conflicts = [], []
     for filename in files:
         video_id = filename[: -len(".jsonl")]
-        all_tracks.extend(_stream_tracks(os.path.join(detections_dir, filename), video_id, roster, config))
-    ledger, conflicts = tracking.tracks_to_ledger(
-        all_tracks, mode=config.association_mode, prox=config.proximity
-    )
+        video_entries, video_conflicts = _video_ledger(
+            os.path.join(detections_dir, filename), video_id, roster, config
+        )
+        entries.extend(video_entries)
+        conflicts.extend(video_conflicts)
+    ledger_type = ingest.PairLedger if config.association_mode == "proximal" else ingest.OccurrenceLedger
+    ledger = ledger_type(entries)
     matrix = _matrix(ledger, roster)
     report = network.network_report(matrix, config.network)
     placed = layout.gem_layout(matrix, config.gem, seed)

@@ -156,10 +156,13 @@ def _csv_rows(data: str | bytes, what: str, header: tuple[str, ...]):
 def _json_lines(data: str | bytes, prefix: str):
     """Yield (line number, value) for each non-blank line of a JSON-lines file.
 
-    Line numbers count from 1, blank lines included. A line that is not
-    JSON raises ParseError located as prefix + "line N".
+    Lines end at "\n" only: U+2028, U+2029 and U+0085 may stand unescaped
+    inside a JSON string, and the writers leave them so. A CRLF line keeps
+    its "\r", which JSON reads as whitespace. Line numbers count from 1,
+    blank lines included. A line that is not JSON raises ParseError
+    located as prefix + "line N".
     """
-    for lineno, line in enumerate(_text(data).splitlines(), start=1):
+    for lineno, line in enumerate(_text(data).split("\n"), start=1):
         if line.strip():
             yield lineno, _loads(line, f"{prefix}line {lineno}")
 

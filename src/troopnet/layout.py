@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -373,10 +372,19 @@ def render_svg(m: AssociationMatrix, layout: LayoutResult, report: NetworkReport
         x, y = layout.positions[name]
         lines.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y + radii[name] + 11.0)}" '
-            f'font-family="sans-serif" font-size="11" text-anchor="middle">{escape(name)}</text>'
+            f'font-family="sans-serif" font-size="11" text-anchor="middle">{_escape(name)}</text>'
         )
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _escape(text: str) -> str:
+    """XML character data: &, < and > escaped, as xml.sax.saxutils.escape does.
+
+    Kept local because importing xml.sax.saxutils loads urllib.request and
+    the http, email and ssl packages with it.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _dot_quote(name: str) -> str:

@@ -13,13 +13,16 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from troopnet import cli
+from troopnet import cli, ingest, synth, tracking
 from troopnet.cli import PipelineConfig, load_config, main
+from troopnet.geometry import ProximityParams
 from troopnet.ingest import (
     parse_association_matrix,
     parse_occurrence_ledger,
@@ -665,6 +668,74 @@ def test_pipeline_equals_stage_composition(tmp_path, synth_run, mode):
     assert dot_out.read_bytes() == (pipe_out / "network.dot").read_bytes()
 
 
+def _write_scenario(root, roster, streams) -> None:
+    (root / "detections").mkdir(parents=True)
+    (root / "roster.csv").write_text(ingest.write_roster(roster))
+    for video_id, text in streams.items():
+        (root / "detections" / f"{video_id}.jsonl").write_text(text)
+
+
+def _conflicted_scenario(root):
+    """A noisy synth scenario with identity conflicts in several videos.
+
+    In every odd-numbered video that shows two or more individuals, the
+    second one's detections carry the first one's class scores, so both
+    of their tracks fuse to the first name.
+    """
+    noise = synth.NoiseParams(fp_rate=0.1, fn_rate=0.1, jitter_px=2.0, id_confusion_rate=0.2)
+    scenario, streams = synth.build_scenario(11, 7, 2, 8, 12, noise)
+    texts = {}
+    for k, (video_id, stream) in enumerate(streams.items()):
+        truth = scenario.ground_truth_tracks[video_id]
+        if k % 2 and len(truth) >= 2:  # the true tracks hold the stream's own detections
+            for det in truth[1].observations:
+                det.class_scores = truth[0].observations[0].class_scores
+        texts[video_id] = ingest.write_detection_stream(stream)
+    _write_scenario(root, scenario.roster, texts)
+    return root
+
+
+@pytest.mark.parametrize("mode", list(_MODE_ARGS))
+def test_pipeline_ledger_equals_one_ledger_call_over_all_tracks(tmp_path, mode):
+    scenario = _conflicted_scenario(tmp_path / "scenario")
+    out = tmp_path / "out"
+    assert _run_pipeline(scenario, out, *_MODE_ARGS[mode]) == 0
+
+    roster = ingest.parse_roster((scenario / "roster.csv").read_text())
+    params = tracking.TrackerParams(min_track_len_for_id=1)
+    tracks = []
+    for path in sorted((scenario / "detections").iterdir()):
+        stream = ingest.parse_detection_stream(path.read_text(), path.stem, roster)
+        tracks.extend(tracking.fuse_identity(t, params) for t in tracking.build_tracks(stream, params))
+    ledger, conflicts = tracking.tracks_to_ledger(tracks, mode=mode, prox=ProximityParams(max_gap=3.0))
+    assert len({c.video_id for c in conflicts}) >= 2
+    ledger_text = ingest.write_pair_ledger(ledger) if mode == "proximal" else ingest.write_ledger(ledger, roster)
+    assert (out / "ledger.csv").read_text() == ledger_text
+    assert (out / "conflicts.json").read_text() == ingest.write_json([asdict(c) for c in conflicts])
+
+
+def test_pipeline_peak_memory_does_not_grow_with_the_videos(tmp_path):
+    noise = synth.NoiseParams(fp_rate=0.05, fn_rate=0.05, jitter_px=2.0, id_confusion_rate=0.1)
+    scenario, streams = synth.build_scenario(3, 12, 3, 1, 100, noise)
+    (text,) = (ingest.write_detection_stream(s) for s in streams.values())
+    for n in (2, 8):
+        _write_scenario(tmp_path / f"n{n}", scenario.roster, {f"v{k}": text for k in range(n)})
+
+    def peak(n):
+        d = tmp_path / f"n{n}"
+        tracemalloc.start()
+        try:
+            argv = ["pipeline", "--detections-dir", str(d / "detections"), "--roster", str(d / "roster.csv"),
+                    "--out-dir", str(d / "out"), "--seed", "5"]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm-up: what the first run leaves cached is not the videos' cost
+    assert peak(8) <= 1.5 * peak(2)
+
+
 def test_pipeline_parse_error_names_the_file(tmp_path, capsys):
     detections = tmp_path / "detections"
     detections.mkdir()
@@ -744,6 +815,24 @@ def test_console_script_entry_point(tmp_path, fixture_matrix_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert parse_report(out.read_text()).density == pytest.approx(0.17305458768873402)
+
+
+# Modules that import troopnet.cli adds to a bare interpreter, one per line.
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import troopnet.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_leaves_out_the_xml_and_http_stack():
+    proc = subprocess.run([sys.executable, "-c", _NEW_MODULES], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "troopnet.layout" in added
+    heavy = ("xml", "urllib.request", "http", "email", "ssl")
+    assert [m for m in added if any(m == h or m.startswith(h + ".") for h in heavy)] == []
 
 
 # A toy synth, pipeline and track run through cli.main; with "blocked" as

@@ -303,6 +303,36 @@ def test_detection_stream_malformed_line_number():
         parse_detection_stream(f"{line}\nnot json\n", "v1")
 
 
+# characters str.splitlines() also breaks at; json.dumps(ensure_ascii=False)
+# leaves the first three unescaped inside a string
+_LINE_BREAKERS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("ch", _LINE_BREAKERS, ids=[f"U+{ord(c):04X}" for c in _LINE_BREAKERS])
+def test_json_lines_split_at_newline_only(ch):
+    name = f"a{ch}b"
+    roster = parse_roster(write_roster(Roster([Individual(name), Individual("c")])))
+    assert roster.names == [name, "c"]
+    observations = [Detection(fi, BBox(0.0, 0.0, 10.0, 10.0), 0.9, {name: 0.75, "c": 0.25}) for fi in (0, 1)]
+    stream = DetectionStream("v1", [Frame(det.frame_index, [det]) for det in observations])
+    text = write_detection_stream(stream)
+    assert (ch in text) == (ch in "\u2028\u2029\x85")
+    assert parse_detection_stream(text, "v1", roster) == stream
+
+    tracks = [Track(0, f"v{ch}", observations, Identity(name, 0.75)), Track(1, "v", observations[:1])]
+    assert parse_tracks(write_tracks(tracks), roster) == tracks
+
+    sample = json.dumps({"class_scores": {name: 1.0, "c": 0.0}, "true_label": name}, ensure_ascii=False)
+    samples = parse_id_samples(f"{sample}\n{sample}\n")
+    assert [(s.class_scores, s.true_label) for s in samples] == [({name: 1.0, "c": 0.0}, name)] * 2
+
+
+def test_json_lines_accept_crlf():
+    stream = _stream()
+    text = write_detection_stream(stream)
+    assert parse_detection_stream(text.replace("\n", "\r\n"), "v1") == stream
+
+
 # ---------------------------------------------------------------------------
 # occurrence ledgers
 

@@ -289,6 +289,14 @@ def test_svg_escapes_names():
     assert b"A&lt;1&gt;" in svg
 
 
+@given(st.text(alphabet=st.sampled_from("&<>\"'ab ;#éλ😀\u2028") | st.characters()))
+@settings(max_examples=300, deadline=None)
+def test_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape  # the oracle; layout itself does not import xml
+
+    assert layout._escape(text) == escape(text)
+
+
 def test_svg_missing_position_rejected():
     m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
     report = network_report(m)
