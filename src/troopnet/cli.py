@@ -201,16 +201,20 @@ def _stream_tracks(path: str, video_id: str, roster, config: PipelineConfig) -> 
     return tracks
 
 
-def _video_ledger(path: str, video_id: str, roster, config: PipelineConfig) -> tuple[list, list]:
-    """One stream's ledger entries and identity conflicts.
+def _video_ledger(path: str, video_id: str, roster, config: PipelineConfig) -> tuple:
+    """One stream's ledger entry and identity conflicts.
 
     The same as tracks_to_ledger over every stream's tracks, a video at a
-    time: that groups by video and orders conflicts by video first. The
+    time: that groups by video and orders conflicts by video first. A
+    stream with no tracks still gets its entry, naming no one. The
     stream's detections and tracks are freed on return.
     """
     tracks = _stream_tracks(path, video_id, roster, config)
     ledger, conflicts = tracking.tracks_to_ledger(tracks, mode=config.association_mode, prox=config.proximity)
-    return ledger.entries, conflicts
+    if not ledger.entries:  # a stream with no tracks
+        empty = ingest.PairEntry if config.association_mode == "proximal" else ingest.LedgerEntry
+        return empty(video_id, frozenset()), conflicts
+    return ledger.entries[0], conflicts
 
 
 def _matrix(ledger, roster) -> ingest.AssociationMatrix:
@@ -245,14 +249,11 @@ def _cmd_track(args: argparse.Namespace) -> int:
 def _cmd_eval_det(args: argparse.Namespace) -> int:
     stream = _parse_file(ingest.parse_detection_stream, args.predictions, args.video_id)
     gt = _parse_file(ingest.parse_ground_truth, args.ground_truth)
-    frames: dict[int, tuple[list, list]] = {}
-    for frame in stream.frames:
-        frames.setdefault(frame.frame_index, ([], []))[0].extend(frame.detections)
-    image_frame = {img.image_id: img.frame_index for img in gt.images if img.video_id == args.video_id}
-    for ann in gt.annotations:
-        if ann.image_id in image_frame:
-            frames.setdefault(image_frame[ann.image_id], ([], []))[1].append(ann.bbox)
-    groups = [frames[fi] for fi in sorted(frames)]
+    if args.video_id not in gt:
+        raise ParseError(f"{args.ground_truth}: no ground-truth image of video {args.video_id!r}")
+    truth = gt[args.video_id]
+    preds = {frame.frame_index: frame.detections for frame in stream.frames}
+    groups = [(preds.get(fi, []), truth.get(fi, [])) for fi in sorted(preds.keys() | truth.keys())]
     # flags left out are absent from args, so the defaults stay in evaluation
     thresholds = {
         name: getattr(args, name) for name in ("iou_threshold", "score_threshold") if hasattr(args, name)
@@ -264,7 +265,7 @@ def _cmd_eval_det(args: argparse.Namespace) -> int:
 
 def _cmd_eval_id(args: argparse.Namespace) -> int:
     roster = _read_roster(args.roster)
-    samples = _parse_file(ingest.parse_id_samples, args.samples)
+    samples = _parse_file(ingest.parse_id_samples, args.samples, roster)
     ks = sorted(set(args.k or [1, 5]))
     confusion = evaluation.confusion_matrix(samples, roster)
     report = {
@@ -376,10 +377,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     entries, conflicts = [], []
     for filename in files:
         video_id = filename[: -len(".jsonl")]
-        video_entries, video_conflicts = _video_ledger(
-            os.path.join(detections_dir, filename), video_id, roster, config
-        )
-        entries.extend(video_entries)
+        entry, video_conflicts = _video_ledger(os.path.join(detections_dir, filename), video_id, roster, config)
+        entries.append(entry)
         conflicts.extend(video_conflicts)
     ledger_type = ingest.PairLedger if config.association_mode == "proximal" else ingest.OccurrenceLedger
     ledger = ledger_type(entries)

@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,6 @@ __all__ = [
     "ParseError",
     "Individual",
     "Roster",
-    "GTImage",
-    "GTAnnotation",
-    "GroundTruthSet",
     "Detection",
     "Frame",
     "DetectionStream",
@@ -260,30 +258,8 @@ def write_roster(roster: Roster) -> str:
 # ground truth
 
 
-@dataclass
-class GTImage:
-    image_id: int
-    video_id: str
-    frame_index: int
-    width: float
-    height: float
-
-
-@dataclass
-class GTAnnotation:
-    image_id: int
-    bbox: BBox
-    label: str
-
-
-@dataclass
-class GroundTruthSet:
-    images: list[GTImage]
-    annotations: list[GTAnnotation]
-
-
-def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
-    """Parse a COCO-style ground-truth JSON document.
+def parse_ground_truth(data: str | bytes) -> dict[str, dict[int, list[BBox]]]:
+    """Parse a COCO-style ground-truth JSON document into video -> frame -> boxes.
 
     Recognized structure: top-level "images", "annotations" and optional
     "categories" lists. Image records may carry "video_id" (a string) and
@@ -291,6 +267,10 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
     to the image id, which must then be an integer. No two images share a
     (video_id, frame_index). Unknown fields are ignored. Boxes are
     [x, y, w, h], must be valid and must lie within the image bounds.
+    Each annotation names a known category or carries a string label; both
+    are checked, neither is kept. Videos and frames follow document order,
+    boxes annotation order; an image without annotations is a frame with
+    no boxes.
     """
     doc = _loads(_text(data), "ground truth")
     if not isinstance(doc, dict):
@@ -301,7 +281,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
     except ValueError as exc:
         raise ParseError(f"ground truth: {exc}") from None
 
-    categories = {}
+    categories = set()
     for i, cat in enumerate(cats):
         locus = f"ground truth: category {i}"
         if not isinstance(cat, dict) or "id" not in cat or "name" not in cat:
@@ -311,11 +291,11 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
             raise ParseError(f"{locus}: duplicate category id {cat['id']}")
         if not isinstance(cat["name"], str):
             raise ParseError(f"{locus}: name must be a string, got {cat['name']!r}")
-        categories[cat["id"]] = cat["name"]
+        categories.add(cat["id"])
 
-    images = []
-    by_id: dict[int | str, GTImage] = {}
-    by_frame: dict[tuple[str, int], int | str] = {}  # (video_id, frame_index) -> image id
+    videos: dict[str, dict[int, list[BBox]]] = {}
+    by_id: dict[int | str, tuple[float, float, list[BBox]]] = {}  # image id -> width, height, its frame's boxes
+    owners: dict[tuple[str, int], int | str] = {}  # (video_id, frame_index) -> image id
     for i, rec in enumerate(imgs):
         locus = f"ground truth: image {i}"
         if not isinstance(rec, dict) or "id" not in rec:
@@ -340,22 +320,14 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
         video_id = rec.get("video_id", "")
         if not isinstance(video_id, str):
             raise ParseError(f"{locus} (id {img_id}): video_id must be a string, got {video_id!r}")
-        owner = by_frame.setdefault((video_id, frame_index), img_id)
+        owner = owners.setdefault((video_id, frame_index), img_id)
         if owner != img_id:
             raise ParseError(
                 f"{locus} (id {img_id}): video {video_id!r} frame {frame_index} already belongs to image id {owner!r}"
             )
-        img = GTImage(
-            image_id=img_id,
-            video_id=video_id,
-            frame_index=frame_index,
-            width=width,
-            height=height,
-        )
-        images.append(img)
-        by_id[img_id] = img
+        boxes = videos.setdefault(video_id, {})[frame_index] = []
+        by_id[img_id] = (width, height, boxes)
 
-    annotations = []
     for i, rec in enumerate(anns):
         locus = f"ground truth: annotation {i}"
         if not isinstance(rec, dict):
@@ -365,6 +337,7 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
         img = by_id.get(rec.get("image_id"))
         if img is None:
             raise ParseError(f"{locus}: unknown image_id {rec.get('image_id')!r}")
+        width, height, boxes = img
         raw = rec.get("bbox")
         if not isinstance(raw, list) or len(raw) != 4:
             raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
@@ -372,22 +345,20 @@ def parse_ground_truth(data: str | bytes) -> GroundTruthSet:
             box = BBox(_num(raw[0]), _num(raw[1]), _num(raw[2]), _num(raw[3]))
         except ValueError as exc:
             raise ParseError(f"{locus}: {exc}") from None
-        if box.x < 0 or box.y < 0 or box.x + box.w > img.width or box.y + box.h > img.height:
-            raise ParseError(f"{locus}: bbox exceeds image bounds ({img.width}x{img.height})")
+        if box.x < 0 or box.y < 0 or box.x + box.w > width or box.y + box.h > height:
+            raise ParseError(f"{locus}: bbox exceeds image bounds ({width}x{height})")
         if "category_id" in rec:
             _check_id(rec["category_id"], locus, "category_id")
             if rec["category_id"] not in categories:
                 raise ParseError(f"{locus}: unknown category_id {rec['category_id']!r}")
-            label = categories[rec["category_id"]]
         elif "label" in rec:
-            label = rec["label"]
-            if not isinstance(label, str):
-                raise ParseError(f"{locus}: label must be a string, got {label!r}")
+            if not isinstance(rec["label"], str):
+                raise ParseError(f"{locus}: label must be a string, got {rec['label']!r}")
         else:
             raise ParseError(f"{locus}: needs 'category_id' or 'label'")
-        annotations.append(GTAnnotation(image_id=img.image_id, bbox=box, label=label))
+        boxes.append(box)
 
-    return GroundTruthSet(images=images, annotations=annotations)
+    return videos
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +587,8 @@ class AssociationMatrix:
     """Symmetric matrix of dyadic association indices in [0, 1].
 
     names fixes the row/column order; values is an (n, n) float array with
-    a zero diagonal, symmetric within 1e-12.
+    a zero diagonal, symmetric within 1e-12, never written after
+    construction.
     """
 
     names: list[str]
@@ -648,6 +620,17 @@ class AssociationMatrix:
 
     def value(self, a: str, b: str) -> float:
         return float(self.values[self._index[a], self._index[b]])
+
+    @cached_property
+    def edges(self) -> list[list[tuple[int, float]]]:
+        """Each vertex's (partner, weight) list over the positive entries of its
+        row (the diagonal is exactly zero), partners in index order: the one
+        graph view the network measures and the layout read."""
+        out = []
+        for row in self.values:
+            partners = np.flatnonzero(row > 0.0)
+            out.append(list(zip(partners.tolist(), row[partners].tolist())))
+        return out
 
 
 def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
@@ -763,6 +746,7 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
                     name=_str(_key(ident, "name", "identity"), "identity name"),
                     confidence=_num(_key(ident, "confidence", "identity")),
                 )
+                Individual(identity.name)  # a roster name's rules: non-empty, no comma
                 if not 0.0 <= identity.confidence <= 1.0:  # also rejects NaN
                     raise ValueError(f"identity confidence {identity.confidence} outside [0, 1]")
                 if roster is not None and identity.name not in roster:
@@ -786,23 +770,29 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
 # identification samples (JSON-lines, one sample per line)
 
 
-def parse_id_samples(data: str | bytes) -> list:
+def parse_id_samples(data: str | bytes, roster: Roster) -> list:
     """Parse identification samples: {"class_scores": {...}, "true_label": ...} per line.
 
-    class_scores must be a non-empty object of numbers in [0, 1], checked
-    by the same code as a detection's; true_label must be a string. Blank
-    lines are ignored; a file with no samples is an error.
+    class_scores must be a non-empty object of numbers in [0, 1] keyed by
+    roster names, checked by the same code as a detection's; true_label
+    must be a roster name with a score of its own. Blank lines are
+    ignored; a file with no samples is an error.
     """
     from .evaluation import IdSample
 
     samples = []
     for lineno, rec in _json_lines(data, "samples "):
+        locus = f"samples line {lineno}"
         if not isinstance(rec, dict) or "class_scores" not in rec or "true_label" not in rec:
-            raise ParseError(f"samples line {lineno}: needs 'class_scores' and 'true_label'")
-        scores = _class_scores(rec["class_scores"], f"samples line {lineno}", None)
+            raise ParseError(f"{locus}: needs 'class_scores' and 'true_label'")
+        scores = _class_scores(rec["class_scores"], locus, roster)
         label = rec["true_label"]
         if not isinstance(label, str):
-            raise ParseError(f"samples line {lineno}: true_label must be a string, got {label!r}")
+            raise ParseError(f"{locus}: true_label must be a string, got {label!r}")
+        if label not in roster:
+            raise ParseError(f"{locus}: unknown individual {label!r} in true_label")
+        if label not in scores:
+            raise ParseError(f"{locus}: true_label {label!r} has no class score")
         samples.append(IdSample(class_scores=scores, true_label=label))
     if not samples:
         raise ParseError("samples file contains no samples")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ingest import AssociationMatrix
-from .network import NetworkReport, _edges
+from .network import NetworkReport
 from .rng import Rng
 
 __all__ = [
@@ -114,8 +114,10 @@ def _scalar_visit(xs, ys, neighbors, phi, edge_sq):
     return visit
 
 
-def _vector_visit(xs, ys, neighbors, phi, edge_sq):
+def _vector_visit(xs, ys, weights, phi, edge_sq):
     """_scalar_visit's visit over whole numpy rows, with the same bits.
+
+    weights is the matrix's values array, whose positive entries are the edges.
 
     delta = pos_v - pos is the loop's (dx, dy) for every u at once; pos -
     pos_v with signs flipped later would not do, as x - x is +0.0 either
@@ -129,12 +131,7 @@ def _vector_visit(xs, ys, neighbors, phi, edge_sq):
     """
     n = len(xs)
     pos = np.array([xs, ys])
-    weights = np.zeros((n, n))
-    is_edge = np.zeros((n, n), dtype=bool)
-    for v, row in enumerate(neighbors):
-        for u, w in row:
-            weights[v, u] = w
-            is_edge[v, u] = True
+    is_edge = weights > 0.0
     neg_scale = [-(edge_sq * p) for p in phi]
     columns = [pos[:, v : v + 1] for v in range(n)]
     # one buffer for the whole sum: the impulse so far, n repulsion terms, n attraction terms
@@ -198,8 +195,7 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     edge_sq = edge_len * edge_len
     rng = Rng(seed)
 
-    neighbors = _edges(m)
-    phi = [1.0 + len(row) / 2.0 for row in neighbors]
+    phi = [1.0 + len(row) / 2.0 for row in m.edges]
 
     spread = edge_len * math.sqrt(float(n))
     xs: list[float] = []
@@ -222,7 +218,10 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     floor = edge_len * _FLOOR_FRACTION
     max_rounds = params.max_rounds_factor * n
     ramp_rounds = max_rounds * _RAMP_SHARE
-    visit = (_vector_visit if n >= _VECTOR_MIN_N else _scalar_visit)(xs, ys, neighbors, phi, edge_sq)
+    if n >= _VECTOR_MIN_N:
+        visit = _vector_visit(xs, ys, m.values, phi, edge_sq)
+    else:
+        visit = _scalar_visit(xs, ys, m.edges, phi, edge_sq)
     rounds = 0
     with np.errstate(all="ignore"):
         while rounds < max_rounds:
@@ -309,7 +308,7 @@ def _radius_map(report: NetworkReport) -> dict[str, float]:
 
 
 def _positive_dyads(m: AssociationMatrix) -> list[tuple[int, int, float]]:
-    return [(i, j, w) for i, row in enumerate(_edges(m)) for j, w in row if j > i]
+    return [(i, j, w) for i, row in enumerate(m.edges) for j, w in row if j > i]
 
 
 def render_svg(m: AssociationMatrix, layout: LayoutResult, report: NetworkReport) -> bytes:

@@ -13,8 +13,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .ingest import AssociationMatrix
 
 __all__ = [
@@ -77,29 +75,18 @@ def _require_pairs(m: AssociationMatrix, what: str) -> None:
         raise ValueError(f"{what} needs at least 2 individuals, got {m.n}")
 
 
-def _edges(m: AssociationMatrix) -> list[list[tuple[int, float]]]:
-    """Each vertex's (partner, weight) list over the positive entries of its row
-    (the diagonal is exactly zero), partners in index order. The one reader
-    of m.values for every measure here and in layout."""
-    out = []
-    for row in m.values:
-        partners = np.flatnonzero(row > 0.0)
-        out.append(list(zip(partners.tolist(), row[partners].tolist())))
-    return out
-
-
 def density(m: AssociationMatrix) -> float:
     """Fraction of unordered pairs with a positive association index."""
     _require_pairs(m, "density")
     n = m.n
-    positive = sum(1 for i, row in enumerate(_edges(m)) for j, _w in row if j > i)
+    positive = sum(1 for i, row in enumerate(m.edges) for j, _w in row if j > i)
     return positive / (n * (n - 1) / 2)
 
 
 def degree_strength(m: AssociationMatrix) -> dict[str, tuple[int, float]]:
     """Per-individual (degree, strength): partner count and row sum."""
     return {
-        name: (len(row), math.fsum(w for _j, w in row)) for name, row in zip(m.names, _edges(m))
+        name: (len(row), math.fsum(w for _j, w in row)) for name, row in zip(m.names, m.edges)
     }
 
 
@@ -121,11 +108,10 @@ def eigenvector_centrality(m: AssociationMatrix, params: NetworkParams = Network
     params.max_iter is exceeded, and ValueError when the matrix has no
     positive entry.
     """
-    edges = _edges(m)
-    top = max((w for row in edges for _j, w in row), default=0.0)
+    top = max((w for row in m.edges for _j, w in row), default=0.0)
     if top <= 0.0:
         raise ValueError("eigenvector centrality needs at least one positive entry")
-    rows = [[(j, w / top) for j, w in row] for row in edges]
+    rows = [[(j, w / top) for j, w in row] for row in m.edges]
     v = [1.0] * m.n
     diff = math.inf
     for _ in range(params.max_iter):
@@ -147,7 +133,7 @@ def eigenvector_centrality(m: AssociationMatrix, params: NetworkParams = Network
 def eigenvector_residual(m: AssociationMatrix, centrality: dict[str, float]) -> float:
     """Max-norm residual ||Mv - lambda*v|| with lambda the Rayleigh quotient."""
     v = [centrality[name] for name in m.names]
-    mv = [math.fsum(w * v[j] for j, w in row) for row in _edges(m)]
+    mv = [math.fsum(w * v[j] for j, w in row) for row in m.edges]
     vv = math.fsum(x * x for x in v)
     if vv == 0.0:
         return 0.0
@@ -166,7 +152,7 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
     if mode not in ("binary", "weighted"):
         raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
     n = m.n
-    adj = _edges(m)
+    adj = m.edges
     contributions: list[float] = []
     if mode == "binary":
         for src in range(n):
@@ -201,7 +187,7 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
 
 def connected_components(m: AssociationMatrix) -> list[list[str]]:
     """Vertex components over positive edges, in matrix order."""
-    adj = _edges(m)
+    adj = m.edges
     seen = [False] * m.n
     components = []
     for start in range(m.n):

@@ -459,6 +459,34 @@ def test_eval_det_rejects_a_ground_truth_field_that_is_not_a_list(tmp_path, caps
     assert not out.exists()
 
 
+def test_eval_det_rejects_a_video_without_ground_truth(tmp_path, capsys):
+    cmd = _eval_det_inputs(tmp_path)  # ground truth for v1 only
+    gt = cmd[cmd.index("--ground-truth") + 1]
+    cmd[cmd.index("--video-id") + 1] = "V1"
+    out = tmp_path / "metrics.json"
+    assert main([*cmd, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{gt}: no ground-truth image of video 'V1'\n"
+    assert not out.exists()
+
+
+def test_cooccur_rejects_a_track_identity_with_a_comma(tmp_path, capsys):
+    # without a roster, "Ayu,Bora" and "Cho" would share the ledger cell "Ayu,Bora,Cho",
+    # which reads back as three individuals
+    tracks = tmp_path / "tracks.jsonl"
+    obs = {"frame_index": 0, "bbox": [0, 0, 1, 1], "score": 0.9}
+    tracks.write_text(
+        "".join(
+            json.dumps({"track_id": k, "video_id": "v1", "observations": [obs],
+                        "identity": {"name": name, "confidence": 0.9}}) + "\n"
+            for k, name in enumerate(["Cho", "Ayu,Bora"])
+        )
+    )
+    out = tmp_path / "matrix.csv"
+    assert main(["cooccur", "--tracks", str(tracks), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{tracks}: tracks line 2: individual name 'Ayu,Bora' contains a comma\n"
+    assert not out.exists()
+
+
 def test_cooccur_rejects_track_identity_off_roster(tmp_path, capsys):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nAyu,female,9\n")
@@ -512,6 +540,25 @@ def test_eval_id_rejects_scores_outside_the_unit_interval(tmp_path, capsys):
         samples.write_text('{"class_scores": %s, "true_label": "A"}\n' % scores)
         assert main(cmd) == 2, scores
         assert capsys.readouterr().err == f"{samples}: {message}\n"
+        assert not out.exists()
+
+
+def test_eval_id_checks_samples_against_the_roster(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")
+    samples = tmp_path / "samples.jsonl"
+    out = tmp_path / "id.json"
+    cmd = ["eval-id", "--samples", str(samples), "--roster", str(roster), "--out", str(out)]
+    for scores, label, message in [
+        # not the argmax, yet able to push the true label out of the top k
+        ('{"A": 0.9, "ghost": 0.5, "B": 0.1}', "B", "unknown individual 'ghost' in class_scores"),
+        ('{"A": 0.9}', "zzz", "unknown individual 'zzz' in true_label"),
+        ('{"A": 0.9}', "B", "true_label 'B' has no class score"),
+    ]:
+        # the blank line counts: errors give the file's line number, not the sample's index
+        samples.write_text('\n{"class_scores": %s, "true_label": "%s"}\n' % (scores, label))
+        assert main(cmd) == 2, scores
+        assert capsys.readouterr().err == f"{samples}: samples line 2: {message}\n"
         assert not out.exists()
 
 
@@ -712,6 +759,32 @@ def test_pipeline_ledger_equals_one_ledger_call_over_all_tracks(tmp_path, mode):
     ledger_text = ingest.write_pair_ledger(ledger) if mode == "proximal" else ingest.write_ledger(ledger, roster)
     assert (out / "ledger.csv").read_text() == ledger_text
     assert (out / "conflicts.json").read_text() == ingest.write_json([asdict(c) for c in conflicts])
+
+
+@pytest.mark.parametrize("mode", list(_MODE_ARGS))
+def test_pipeline_gives_an_empty_stream_its_ledger_entry(tmp_path, mode):
+    roster = ingest.Roster([ingest.Individual("Ayu"), ingest.Individual("Bora")])
+    faces = [{"bbox": [0.0, 0.0, 10.0, 10.0], "score": 0.9, "class_scores": {"Ayu": 0.9, "Bora": 0.1}},
+             {"bbox": [12.0, 0.0, 10.0, 10.0], "score": 0.9, "class_scores": {"Ayu": 0.2, "Bora": 0.8}}]
+    unscored = [{"bbox": [0.0, 0.0, 10.0, 10.0], "score": 0.9}]
+    streams = {
+        "v0": "".join(json.dumps({"frame_index": fi, "detections": faces}) + "\n" for fi in range(3)),
+        "v2": json.dumps({"frame_index": 0, "detections": unscored}) + "\n",
+    }
+    _write_scenario(tmp_path / "without", roster, streams)
+    _write_scenario(tmp_path / "with", roster, {**streams, "v1": ""})
+    for name in ("without", "with"):
+        assert _run_pipeline(tmp_path / name, tmp_path / name / "out", *_MODE_ARGS[mode]) == 0
+    without, with_empty = tmp_path / "without" / "out", tmp_path / "with" / "out"
+
+    ledger = (with_empty / "ledger.csv").read_text()
+    if mode == "video-level":  # one row per stream: the empty one and the unscored one present no one
+        assert ledger == "video_id,present\nv0,\"Ayu,Bora\"\nv1,\nv2,\n"
+    else:  # a pair ledger writes no row for a video without pairs
+        assert ledger == "video_id,pair\nv0,\"Ayu,Bora\"\n"
+    for name in _PIPELINE_FILES:
+        if name != "ledger.csv" or mode == "proximal":
+            assert (with_empty / name).read_bytes() == (without / name).read_bytes(), name
 
 
 def test_pipeline_peak_memory_does_not_grow_with_the_videos(tmp_path):

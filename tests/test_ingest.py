@@ -10,6 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from troopnet.geometry import BBox
 from troopnet.ingest import (
@@ -145,18 +146,14 @@ def _gt_doc():
 
 def test_ground_truth_minimal():
     gt = parse_ground_truth(json.dumps(_gt_doc()))
-    assert len(gt.images) == 2
-    assert len(gt.annotations) == 2
-    assert gt.annotations[0].bbox == BBox(0, 0, 10, 10)
-    assert gt.annotations[0].label == "macaque"
+    assert gt == {"v1": {0: [BBox(0, 0, 10, 10)], 1: [BBox(5, 5, 20, 20)]}}
 
 
 def test_ground_truth_category_resolution():
     doc = _gt_doc()
     doc["categories"] = [{"id": 7, "name": "macaque"}]
     doc["annotations"][0] = {"image_id": 1, "bbox": [0, 0, 10, 10], "category_id": 7}
-    gt = parse_ground_truth(json.dumps(doc))
-    assert gt.annotations[0].label == "macaque"
+    assert parse_ground_truth(json.dumps(doc)) == parse_ground_truth(json.dumps(_gt_doc()))
 
 
 def test_ground_truth_unknown_category():
@@ -189,15 +186,12 @@ def test_ground_truth_duplicate_image_id():
 
 def test_ground_truth_frame_index_defaults_to_image_id():
     doc = {"images": [{"id": 5, "width": 10, "height": 10}], "annotations": []}
-    gt = parse_ground_truth(json.dumps(doc))
-    assert gt.images[0].frame_index == 5
-    assert gt.images[0].video_id == ""
+    assert parse_ground_truth(json.dumps(doc)) == {"": {5: []}}
 
 
 def test_ground_truth_frames_are_per_video():
     images = [{"id": i, "video_id": v, "frame_index": 0, "width": 10, "height": 10} for i, v in ((1, "a"), (2, "b"))]
-    gt = parse_ground_truth(json.dumps({"images": images}))
-    assert [(img.video_id, img.frame_index) for img in gt.images] == [("a", 0), ("b", 0)]
+    assert parse_ground_truth(json.dumps({"images": images})) == {"a": {0: []}, "b": {0: []}}
 
 
 def test_ground_truth_malformed_json():
@@ -215,8 +209,61 @@ def test_ground_truth_counts_preserved_at_scale():
         {"image_id": i, "bbox": [1, 1, 10, 10], "label": "macaque"} for i in range(3011)
     ]
     gt = parse_ground_truth(json.dumps({"images": images, "annotations": annotations}))
-    assert len(gt.images) == 5985
-    assert len(gt.annotations) == 3011
+    assert len(gt["v"]) == 5985
+    assert sum(len(boxes) for boxes in gt["v"].values()) == 3011
+
+
+_GT_CATEGORIES = [{"id": 7, "name": "face"}, {"id": "c", "name": "macaque"}]
+# the ways an annotation names what it shows: a category id of either type, or a label
+_GT_KINDS = [{"category_id": 7}, {"category_id": "c"}, {"label": "face"}]
+
+
+@st.composite
+def _gt_documents(draw):
+    """A valid ground-truth document over a few videos, images with and without annotations."""
+    images, taken = [], set()
+    ids = draw(st.lists(st.one_of(st.integers(0, 20), st.text("ab", min_size=1, max_size=3)), max_size=8, unique=True))
+    for img_id in ids:
+        rec = {"id": img_id, "width": 100, "height": 80}
+        video = draw(st.sampled_from([None, "", "v1", "v2"]))
+        if video is not None:
+            rec["video_id"] = video
+        if isinstance(img_id, int) and draw(st.booleans()):
+            frame = img_id  # frame_index absent: the image id stands in
+        else:
+            frame = rec["frame_index"] = draw(st.integers(0, 20))
+        if (video or "", frame) not in taken:
+            taken.add((video or "", frame))
+            images.append(rec)
+    annotations = []
+    if images:
+        for _ in range(draw(st.integers(0, 12))):
+            x, y = draw(st.integers(0, 50)), draw(st.integers(0, 40))
+            w, h = draw(st.integers(1, 50)), draw(st.integers(1, 40))
+            annotations.append(
+                {"image_id": draw(st.sampled_from(images))["id"], "bbox": [x, y, w, h], **draw(st.sampled_from(_GT_KINDS))}
+            )
+    return {"categories": _GT_CATEGORIES, "images": images, "annotations": annotations}
+
+
+@given(_gt_documents())
+@settings(max_examples=200, deadline=None)
+def test_ground_truth_frames_match_the_document(doc):
+    # oracle: every image is a frame of its video, every annotation's box is
+    # appended to its image's frame, both in document order
+    expected: dict[str, dict[int, list[BBox]]] = {}
+    frame_of = {}
+    for img in doc["images"]:
+        video, frame = img.get("video_id", ""), img.get("frame_index", img["id"])
+        expected.setdefault(video, {})[frame] = []
+        frame_of[img["id"]] = (video, frame)
+    for ann in doc["annotations"]:
+        video, frame = frame_of[ann["image_id"]]
+        expected[video][frame].append(BBox(*ann["bbox"]))
+    gt = parse_ground_truth(json.dumps(doc))
+    assert [(v, list(frames.items())) for v, frames in gt.items()] == [
+        (v, list(frames.items())) for v, frames in expected.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +370,7 @@ def test_json_lines_split_at_newline_only(ch):
     assert parse_tracks(write_tracks(tracks), roster) == tracks
 
     sample = json.dumps({"class_scores": {name: 1.0, "c": 0.0}, "true_label": name}, ensure_ascii=False)
-    samples = parse_id_samples(f"{sample}\n{sample}\n")
+    samples = parse_id_samples(f"{sample}\n{sample}\n", roster)
     assert [(s.class_scores, s.true_label) for s in samples] == [({name: 1.0, "c": 0.0}, name)] * 2
 
 
@@ -492,6 +539,28 @@ def test_association_matrix_helpers():
     assert m.value("A", "B") == 0.4
 
 
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(1, 8))
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)))
+    return AssociationMatrix([f"n{k}" for k in range(n)], values)
+
+
+@given(_symmetric_matrices())
+@example(AssociationMatrix(["A"], np.zeros((1, 1))))
+@example(AssociationMatrix(["A", "B", "C"], np.zeros((3, 3))))
+@settings(max_examples=200, deadline=None)
+def test_matrix_edges_are_each_rows_nonzero_entries(m):
+    expected = [
+        [(int(j), float(m.values[i, j])) for j in np.flatnonzero(m.values[i])] for i in range(m.n)
+    ]
+    assert m.edges == expected
+    assert m.edges is m.edges  # derived once, then kept
+
+
 def test_bundled_matrix_round_trips_bit_exactly(troop_matrix):
     text = write_matrix(troop_matrix)
     again = parse_association_matrix(text)
@@ -571,6 +640,7 @@ def test_report_parse_rejects_missing_field():
 
 
 _parse_stream = partial(parse_detection_stream, video_id="v")
+_parse_samples = partial(parse_id_samples, roster=Roster([Individual("A"), Individual("B")]))
 
 
 def _gt_text(image: dict, annotation: dict | None = None) -> str:
@@ -668,20 +738,36 @@ _FRAMING_ERRORS = [
         "tracks line 3: malformed JSON: Expecting value: line 1 column 4 (char 3)",
     ),
     (
-        "samples-malformed", parse_id_samples,
+        "samples-malformed", _parse_samples,
         '{"class_scores": {"A": 1.0}, "true_label": "A"}\n{"class_scores"\n',
         "samples line 2: malformed JSON: Expecting ':' delimiter: line 1 column 16 (char 15)",
     ),
     (
-        "samples-blank-lines-skipped", parse_id_samples,
+        "samples-blank-lines-skipped", _parse_samples,
         '\n \n{"true_label": "A"}\n',
         "samples line 3: needs 'class_scores' and 'true_label'",
     ),
-    ("samples-none", parse_id_samples, "\n\n", "samples file contains no samples"),
+    ("samples-none", _parse_samples, "\n\n", "samples file contains no samples"),
     (
-        "samples-true-label-number", parse_id_samples,
-        '{"class_scores": {"5": 1.0}, "true_label": 5}\n',
+        "samples-true-label-number", _parse_samples,
+        '{"class_scores": {"A": 1.0}, "true_label": 5}\n',
         "samples line 1: true_label must be a string, got 5",
+    ),
+    # samples name only roster individuals, and score their true label
+    (
+        "samples-score-name-off-roster", _parse_samples,
+        '{"class_scores": {"A": 0.1, "ghost": 0.9}, "true_label": "A"}\n',
+        "samples line 1: unknown individual 'ghost' in class_scores",
+    ),
+    (
+        "samples-true-label-off-roster", _parse_samples,
+        '{"class_scores": {"A": 1.0}, "true_label": "zzz"}\n',
+        "samples line 1: unknown individual 'zzz' in true_label",
+    ),
+    (
+        "samples-true-label-unscored", _parse_samples,
+        '\n{"class_scores": {"A": 1.0}, "true_label": "B"}\n',
+        "samples line 2: true_label 'B' has no class score",
     ),
     (
         "ground-truth-malformed", parse_ground_truth,
@@ -897,6 +983,15 @@ _FRAMING_ERRORS = [
         "tracks-confidence-missing", parse_tracks, _track_text(identity={"name": "Ayu"}),
         "tracks line 1: identity needs 'confidence'",
     ),
+    # identity names follow a roster name's rules, as ledger cells join names with commas
+    (
+        "tracks-identity-name-comma", parse_tracks, _track_text(identity={"name": "Ayu,Bora", "confidence": 1}),
+        "tracks line 1: individual name 'Ayu,Bora' contains a comma",
+    ),
+    (
+        "tracks-identity-name-empty", parse_tracks, _track_text(identity={"name": "", "confidence": 1}),
+        "tracks line 1: individual name must be non-empty",
+    ),
     # numbers in CSV cells: plain ASCII, without Python's digit-group underscores
     (
         "roster-age-underscore", parse_roster, "name,sex,age_years\nA,female,1_0\n",
@@ -940,12 +1035,12 @@ def test_id_samples_parse_bytes_like_text():
         "\n"
         '{"class_scores": {"A": 1}, "true_label": "A"}\n'
     )
-    samples = parse_id_samples(text)
+    samples = _parse_samples(text)
     assert [(s.class_scores, s.true_label) for s in samples] == [
         ({"A": 0.75, "B": 0.25}, "B"),
         ({"A": 1.0}, "A"),
     ]
-    assert parse_id_samples(text.encode("utf-8")) == samples
+    assert _parse_samples(text.encode("utf-8")) == samples
 
 
 _BAD_SAMPLE_SCORES = [
@@ -966,14 +1061,13 @@ def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
         '{"class_scores": {"A": 0, "B": %s}, "true_label": "B"}\n' % score
     )
     with pytest.raises(ParseError) as exc:
-        parse_id_samples(text)
+        _parse_samples(text)
     assert str(exc.value) == f"samples line 2: {message}"
 
 
 def test_string_ids_and_roster_identities_accepted():
     gt = parse_ground_truth(_gt_text({"id": "img-1", "frame_index": 3}, {"image_id": "img-1"}))
-    assert (gt.images[0].image_id, gt.images[0].frame_index, gt.annotations[0].image_id) == ("img-1", 3, "img-1")
-    assert gt.images[0].video_id == ""  # absent
+    assert gt == {"": {3: [BBox(0, 0, 1, 1)]}}  # video_id absent
     (track,) = parse_tracks(
         _track_text(identity={"name": "Ayu", "confidence": 1}, track_id=4), roster=_ONE_NAME_ROSTER
     )

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from troopnet import layout
 from troopnet.layout import GemParams, gem_layout, render_dot, render_svg
-from troopnet.network import _edges, network_report
+from troopnet.network import network_report
 from troopnet.rng import Rng
 
 from conftest import matrix_from_dyads
@@ -182,10 +182,9 @@ def test_vector_visit_matches_scalar_visit(m, data):
     ys = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
     px, py = data.draw(_COORDS), data.draw(_COORDS)
     edge_sq = data.draw(st.sampled_from([1.0, 3.0, 128.0 * 128.0]))
-    neighbors = _edges(m)
-    phi = [1.0 + len(row) / 2.0 for row in neighbors]
-    scalar = layout._scalar_visit(xs, ys, neighbors, phi, edge_sq)
-    vector = layout._vector_visit(xs, ys, neighbors, phi, edge_sq)
+    phi = [1.0 + len(row) / 2.0 for row in m.edges]
+    scalar = layout._scalar_visit(xs, ys, m.edges, phi, edge_sq)
+    vector = layout._vector_visit(xs, ys, m.values, phi, edge_sq)
     with np.errstate(all="ignore"):
         for v in range(n):
             assert _hex(vector(v, px, py)) == _hex(scalar(v, px, py))
@@ -205,6 +204,20 @@ def test_vector_layout_matches_scalar_layout(m, seed, rounds_factor):
     assert {k: _hex(p) for k, p in vector.positions.items()} == {
         k: _hex(p) for k, p in scalar.positions.items()
     }
+
+
+@pytest.mark.parametrize("visit_path", ["scalar", "vector"])
+def test_network_and_layout_derive_the_edge_lists_once(visit_path):
+    # a ring, with or without enough vertices for the numpy visit
+    n = 5 if visit_path == "scalar" else layout._VECTOR_MIN_N
+    names = [f"n{k}" for k in range(n)]
+    m = matrix_from_dyads(names, {(names[k], names[(k + 1) % n]): 0.25 + k / (2 * n) for k in range(n)})
+    with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as row_reads:
+        report = network_report(m)
+        placed = gem_layout(m, GemParams(max_rounds_factor=1), seed=1)
+        render_svg(m, placed, report)
+        render_dot(m, report)
+    assert row_reads.call_count == n  # one read of each row: AssociationMatrix.edges, once
 
 
 # ---------------------------------------------------------------------------
