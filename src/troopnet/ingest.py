@@ -72,7 +72,10 @@ class ParseError(ValueError):
 def _num(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError("expected a number, got an integer too large for a float") from None
 
 
 def _int(x) -> int:
@@ -129,7 +132,7 @@ def _text(data: str | bytes) -> str:
 def _loads(text: str, locus: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ParseError(f"{locus}: malformed JSON: {exc}") from None
 
 
@@ -392,7 +395,22 @@ class DetectionStream:
 
 
 def _class_scores(raw, locus: str, roster: Roster | None) -> dict[str, float]:
-    """The one class-score check: a non-empty object of numbers in [0, 1], names in the roster if given."""
+    """The one class-score check: a non-empty object of numbers in [0, 1], names in the roster if given.
+
+    An object of floats that passes as a whole is returned as it is, not
+    copied; any other goes to _class_scores_by_name, which converts
+    integers or raises naming the first bad entry.
+    """
+    if type(raw) is dict and raw and (roster is None or raw.keys() <= roster.positions.keys()):
+        values = raw.values()
+        # min and max skip a NaN that is not first; the sum carries it
+        if {*map(type, values)} == {float} and 0.0 <= min(values) and max(values) <= 1.0:
+            if not math.isnan(sum(values)):
+                return raw
+    return _class_scores_by_name(raw, locus, roster)
+
+
+def _class_scores_by_name(raw, locus: str, roster: Roster | None) -> dict[str, float]:
     if not isinstance(raw, dict) or not raw:
         raise ParseError(f"{locus}: class_scores must be a non-empty object")
     scores = {}
@@ -410,6 +428,30 @@ def _class_scores(raw, locus: str, roster: Roster | None) -> dict[str, float]:
 
 
 def _parse_detection(obj, frame_index: int | None, locus: str, roster: Roster | None) -> Detection:
+    """One detection record: bbox [x, y, w, h], score in [0, 1], optional class_scores.
+
+    A record whose bbox and score are floats that pass as a whole is built
+    from them directly; any other goes to _parse_detection_by_field, which
+    converts integers or raises naming the first bad field.
+    """
+    if type(obj) is dict:
+        raw, score = obj.get("bbox"), obj.get("score")
+        if type(raw) is list and len(raw) == 4 and type(score) is float and 0.0 <= score <= 1.0:
+            x, y, w, h = raw
+            # a finite sum has four finite terms: inf and NaN carry through it
+            if (
+                type(x) is type(y) is type(w) is type(h) is float
+                and w > 0.0
+                and h > 0.0
+                and -math.inf < x + y + w + h < math.inf
+            ):
+                raw_scores = obj.get("class_scores")
+                class_scores = None if raw_scores is None else _class_scores(raw_scores, locus, roster)
+                return Detection(frame_index, BBox(x, y, w, h), score, class_scores)
+    return _parse_detection_by_field(obj, frame_index, locus, roster)
+
+
+def _parse_detection_by_field(obj, frame_index: int | None, locus: str, roster: Roster | None) -> Detection:
     if not isinstance(obj, dict):
         raise ParseError(f"{locus}: not an object")
     raw = obj.get("bbox")

@@ -92,10 +92,11 @@ def _scalar_visit(xs, ys, neighbors, phi, edge_sq):
     n = len(xs)
 
     def visit(v: int, px: float, py: float) -> tuple[float, float]:
+        xv, yv = xs[v], ys[v]
         # repulsion from every other vertex (v itself is at distance zero)
         for u in range(n):
-            dx = xs[v] - xs[u]
-            dy = ys[v] - ys[u]
+            dx = xv - xs[u]
+            dy = yv - ys[u]
             dist_sq = dx * dx + dy * dy
             if dist_sq > 0.0:
                 f = edge_sq / dist_sq
@@ -103,8 +104,8 @@ def _scalar_visit(xs, ys, neighbors, phi, edge_sq):
                 py += dy * f
         # attraction along weighted edges
         for u, w in neighbors[v]:
-            dx = xs[v] - xs[u]
-            dy = ys[v] - ys[u]
+            dx = xv - xs[u]
+            dy = yv - ys[u]
             dist_sq = dx * dx + dy * dy
             f = dist_sq * w / (edge_sq * phi[v])
             px -= dx * f

@@ -141,7 +141,9 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
     own Detection objects, not copies. A frame keeps the pairs _assign
     returns, less those outside the gate: cost ties follow the solver,
     which at equal path cost takes a free column, else the first it scans
-    (one track, two equally close detections: the first). So identical
+    (one track, two equally close detections: the first). When no two
+    in-gate pairs share a track or a detection, the frame keeps them all
+    without the solver, which would return exactly those. So identical
     input yields identical tracks. A frame index that does not increase on
     the one before, or a detection whose frame_index is not its frame's,
     raises ValueError.
@@ -166,14 +168,25 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
         detections = frame.detections
         assignment: dict[int, int] = {}
         if active and detections:
-            cost = [[_FORBIDDEN] * len(detections) for _ in active]
+            spans = [(det.bbox.x, det.bbox.x + det.bbox.w) for det in detections]
+            gated = []  # (row, column, cost) of each pair inside the gate
             for r, track in enumerate(active):
                 last_bbox = track.observations[-1].bbox
-                for c, det in enumerate(detections):
-                    overlap = iou(last_bbox, det.bbox)
-                    if overlap >= params.iou_gate:
-                        cost[r][c] = 1.0 - overlap
-            assignment = {c: r for r, c in zip(*_assign(cost)) if cost[r][c] < _FORBIDDEN}
+                left, right = last_bbox.x, last_bbox.x + last_bbox.w
+                for c, (det_left, det_right) in enumerate(spans):
+                    if det_left < right and left < det_right:  # else iou is 0.0, below any gate
+                        overlap = iou(last_bbox, detections[c].bbox)
+                        if overlap >= params.iou_gate:
+                            gated.append((r, c, 1.0 - overlap))
+            if len({r for r, _, _ in gated}) == len({c for _, c, _ in gated}) == len(gated):
+                # no two share a track or a detection: an assignment without one of
+                # them pays _FORBIDDEN more, so _assign would keep exactly these
+                assignment = {c: r for r, c, _ in gated}
+            else:
+                cost = [[_FORBIDDEN] * len(detections) for _ in active]
+                for r, c, pair_cost in gated:
+                    cost[r][c] = pair_cost
+                assignment = {c: r for r, c in zip(*_assign(cost)) if cost[r][c] < _FORBIDDEN}
 
         for c, det in enumerate(detections):
             if det.frame_index != fi:
@@ -258,8 +271,10 @@ def tracks_to_ledger(
             if mode == "proximal":
                 for i, (name_a, _, box_a) in enumerate(boxes):
                     for name_b, _, box_b in boxes[i + 1 :]:
-                        if name_a != name_b and is_proximal(box_a, box_b, prox):
-                            pairs.add(tuple(sorted((name_a, name_b))))
+                        if name_a != name_b:
+                            pair = (name_a, name_b) if name_a < name_b else (name_b, name_a)
+                            if pair not in pairs and is_proximal(box_a, box_b, prox):
+                                pairs.add(pair)
         if mode == "video-level":
             present = frozenset(t.identity.name for t in identified)
             entries.append(LedgerEntry(video_id=video_id, present=present))

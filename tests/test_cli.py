@@ -833,6 +833,12 @@ _BAD_INPUTS = {
         "--predictions", '{"frame_index": true, "detections": []}\n', "line 1: needs integer 'frame_index'",
         lambda d: ["eval-det", "--ground-truth", str(d / "gt.json"), "--video-id", "v1", "--out", str(d / "o")],
     ),
+    "track-detections": (
+        "--detections",
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 1%s}]}\n' % ("0" * 400),
+        "line 1: detection 0: expected a number, got an integer too large for a float",
+        lambda d: ["track", "--video-id", "v", "--out", str(d / "o")],
+    ),
     "eval-id-roster": (
         "--roster", "name,sex,age_years\nAyu,female,1_0\n", "roster line 2: age_years '1_0' is not an integer",
         lambda d: ["eval-id", "--samples", str(d / "samples.jsonl"), "--out", str(d / "o")],

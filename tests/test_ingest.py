@@ -7,11 +7,13 @@ import json
 import math
 import os
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from troopnet import ingest
 from troopnet.geometry import BBox
 from troopnet.ingest import (
     AssociationMatrix,
@@ -1009,6 +1011,32 @@ _FRAMING_ERRORS = [
         "matrix-cell-non-ascii-digits", parse_association_matrix, ",A,B\nA,,0.\u0665\nB,0.5,\n",
         "matrix row 2, column 'B': '0.\u0665' is not a number",
     ),
+    # a JSON integer beyond float range is refused like any other bad number
+    (
+        "stream-score-beyond-float", _parse_stream,
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 1%s}]}\n' % ("0" * 400),
+        "line 1: detection 0: expected a number, got an integer too large for a float",
+    ),
+    (
+        "tracks-bbox-side-beyond-float", parse_tracks, _track_text({"bbox": [0, 0, 10**400, 1]}),
+        "tracks line 1: observation 0: expected a number, got an integer too large for a float",
+    ),
+    (
+        "samples-score-beyond-float", _parse_samples,
+        '{"class_scores": {"A": 1%s}, "true_label": "A"}\n' % ("0" * 400),
+        "samples line 1: class_scores['A']: expected a number, got an integer too large for a float",
+    ),
+    (
+        "gt-width-beyond-float", parse_ground_truth, _gt_text({"width": 10**400}),
+        "ground truth: image 0 (id 1): needs numeric 'width' and 'height'",
+    ),
+    # json refuses an integer of more than 4,300 digits with a plain ValueError
+    (
+        "stream-integer-past-digit-limit", _parse_stream,
+        '{"frame_index": 0}\n{"frame_index": 1%s}\n' % ("0" * 4300),
+        "line 2: malformed JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit",
+    ),
 ]
 
 
@@ -1063,6 +1091,104 @@ def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
     with pytest.raises(ParseError) as exc:
         _parse_samples(text)
     assert str(exc.value) == f"samples line 2: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the whole-record checks against the field-by-field code behind them
+
+_ABC = Roster([Individual("A"), Individual("B"), Individual("C")])
+_ODD_NUMBERS = [0, 1, 2, True, False, -0.0, 0.0, 1.0, math.nan, math.inf, -math.inf, 10**400, 1e308, -1e-300]
+_NOT_NUMBERS = [None, "0.5", [0.5], {"v": 0.5}]
+_score_values = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 2),
+    st.sampled_from(_ODD_NUMBERS + _NOT_NUMBERS),
+)
+_score_objects = st.one_of(
+    st.dictionaries(st.sampled_from("ABC"), st.floats(0.0, 1.0), min_size=1),
+    st.dictionaries(st.sampled_from(["A", "B", "C", "ghost"]), _score_values, max_size=4),
+    st.sampled_from([None, [], ["A"], "A", 0.5]),
+)
+_coordinates = st.one_of(
+    st.floats(-100.0, 100.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 50),
+    st.sampled_from(_ODD_NUMBERS + _NOT_NUMBERS),
+)
+
+
+@st.composite
+def _detection_records(draw):
+    """A valid float record, with each field corrupted or dropped now and then."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([None, 1, "bbox", [0.0, 0.0, 1.0, 1.0]]))
+    sides = st.floats(1e-3, 100.0)
+    bbox = [draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)), draw(sides), draw(sides)]
+    for i in range(4):
+        if draw(st.integers(0, 7)) == 0:
+            bbox[i] = draw(_coordinates)
+    record = {"bbox": bbox, "score": draw(st.floats(0.0, 1.0))}
+    if draw(st.integers(0, 5)) == 0:
+        record["score"] = draw(_score_values)
+    if draw(st.integers(0, 9)) == 0:
+        record["bbox"] = draw(
+            st.one_of(
+                st.lists(_coordinates, max_size=6),
+                st.sampled_from(["0,0,1,1", {"x": 0.0}, (0.0, 0.0, 1.0, 1.0)]),
+            )
+        )
+    if draw(st.integers(0, 19)) == 0:
+        del record[draw(st.sampled_from(["bbox", "score"]))]
+    if draw(st.booleans()):
+        record["class_scores"] = draw(_score_objects)
+    return record
+
+
+def _outcome(parse, *args) -> str:
+    """repr tells 1 from 1.0 and 0.0 from -0.0, which == does not."""
+    try:
+        return repr(parse(*args))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@given(_score_objects, st.sampled_from([None, _ABC]))
+@settings(max_examples=400, deadline=None)
+@example({"A": 0.5, "B": math.nan}, None)  # min and max do not see this NaN
+@example({"A": 0.5, "B": 10**400}, _ABC)
+@example({"A": 0.5, "B": -0.0}, _ABC)
+def test_class_score_check_agrees_with_the_per_name_path(raw, roster):
+    assert _outcome(ingest._class_scores, raw, "d", roster) == _outcome(
+        ingest._class_scores_by_name, raw, "d", roster
+    )
+
+
+@given(_detection_records(), st.sampled_from([None, _ABC]))
+@settings(max_examples=400, deadline=None)
+@example({"bbox": [math.nan, 0.0, 1.0, 1.0], "score": 0.5}, None)  # only the sum sees these two
+@example({"bbox": [0.0, 0.0, math.inf, 1.0], "score": 0.5}, None)
+@example({"bbox": [1e308, 0.0, 1e308, 1.0], "score": 0.5}, None)  # the sum overflows; the box is valid
+@example({"bbox": [0.0, 0.0, 1.0, 1.0], "score": 10**400}, None)
+@example({"bbox": [0.0, -0.0, 1.0, 1.0], "score": -0.0, "class_scores": {"A": 1}}, _ABC)
+def test_detection_check_agrees_with_the_per_field_path(record, roster):
+    assert _outcome(ingest._parse_detection, record, 0, "d", roster) == _outcome(
+        ingest._parse_detection_by_field, record, 0, "d", roster
+    )
+
+
+def test_float_records_pass_without_the_per_field_path():
+    scores = {"A": 0.25, "C": 1.0}
+    record = {"bbox": [0.5, 1.0, 2.0, 3.0], "score": 0.0, "class_scores": scores}
+    with (
+        mock.patch.object(ingest, "_parse_detection_by_field") as by_field,
+        mock.patch.object(ingest, "_class_scores_by_name") as by_name,
+    ):
+        det = ingest._parse_detection(record, 4, "d", _ABC)
+    by_field.assert_not_called()
+    by_name.assert_not_called()
+    assert det == Detection(4, BBox(0.5, 1.0, 2.0, 3.0), 0.0, scores)
+    assert det.class_scores is scores  # json's own dict, not a copy
 
 
 def test_string_ids_and_roster_identities_accepted():

@@ -162,7 +162,7 @@ def test_tracker_params_validation():
 
 
 @st.composite
-def _random_streams(draw, max_dets=4):
+def _random_streams(draw, max_dets=4, sides=(48.0,)):
     n_frames = draw(st.integers(1, 8))
     frames = []
     for fi in range(n_frames):
@@ -171,7 +171,8 @@ def _random_streams(draw, max_dets=4):
         for _ in range(n_dets):
             x = draw(st.integers(0, 6)) * 40.0
             y = draw(st.integers(0, 2)) * 40.0
-            dets.append(Detection(frame_index=fi, bbox=BBox(x, y, 48.0, 48.0), score=0.9))
+            w, h = draw(st.sampled_from(sides)), draw(st.sampled_from(sides))
+            dets.append(Detection(frame_index=fi, bbox=BBox(x, y, w, h), score=0.9))
         frames.append(Frame(fi, dets))
     return DetectionStream(video_id="v", frames=frames)
 
@@ -227,6 +228,45 @@ def test_tracks_equal_with_the_reference_solver(stream, gate):
     with mock.patch.object(tracking, "_assign", _reference_assign):
         reference = build_tracks(stream, params)
     assert build_tracks(stream, params) == reference
+
+
+def _always_solve_tracks(stream, params):
+    """build_tracks without its shortcuts: iou for every pair, and _assign on every frame."""
+    active, done, next_id = [], [], 0
+    for frame in stream.frames:
+        fi = frame.frame_index
+        done += [t for t in active if fi - t.observations[-1].frame_index - 1 > params.max_gap_frames]
+        active = [t for t in active if fi - t.observations[-1].frame_index - 1 <= params.max_gap_frames]
+        detections = frame.detections
+        assignment = {}
+        if active and detections:
+            cost = [[tracking._FORBIDDEN] * len(detections) for _ in active]
+            for r, track in enumerate(active):
+                for c, det in enumerate(detections):
+                    overlap = iou(track.observations[-1].bbox, det.bbox)
+                    if overlap >= params.iou_gate:
+                        cost[r][c] = 1.0 - overlap
+            assignment = {c: r for r, c in zip(*tracking._assign(cost)) if cost[r][c] < tracking._FORBIDDEN}
+        for c, det in enumerate(detections):
+            if c in assignment:
+                active[assignment[c]].observations.append(det)
+            else:
+                active.append(Track(track_id=next_id, video_id=stream.video_id, observations=[det]))
+                next_id += 1
+    return sorted(done + active, key=lambda t: t.track_id)
+
+
+# 40 px steps against sides of 40 and 80 px: edges that touch, boxes that
+# cross from frame to frame, and several tracks gated to one detection
+@given(
+    _random_streams(max_dets=8, sides=(40.0, 48.0, 80.0)),
+    st.sampled_from([0.05, 0.3, 1.0]),
+    st.sampled_from([0, 10]),
+)
+@settings(max_examples=300, deadline=None)
+def test_tracks_equal_the_always_solving_tracker(stream, gate, gap):
+    params = TrackerParams(iou_gate=gate, max_gap_frames=gap)
+    assert build_tracks(stream, params) == _always_solve_tracks(stream, params)
 
 
 def test_exact_tie_keeps_the_solver_pairs():
