@@ -78,6 +78,25 @@ def _num(x) -> float:
         raise ValueError("expected a number, got an integer too large for a float") from None
 
 
+def _field_num(x, field: str, locus: str) -> float:
+    try:
+        return _num(x)
+    except ValueError as exc:
+        raise ParseError(f"{locus}: {field}: {exc}") from None
+
+
+def _bbox(raw, locus: str) -> BBox:
+    """A bbox field [x, y, w, h]; a bad number is named by its index."""
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
+    try:
+        return BBox(_num(raw[0]), _num(raw[1]), _num(raw[2]), _num(raw[3]))
+    except ValueError as exc:
+        for k, v in enumerate(raw):  # raises for the first side that is no number
+            _field_num(v, f"bbox[{k}]", locus)
+        raise ParseError(f"{locus}: {exc}") from None
+
+
 def _int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"expected an integer, got {x!r}")
@@ -341,13 +360,7 @@ def parse_ground_truth(data: str | bytes) -> dict[str, dict[int, list[BBox]]]:
         if img is None:
             raise ParseError(f"{locus}: unknown image_id {rec.get('image_id')!r}")
         width, height, boxes = img
-        raw = rec.get("bbox")
-        if not isinstance(raw, list) or len(raw) != 4:
-            raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
-        try:
-            box = BBox(_num(raw[0]), _num(raw[1]), _num(raw[2]), _num(raw[3]))
-        except ValueError as exc:
-            raise ParseError(f"{locus}: {exc}") from None
+        box = _bbox(rec.get("bbox"), locus)
         if box.x < 0 or box.y < 0 or box.x + box.w > width or box.y + box.h > height:
             raise ParseError(f"{locus}: bbox exceeds image bounds ({width}x{height})")
         if "category_id" in rec:
@@ -417,10 +430,7 @@ def _class_scores_by_name(raw, locus: str, roster: Roster | None) -> dict[str, f
     for name, value in raw.items():
         if roster is not None and name not in roster:
             raise ParseError(f"{locus}: unknown individual {name!r} in class_scores")
-        try:
-            v = _num(value)
-        except ValueError as exc:
-            raise ParseError(f"{locus}: class_scores[{name!r}]: {exc}") from None
+        v = _field_num(value, f"class_scores[{name!r}]", locus)
         if not 0.0 <= v <= 1.0:  # also rejects NaN
             raise ParseError(f"{locus}: class_scores[{name!r}] = {v} outside [0, 1]")
         scores[name] = v
@@ -454,14 +464,8 @@ def _parse_detection(obj, frame_index: int | None, locus: str, roster: Roster | 
 def _parse_detection_by_field(obj, frame_index: int | None, locus: str, roster: Roster | None) -> Detection:
     if not isinstance(obj, dict):
         raise ParseError(f"{locus}: not an object")
-    raw = obj.get("bbox")
-    if not isinstance(raw, list) or len(raw) != 4:
-        raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
-    try:
-        box = BBox(_num(raw[0]), _num(raw[1]), _num(raw[2]), _num(raw[3]))
-        score = _num(obj.get("score"))
-    except ValueError as exc:
-        raise ParseError(f"{locus}: {exc}") from None
+    box = _bbox(obj.get("bbox"), locus)
+    score = _field_num(obj.get("score"), "score", locus)
     if not 0.0 <= score <= 1.0:
         raise ParseError(f"{locus}: score {score} outside [0, 1]")
     raw_scores = obj.get("class_scores")

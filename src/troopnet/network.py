@@ -4,14 +4,19 @@ Density, degree, strength, eigenvector centrality and global efficiency,
 assembled into a NetworkReport. All accumulation uses math.fsum, which is
 exactly rounded, so results do not depend on summation order, BLAS builds
 or platform.
+
+Shortest paths are exact and computed from all sources at once on n x n
+numpy arrays: hop counts by a bool frontier expansion (integers, so exact),
+weighted distances by a dense Dijkstra that adds d + 1/w, the float
+operation of a per-source heap Dijkstra, whose bits it reaches.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .ingest import AssociationMatrix
 
@@ -141,70 +146,91 @@ def eigenvector_residual(m: AssociationMatrix, centrality: dict[str, float]) -> 
     return max(abs(mv[i] - lam * v[i]) for i in range(m.n))
 
 
+def _hop_distances(m: AssociationMatrix) -> np.ndarray:
+    """Hop counts from every source (row) to every vertex (column), inf where
+    unreachable: one frontier per source, all expanded together over the
+    positive entries of each row by the product frontier @ edge.
+
+    The arrays are bool, so the product counts nothing: a uint8 one would
+    wrap at 256 common neighbours. Each step costs an n x n x n scan for the
+    cells it does not reach, so a graph of long diameter costs more here
+    than a search per source.
+    """
+    n = m.n
+    edge = m.values > 0.0
+    reached = np.eye(n, dtype=bool)
+    frontier = reached
+    dist = np.where(reached, 0.0, math.inf)
+    hops = 0
+    while frontier.any():
+        hops += 1
+        frontier = (frontier @ edge) & ~reached
+        reached |= frontier
+        dist[frontier] = hops
+    return dist
+
+
+def _weighted_distances(m: AssociationMatrix) -> np.ndarray:
+    """Shortest-path lengths from every source (row), edge length 1/w, inf
+    where unreachable: Dijkstra run for all sources at once on dense arrays.
+
+    Each step every source closes its open vertex of least label and relaxes
+    with that vertex's row of lengths, d + 1/w (which cannot lower a closed
+    label). fl(d + l) is monotone in d and at least d for l >= 0, so
+    label-setting settles each vertex at the least left-folded path sum
+    whatever the order of ties: the same bits as a heap Dijkstra per source.
+    Row u, not column u, holds u's out-lengths, as the matrix is symmetric
+    only within 1e-12.
+    """
+    n = m.n
+    with np.errstate(divide="ignore", over="ignore"):
+        lengths = 1.0 / m.values  # inf off the edges, and where 1/w overflows
+    dist = np.where(np.eye(n, dtype=bool), 0.0, math.inf)
+    closed = np.zeros((n, n))  # inf once a source has closed the vertex
+    sources = np.arange(n)
+    for _ in range(n):  # each step closes one vertex per source
+        labels = dist + closed
+        u = labels.argmin(axis=1)
+        d_u = labels[sources, u]
+        if d_u.min() == math.inf:
+            break
+        closed[sources, u] = math.inf
+        np.minimum(dist, d_u[:, None] + lengths[u], out=dist)
+    return dist
+
+
 def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
     """Mean inverse shortest-path distance over ordered pairs, with 1/inf = 0.
 
-    binary mode uses hop counts over positive edges (breadth-first search);
-    weighted mode uses nonnegative-weight shortest paths with edge length
-    1/index, so strong associations are short.
+    binary mode uses hop counts over positive edges; weighted mode uses
+    nonnegative-weight shortest paths with edge length 1/index, so strong
+    associations are short.
     """
     _require_pairs(m, "global efficiency")
     if mode not in ("binary", "weighted"):
         raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
+    dist = _hop_distances(m) if mode == "binary" else _weighted_distances(m)
     n = m.n
-    adj = m.edges
-    contributions: list[float] = []
-    if mode == "binary":
-        for src in range(n):
-            dist = [-1] * n
-            dist[src] = 0
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for vtx, _w in adj[u]:
-                    if dist[vtx] < 0:
-                        dist[vtx] = dist[u] + 1
-                        queue.append(vtx)
-            contributions.extend(1.0 / dist[j] for j in range(n) if j != src and dist[j] > 0)
-    else:
-        lengths = [[(vtx, 1.0 / w) for vtx, w in row] for row in adj]
-        for src in range(n):
-            dist = [math.inf] * n
-            dist[src] = 0.0
-            heap = [(0.0, src)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for vtx, length in lengths[u]:
-                    nd = d + length
-                    if nd < dist[vtx]:
-                        dist[vtx] = nd
-                        heapq.heappush(heap, (nd, vtx))
-            contributions.extend(1.0 / dist[j] for j in range(n) if j != src and dist[j] < math.inf)
-    return math.fsum(contributions) / (n * (n - 1))
+    reachable = np.isfinite(dist) & ~np.eye(n, dtype=bool)
+    return math.fsum((1.0 / dist[reachable]).tolist()) / (n * (n - 1))
 
 
 def connected_components(m: AssociationMatrix) -> list[list[str]]:
     """Vertex components over positive edges, in matrix order."""
-    adj = m.edges
-    seen = [False] * m.n
+    edge = m.values > 0.0
+    seen = np.zeros(m.n, dtype=bool)
     components = []
     for start in range(m.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for vtx, _w in adj[u]:
-                if not seen[vtx]:
-                    seen[vtx] = True
-                    stack.append(vtx)
-        components.append(sorted(comp))
-    return [[m.names[i] for i in comp] for comp in components]
+        if not seen[start]:
+            frontier = np.arange(m.n) == start
+            seen |= frontier
+            comp = frontier
+            while frontier.any():
+                frontier = edge[frontier].any(axis=0) & ~seen
+                seen |= frontier
+                comp = comp | frontier
+            components.append([name for name, inside in zip(m.names, comp.tolist()) if inside])
+    return components
 
 
 def network_report(m: AssociationMatrix, params: NetworkParams = NetworkParams()) -> NetworkReport:

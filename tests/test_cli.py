@@ -836,7 +836,7 @@ _BAD_INPUTS = {
     "track-detections": (
         "--detections",
         '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 1%s}]}\n' % ("0" * 400),
-        "line 1: detection 0: expected a number, got an integer too large for a float",
+        "line 1: detection 0: score: expected a number, got an integer too large for a float",
         lambda d: ["track", "--video-id", "v", "--out", str(d / "o")],
     ),
     "eval-id-roster": (
@@ -971,6 +971,7 @@ _PINNED_DIGESTS = {
     "layout/network.svg": "a3201a96d0441925611aa639a8406fbafbd7992d68f437e1fddb1ec7355df5d9",
     "layout/network.dot": "396adbb75241d9ff38870a8a3d562c20522e67132a861a4b0b9d4ce5475ad83d",
     "layout/n96/network.svg": "78a88de1e7dae3e11534e34a58c236c2bda22d804696f32f01e5d4ccd4884c54",
+    "network/n96/report.json": "e1a6bcf289c14c503dedc36764c069ee97302f2ab68c1435dbdd6a8011d8d81b",
     "eval-det/hand.json": "7654eb3e26523ab90969a4e0ca7675d2ded199297f3169bdac5b826a695ac8f6",
     "eval-det/noisy.json": "38c67e95906bf80f1b3f8bbea9f3506b1161cf130143f9c9f29c691af203f7ed",
     "eval-det/strict.json": "051c086d2cd1db15f287c11a1bbfa78449b71b485d95723ce49dfb8d9c486d5d",
@@ -1038,6 +1039,9 @@ def test_outputs_match_pinned_digests(tmp_path, fixture_matrix_path):
          "--svg-out", str(large / "network.svg")]
     ) == 0
     outputs["layout/n96/network.svg"] = large / "network.svg"
+    # a report large enough that per-source loops and all-sources arrays part ways in cost
+    assert main(["network", "--matrix", str(large / "matrix.csv"), "--out", str(large / "report.json")]) == 0
+    outputs["network/n96/report.json"] = large / "report.json"
 
     hand = tmp_path / "hand.json"
     assert main([*_eval_det_inputs(tmp_path), "--out", str(hand)]) == 0

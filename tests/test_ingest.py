@@ -1015,11 +1015,26 @@ _FRAMING_ERRORS = [
     (
         "stream-score-beyond-float", _parse_stream,
         '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 1%s}]}\n' % ("0" * 400),
-        "line 1: detection 0: expected a number, got an integer too large for a float",
+        "line 1: detection 0: score: expected a number, got an integer too large for a float",
     ),
     (
         "tracks-bbox-side-beyond-float", parse_tracks, _track_text({"bbox": [0, 0, 10**400, 1]}),
-        "tracks line 1: observation 0: expected a number, got an integer too large for a float",
+        "tracks line 1: observation 0: bbox[2]: expected a number, got an integer too large for a float",
+    ),
+    # a bad number is named by its field
+    (
+        "stream-bbox-side-string", _parse_stream,
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, "1", 1], "score": 1}]}\n',
+        "line 1: detection 0: bbox[2]: expected a number, got '1'",
+    ),
+    (
+        "stream-score-string", _parse_stream,
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": "1"}]}\n',
+        "line 1: detection 0: score: expected a number, got '1'",
+    ),
+    (
+        "gt-bbox-side-string", parse_ground_truth, _gt_text({}, {"bbox": [0, 0, 1, "1"]}),
+        "ground truth: annotation 0: bbox[3]: expected a number, got '1'",
     ),
     (
         "samples-score-beyond-float", _parse_samples,

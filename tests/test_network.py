@@ -3,14 +3,17 @@ centrality and global efficiency."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import subprocess
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from troopnet import network
 from troopnet.ingest import AssociationMatrix
 from troopnet.network import (
     ConvergenceError,
@@ -305,6 +308,169 @@ def test_efficiency_matches_exhaustive_enumeration(seed, n):
     assert global_efficiency(m, "weighted") == pytest.approx(
         _brute_efficiency(m, "weighted"), abs=1e-9
     )
+
+
+def _bfs_distances(m):
+    """Hop counts by a breadth-first search per source: the reference for _hop_distances."""
+    n = m.n
+    adj = m.edges
+    rows = []
+    for src in range(n):
+        dist = [-1] * n
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for vtx, _w in adj[u]:
+                if dist[vtx] < 0:
+                    dist[vtx] = dist[u] + 1
+                    queue.append(vtx)
+        rows.append([math.inf if d < 0 else float(d) for d in dist])
+    return np.array(rows)
+
+
+def _dijkstra_distances(m):
+    """Lengths by a heap Dijkstra per source: the reference for _weighted_distances."""
+    n = m.n
+    lengths = [[(vtx, 1.0 / w) for vtx, w in row] for row in m.edges]
+    rows = []
+    for src in range(n):
+        dist = [math.inf] * n
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for vtx, length in lengths[u]:
+                nd = d + length
+                if nd < dist[vtx]:
+                    dist[vtx] = nd
+                    heapq.heappush(heap, (nd, vtx))
+        rows.append(dist)
+    return np.array(rows)
+
+
+def _oracle_efficiency(dist):
+    n = len(dist)
+    rows = dist.tolist()
+    return math.fsum(
+        1.0 / rows[i][j] for i in range(n) for j in range(n) if i != j and rows[i][j] < math.inf
+    ) / (n * (n - 1))
+
+
+def _oracle_components(m):
+    """Components by a stack search from each unseen vertex: the reference for connected_components."""
+    seen = [False] * m.n
+    components = []
+    for start in range(m.n):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for vtx, _w in m.edges[u]:
+                if not seen[vtx]:
+                    seen[vtx] = True
+                    stack.append(vtx)
+        components.append([m.names[i] for i in sorted(comp)])
+    return components
+
+
+def _assert_matches_oracles(m):
+    hops, lengths = _bfs_distances(m), _dijkstra_distances(m)
+    assert np.array_equal(network._hop_distances(m), hops)
+    assert np.array_equal(network._weighted_distances(m), lengths)
+    assert global_efficiency(m, "binary") == _oracle_efficiency(hops)
+    assert global_efficiency(m, "weighted") == _oracle_efficiency(lengths)
+    assert connected_components(m) == _oracle_components(m)
+
+
+# ties (exact lengths 1, 2, 4, 8), lengths that round (1/0.3, 1/0.7),
+# weights a 9e-13 mirror offset clamps to zero, and subnormals whose length
+# 1/w overflows to inf
+_ORACLE_WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.1, 0.3, 0.7, 5e-13, 5e-324, 1e-310]),
+    st.floats(1e-300, 1.0),
+)
+
+
+@st.composite
+def _oracle_matrices(draw):
+    """Graphs with isolated vertices, several components, tied and subnormal
+    weights, and mirror cells that differ by up to 1e-12 (a zero facing a
+    tiny weight among them, so an edge may run one way only)."""
+    n = draw(st.integers(2, 24))
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    groups = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    p = draw(st.sampled_from([0.15, 0.4, 0.8]))
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in isolated or j in isolated or groups[i] != groups[j]:
+                continue
+            if draw(st.floats(0.0, 1.0)) >= p:
+                continue
+            w = draw(_ORACLE_WEIGHTS)
+            mirror = min(max(w + draw(st.sampled_from([0.0, 0.0, 9e-13, -9e-13])), 0.0), 1.0)
+            values[i, j], values[j, i] = (w, mirror) if draw(st.booleans()) else (mirror, w)
+    return AssociationMatrix(names=[f"n{k}" for k in range(n)], values=values)
+
+
+@given(_oracle_matrices())
+@settings(max_examples=300, deadline=None)
+@example(AssociationMatrix(names=["a", "b", "c"], values=[[0.0, 5e-324, 0.0], [5e-324, 0.0, 0.5], [0.0, 0.5, 0.0]]))
+@example(AssociationMatrix(names=["a", "b", "c"], values=[[0.0, 1e-12, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]]))
+def test_distances_equal_the_search_oracles(m):
+    _assert_matches_oracles(m)
+
+
+@given(st.integers(0, 5000), st.integers(24, 60), st.sampled_from([0.1, 0.5, 0.85]))
+@settings(max_examples=20, deadline=None)
+def test_distances_equal_the_search_oracles_on_larger_graphs(seed, n, p):
+    _assert_matches_oracles(_random_sparse_matrix(seed, n, p))
+
+
+def test_complete_graph_past_255_vertices():
+    values = np.full((300, 300), 0.5)
+    np.fill_diagonal(values, 0.0)
+    m = AssociationMatrix(names=[f"n{k}" for k in range(300)], values=values)
+    assert density(m) == 1.0
+    assert global_efficiency(m, "binary") == 1.0
+    assert global_efficiency(m, "weighted") == 0.5
+
+
+def test_256_common_neighbours_still_reach():
+    # the ends 0 and 257 share the 256 middle vertices, which are all joined,
+    # so the frontier of 0 meets 257 in 256 places: a product counting in
+    # uint8 would see 0 there
+    values = np.full((258, 258), 0.5)
+    np.fill_diagonal(values, 0.0)
+    values[0, 257] = values[257, 0] = 0.0
+    m = AssociationMatrix(names=[f"n{k}" for k in range(258)], values=values)
+    hops = network._hop_distances(m)
+    assert hops[0, 257] == hops[257, 0] == 2.0
+    assert np.array_equal(hops, _bfs_distances(m))
+
+
+def test_path_of_300_vertices():
+    # each hop step scans n x n x n cells here, so the hop array is built once
+    n = 300
+    rng = Rng(4)
+    values = np.zeros((n, n))
+    for i in range(n - 1):
+        values[i, i + 1] = values[i + 1, i] = 0.05 + 0.9 * rng.random()
+    m = AssociationMatrix(names=[f"n{k}" for k in range(n)], values=values)
+    hops = network._hop_distances(m)
+    assert hops[0, n - 1] == n - 1
+    assert np.array_equal(hops, _bfs_distances(m))
+    lengths = _dijkstra_distances(m)
+    assert np.array_equal(network._weighted_distances(m), lengths)
+    assert global_efficiency(m, "weighted") == _oracle_efficiency(lengths)
+    assert connected_components(m) == _oracle_components(m)
 
 
 @given(st.integers(0, 5000))
