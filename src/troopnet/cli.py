@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 or a JSON object when --error-json is set. All output files are written
 atomically (temp file in the target directory, then rename).
 
+The matrix stages (association, network, layout, synth) import numpy,
+so each handler that runs one imports it itself: track and eval-det
+start on the standard library alone.
+
 Configuration: a flat key = value file (--config) supplies settings that
 command-line flags override; the README's Configuration section lists
 the keys, their types and defaults.
@@ -23,11 +27,10 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
-from . import association, evaluation, ingest, layout, network, synth, tracking
+from . import evaluation, ingest, tracking
 from .geometry import ProximityParams
 from .ingest import ParseError, atomic_write_bytes, atomic_write_text
-from .layout import GemParams
-from .network import NetworkParams
+from .params import ConvergenceError, GemParams, NetworkParams
 from .tracking import TrackerParams
 
 __all__ = ["PipelineConfig", "load_config", "main"]
@@ -219,6 +222,8 @@ def _video_ledger(path: str, video_id: str, roster, config: PipelineConfig) -> t
 
 def _matrix(ledger, roster) -> ingest.AssociationMatrix:
     """Simple-ratio matrix over the roster's names, or the sorted counted names without one."""
+    from . import association
+
     counts = association.count_occurrences(ledger)
     names = roster.names if roster is not None else sorted(counts.per_individual)
     return association.simple_ratio_matrix(counts, names)
@@ -306,6 +311,8 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
+    from . import network
+
     config = _resolve_config(args)
     matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
     atomic_write_text(args.out, ingest.write_report(network.network_report(matrix, config.network)))
@@ -313,6 +320,8 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
+    from . import layout, network
+
     config = _resolve_config(args)
     if not args.svg_out and not args.dot_out:
         raise UsageError("at least one of --svg-out or --dot-out is required")
@@ -331,6 +340,8 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     config = _resolve_config(args)
     seed, out_dir = _required(config, "seed", "out_dir")
     try:
@@ -365,6 +376,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from . import layout, network
+
     config = _resolve_config(args)
     seed, detections_dir, roster_path, out_dir = _required(
         config, "seed", "detections_dir", "roster_path", "out_dir"
@@ -526,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         _emit_error(str(exc), 1, as_json)
         return 1
-    except network.ConvergenceError as exc:
+    except ConvergenceError as exc:
         _emit_error(str(exc), 3, as_json)
         return 3
     except (ParseError, ConfigError, ValueError, OSError) as exc:

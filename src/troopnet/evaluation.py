@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import BBox, iou
 from .ingest import Detection, Roster
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MatchPair",
@@ -162,6 +164,8 @@ def confusion_matrix(samples: list[IdSample], roster: Roster) -> np.ndarray:
     Rows with at least one sample are divided by their sum; all-zero rows
     stay zero. Row and column order follow the roster.
     """
+    import numpy as np
+
     index = roster.positions
     counts = np.zeros((len(roster), len(roster)))
     for i, sample in enumerate(samples):

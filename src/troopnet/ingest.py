@@ -18,10 +18,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import BBox
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ParseError",
@@ -641,6 +643,8 @@ class AssociationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.values = np.asarray(self.values, dtype=float)
         n = len(self.names)
         if len(set(self.names)) != n or any(not name for name in self.names):
@@ -672,6 +676,8 @@ class AssociationMatrix:
         """Each vertex's (partner, weight) list over the positive entries of its
         row (the diagonal is exactly zero), partners in index order: the one
         graph view the network measures and the layout read."""
+        import numpy as np
+
         out = []
         for row in self.values:
             partners = np.flatnonzero(row > 0.0)
@@ -688,6 +694,8 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
     that disagree by more than 1e-9 are an error. Rows may be shorter than
     the header (missing trailing cells are blank).
     """
+    import numpy as np
+
     rows = [row for row in csv.reader(io.StringIO(_text(text))) if any(cell != "" for cell in row)]
     if not rows:
         raise ParseError("matrix: empty input")

@@ -26,12 +26,13 @@ formats every number with six significant digits for byte-stable output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import AssociationMatrix
 from .network import NetworkReport
+from .params import GemParams
 from .rng import Rng
 
 __all__ = [
@@ -63,21 +64,9 @@ _MAX_TEMPERATURE = 256.0
 # Graphs with at least this many vertices take _vector_visit, smaller ones
 # _scalar_visit: numpy's fixed cost, about 13 us a visit, outweighs the
 # loop's O(n) work below about 40 vertices on dense graphs and 80 on
-# sparse ones (ROADMAP item 5 has the measured table).
+# sparse ones (CHANGES.md has the measured table, in the entry on the
+# exact numpy GEM visit).
 _VECTOR_MIN_N = 64
-
-
-@dataclass(frozen=True)
-class GemParams:
-    desired_edge_length: float = 128.0
-    max_rounds_factor: int = 40
-    stop_temperature_fraction: float = 1.0 / 50.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be positive and finite, got {value}")
 
 
 @dataclass

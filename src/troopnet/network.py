@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import AssociationMatrix
+from .params import ConvergenceError, NetworkParams
 
 __all__ = [
     "IndividualMeasures",
@@ -50,29 +51,6 @@ class NetworkReport:
     global_efficiency_weighted: float
     individuals: list[IndividualMeasures]
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class NetworkParams:
-    """Eigenvector power iteration: converged once a step moves every entry
-    by less than tol, a ConvergenceError after max_iter steps."""
-
-    tol: float = 1e-10
-    max_iter: int = 10000
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative computation failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _require_pairs(m: AssociationMatrix, what: str) -> None:

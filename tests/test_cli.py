@@ -145,6 +145,15 @@ def test_convergence_failure_exits_three(tmp_path, fixture_matrix_path, capsys):
     assert code == 3
 
 
+def test_layout_and_pipeline_convergence_failures_exit_three(tmp_path, fixture_matrix_path, synth_run, capsys):
+    layout = ["layout", "--matrix", str(fixture_matrix_path), "--seed", "5", "--svg-out", str(tmp_path / "n.svg")]
+    pipeline = ["pipeline", "--detections-dir", str(synth_run / "detections"), "--roster",
+                str(synth_run / "roster.csv"), "--out-dir", str(tmp_path / "out"), "--seed", "5"]
+    for argv in (layout, pipeline):
+        assert main([*argv, "--max-iter", "1", "--error-json"]) == 3
+        assert json.loads(capsys.readouterr().err)["exit_code"] == 3
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -896,17 +905,24 @@ def test_console_script_entry_point(tmp_path, fixture_matrix_path):
     assert parse_report(out.read_text()).density == pytest.approx(0.17305458768873402)
 
 
-# Modules that import troopnet.cli adds to a bare interpreter, one per line.
+# Modules that importing troopnet.cli and rendering the matrix sys.argv[1]
+# to SVG add to a bare interpreter, one per line.
 _NEW_MODULES = """
 import sys
 before = set(sys.modules)
-import troopnet.cli
+from troopnet.cli import main
+if main(["layout", "--matrix", sys.argv[1], "--seed", "5", "--svg-out", sys.argv[2]]) != 0:
+    sys.exit("layout failed")
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_import_leaves_out_the_xml_and_http_stack():
-    proc = subprocess.run([sys.executable, "-c", _NEW_MODULES], capture_output=True, text=True)
+def test_cli_import_leaves_out_the_xml_and_http_stack(tmp_path, fixture_matrix_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES, str(fixture_matrix_path), str(tmp_path / "network.svg")],
+        capture_output=True,
+        text=True,
+    )
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout.split()
     assert "troopnet.layout" in added
@@ -945,6 +961,44 @@ def test_toy_run_without_scipy_matches_unblocked_run(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs[side] = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert len(outputs["blocked"]) == 3 + 2 * 4 + len(_PIPELINE_FILES) + 1
+    assert outputs["blocked"] == outputs["unblocked"]
+
+
+# eval-det and track --roster through cli.main on the detection stream of
+# video v0003 at sys.argv[2], with the ground truth and roster at
+# sys.argv[3] and [4], writing under sys.argv[5]; with "blocked" as
+# sys.argv[1], every import of numpy raises ImportError.
+_NUMPY_FREE_RUN = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from troopnet.cli import main
+if sys.modules.get("numpy") is not None:
+    sys.exit("import troopnet.cli loaded numpy")
+stream, gt, roster, out = sys.argv[2:]
+for argv in (
+    ["eval-det", "--predictions", stream, "--ground-truth", gt, "--video-id", "v0003", "--out", out + "/det.json"],
+    ["track", "--detections", stream, "--video-id", "v0003", "--roster", roster, "--out", out + "/track.jsonl"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_eval_det_and_track_run_without_numpy(synth_run, tmp_path):
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps(_gt_from_tracks(synth_run / "tracks" / "v0003.jsonl", "v0003")))
+    inputs = [str(synth_run / "detections" / "v0003.jsonl"), str(gt), str(synth_run / "roster.csv")]
+    outputs = {}
+    for side in ("blocked", "unblocked"):
+        out = tmp_path / side
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_RUN, side, *inputs, str(out)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[side] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(outputs["blocked"]) == ["det.json", "track.jsonl"]
     assert outputs["blocked"] == outputs["unblocked"]
 
 

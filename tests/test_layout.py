@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troopnet import layout
+from troopnet.ingest import AssociationMatrix
 from troopnet.layout import GemParams, gem_layout, render_dot, render_svg
 from troopnet.network import network_report
 from troopnet.rng import Rng
@@ -212,12 +213,13 @@ def test_network_and_layout_derive_the_edge_lists_once(visit_path):
     n = 5 if visit_path == "scalar" else layout._VECTOR_MIN_N
     names = [f"n{k}" for k in range(n)]
     m = matrix_from_dyads(names, {(names[k], names[(k + 1) % n]): 0.25 + k / (2 * n) for k in range(n)})
-    with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as row_reads:
+    edges = AssociationMatrix.__dict__["edges"]  # the cached_property, whose func builds the lists
+    with mock.patch.object(edges, "func", wraps=edges.func) as builds:
         report = network_report(m)
         placed = gem_layout(m, GemParams(max_rounds_factor=1), seed=1)
         render_svg(m, placed, report)
         render_dot(m, report)
-    assert row_reads.call_count == n  # one read of each row: AssociationMatrix.edges, once
+    assert builds.call_count == 1
 
 
 # ---------------------------------------------------------------------------
