@@ -301,7 +301,11 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
         ledger = _parse_file(ingest.parse_occurrence_ledger, args.ledger, roster)
     else:
         ledger = _parse_file(ingest.parse_pair_ledger, args.pair_ledger, roster)
-    matrix = _matrix(ledger, roster)
+    try:
+        matrix = _matrix(ledger, roster)
+    except ValueError as exc:  # parsing checked every name, so this is a matrix of no names
+        inputs = ", ".join(args.tracks) if args.tracks else args.ledger or args.pair_ledger
+        raise ParseError(f"{inputs}: counts no individual ({exc})") from None
     atomic_write_text(args.out, ingest.write_matrix(matrix))
     if args.ledger_out:
         atomic_write_text(args.ledger_out, _ledger_text(ledger, roster))

@@ -634,9 +634,9 @@ def write_pair_ledger(ledger: PairLedger) -> str:
 class AssociationMatrix:
     """Symmetric matrix of dyadic association indices in [0, 1].
 
-    names fixes the row/column order; values is an (n, n) float array with
-    a zero diagonal, symmetric within 1e-12, never written after
-    construction.
+    names (at least one) fixes the row/column order; values is an (n, n)
+    float array with a zero diagonal, symmetric within 1e-12, never written
+    after construction.
     """
 
     names: list[str]
@@ -647,17 +647,19 @@ class AssociationMatrix:
 
         self.values = np.asarray(self.values, dtype=float)
         n = len(self.names)
+        if not n:
+            raise ValueError("matrix needs at least one name")
         if len(set(self.names)) != n or any(not name for name in self.names):
             raise ValueError("matrix names must be unique and non-empty")
         if self.values.shape != (n, n):
             raise ValueError(f"matrix shape {self.values.shape} does not match {n} names")
-        if n and not np.isfinite(self.values).all():
+        if not np.isfinite(self.values).all():
             raise ValueError("matrix values must be finite")
-        if n and (self.values.min() < 0.0 or self.values.max() > 1.0):
+        if self.values.min() < 0.0 or self.values.max() > 1.0:
             raise ValueError("matrix values must lie in [0, 1]")
         if any(self.values[i, i] != 0.0 for i in range(n)):
             raise ValueError("matrix diagonal must be exactly zero")
-        if n and np.abs(self.values - self.values.T).max() > SYMMETRY_TOLERANCE:
+        if np.abs(self.values - self.values.T).max() > SYMMETRY_TOLERANCE:
             raise ValueError("matrix is not symmetric within 1e-12")
         self._index = {name: i for i, name in enumerate(self.names)}
 

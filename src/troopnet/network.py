@@ -6,9 +6,9 @@ exactly rounded, so results do not depend on summation order, BLAS builds
 or platform.
 
 Shortest paths are exact and computed from all sources at once on n x n
-numpy arrays: hop counts by a bool frontier expansion (integers, so exact),
-weighted distances by a dense Dijkstra that adds d + 1/w, the float
-operation of a per-source heap Dijkstra, whose bits it reaches.
+numpy arrays by one dense Dijkstra: it adds d + l, the float operation of a
+per-source heap Dijkstra, whose bits it reaches. Weighted distances use
+l = 1/w; hop counts use l = 1, whose sums are exact integers.
 """
 
 from __future__ import annotations
@@ -124,45 +124,21 @@ def eigenvector_residual(m: AssociationMatrix, centrality: dict[str, float]) -> 
     return max(abs(mv[i] - lam * v[i]) for i in range(m.n))
 
 
-def _hop_distances(m: AssociationMatrix) -> np.ndarray:
-    """Hop counts from every source (row) to every vertex (column), inf where
-    unreachable: one frontier per source, all expanded together over the
-    positive entries of each row by the product frontier @ edge.
-
-    The arrays are bool, so the product counts nothing: a uint8 one would
-    wrap at 256 common neighbours. Each step costs an n x n x n scan for the
-    cells it does not reach, so a graph of long diameter costs more here
-    than a search per source.
-    """
-    n = m.n
-    edge = m.values > 0.0
-    reached = np.eye(n, dtype=bool)
-    frontier = reached
-    dist = np.where(reached, 0.0, math.inf)
-    hops = 0
-    while frontier.any():
-        hops += 1
-        frontier = (frontier @ edge) & ~reached
-        reached |= frontier
-        dist[frontier] = hops
-    return dist
-
-
-def _weighted_distances(m: AssociationMatrix) -> np.ndarray:
-    """Shortest-path lengths from every source (row), edge length 1/w, inf
-    where unreachable: Dijkstra run for all sources at once on dense arrays.
+def _distances(lengths: np.ndarray) -> np.ndarray:
+    """Shortest-path lengths from every source (row), given the n x n edge
+    lengths (inf off the edges), inf where unreachable: Dijkstra run for all
+    sources at once on dense arrays, n steps of n x n work whatever the
+    graph's diameter.
 
     Each step every source closes its open vertex of least label and relaxes
-    with that vertex's row of lengths, d + 1/w (which cannot lower a closed
+    with that vertex's row of lengths, d + l (which cannot lower a closed
     label). fl(d + l) is monotone in d and at least d for l >= 0, so
     label-setting settles each vertex at the least left-folded path sum
-    whatever the order of ties: the same bits as a heap Dijkstra per source.
-    Row u, not column u, holds u's out-lengths, as the matrix is symmetric
-    only within 1e-12.
+    whatever the order of ties: the same bits as a heap Dijkstra per source,
+    and exact hop counts at unit lengths. Row u, not column u, holds u's
+    out-lengths, as the matrix is symmetric only within 1e-12.
     """
-    n = m.n
-    with np.errstate(divide="ignore", over="ignore"):
-        lengths = 1.0 / m.values  # inf off the edges, and where 1/w overflows
+    n = len(lengths)
     dist = np.where(np.eye(n, dtype=bool), 0.0, math.inf)
     closed = np.zeros((n, n))  # inf once a source has closed the vertex
     sources = np.arange(n)
@@ -180,14 +156,19 @@ def _weighted_distances(m: AssociationMatrix) -> np.ndarray:
 def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
     """Mean inverse shortest-path distance over ordered pairs, with 1/inf = 0.
 
-    binary mode uses hop counts over positive edges; weighted mode uses
-    nonnegative-weight shortest paths with edge length 1/index, so strong
-    associations are short.
+    binary mode uses hop counts over positive edges (length 1 each); weighted
+    mode uses nonnegative-weight shortest paths with edge length 1/index, so
+    strong associations are short.
     """
     _require_pairs(m, "global efficiency")
     if mode not in ("binary", "weighted"):
         raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
-    dist = _hop_distances(m) if mode == "binary" else _weighted_distances(m)
+    if mode == "binary":
+        lengths = np.where(m.values > 0.0, 1.0, math.inf)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            lengths = 1.0 / m.values  # inf off the edges, and where 1/w overflows
+    dist = _distances(lengths)
     n = m.n
     reachable = np.isfinite(dist) & ~np.eye(n, dtype=bool)
     return math.fsum((1.0 / dist[reachable]).tolist()) / (n * (n - 1))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import BBox
 from .ingest import (
+    AssociationMatrix,
     Detection,
     DetectionStream,
     Frame,
@@ -73,19 +74,7 @@ class SynthScenario:
     noise: NoiseParams = field(default_factory=NoiseParams)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.latent_weights, dtype=float)
-        n = len(self.roster)
-        if w.shape != (n, n):
-            raise ValueError(f"latent_weights shape {w.shape} does not match roster size {n}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("latent_weights must be finite")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("latent_weights must lie in [0, 1]")
-        if np.any(np.diagonal(w) != 0.0):
-            raise ValueError("latent_weights must have a zero diagonal")
-        if not np.array_equal(w, w.T):
-            raise ValueError("latent_weights must be symmetric")
-        self.latent_weights = w
+        self.latent_weights = AssociationMatrix(self.roster.names, self.latent_weights).values
 
 
 def generate_troop(seed: int, n_individuals: int, n_matrilines: int) -> tuple[Roster, np.ndarray]:

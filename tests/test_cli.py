@@ -512,6 +512,20 @@ def test_cooccur_rejects_track_identity_off_roster(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, text", [("--ledger", "video_id,present\nv1,\nv2,\n"), ("--tracks", "")], ids=["ledger", "tracks"]
+)
+def test_cooccur_rejects_an_input_that_counts_no_individual(tmp_path, capsys, flag, text):
+    # without a roster the matrix is over the counted names, and a matrix of
+    # no names is one that no later stage can read
+    source = tmp_path / "input"
+    source.write_text(text)
+    out = tmp_path / "matrix.csv"
+    assert main(["cooccur", flag, str(source), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{source}: counts no individual (matrix needs at least one name)\n"
+    assert not out.exists()
+
+
 def test_eval_id_hand_case(tmp_path):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")

@@ -534,6 +534,12 @@ def test_association_matrix_validation():
         AssociationMatrix(names=["A", "B"], values=np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
+def test_association_matrix_needs_a_name():
+    # parse_association_matrix already refuses a header of no names
+    with pytest.raises(ValueError, match="at least one name"):
+        AssociationMatrix(names=[], values=np.zeros((0, 0)))
+
+
 def test_association_matrix_helpers():
     m = AssociationMatrix(names=["A", "B"], values=np.array([[0.0, 0.4], [0.4, 0.0]]))
     assert m.n == 2

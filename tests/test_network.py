@@ -311,7 +311,7 @@ def test_efficiency_matches_exhaustive_enumeration(seed, n):
 
 
 def _bfs_distances(m):
-    """Hop counts by a breadth-first search per source: the reference for _hop_distances."""
+    """Hop counts by a breadth-first search per source: the reference for _distances at unit lengths."""
     n = m.n
     adj = m.edges
     rows = []
@@ -330,7 +330,7 @@ def _bfs_distances(m):
 
 
 def _dijkstra_distances(m):
-    """Lengths by a heap Dijkstra per source: the reference for _weighted_distances."""
+    """Lengths by a heap Dijkstra per source: the reference for _distances at lengths 1/w."""
     n = m.n
     lengths = [[(vtx, 1.0 / w) for vtx, w in row] for row in m.edges]
     rows = []
@@ -380,10 +380,18 @@ def _oracle_components(m):
     return components
 
 
+def _helper_distances(m, mode):
+    """network._distances over the edge lengths global_efficiency builds for mode."""
+    if mode == "binary":
+        return network._distances(np.where(m.values > 0.0, 1.0, math.inf))
+    with np.errstate(divide="ignore", over="ignore"):
+        return network._distances(1.0 / m.values)
+
+
 def _assert_matches_oracles(m):
     hops, lengths = _bfs_distances(m), _dijkstra_distances(m)
-    assert np.array_equal(network._hop_distances(m), hops)
-    assert np.array_equal(network._weighted_distances(m), lengths)
+    assert np.array_equal(_helper_distances(m, "binary"), hops)
+    assert np.array_equal(_helper_distances(m, "weighted"), lengths)
     assert global_efficiency(m, "binary") == _oracle_efficiency(hops)
     assert global_efficiency(m, "weighted") == _oracle_efficiency(lengths)
     assert connected_components(m) == _oracle_components(m)
@@ -445,30 +453,31 @@ def test_complete_graph_past_255_vertices():
 
 def test_256_common_neighbours_still_reach():
     # the ends 0 and 257 share the 256 middle vertices, which are all joined,
-    # so the frontier of 0 meets 257 in 256 places: a product counting in
-    # uint8 would see 0 there
+    # so they are two hops apart along 256 tied paths: more than a count in
+    # 8 bits can hold
     values = np.full((258, 258), 0.5)
     np.fill_diagonal(values, 0.0)
     values[0, 257] = values[257, 0] = 0.0
     m = AssociationMatrix(names=[f"n{k}" for k in range(258)], values=values)
-    hops = network._hop_distances(m)
+    hops = _helper_distances(m, "binary")
     assert hops[0, 257] == hops[257, 0] == 2.0
     assert np.array_equal(hops, _bfs_distances(m))
 
 
 def test_path_of_300_vertices():
-    # each hop step scans n x n x n cells here, so the hop array is built once
+    # diameter n - 1: both efficiencies still take n steps of n x n work
     n = 300
     rng = Rng(4)
     values = np.zeros((n, n))
     for i in range(n - 1):
         values[i, i + 1] = values[i + 1, i] = 0.05 + 0.9 * rng.random()
     m = AssociationMatrix(names=[f"n{k}" for k in range(n)], values=values)
-    hops = network._hop_distances(m)
+    hops = _helper_distances(m, "binary")
     assert hops[0, n - 1] == n - 1
     assert np.array_equal(hops, _bfs_distances(m))
+    assert global_efficiency(m, "binary") == _oracle_efficiency(hops)
     lengths = _dijkstra_distances(m)
-    assert np.array_equal(network._weighted_distances(m), lengths)
+    assert np.array_equal(_helper_distances(m, "weighted"), lengths)
     assert global_efficiency(m, "weighted") == _oracle_efficiency(lengths)
     assert connected_components(m) == _oracle_components(m)
 
