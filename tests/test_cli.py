@@ -1124,3 +1124,75 @@ def test_outputs_match_pinned_digests(tmp_path, fixture_matrix_path):
         outputs[f"eval-det/{name}.json"] = out
 
     assert {name: _digest(path) for name, path in outputs.items()} == _PINNED_DIGESTS
+
+
+# SHA-256 of eval-id --k 1 --k 2 --k 3 on (a) samples built from the fused
+# tracks of test_outputs_match_pinned_digests' scenario and (b) a hand file
+# whose true labels tie with other names at the top and in mid-ranking.
+_PINNED_EVAL_ID_DIGESTS = {
+    "eval-id/scenario.json": "672a36262b2ca6fee387f9d9dae0454b404a3befc773a55fa72e4ca23300fc6c",
+    "eval-id/ties.json": "1dd1a2d2690b16d7eb1cc82e42be4493bf940291c6cbc66e6f7ad6b9544f6f1f",
+}
+
+# (scores of names A-E, true label): the later of two tied names ranks first
+_TIED_SAMPLES = [
+    ((0.5, 0.5, 0.25, 0.0, 0.0), "A"),  # tied for the top, ranked 2nd
+    ((0.5, 0.5, 0.25, 0.0, 0.0), "B"),  # tied for the top, ranked 1st
+    ((0.9, 0.4, 0.4, 0.4, 0.1), "B"),  # three-way tie below the top: 4th
+    ((0.9, 0.4, 0.4, 0.4, 0.1), "C"),  # 3rd
+    ((0.9, 0.4, 0.4, 0.4, 0.1), "D"),  # 2nd
+    ((0.25, 0.25, 0.25, 0.25, 0.25), "A"),  # all tied: last
+    ((0.25, 0.25, 0.25, 0.25, 0.25), "E"),  # all tied: 1st
+    ((0.0, 1.0, 0.0, 1.0, 0.0), "D"),  # tied for the top, ranked 1st
+    ((0.0, 1.0, 0.0, 1.0, 0.0), "C"),  # tied at the bottom, ranked 4th
+    ((0.0, 1.0, 0.0, 1.0, 0.0), "B"),  # tied for the top, ranked 2nd; B's row holds thirds
+]
+
+
+def test_eval_id_outputs_match_pinned_digests(tmp_path):
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "7", "--matrilines", "2", "--videos", "10",
+         "--frames", "12", "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2",
+         "--id-confusion-rate", "0.2", "--out-dir", str(scenario)]
+    ) == 0
+    roster = scenario / "roster.csv"
+    # each scored observation of an identified track is a sample of its track's name
+    lines = []
+    for stream in sorted((scenario / "detections").iterdir()):
+        fused = tmp_path / f"fused_{stream.name}"
+        assert main(
+            ["track", "--detections", str(stream), "--video-id", stream.stem, "--roster", str(roster),
+             "--out", str(fused)]
+        ) == 0
+        for track in map(json.loads, fused.read_text().splitlines()):
+            if track["identity"] is None:
+                continue
+            for obs in track["observations"]:
+                if "class_scores" in obs:
+                    lines.append({"class_scores": obs["class_scores"], "true_label": track["identity"]["name"]})
+    assert len(lines) > 100
+    (tmp_path / "scenario.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+
+    (tmp_path / "ties.csv").write_text("name,sex,age_years\n" + "".join(f"{nm},unknown,\n" for nm in "ABCDE"))
+    (tmp_path / "ties.jsonl").write_text(
+        "".join(
+            json.dumps({"class_scores": dict(zip("ABCDE", scores)), "true_label": label}) + "\n"
+            for scores, label in _TIED_SAMPLES
+        )
+    )
+
+    outputs = {}
+    for name, names in [("scenario", roster), ("ties", tmp_path / "ties.csv")]:
+        out = tmp_path / f"{name}.json"
+        assert main(
+            ["eval-id", "--samples", str(tmp_path / f"{name}.jsonl"), "--roster", str(names),
+             "--k", "1", "--k", "2", "--k", "3", "--out", str(out)]
+        ) == 0
+        outputs[f"eval-id/{name}.json"] = out
+    report = json.loads(outputs["eval-id/ties.json"].read_text())
+    # ranks 2, 1, 4, 3, 2, 5, 1, 1, 4, 2
+    assert report["top_k"] == {"1": 3 / 10, "2": 6 / 10, "3": 7 / 10}
+    assert report["confusion"][1] == [1 / 3, 1 / 3, 0.0, 1 / 3, 0.0]
+
+    assert {name: _digest(path) for name, path in outputs.items()} == _PINNED_EVAL_ID_DIGESTS
