@@ -10,8 +10,8 @@ or a JSON object when --error-json is set. All output files are written
 atomically (temp file in the target directory, then rename).
 
 The matrix stages (association, network, layout, synth) import numpy,
-so each handler that runs one imports it itself: track and eval-det
-start on the standard library alone.
+so each handler that runs one imports it itself: track, eval-det and
+eval-id start on the standard library alone.
 
 Configuration: a flat key = value file (--config) supplies settings that
 command-line flags override; the README's Configuration section lists
@@ -272,12 +272,11 @@ def _cmd_eval_id(args: argparse.Namespace) -> int:
     roster = _read_roster(args.roster)
     samples = _parse_file(ingest.parse_id_samples, args.samples, roster)
     ks = sorted(set(args.k or [1, 5]))
-    confusion = evaluation.confusion_matrix(samples, roster)
     report = {
         "n_samples": len(samples),
         "top_k": {str(k): evaluation.topk_accuracy(samples, k) for k in ks},
         "names": roster.names,
-        "confusion": [[float(v) for v in row] for row in confusion],
+        "confusion": evaluation.confusion_matrix(samples, roster),
     }
     atomic_write_text(args.out, ingest.write_json(report))
     return 0
@@ -303,7 +302,7 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
         ledger = _parse_file(ingest.parse_pair_ledger, args.pair_ledger, roster)
     try:
         matrix = _matrix(ledger, roster)
-    except ValueError as exc:  # parsing checked every name, so this is a matrix of no names
+    except ValueError as exc:  # without a roster, a ledger that names no one gives no names
         inputs = ", ".join(args.tracks) if args.tracks else args.ledger or args.pair_ledger
         raise ParseError(f"{inputs}: counts no individual ({exc})") from None
     atomic_write_text(args.out, ingest.write_matrix(matrix))

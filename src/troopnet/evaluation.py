@@ -12,13 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 from .geometry import BBox, iou
 from .ingest import Detection, Roster
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MatchPair",
@@ -26,6 +22,7 @@ __all__ = [
     "IdSample",
     "match_detections",
     "false_negative_rate",
+    "rank_key",
     "topk_accuracy",
     "confusion_matrix",
     "pooled_detection_metrics",
@@ -136,13 +133,14 @@ def false_negative_rate(
     return len(result.unmatched_gts) / len(gts)
 
 
-def _ranked_names(class_scores: dict[str, float]) -> list[str]:
-    # score descending; equal scores rank the lexicographically later name first
-    return sorted(class_scores, key=lambda nm: (class_scores[nm], nm), reverse=True)
+def rank_key(scores: dict[str, float]):
+    """The key that ranks names by score: a name with a greater key ranks
+    first, so equal scores rank the lexicographically later name first."""
+    return lambda name: (scores[name], name)
 
 
 def topk_accuracy(samples: list[IdSample], k: int) -> float:
-    """Fraction of samples whose true label is among the k best-scored names."""
+    """Fraction of samples whose true label is outranked by fewer than k names."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if not samples:
@@ -153,32 +151,31 @@ def topk_accuracy(samples: list[IdSample], k: int) -> float:
             raise ValueError(f"sample {i}: empty class_scores")
         if sample.true_label not in sample.class_scores:
             raise ValueError(f"sample {i}: true label {sample.true_label!r} absent from class_scores")
-        if sample.true_label in _ranked_names(sample.class_scores)[:k]:
-            hits += 1
+        key = rank_key(sample.class_scores)
+        own = key(sample.true_label)
+        hits += sum(key(nm) > own for nm in sample.class_scores) < k
     return hits / len(samples)
 
 
-def confusion_matrix(samples: list[IdSample], roster: Roster) -> np.ndarray:
-    """Confusion matrix, rows = true identity, columns = predicted (argmax).
+def confusion_matrix(samples: list[IdSample], roster: Roster) -> list[list[float]]:
+    """Confusion matrix, rows = true identity, columns = the best-ranked name.
 
     Rows with at least one sample are divided by their sum; all-zero rows
     stay zero. Row and column order follow the roster.
     """
-    import numpy as np
-
     index = roster.positions
-    counts = np.zeros((len(roster), len(roster)))
+    counts = [[0.0] * len(roster) for _ in range(len(roster))]
     for i, sample in enumerate(samples):
         if not sample.class_scores:
             raise ValueError(f"sample {i}: empty class_scores")
         if sample.true_label not in index:
             raise ValueError(f"sample {i}: unknown true label {sample.true_label!r}")
-        predicted = _ranked_names(sample.class_scores)[0]
+        predicted = max(sample.class_scores, key=rank_key(sample.class_scores))
         if predicted not in index:
             raise ValueError(f"sample {i}: unknown predicted name {predicted!r}")
-        counts[index[sample.true_label], index[predicted]] += 1.0
-    row_sums = counts.sum(axis=1, keepdims=True)
-    return np.divide(counts, row_sums, out=counts, where=row_sums > 0)
+        counts[index[sample.true_label]][index[predicted]] += 1.0
+    # the counts are whole numbers, so each row sum is exact
+    return [[c / total for c in row] if (total := sum(row)) else row for row in counts]
 
 
 def pooled_detection_metrics(

@@ -232,6 +232,8 @@ class Roster:
 
     def __post_init__(self):
         object.__setattr__(self, "individuals", tuple(self.individuals))
+        if not self.individuals:
+            raise ValueError("needs at least one individual")
         object.__setattr__(self, "positions", {})
         for i, ind in enumerate(self.individuals):
             if self.positions.setdefault(ind.name, i) != i:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .evaluation import rank_key
 from .geometry import BBox, ProximityParams, iou, is_proximal
 from .ingest import Detection, DetectionStream, LedgerEntry, OccurrenceLedger, PairEntry, PairLedger
 
@@ -203,13 +204,13 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
 
 
 def fuse_identity(track: Track, params: TrackerParams = TrackerParams()) -> Track:
-    """Attach the fused identity: argmax of the mean per-frame score vector.
+    """Attach the fused identity: the first name by evaluation.rank_key over
+    the mean per-frame scores, as in top-k; its mean is the confidence.
 
-    Frames without class_scores contribute nothing. Mean-score ties go to
-    the lexicographically later name, matching the top-k ranking rule. The
-    identity is omitted when the track is shorter than
-    min_track_len_for_id or no observation carries scores. Names are not
-    checked here; parse_detection_stream checks them against the roster.
+    Frames without class_scores contribute nothing. The identity is
+    omitted when the track is shorter than min_track_len_for_id or no
+    observation carries scores. Names are not checked here;
+    parse_detection_stream checks them against the roster.
     """
     if len(track.observations) < params.min_track_len_for_id:
         return replace(track, identity=None)
@@ -223,8 +224,9 @@ def fuse_identity(track: Track, params: TrackerParams = TrackerParams()) -> Trac
             sums[name] = sums.get(name, 0.0) + value
     if scored_frames == 0 or not sums:
         return replace(track, identity=None)
-    best = max(sums, key=lambda nm: (sums[nm] / scored_frames, nm))
-    return replace(track, identity=Identity(name=best, confidence=sums[best] / scored_frames))
+    means = {name: total / scored_frames for name, total in sums.items()}
+    best = max(means, key=rank_key(means))
+    return replace(track, identity=Identity(name=best, confidence=means[best]))
 
 
 def tracks_to_ledger(

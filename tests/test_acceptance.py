@@ -309,7 +309,7 @@ def test_c3_detection_metric_oracles():
         roster = Roster([Individual(nm) for nm in names])
         counts = confusion_matrix(samples, roster)
         for r in range(len(names)):
-            total = counts[r].sum()
+            total = sum(counts[r])
             if total > 0 and abs(total - 1.0) > 1e-12:
                 failures.append(f"confusion row {r} sums to {total!r}")
         return failures

@@ -526,6 +526,30 @@ def test_cooccur_rejects_an_input_that_counts_no_individual(tmp_path, capsys, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["track", "cooccur", "eval-id", "pipeline"])
+def test_an_empty_roster_is_named_as_the_error(tmp_path, capsys, command):
+    (tmp_path / "detections").mkdir()
+    stream = tmp_path / "detections" / "v1.jsonl"
+    _write_stream(stream, [{"frame_index": 0, "detections": [
+        {"bbox": [0, 0, 10, 10], "score": 0.9, "class_scores": {"a": 1.0}}]}])
+    (tmp_path / "ledger.csv").write_text("video_id,present\nv1,a\n")
+    (tmp_path / "samples.jsonl").write_text('{"class_scores": {"a": 1.0}, "true_label": "a"}\n')
+    for roster_text, code in [("name,sex,age_years\na,unknown,\nb,unknown,\n", 0), ("name,sex,age_years\n", 2)]:
+        roster = tmp_path / f"roster{code}.csv"
+        roster.write_text(roster_text)
+        out = tmp_path / f"out{code}"
+        argv = {
+            "track": ["--detections", str(stream), "--video-id", "v1", "--out", str(out)],
+            "cooccur": ["--ledger", str(tmp_path / "ledger.csv"), "--out", str(out)],
+            "eval-id": ["--samples", str(tmp_path / "samples.jsonl"), "--out", str(out)],
+            "pipeline": ["--detections-dir", str(tmp_path / "detections"), "--out-dir", str(out), "--seed", "5"],
+        }[command]
+        # the other inputs pass with a roster of two, so only the empty roster is at fault
+        assert main([command, *argv, "--roster", str(roster)]) == code
+        assert out.exists() == (code == 0)
+    assert capsys.readouterr().err == f"{roster}: roster: needs at least one individual\n"
+
+
 def test_eval_id_hand_case(tmp_path):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")
@@ -978,24 +1002,31 @@ def test_toy_run_without_scipy_matches_unblocked_run(tmp_path):
     assert outputs["blocked"] == outputs["unblocked"]
 
 
-# eval-det and track --roster through cli.main on the detection stream of
-# video v0003 at sys.argv[2], with the ground truth and roster at
-# sys.argv[3] and [4], writing under sys.argv[5]; with "blocked" as
-# sys.argv[1], every import of numpy raises ImportError.
+# eval-det, track --roster and eval-id through cli.main on the detection
+# stream of video v0003 at sys.argv[2], with the ground truth and roster at
+# sys.argv[3] and [4], writing under sys.argv[5]; eval-id scores each scored
+# observation of the fused tracks as a sample of its track's name. With
+# "blocked" as sys.argv[1], every import of numpy raises ImportError.
 _NUMPY_FREE_RUN = """
-import sys
+import json, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 from troopnet.cli import main
 if sys.modules.get("numpy") is not None:
     sys.exit("import troopnet.cli loaded numpy")
 stream, gt, roster, out = sys.argv[2:]
-for argv in (
-    ["eval-det", "--predictions", stream, "--ground-truth", gt, "--video-id", "v0003", "--out", out + "/det.json"],
-    ["track", "--detections", stream, "--video-id", "v0003", "--roster", roster, "--out", out + "/track.jsonl"],
-):
-    if main(argv) != 0:
+def run(*argv):
+    if main(list(argv)) != 0:
         sys.exit(f"{argv[0]} failed")
+run("eval-det", "--predictions", stream, "--ground-truth", gt, "--video-id", "v0003", "--out", out + "/det.json")
+run("track", "--detections", stream, "--video-id", "v0003", "--roster", roster, "--out", out + "/track.jsonl")
+with open(out + "/track.jsonl") as fh, open(out + "/samples.jsonl", "w") as samples:
+    for track in map(json.loads, fh):
+        for obs in track["observations"] if track["identity"] else []:
+            if "class_scores" in obs:
+                rec = {"class_scores": obs["class_scores"], "true_label": track["identity"]["name"]}
+                samples.write(json.dumps(rec) + "\\n")
+run("eval-id", "--samples", out + "/samples.jsonl", "--roster", roster, "--out", out + "/id.json")
 """
 
 
@@ -1012,7 +1043,8 @@ def test_eval_det_and_track_run_without_numpy(synth_run, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs[side] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(outputs["blocked"]) == ["det.json", "track.jsonl"]
+    assert sorted(outputs["blocked"]) == ["det.json", "id.json", "samples.jsonl", "track.jsonl"]
+    assert json.loads(outputs["blocked"]["id.json"])["n_samples"] > 0
     assert outputs["blocked"] == outputs["unblocked"]
 
 

@@ -19,6 +19,7 @@ from troopnet.evaluation import (
 from troopnet.geometry import BBox, iou
 from troopnet.ingest import Detection, Individual, Roster
 from troopnet.rng import Rng, derive_seed
+from troopnet.tracking import Track, TrackerParams, fuse_identity
 
 
 def _det(x, y, w, h, score):
@@ -306,8 +307,8 @@ ROSTER3 = Roster([Individual("A"), Individual("B"), Individual("C")])
 def test_confusion_hand_case():
     samples = [IdSample({"A": 0.9, "B": 0.1}, "A")] * 3 + [IdSample({"A": 0.2, "B": 0.8}, "A")]
     m = confusion_matrix(samples, ROSTER3)
-    assert m[0].tolist() == [0.75, 0.25, 0.0]
-    assert m[1].tolist() == [0.0, 0.0, 0.0]
+    assert m[0] == [0.75, 0.25, 0.0]
+    assert m[1] == [0.0, 0.0, 0.0]
 
 
 def test_confusion_rows_sum_to_one():
@@ -319,12 +320,12 @@ def test_confusion_rows_sum_to_one():
         samples.append(IdSample(scores, names[rng.randrange(3)]))
     m = confusion_matrix(samples, ROSTER3)
     for r in range(3):
-        assert abs(m[r].sum() - 1.0) <= 1e-12
+        assert abs(sum(m[r]) - 1.0) <= 1e-12
 
 
 def test_confusion_argmax_tie_takes_later_name():
     m = confusion_matrix([IdSample({"A": 0.5, "B": 0.5}, "A")], ROSTER3)
-    assert m[0].tolist() == [0.0, 1.0, 0.0]
+    assert m[0] == [0.0, 1.0, 0.0]
 
 
 def test_confusion_rejects_unknown_names():
@@ -332,6 +333,75 @@ def test_confusion_rejects_unknown_names():
         confusion_matrix([IdSample({"A": 1.0}, "Zed")], ROSTER3)
     with pytest.raises(ValueError, match="predicted"):
         confusion_matrix([IdSample({"Zed": 1.0}, "A")], ROSTER3)
+
+
+# ---------------------------------------------------------------------------
+# the name ranking against a full sort
+
+
+def _ranked_names(class_scores: dict[str, float]) -> list[str]:
+    """Oracle: every name, score descending, equal scores ranking the
+    lexicographically later name first (the sort the ranking key replaced)."""
+    return sorted(class_scores, key=lambda nm: (class_scores[nm], nm), reverse=True)
+
+
+def _oracle_confusion(samples: list[IdSample], roster: Roster) -> list[list[float]]:
+    """Oracle: argmax counts by the full sort, each non-empty row divided by
+    its sum with np.divide (the numpy matrix the list version replaced)."""
+    index = roster.positions
+    counts = np.zeros((len(roster), len(roster)))
+    for sample in samples:
+        counts[index[sample.true_label], index[_ranked_names(sample.class_scores)[0]]] += 1.0
+    row_sums = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, row_sums, out=counts, where=row_sums > 0).tolist()
+
+
+# few distinct scores, so equal scores and equal means are common
+_TIED_SCORE = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_NAMES = st.lists(st.sampled_from(["A", "B", "a", "b", "Ayu", "ayu", "B2", "Bora"]), min_size=2, max_size=8, unique=True)
+
+
+@st.composite
+def _tied_id_case(draw):
+    names = draw(_NAMES)
+    score_maps = st.fixed_dictionaries({nm: _TIED_SCORE for nm in names})
+    samples = draw(st.lists(st.builds(IdSample, score_maps, st.sampled_from(names)), min_size=1, max_size=20))
+    return names, samples, draw(st.integers(1, len(names) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_id_case())
+def test_ranking_by_key_equals_the_full_sort(case):
+    names, samples, k = case
+    hits = sum(s.true_label in _ranked_names(s.class_scores)[:k] for s in samples)
+    assert topk_accuracy(samples, k) == hits / len(samples)
+    roster = Roster([Individual(nm) for nm in names])
+    assert confusion_matrix(samples, roster) == _oracle_confusion(samples, roster)
+
+
+@st.composite
+def _tied_track(draw):
+    names = draw(_NAMES)
+    score_maps = st.none() | st.fixed_dictionaries({nm: _TIED_SCORE for nm in names})
+    frames = draw(st.lists(score_maps, min_size=1, max_size=6))
+    return Track(0, "v", [Detection(fi, G1, 0.9, scores) for fi, scores in enumerate(frames)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_track())
+def test_fused_identity_equals_the_full_sort_of_the_means(track):
+    sums: dict[str, float] = {}
+    scored = [obs.class_scores for obs in track.observations if obs.class_scores is not None]
+    for scores in scored:
+        for nm, value in scores.items():
+            sums[nm] = sums.get(nm, 0.0) + value
+    fused = fuse_identity(track, TrackerParams(min_track_len_for_id=1)).identity
+    if not scored:
+        assert fused is None
+        return
+    means = {nm: total / len(scored) for nm, total in sums.items()}
+    best = _ranked_names(means)[0]
+    assert (fused.name, fused.confidence) == (best, means[best])
 
 
 # ---------------------------------------------------------------------------

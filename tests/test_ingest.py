@@ -95,6 +95,14 @@ def test_roster_duplicate_names_rejected():
         parse_roster("name,sex,age_years\nAyu,female,3\nAyu,male,4\n")
 
 
+def test_roster_needs_an_individual():
+    with pytest.raises(ValueError, match="needs at least one individual"):
+        Roster([])
+    with pytest.raises(ParseError) as exc:
+        parse_roster("name,sex,age_years\n")
+    assert str(exc.value) == "roster: needs at least one individual"
+
+
 def test_roster_name_with_comma_rejected():
     # ledger cells join names with commas, so such a name would read back as two
     with pytest.raises(ValueError, match="comma"):
