@@ -1,8 +1,9 @@
 """Axis-aligned bounding boxes: IoU, center distance, proximity predicate.
 
 Boxes use a top-left origin and (x, y, w, h) layout so annotation exports
-load without any coordinate conversion. Degenerate boxes (non-positive
-width or height) are rejected on construction rather than clamped.
+load without any coordinate conversion. BBox's constructor holds the one box
+rule, whoever builds the box: four finite numbers (no bools) with positive
+width and height. Degenerate boxes are rejected rather than clamped.
 """
 
 from __future__ import annotations
@@ -23,12 +24,16 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
+        x, y, w, h = self.x, self.y, self.w, self.h
+        # four floats with a finite sum are four finite floats: inf and NaN carry through it
+        if type(x) is type(y) is type(w) is type(h) is float and w > 0.0 and h > 0.0:
+            if -math.inf < x + y + w + h < math.inf:
+                return
+        for name, v in zip(("x", "y", "w", "h"), (x, y, w, h)):  # the rest, and sums that overflow
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
                 raise ValueError(f"bbox field {name!r} must be a finite number, got {v!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"bbox sides must be positive, got w={self.w}, h={self.h}")
+        if w <= 0 or h <= 0:
+            raise ValueError(f"bbox sides must be positive, got w={w}, h={h}")
 
     @property
     def center(self) -> tuple[float, float]:

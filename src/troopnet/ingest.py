@@ -88,11 +88,14 @@ def _field_num(x, field: str, locus: str) -> float:
 
 
 def _bbox(raw, locus: str) -> BBox:
-    """A bbox field [x, y, w, h]; a bad number is named by its index."""
+    """A bbox field [x, y, w, h]; non-float sides go through _num, and a bad number is named by its index."""
     if not isinstance(raw, list) or len(raw) != 4:
         raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
+    x, y, w, h = raw
     try:
-        return BBox(_num(raw[0]), _num(raw[1]), _num(raw[2]), _num(raw[3]))
+        if type(x) is type(y) is type(w) is type(h) is float:
+            return BBox(x, y, w, h)
+        return BBox(*map(_num, raw))
     except ValueError as exc:
         for k, v in enumerate(raw):  # raises for the first side that is no number
             _field_num(v, f"bbox[{k}]", locus)
@@ -444,32 +447,15 @@ def _class_scores_by_name(raw, locus: str, roster: Roster | None) -> dict[str, f
 def _parse_detection(obj, frame_index: int | None, locus: str, roster: Roster | None) -> Detection:
     """One detection record: bbox [x, y, w, h], score in [0, 1], optional class_scores.
 
-    A record whose bbox and score are floats that pass as a whole is built
-    from them directly; any other goes to _parse_detection_by_field, which
-    converts integers or raises naming the first bad field.
+    The fields are checked in that order, and the first bad one is named.
+    Floats pass as they are; integers are converted to floats.
     """
-    if type(obj) is dict:
-        raw, score = obj.get("bbox"), obj.get("score")
-        if type(raw) is list and len(raw) == 4 and type(score) is float and 0.0 <= score <= 1.0:
-            x, y, w, h = raw
-            # a finite sum has four finite terms: inf and NaN carry through it
-            if (
-                type(x) is type(y) is type(w) is type(h) is float
-                and w > 0.0
-                and h > 0.0
-                and -math.inf < x + y + w + h < math.inf
-            ):
-                raw_scores = obj.get("class_scores")
-                class_scores = None if raw_scores is None else _class_scores(raw_scores, locus, roster)
-                return Detection(frame_index, BBox(x, y, w, h), score, class_scores)
-    return _parse_detection_by_field(obj, frame_index, locus, roster)
-
-
-def _parse_detection_by_field(obj, frame_index: int | None, locus: str, roster: Roster | None) -> Detection:
     if not isinstance(obj, dict):
         raise ParseError(f"{locus}: not an object")
     box = _bbox(obj.get("bbox"), locus)
-    score = _field_num(obj.get("score"), "score", locus)
+    score = obj.get("score")
+    if type(score) is not float:
+        score = _field_num(score, "score", locus)
     if not 0.0 <= score <= 1.0:
         raise ParseError(f"{locus}: score {score} outside [0, 1]")
     raw_scores = obj.get("class_scores")
@@ -668,9 +654,6 @@ class AssociationMatrix:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self._index[name]
 
     def value(self, a: str, b: str) -> float:
         return float(self.values[self._index[a], self._index[b]])
@@ -920,7 +903,10 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     """Write a file atomically: temp file in the same directory, then rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -550,6 +550,31 @@ def test_an_empty_roster_is_named_as_the_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"{roster}: roster: needs at least one individual\n"
 
 
+def test_pipeline_rejects_a_one_individual_roster_before_any_stream(tmp_path, capsys):
+    # the network measures need a pair; a stream that is not JSON shows none was parsed
+    (tmp_path / "detections").mkdir()
+    (tmp_path / "detections" / "v1.jsonl").write_text("not json\n")
+    roster = tmp_path / "roster.csv"
+    roster.write_text("name,sex,age_years\na,unknown,\n")
+    out = tmp_path / "out"
+    argv = ["pipeline", "--detections-dir", str(tmp_path / "detections"), "--roster", str(roster),
+            "--out-dir", str(out), "--seed", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{roster}: roster: pipeline needs at least 2 individuals, got 1\n"
+    assert not out.exists()
+
+
+def test_an_output_in_a_missing_directory_is_named(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text('{"class_scores": {"A": 0.9, "B": 0.1}, "true_label": "A"}\n')
+    out = tmp_path / "missing" / "id.json"
+    assert main(["eval-id", "--samples", str(samples), "--roster", str(roster), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"[Errno 2] No such file or directory: '{out}'\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_eval_id_hand_case(tmp_path):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")
@@ -862,7 +887,7 @@ def test_pipeline_parse_error_names_the_file(tmp_path, capsys):
     _write_stream(detections / "v1.jsonl", [{"frame_index": 0, "detections": []}])
     _write_stream(detections / "v2.jsonl", [{"frame_index": True, "detections": []}])
     roster = tmp_path / "roster.csv"
-    roster.write_text("name,sex,age_years\nAyu,female,9\n")
+    roster.write_text("name,sex,age_years\nAyu,female,9\nBima,male,\n")
     out = tmp_path / "out"
     code = main(
         ["pipeline", "--detections-dir", str(detections), "--roster", str(roster),

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from troopnet.geometry import BBox, ProximityParams, center_distance, iou, is_proximal
 
@@ -29,6 +30,60 @@ def test_bbox_rejects_non_finite():
 def test_bbox_rejects_bool_fields():
     with pytest.raises(ValueError):
         BBox(True, 0, 1, 1)
+
+
+def _per_field_check(x, y, w, h) -> None:
+    """The per-field rule BBox held every box to before its whole-box test."""
+    for name, v in zip(("x", "y", "w", "h"), (x, y, w, h)):
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise ValueError(f"bbox field {name!r} must be a finite number, got {v!r}")
+    if w <= 0 or h <= 0:
+        raise ValueError(f"bbox sides must be positive, got w={w}, h={h}")
+
+
+def _box_outcome(check, sides) -> str:
+    try:
+        check(*sides)
+    except (ValueError, OverflowError) as exc:  # math.isfinite overflows on an int past float range
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
+
+
+_sides = st.one_of(
+    st.floats(-100.0, 100.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.integers(-2, 50),
+    st.sampled_from([True, False, 10**400, np.float64(1.5), np.float64(math.nan), None, "1"]),
+)
+
+
+def _with_non_finite_sides(test):
+    """One example per slot and value: NaN, inf and -inf in each of x, y, w and h."""
+    for k in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            test = example([bad if i == k else side for i, side in enumerate((0.0, 0.0, 1.0, 1.0))])(test)
+    return test
+
+
+@given(st.lists(_sides, min_size=4, max_size=4))
+@settings(max_examples=500, deadline=None)
+@example([1e308, 0.0, 1e308, 1.0])  # the sum overflows; the box is valid
+@example([-1e308, -1e308, 1.0, 1.0])
+@example([0.0, 0.0, 0.0, 1.0])
+@example([0.0, 0.0, 1.0, -0.0])
+@example([-0.0, -0.0, 1.0, 1.0])
+@example([0, 0, 1, 1])
+@example([0, 0, 0, 1])
+@example([0.0, True, 1.0, 1.0])
+@example([0.0, 0.0, 1.0, False])
+@example([np.float64(0.5), 0.0, np.float64(2.0), 1.0])
+@example([0.0, 0.0, np.float64(math.inf), 1.0])
+@example([0.0, 0.0, 10**400, 1.0])
+@example([0.0, 0.0, 1.0, 10**400])
+@_with_non_finite_sides
+def test_bbox_rule_agrees_with_the_per_field_check(sides):
+    assert _box_outcome(BBox, sides) == _box_outcome(_per_field_check, sides)
 
 
 def test_bbox_center():

@@ -551,7 +551,6 @@ def test_association_matrix_needs_a_name():
 def test_association_matrix_helpers():
     m = AssociationMatrix(names=["A", "B"], values=np.array([[0.0, 0.4], [0.4, 0.0]]))
     assert m.n == 2
-    assert m.index("B") == 1
     assert m.value("A", "B") == 0.4
 
 
@@ -1123,7 +1122,50 @@ def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
 
 
 # ---------------------------------------------------------------------------
-# the whole-record checks against the field-by-field code behind them
+# the whole-dict class-score check against the per-name code behind it, and
+# the one detection path against the two it replaced
+
+
+def _oracle_bbox(raw, locus):
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
+    try:
+        return BBox(ingest._num(raw[0]), ingest._num(raw[1]), ingest._num(raw[2]), ingest._num(raw[3]))
+    except ValueError as exc:
+        for k, v in enumerate(raw):
+            ingest._field_num(v, f"bbox[{k}]", locus)
+        raise ParseError(f"{locus}: {exc}") from None
+
+
+def _oracle_detection(obj, frame_index, locus, roster):
+    """The whole-record check and the per-field path that detection records went through before."""
+    if type(obj) is dict:
+        raw, score = obj.get("bbox"), obj.get("score")
+        if type(raw) is list and len(raw) == 4 and type(score) is float and 0.0 <= score <= 1.0:
+            x, y, w, h = raw
+            if (
+                type(x) is type(y) is type(w) is type(h) is float
+                and w > 0.0
+                and h > 0.0
+                and -math.inf < x + y + w + h < math.inf
+            ):
+                raw_scores = obj.get("class_scores")
+                class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, locus, roster)
+                return Detection(frame_index, BBox(x, y, w, h), score, class_scores)
+    return _oracle_detection_by_field(obj, frame_index, locus, roster)
+
+
+def _oracle_detection_by_field(obj, frame_index, locus, roster):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{locus}: not an object")
+    box = _oracle_bbox(obj.get("bbox"), locus)
+    score = ingest._field_num(obj.get("score"), "score", locus)
+    if not 0.0 <= score <= 1.0:
+        raise ParseError(f"{locus}: score {score} outside [0, 1]")
+    raw_scores = obj.get("class_scores")
+    class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, locus, roster)
+    return Detection(frame_index, box, score, class_scores)
+
 
 _ABC = Roster([Individual("A"), Individual("B"), Individual("C")])
 _ODD_NUMBERS = [0, 1, 2, True, False, -0.0, 0.0, 1.0, math.nan, math.inf, -math.inf, 10**400, 1e308, -1e-300]
@@ -1200,21 +1242,20 @@ def test_class_score_check_agrees_with_the_per_name_path(raw, roster):
 @example({"bbox": [1e308, 0.0, 1e308, 1.0], "score": 0.5}, None)  # the sum overflows; the box is valid
 @example({"bbox": [0.0, 0.0, 1.0, 1.0], "score": 10**400}, None)
 @example({"bbox": [0.0, -0.0, 1.0, 1.0], "score": -0.0, "class_scores": {"A": 1}}, _ABC)
+@example({"bbox": [0, 0, 1, 1], "score": 1}, None)  # integers are converted
+@example({"bbox": [0.0, 0.0, True, 1.0], "score": 0.5}, None)  # a bool is no number
+@example({"bbox": [0.0, 0.0, 1.0, 1.0], "score": False}, None)
 def test_detection_check_agrees_with_the_per_field_path(record, roster):
     assert _outcome(ingest._parse_detection, record, 0, "d", roster) == _outcome(
-        ingest._parse_detection_by_field, record, 0, "d", roster
+        _oracle_detection, record, 0, "d", roster
     )
 
 
 def test_float_records_pass_without_the_per_field_path():
     scores = {"A": 0.25, "C": 1.0}
     record = {"bbox": [0.5, 1.0, 2.0, 3.0], "score": 0.0, "class_scores": scores}
-    with (
-        mock.patch.object(ingest, "_parse_detection_by_field") as by_field,
-        mock.patch.object(ingest, "_class_scores_by_name") as by_name,
-    ):
+    with mock.patch.object(ingest, "_class_scores_by_name") as by_name:
         det = ingest._parse_detection(record, 4, "d", _ABC)
-    by_field.assert_not_called()
     by_name.assert_not_called()
     assert det == Detection(4, BBox(0.5, 1.0, 2.0, 3.0), 0.0, scores)
     assert det.class_scores is scores  # json's own dict, not a copy
@@ -1244,3 +1285,11 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     assert target.read_bytes() == b"third\n"
     # no temp litter left behind
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_names_the_target_when_its_directory_is_missing(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as exc:
+        atomic_write_text(target, "text\n")
+    assert exc.value.filename == str(target)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{target}'"
