@@ -386,8 +386,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         config, "seed", "detections_dir", "roster_path", "out_dir"
     )
     roster = _read_roster(roster_path)
-    if len(roster) < 2:  # the network measures need a pair
-        raise ParseError(f"{roster_path}: roster: pipeline needs at least 2 individuals, got {len(roster)}")
+    network.require_pairs(len(roster), f"{roster_path}: roster: pipeline")
     files = sorted(n for n in os.listdir(detections_dir) if n.endswith(".jsonl"))
     if not files:
         raise ParseError(f"no .jsonl detection streams in {detections_dir}")

@@ -88,13 +88,10 @@ def _field_num(x, field: str, locus: str) -> float:
 
 
 def _bbox(raw, locus: str) -> BBox:
-    """A bbox field [x, y, w, h]; non-float sides go through _num, and a bad number is named by its index."""
+    """A bbox field [x, y, w, h]; a bad number is named by its index."""
     if not isinstance(raw, list) or len(raw) != 4:
         raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
-    x, y, w, h = raw
     try:
-        if type(x) is type(y) is type(w) is type(h) is float:
-            return BBox(x, y, w, h)
         return BBox(*map(_num, raw))
     except ValueError as exc:
         for k, v in enumerate(raw):  # raises for the first side that is no number
@@ -448,14 +445,12 @@ def _parse_detection(obj, frame_index: int | None, locus: str, roster: Roster | 
     """One detection record: bbox [x, y, w, h], score in [0, 1], optional class_scores.
 
     The fields are checked in that order, and the first bad one is named.
-    Floats pass as they are; integers are converted to floats.
+    Integers are converted to floats.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{locus}: not an object")
     box = _bbox(obj.get("bbox"), locus)
-    score = obj.get("score")
-    if type(score) is not float:
-        score = _field_num(score, "score", locus)
+    score = _field_num(obj.get("score"), "score", locus)
     if not 0.0 <= score <= 1.0:
         raise ParseError(f"{locus}: score {score} outside [0, 1]")
     raw_scores = obj.get("class_scores")

@@ -33,6 +33,7 @@ __all__ = [
     "global_efficiency",
     "connected_components",
     "network_report",
+    "require_pairs",
 ]
 
 
@@ -53,14 +54,15 @@ class NetworkReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _require_pairs(m: AssociationMatrix, what: str) -> None:
-    if m.n < 2:
-        raise ValueError(f"{what} needs at least 2 individuals, got {m.n}")
+def require_pairs(n: int, what: str) -> None:
+    """The measures are over pairs: fewer than 2 individuals is an error."""
+    if n < 2:
+        raise ValueError(f"{what} needs at least 2 individuals, got {n}")
 
 
 def density(m: AssociationMatrix) -> float:
     """Fraction of unordered pairs with a positive association index."""
-    _require_pairs(m, "density")
+    require_pairs(m.n, "density")
     n = m.n
     positive = sum(1 for i, row in enumerate(m.edges) for j, _w in row if j > i)
     return positive / (n * (n - 1) / 2)
@@ -160,7 +162,7 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
     mode uses nonnegative-weight shortest paths with edge length 1/index, so
     strong associations are short.
     """
-    _require_pairs(m, "global efficiency")
+    require_pairs(m.n, "global efficiency")
     if mode not in ("binary", "weighted"):
         raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
     if mode == "binary":
