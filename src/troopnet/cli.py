@@ -33,7 +33,7 @@ from .ingest import ParseError, atomic_write_bytes, atomic_write_text
 from .params import ConvergenceError, GemParams, NetworkParams
 from .tracking import TrackerParams
 
-__all__ = ["PipelineConfig", "load_config", "main"]
+__all__ = ["PipelineConfig", "main"]
 
 
 class UsageError(Exception):
@@ -132,11 +132,6 @@ def _build_config(values: dict) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
     return replace(defaults, **top)
-
-
-def load_config(path: str | os.PathLike) -> PipelineConfig:
-    """Load a config file; absent keys take their defaults."""
-    return _build_config(_parse_config_text(_read_text(path), os.fspath(path)))
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -318,6 +313,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
     config = _resolve_config(args)
     matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
+    network.require_pairs(matrix.n, f"{args.matrix}: matrix: network")
     atomic_write_text(args.out, ingest.write_report(network.network_report(matrix, config.network)))
     return 0
 
@@ -330,8 +326,13 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         raise UsageError("at least one of --svg-out or --dot-out is required")
     (seed,) = _required(config, "seed")
     matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
+    network.require_pairs(matrix.n, f"{args.matrix}: matrix: layout")
     if args.report:
         report = _parse_file(ingest.parse_report, args.report)
+        try:
+            layout.check_report(matrix, report)
+        except ValueError as exc:
+            raise ParseError(f"{args.report}: {exc}") from None
     else:
         report = network.network_report(matrix, config.network)
     if args.svg_out:

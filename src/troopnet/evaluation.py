@@ -1,10 +1,9 @@
 """Detection and identification metrics.
 
-Greedy score-ordered box matching, pooled 101-point average precision and
-false negative rate, top-k accuracy and confusion matrices. Matching
-follows the usual convention: predictions are taken in descending score
-order and each claims the unmatched ground truth of highest IoU at or
-above the threshold.
+Pooled 101-point average precision and false negative rate, top-k
+accuracy and confusion matrices. Boxes are matched by one greedy pass:
+predictions are taken in descending score order and each claims the
+unmatched ground truth of highest IoU at or above the threshold.
 """
 
 from __future__ import annotations
@@ -17,30 +16,12 @@ from .geometry import BBox, iou
 from .ingest import Detection, Roster
 
 __all__ = [
-    "MatchPair",
-    "MatchResult",
     "IdSample",
-    "match_detections",
-    "false_negative_rate",
     "rank_key",
     "topk_accuracy",
     "confusion_matrix",
     "pooled_detection_metrics",
 ]
-
-
-@dataclass
-class MatchPair:
-    prediction_index: int
-    gt_index: int
-    iou: float
-
-
-@dataclass
-class MatchResult:
-    pairs: list[MatchPair]
-    unmatched_predictions: list[int]
-    unmatched_gts: list[int]
 
 
 @dataclass
@@ -51,19 +32,12 @@ class IdSample:
     true_label: str
 
 
-def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-
-
-def _check_score_threshold(score_threshold: float) -> None:
-    if not math.isfinite(score_threshold):
-        raise ValueError(f"score_threshold must be finite, got {score_threshold}")
-
-
 def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
-    """The greedy pass of match_detections: yield (prediction index, matched
-    ground-truth index or -1, IoU) for each prediction, in score order."""
+    """Greedy one-to-one matching of predictions to ground-truth boxes: yield
+    (prediction index, matched ground-truth index or -1, IoU) for each
+    prediction, in descending score order (ties by input order). Each takes
+    the unmatched ground truth of highest IoU at or above the threshold, IoU
+    ties going to the lower ground-truth index."""
     taken = [False] * len(gts)
     for i in sorted(range(len(preds)), key=lambda i: (-preds[i].score, i)):
         best_j = -1
@@ -80,24 +54,6 @@ def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
         yield i, best_j, best_iou
 
 
-def match_detections(preds: list[Detection], gts: list[BBox], iou_threshold: float) -> MatchResult:
-    """Greedy one-to-one matching of predictions to ground-truth boxes.
-
-    Predictions are processed in descending score order (ties by input
-    order); each takes the unmatched ground truth of highest IoU at or
-    above the threshold, IoU ties going to the lower ground-truth index.
-    """
-    _check_threshold(iou_threshold)
-    steps = list(_greedy(preds, gts, iou_threshold))
-    pairs = [MatchPair(prediction_index=i, gt_index=j, iou=o) for i, j, o in steps if j >= 0]
-    matched = {p.gt_index for p in pairs}
-    return MatchResult(
-        pairs=pairs,
-        unmatched_predictions=sorted(i for i, j, _o in steps if j < 0),
-        unmatched_gts=[j for j in range(len(gts)) if j not in matched],
-    )
-
-
 def _curve(flags: list[bool], n_gt: int) -> list[tuple[float, float]]:
     """(recall, precision) after each score-ordered prediction; recall is 0.0
     without ground truths."""
@@ -112,25 +68,6 @@ def _curve(flags: list[bool], n_gt: int) -> list[tuple[float, float]]:
 def _envelope(points: list[tuple[float, float]]) -> list[float]:
     """The precision envelope max{P at recall >= r} at each curve point."""
     return list(accumulate((p for _r, p in reversed(points)), max))[::-1]
-
-
-def false_negative_rate(
-    preds: list[Detection],
-    gts: list[BBox],
-    iou_threshold: float,
-    score_threshold: float = 0.5,
-) -> float:
-    """FN / (FN + TP) over ground truths, after dropping low-score predictions.
-
-    0.0 when there are no ground truths; 1.0 when nothing is detected.
-    """
-    _check_threshold(iou_threshold)
-    _check_score_threshold(score_threshold)
-    if not gts:
-        return 0.0
-    kept = [p for p in preds if p.score >= score_threshold]
-    result = match_detections(kept, gts, iou_threshold)
-    return len(result.unmatched_gts) / len(gts)
 
 
 def rank_key(scores: dict[str, float]):
@@ -192,8 +129,10 @@ def pooled_detection_metrics(
     only one), the false negative rate at the score threshold, and the
     underlying counts.
     """
-    _check_threshold(iou_threshold)
-    _check_score_threshold(score_threshold)
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    if not math.isfinite(score_threshold):
+        raise ValueError(f"score_threshold must be finite, got {score_threshold}")
     pooled: list[tuple[float, int, int, bool]] = []  # (-score, group, idx, is_tp)
     n_gt = 0
     tp_at_threshold = 0

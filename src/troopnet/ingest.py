@@ -644,14 +644,10 @@ class AssociationMatrix:
             raise ValueError("matrix diagonal must be exactly zero")
         if np.abs(self.values - self.values.T).max() > SYMMETRY_TOLERANCE:
             raise ValueError("matrix is not symmetric within 1e-12")
-        self._index = {name: i for i, name in enumerate(self.names)}
 
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def value(self, a: str, b: str) -> float:
-        return float(self.values[self._index[a], self._index[b]])
 
     @cached_property
     def edges(self) -> list[list[tuple[int, float]]]:

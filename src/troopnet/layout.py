@@ -39,6 +39,7 @@ __all__ = [
     "GemParams",
     "LayoutResult",
     "gem_layout",
+    "check_report",
     "render_svg",
     "render_dot",
 ]
@@ -284,8 +285,6 @@ _STROKE_MAX = 8.0
 
 def _radius_map(report: NetworkReport) -> dict[str, float]:
     degrees = {ind.name: ind.degree for ind in report.individuals}
-    if not degrees:
-        return {}
     lo = min(degrees.values())
     hi = max(degrees.values())
     if hi == lo:
@@ -301,6 +300,14 @@ def _positive_dyads(m: AssociationMatrix) -> list[tuple[int, int, float]]:
     return [(i, j, w) for i, row in enumerate(m.edges) for j, w in row if j > i]
 
 
+def check_report(m: AssociationMatrix, report: NetworkReport) -> None:
+    """A report drawn with m must measure m's names in matrix order, as
+    network_report writes them."""
+    names = [ind.name for ind in report.individuals]
+    if names != m.names:
+        raise ValueError(f"report individuals {names} are not the matrix's names {m.names} in matrix order")
+
+
 def render_svg(m: AssociationMatrix, layout: LayoutResult, report: NetworkReport) -> bytes:
     """Render the network as an SVG document.
 
@@ -313,10 +320,8 @@ def render_svg(m: AssociationMatrix, layout: LayoutResult, report: NetworkReport
     missing = [name for name in names if name not in layout.positions]
     if missing:
         raise ValueError(f"layout is missing positions for: {', '.join(missing)}")
+    check_report(m, report)
     radii = _radius_map(report)
-    missing = [name for name in names if name not in radii]
-    if missing:
-        raise ValueError(f"report is missing measures for: {', '.join(missing)}")
 
     dyads = _positive_dyads(m)
     max_w = max((w for _i, _j, w in dyads), default=0.0)
@@ -387,13 +392,9 @@ def render_dot(m: AssociationMatrix, report: NetworkReport) -> str:
     eigenvector centrality; edges follow ascending (i, j) index order and
     carry the association index as their weight.
     """
-    measures = {ind.name: ind for ind in report.individuals}
-    missing = [name for name in m.names if name not in measures]
-    if missing:
-        raise ValueError(f"report is missing measures for: {', '.join(missing)}")
+    check_report(m, report)
     out = ["graph association {"]
-    for name in m.names:
-        ind = measures[name]
+    for name, ind in zip(m.names, report.individuals):
         out.append(
             f"  {_dot_quote(name)} [degree={ind.degree}, "
             f'strength="{_fmt(ind.strength)}", eigenvector="{_fmt(ind.eigenvector)}"];'

@@ -104,10 +104,6 @@ class Rng:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform float in [lo, hi)."""
-        return lo + (hi - lo) * self.random()
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:

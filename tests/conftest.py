@@ -1,4 +1,4 @@
-"""Shared fixtures: the bundled troop matrix and small graph builders."""
+"""Shared fixtures: the bundled troop matrix, small graph builders and a matrix lookup."""
 
 from __future__ import annotations
 
@@ -16,11 +16,6 @@ def troop_matrix():
 
 
 @pytest.fixture(scope="session")
-def troop_roster():
-    return bundled.load_troop_roster()
-
-
-@pytest.fixture(scope="session")
 def troop_report(troop_matrix):
     return network_report(troop_matrix)
 
@@ -32,3 +27,8 @@ def matrix_from_dyads(names: list[str], dyads: dict[tuple[str, str], float]) -> 
     for (a, b), w in dyads.items():
         values[index[a], index[b]] = values[index[b], index[a]] = w
     return AssociationMatrix(names=list(names), values=values)
+
+
+def matrix_value(m: AssociationMatrix, a: str, b: str) -> float:
+    """The association index of a and b, looked up through m.names."""
+    return float(m.values[m.names.index(a), m.names.index(b)])

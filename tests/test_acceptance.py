@@ -43,6 +43,8 @@ from troopnet.rng import Rng
 from troopnet.synth import NoiseParams, build_scenario
 from troopnet.tracking import build_tracks, fuse_identity, tracks_to_ledger
 
+from conftest import matrix_value
+
 
 def _fixture_matrix() -> AssociationMatrix:
     text = (resources.files("troopnet") / "data" / "troop_matrix.csv").read_text()
@@ -212,9 +214,13 @@ def test_c2_reference_table_match():
 
 def _random_instance(seed: int, max_each: int = 25):
     rng = Rng(seed)
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * rng.random()
+
     gts = [
-        BBox(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0),
-             20.0 + rng.uniform(0.0, 60.0), 20.0 + rng.uniform(0.0, 60.0))
+        BBox(uniform(0.0, 400.0), uniform(0.0, 400.0),
+             20.0 + uniform(0.0, 60.0), 20.0 + uniform(0.0, 60.0))
         for _ in range(rng.randrange(max_each + 1))
     ]
     preds = []
@@ -222,15 +228,15 @@ def _random_instance(seed: int, max_each: int = 25):
         if gts and rng.random() < 0.6:
             base = gts[rng.randrange(len(gts))]
             box = BBox(
-                base.x + rng.uniform(-15.0, 15.0),
-                base.y + rng.uniform(-15.0, 15.0),
-                base.w * (0.8 + rng.uniform(0.0, 0.4)),
-                base.h * (0.8 + rng.uniform(0.0, 0.4)),
+                base.x + uniform(-15.0, 15.0),
+                base.y + uniform(-15.0, 15.0),
+                base.w * (0.8 + uniform(0.0, 0.4)),
+                base.h * (0.8 + uniform(0.0, 0.4)),
             )
         else:
-            box = BBox(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0),
-                       20.0 + rng.uniform(0.0, 60.0), 20.0 + rng.uniform(0.0, 60.0))
-        preds.append(Detection(frame_index=0, bbox=box, score=rng.uniform(0.05, 1.0)))
+            box = BBox(uniform(0.0, 400.0), uniform(0.0, 400.0),
+                       20.0 + uniform(0.0, 60.0), 20.0 + uniform(0.0, 60.0))
+        preds.append(Detection(frame_index=0, bbox=box, score=uniform(0.05, 1.0)))
     return preds, gts
 
 
@@ -336,9 +342,9 @@ def test_c4_simple_ratio_oracle():
                     n_b = sum(1 for e in entries if b in e.present)
                     x = sum(1 for e in entries if a in e.present and b in e.present)
                     want = x / (n_a + n_b - x) if n_a + n_b - x > 0 else 0.0
-                    if m.value(a, b) != want:
+                    if matrix_value(m, a, b) != want:
                         failures.append(
-                            f"seed {seed} {a}/{b}: {m.value(a, b)!r} vs recount {want!r}"
+                            f"seed {seed} {a}/{b}: {matrix_value(m, a, b)!r} vs recount {want!r}"
                         )
                         return failures
         # joint presence 2 of (5 + 4 - 2) videos
@@ -346,7 +352,7 @@ def test_c4_simple_ratio_oracle():
         ledger = OccurrenceLedger(
             [LedgerEntry(f"v{k}", frozenset(p)) for k, p in enumerate(videos)]
         )
-        got = simple_ratio_matrix(count_occurrences(ledger), ["A", "B"]).value("A", "B")
+        got = matrix_value(simple_ratio_matrix(count_occurrences(ledger), ["A", "B"]), "A", "B")
         if abs(got - 2.0 / 7.0) > 1e-9:
             failures.append(f"2/(5+4-2) case: {got!r}")
         return failures

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from troopnet import cli, ingest, synth, tracking
-from troopnet.cli import PipelineConfig, load_config, main
+from troopnet.cli import PipelineConfig, main
 from troopnet.geometry import ProximityParams
 from troopnet.ingest import (
     parse_association_matrix,
@@ -30,6 +30,8 @@ from troopnet.ingest import (
     parse_tracks,
 )
 from troopnet.layout import GemParams
+
+from conftest import matrix_value
 
 
 @pytest.fixture()
@@ -161,7 +163,7 @@ def test_layout_and_pipeline_convergence_failures_exit_three(tmp_path, fixture_m
 def test_empty_config_gives_defaults(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
-    config = load_config(cfg)
+    config = _pipeline_config("--config", str(cfg))
     assert config.tracker.iou_gate == 0.3
     assert config.tracker.max_gap_frames == 10
     assert config.association_mode == "video-level"
@@ -171,7 +173,7 @@ def test_empty_config_gives_defaults(tmp_path):
 def test_config_overrides_and_comments(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("# comment\n\ntracker.iou_gate = 0.5\nseed = 7\n")
-    config = load_config(cfg)
+    config = _pipeline_config("--config", str(cfg))
     assert config.tracker.iou_gate == 0.5
     assert config.seed == 7
 
@@ -180,21 +182,21 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("tracker.iou = 0.5\n")
     with pytest.raises(Exception, match="unknown config key"):
-        load_config(cfg)
+        _pipeline_config("--config", str(cfg))
 
 
 def test_config_type_mismatch_names_the_key(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("tracker.max_gap_frames = soon\n")
     with pytest.raises(Exception, match="tracker.max_gap_frames.*expected int"):
-        load_config(cfg)
+        _pipeline_config("--config", str(cfg))
 
 
 def test_config_out_of_range_value_rejected(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("tracker.iou_gate = 1.5\n")
     with pytest.raises(Exception, match="iou_gate"):
-        load_config(cfg)
+        _pipeline_config("--config", str(cfg))
 
 
 def test_config_errors_exit_two_through_cli(tmp_path, fixture_matrix_path, capsys):
@@ -281,7 +283,6 @@ def test_config_key_equals_its_flag_and_flag_wins(tmp_path, key, flag, value, ot
     cfg = tmp_path / "a.cfg"
     cfg.write_text(f"{key} = {value}\n")
     from_file = _pipeline_config("--config", str(cfg))
-    assert from_file == load_config(cfg)
     assert from_file != PipelineConfig()
     assert from_file == _pipeline_config(flag, value)
     overridden = _pipeline_config("--config", str(cfg), flag, other)
@@ -564,6 +565,59 @@ def test_pipeline_rejects_a_one_individual_roster_before_any_stream(tmp_path, ca
     assert not out.exists()
 
 
+_ONE_NAME_REPORT = {
+    "density": 0.0,
+    "global_efficiency_binary": 0.0,
+    "global_efficiency_weighted": 0.0,
+    "individuals": [{"name": "a", "degree": 0, "strength": 0.0, "eigenvector": 0.0}],
+}
+
+
+@pytest.mark.parametrize("command,report", [("network", False), ("layout", False), ("layout", True)])
+def test_a_one_name_matrix_is_named_and_writes_nothing(tmp_path, capsys, command, report):
+    # a hand-written report of the one name must not let layout draw it either
+    matrix = tmp_path / "one.csv"
+    matrix.write_text(",a\na,\n")
+    inputs = [matrix]
+    argv = [command, "--matrix", str(matrix)]
+    if command == "network":
+        argv += ["--out", str(tmp_path / "report.json")]
+    else:
+        argv += ["--seed", "1", "--svg-out", str(tmp_path / "g.svg"), "--dot-out", str(tmp_path / "g.dot")]
+    if report:
+        inputs.append(tmp_path / "given.json")
+        inputs[-1].write_text(json.dumps(_ONE_NAME_REPORT))
+        argv += ["--report", str(inputs[-1])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{matrix}: matrix: {command} needs at least 2 individuals, got 1\n"
+    assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+
+_AB = ",a,b\na,,0.5\nb,0.5,\n"
+_ABC = ",a,b,c\na,,0.5,\nb,0.5,,0.2\nc,,0.2,\n"
+
+
+@pytest.mark.parametrize(
+    "measured,drawn,message",
+    [
+        (_ABC, _AB, "['a', 'b', 'c'] are not the matrix's names ['a', 'b']"),
+        (_AB, ",b,a\nb,,0.5\na,0.5,\n", "['a', 'b'] are not the matrix's names ['b', 'a']"),
+    ],
+    ids=["more-names", "other-order"],
+)
+def test_layout_rejects_a_report_of_another_matrix(tmp_path, capsys, measured, drawn, message):
+    # network writes the matrix's names in matrix order; any other report is another matrix's
+    inputs = [tmp_path / "measured.csv", tmp_path / "drawn.csv", tmp_path / "report.json"]
+    inputs[0].write_text(measured)
+    inputs[1].write_text(drawn)
+    assert main(["network", "--matrix", str(inputs[0]), "--out", str(inputs[2])]) == 0
+    argv = ["layout", "--matrix", str(inputs[1]), "--report", str(inputs[2]), "--seed", "1",
+            "--svg-out", str(tmp_path / "g.svg"), "--dot-out", str(tmp_path / "g.dot")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{inputs[2]}: report individuals {message} in matrix order\n"
+    assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+
 def test_an_output_in_a_missing_directory_is_named(tmp_path, capsys):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nA,unknown,\nB,unknown,\n")
@@ -655,7 +709,7 @@ def test_cooccur_from_ledger(tmp_path):
     assert main(["cooccur", "--ledger", str(ledger), "--out", str(out)]) == 0
     matrix = parse_association_matrix(out.read_text())
     # Ayu in 3, Bora in 3, together in 2: 2 / (3 + 3 - 2)
-    assert matrix.value("Ayu", "Bora") == 0.5
+    assert matrix_value(matrix, "Ayu", "Bora") == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from troopnet.evaluation import (
-    IdSample,
-    confusion_matrix,
-    false_negative_rate,
-    match_detections,
-    pooled_detection_metrics,
-    topk_accuracy,
-)
+from troopnet import evaluation
+from troopnet.evaluation import IdSample, confusion_matrix, pooled_detection_metrics, topk_accuracy
 from troopnet.geometry import BBox, iou
 from troopnet.ingest import Detection, Individual, Roster
 from troopnet.rng import Rng, derive_seed
@@ -32,6 +27,42 @@ G2 = BBox(100.0, 0.0, 10.0, 10.0)
 
 # ---------------------------------------------------------------------------
 # matching
+
+
+class MatchPair(NamedTuple):
+    prediction_index: int
+    gt_index: int
+    iou: float
+
+
+class MatchResult(NamedTuple):
+    pairs: list[MatchPair]
+    unmatched_predictions: list[int]
+    unmatched_gts: list[int]
+
+
+def match_detections(preds, gts, iou_threshold) -> MatchResult:
+    """The one greedy pass, evaluation._greedy, read off as its matched pairs
+    in score order and the unmatched predictions and ground truths in index
+    order."""
+    steps = list(evaluation._greedy(preds, gts, iou_threshold))
+    pairs = [MatchPair(i, j, o) for i, j, o in steps if j >= 0]
+    matched = {p.gt_index for p in pairs}
+    return MatchResult(
+        pairs=pairs,
+        unmatched_predictions=sorted(i for i, j, _o in steps if j < 0),
+        unmatched_gts=[j for j in range(len(gts)) if j not in matched],
+    )
+
+
+def false_negative_rate(preds, gts, iou_threshold, score_threshold=0.5) -> float:
+    """Reference FNR of one frame: the ground truths left unmatched by
+    matching only the predictions kept at the score threshold; 0.0 without
+    ground truths."""
+    if not gts:
+        return 0.0
+    kept = [p for p in preds if p.score >= score_threshold]
+    return len(match_detections(kept, gts, iou_threshold).unmatched_gts) / len(gts)
 
 
 def test_match_single_perfect_pair():
@@ -78,10 +109,9 @@ def test_match_unmatched_lists_sorted():
 
 
 def test_match_rejects_bad_threshold():
-    with pytest.raises(ValueError):
-        match_detections([], [], 0.0)
-    with pytest.raises(ValueError):
-        match_detections([], [], 1.5)
+    for value in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
+            pooled_detection_metrics([], value)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +129,10 @@ def _two_gt_instance():
 
 def _ap(preds, gts, iou_threshold):
     return pooled_detection_metrics([(preds, gts)], iou_threshold)["average_precision"]
+
+
+def _fnr(preds, gts, iou_threshold, score_threshold=0.5):
+    return pooled_detection_metrics([(preds, gts)], iou_threshold, score_threshold)["false_negative_rate"]
 
 
 def test_average_precision_hand_case_101point():
@@ -121,9 +155,13 @@ def test_average_precision_empty_rules():
 def _random_instance(seed, max_boxes=12):
     """Seeded detection instance with effectively unique scores."""
     rng = Rng(seed)
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * rng.random()
+
     gts = [
-        BBox(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0),
-             20.0 + rng.uniform(0.0, 60.0), 20.0 + rng.uniform(0.0, 60.0))
+        BBox(uniform(0.0, 400.0), uniform(0.0, 400.0),
+             20.0 + uniform(0.0, 60.0), 20.0 + uniform(0.0, 60.0))
         for _ in range(rng.randrange(max_boxes + 1))
     ]
     preds = []
@@ -131,15 +169,15 @@ def _random_instance(seed, max_boxes=12):
         if gts and rng.random() < 0.6:
             base = gts[rng.randrange(len(gts))]
             box = BBox(
-                base.x + rng.uniform(-15.0, 15.0),
-                base.y + rng.uniform(-15.0, 15.0),
-                base.w * (0.8 + rng.uniform(0.0, 0.4)),
-                base.h * (0.8 + rng.uniform(0.0, 0.4)),
+                base.x + uniform(-15.0, 15.0),
+                base.y + uniform(-15.0, 15.0),
+                base.w * (0.8 + uniform(0.0, 0.4)),
+                base.h * (0.8 + uniform(0.0, 0.4)),
             )
         else:
-            box = BBox(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0),
-                       20.0 + rng.uniform(0.0, 60.0), 20.0 + rng.uniform(0.0, 60.0))
-        preds.append(Detection(frame_index=0, bbox=box, score=rng.uniform(0.05, 1.0)))
+            box = BBox(uniform(0.0, 400.0), uniform(0.0, 400.0),
+                       20.0 + uniform(0.0, 60.0), 20.0 + uniform(0.0, 60.0))
+        preds.append(Detection(frame_index=0, bbox=box, score=uniform(0.05, 1.0)))
     return preds, gts
 
 
@@ -194,7 +232,7 @@ def test_ap_and_fnr_invariant_under_permutation(seed):
     preds2 = [preds[i] for i in rng.permutation(len(preds))]
     gts2 = [gts[i] for i in rng.permutation(len(gts))]
     assert _ap(preds2, gts2, 0.5) == _ap(preds, gts, 0.5)
-    assert false_negative_rate(preds2, gts2, 0.5) == false_negative_rate(preds, gts, 0.5)
+    assert _fnr(preds2, gts2, 0.5) == _fnr(preds, gts, 0.5)
 
 
 @given(st.integers(0, 10_000))
@@ -217,7 +255,7 @@ def test_breaking_a_match_never_raises_ap(seed):
 
 def test_fnr_zero_when_all_found():
     preds = [_det(0.0, 0.0, 10.0, 10.0, 0.9), _det(100.0, 0.0, 10.0, 10.0, 0.8)]
-    assert false_negative_rate(preds, [G1, G2], 0.5) == 0.0
+    assert _fnr(preds, [G1, G2], 0.5) == 0.0
 
 
 def test_fnr_counts_misses():
@@ -229,26 +267,24 @@ def test_fnr_counts_misses():
     ]
     gts = [G1, G2, BBox(200.0, 0.0, 10.0, 10.0), BBox(300.0, 0.0, 10.0, 10.0),
            BBox(400.0, 0.0, 10.0, 10.0)]
-    assert false_negative_rate(preds, gts, 0.5) == pytest.approx(0.2)
+    assert _fnr(preds, gts, 0.5) == pytest.approx(0.2)
 
 
 def test_fnr_score_threshold_drops_predictions():
     preds = [_det(0.0, 0.0, 10.0, 10.0, 0.4)]
-    assert false_negative_rate(preds, [G1], 0.5, score_threshold=0.5) == 1.0
-    assert false_negative_rate(preds, [G1], 0.5, score_threshold=0.3) == 0.0
+    assert _fnr(preds, [G1], 0.5, score_threshold=0.5) == 1.0
+    assert _fnr(preds, [G1], 0.5, score_threshold=0.3) == 0.0
 
 
 def test_fnr_empty_rules():
-    assert false_negative_rate([], [], 0.5) == 0.0
-    assert false_negative_rate([_det(0.0, 0.0, 5.0, 5.0, 0.9)], [], 0.5) == 0.0
-    assert false_negative_rate([], [G1], 0.5) == 1.0
+    assert _fnr([], [], 0.5) == 0.0
+    assert _fnr([_det(0.0, 0.0, 5.0, 5.0, 0.9)], [], 0.5) == 0.0
+    assert _fnr([], [G1], 0.5) == 1.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_score_threshold_must_be_finite(value):
     preds = [_det(0.0, 0.0, 10.0, 10.0, 0.9)]
-    with pytest.raises(ValueError, match="score_threshold must be finite"):
-        false_negative_rate(preds, [G1], 0.5, score_threshold=value)
     with pytest.raises(ValueError, match="score_threshold must be finite"):
         pooled_detection_metrics([(preds, [G1])], score_threshold=value)
 

@@ -49,6 +49,8 @@ from troopnet.ingest import (
 from troopnet.network import IndividualMeasures, NetworkReport
 from troopnet.tracking import Identity, Track
 
+from conftest import matrix_value
+
 
 # ---------------------------------------------------------------------------
 # roster
@@ -483,8 +485,8 @@ def test_matrix_round_trip_exact():
 def test_matrix_triangular_input_symmetrized():
     text = ",Tabu,Baby_Tabu\nTabu,,0.37\nBaby_Tabu,,\n"
     m = parse_association_matrix(text)
-    assert m.value("Tabu", "Baby_Tabu") == 0.37
-    assert m.value("Baby_Tabu", "Tabu") == 0.37
+    assert matrix_value(m, "Tabu", "Baby_Tabu") == 0.37
+    assert matrix_value(m, "Baby_Tabu", "Tabu") == 0.37
 
 
 def test_matrix_blank_body_is_zero():
@@ -501,7 +503,7 @@ def test_matrix_mirror_conflict_rejected():
 def test_matrix_mirror_agreement_within_tolerance_ok():
     text = ",A,B\nA,,0.3\nB,0.3,\n"
     m = parse_association_matrix(text)
-    assert m.value("A", "B") == 0.3
+    assert matrix_value(m, "A", "B") == 0.3
 
 
 def test_matrix_rejects_nonzero_diagonal():
@@ -551,7 +553,7 @@ def test_association_matrix_needs_a_name():
 def test_association_matrix_helpers():
     m = AssociationMatrix(names=["A", "B"], values=np.array([[0.0, 0.4], [0.4, 0.0]]))
     assert m.n == 2
-    assert m.value("A", "B") == 0.4
+    assert matrix_value(m, "A", "B") == 0.4
 
 
 @st.composite

@@ -325,8 +325,29 @@ def test_svg_missing_measures_rejected():
     m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
     layout = gem_layout(m, seed=0)
     smaller = matrix_from_dyads(["A", "C"], {})
-    with pytest.raises(ValueError, match="missing measures.*B"):
+    with pytest.raises(ValueError, match=r"report individuals \['A', 'C'\] are not the matrix's names \['A', 'B'\]"):
         render_svg(m, layout, network_report(smaller))
+
+
+_AB = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        network_report(matrix_from_dyads(["A", "B", "C"], {("A", "B"): 0.5, ("B", "C"): 0.2})),
+        network_report(matrix_from_dyads(["B", "A"], {("A", "B"): 0.5})),
+    ],
+    ids=["more-names", "other-order"],
+)
+@pytest.mark.parametrize("render", ["svg", "dot"])
+def test_renderers_take_only_a_report_of_the_matrix_names_in_order(report, render):
+    # the report network_report writes for m names m's individuals in m's order
+    with pytest.raises(ValueError, match="are not the matrix's names"):
+        if render == "svg":
+            render_svg(_AB, gem_layout(_AB, seed=0), report)
+        else:
+            render_dot(_AB, report)
 
 
 # ---------------------------------------------------------------------------
@@ -368,5 +389,5 @@ def test_dot_deterministic(troop_matrix, troop_report):
 def test_dot_missing_measures_rejected():
     m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
     smaller = matrix_from_dyads(["A", "C"], {})
-    with pytest.raises(ValueError, match="missing measures.*B"):
+    with pytest.raises(ValueError, match=r"report individuals \['A', 'C'\] are not the matrix's names \['A', 'B'\]"):
         render_dot(m, network_report(smaller))

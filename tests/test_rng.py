@@ -96,13 +96,6 @@ def test_random_granularity():
         assert x == (round(x * 2.0**53)) * 2.0**-53
 
 
-def test_uniform_bounds():
-    rng = Rng(11)
-    for _ in range(200):
-        x = rng.uniform(-3.0, 5.0)
-        assert -3.0 <= x < 5.0
-
-
 def test_randrange_bounds_and_error():
     rng = Rng(5)
     for _ in range(500):
