@@ -11,7 +11,9 @@ atomically (temp file in the target directory, then rename).
 
 The matrix stages (association, network, layout, synth) import numpy,
 so each handler that runs one imports it itself: track, eval-det and
-eval-id start on the standard library alone.
+eval-id start on the standard library alone, and pipeline forks its
+per-video worker processes before numpy loads, since a fork after
+OpenBLAS has started its threads is unsafe.
 
 Configuration: a flat key = value file (--config) supplies settings that
 command-line flags override; the README's Configuration section lists
@@ -21,6 +23,7 @@ the keys, their types and defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +33,7 @@ from typing import NamedTuple
 from . import evaluation, ingest, tracking
 from .geometry import ProximityParams
 from .ingest import ParseError, atomic_write_bytes, atomic_write_text
-from .params import ConvergenceError, GemParams, NetworkParams
+from .params import ConvergenceError, GemParams, NetworkParams, require_pairs
 from .tracking import TrackerParams
 
 __all__ = ["PipelineConfig", "main"]
@@ -199,20 +202,37 @@ def _stream_tracks(path: str, video_id: str, roster, config: PipelineConfig) -> 
     return tracks
 
 
-def _video_ledger(path: str, video_id: str, roster, config: PipelineConfig) -> tuple:
-    """One stream's ledger entry and identity conflicts.
+def _video_ledger(path: str, roster, config: PipelineConfig) -> tuple:
+    """One stream's ledger entry and identity conflicts; the video id is
+    the file name without its .jsonl.
 
     The same as tracks_to_ledger over every stream's tracks, a video at a
     time: that groups by video and orders conflicts by video first. A
     stream with no tracks still gets its entry, naming no one. The
     stream's detections and tracks are freed on return.
     """
+    video_id = os.path.basename(path)[: -len(".jsonl")]
     tracks = _stream_tracks(path, video_id, roster, config)
     ledger, conflicts = tracking.tracks_to_ledger(tracks, mode=config.association_mode, prox=config.proximity)
     if not ledger.entries:  # a stream with no tracks
         empty = ingest.PairEntry if config.association_mode == "proximal" else ingest.LedgerEntry
         return empty(video_id, frozenset()), conflicts
     return ledger.entries[0], conflicts
+
+
+def _workers(n_files: int) -> int:
+    """Processes for pipeline's videos: one per usable CPU, at most one per file.
+
+    1, which runs the videos in this process, once numpy is loaded (a fork
+    after OpenBLAS has started its threads is unsafe) or where there is no
+    fork start method.
+    """
+    import multiprocessing
+
+    if "numpy" in sys.modules or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(n_files, cpus)
 
 
 def _matrix(ledger, roster) -> ingest.AssociationMatrix:
@@ -295,11 +315,14 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
         ledger = _parse_file(ingest.parse_occurrence_ledger, args.ledger, roster)
     else:
         ledger = _parse_file(ingest.parse_pair_ledger, args.pair_ledger, roster)
+    inputs = ", ".join(args.tracks) if args.tracks else args.ledger or args.pair_ledger
     try:
         matrix = _matrix(ledger, roster)
     except ValueError as exc:  # without a roster, a ledger that names no one gives no names
-        inputs = ", ".join(args.tracks) if args.tracks else args.ledger or args.pair_ledger
         raise ParseError(f"{inputs}: counts no individual ({exc})") from None
+    # the matrix's names are the roster's, or the names the inputs count
+    source = f"{config.roster_path}: roster" if roster is not None else inputs
+    require_pairs(matrix.n, f"{source}: cooccur")
     atomic_write_text(args.out, ingest.write_matrix(matrix))
     if args.ledger_out:
         atomic_write_text(args.ledger_out, _ledger_text(ledger, roster))
@@ -313,7 +336,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
     config = _resolve_config(args)
     matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
-    network.require_pairs(matrix.n, f"{args.matrix}: matrix: network")
+    require_pairs(matrix.n, f"{args.matrix}: matrix: network")
     atomic_write_text(args.out, ingest.write_report(network.network_report(matrix, config.network)))
     return 0
 
@@ -326,7 +349,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         raise UsageError("at least one of --svg-out or --dot-out is required")
     (seed,) = _required(config, "seed")
     matrix = _parse_file(ingest.parse_association_matrix, args.matrix)
-    network.require_pairs(matrix.n, f"{args.matrix}: matrix: layout")
+    require_pairs(matrix.n, f"{args.matrix}: matrix: layout")
     if args.report:
         report = _parse_file(ingest.parse_report, args.report)
         try:
@@ -380,24 +403,38 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from . import layout, network
-
     config = _resolve_config(args)
     seed, detections_dir, roster_path, out_dir = _required(
         config, "seed", "detections_dir", "roster_path", "out_dir"
     )
     roster = _read_roster(roster_path)
-    network.require_pairs(len(roster), f"{roster_path}: roster: pipeline")
-    files = sorted(n for n in os.listdir(detections_dir) if n.endswith(".jsonl"))
-    if not files:
+    require_pairs(len(roster), f"{roster_path}: roster: pipeline")
+    paths = [
+        os.path.join(detections_dir, n) for n in sorted(os.listdir(detections_dir)) if n.endswith(".jsonl")
+    ]
+    if not paths:
         raise ParseError(f"no .jsonl detection streams in {detections_dir}")
 
-    entries, conflicts = [], []
-    for filename in files:
-        video_id = filename[: -len(".jsonl")]
-        entry, video_conflicts = _video_ledger(os.path.join(detections_dir, filename), video_id, roster, config)
-        entries.append(entry)
-        conflicts.extend(video_conflicts)
+    # results come back in file order, so the merge, and the first error
+    # raised, are the serial loop's for any number of workers
+    video_ledger = functools.partial(_video_ledger, roster=roster, config=config)
+    workers = _workers(len(paths))
+    if workers == 1:
+        results = list(map(video_ledger, paths))
+    else:
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(video_ledger, paths))
+        except BrokenProcessPool as exc:  # a worker was killed, say for memory
+            raise OSError(f"{detections_dir}: a pipeline worker process died: {exc}") from None
+    entries = [entry for entry, _ in results]
+    conflicts = [c for _, video_conflicts in results for c in video_conflicts]
+
+    from . import layout, network
+
     ledger_type = ingest.PairLedger if config.association_mode == "proximal" else ingest.OccurrenceLedger
     ledger = ledger_type(entries)
     matrix = _matrix(ledger, roster)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import AssociationMatrix
-from .params import ConvergenceError, NetworkParams
+from .params import ConvergenceError, NetworkParams, require_pairs
 
 __all__ = [
     "IndividualMeasures",
@@ -52,12 +52,6 @@ class NetworkReport:
     global_efficiency_weighted: float
     individuals: list[IndividualMeasures]
     warnings: list[str] = field(default_factory=list)
-
-
-def require_pairs(n: int, what: str) -> None:
-    """The measures are over pairs: fewer than 2 individuals is an error."""
-    if n < 2:
-        raise ValueError(f"{what} needs at least 2 individuals, got {n}")
 
 
 def density(m: AssociationMatrix) -> float:

@@ -1,10 +1,12 @@
-"""Settings of the matrix stages, and the error their iteration raises.
+"""Settings of the matrix stages, the error their iteration raises, and
+their two-individual rule.
 
 These live apart from :mod:`troopnet.network` and :mod:`troopnet.layout`,
 which re-export them, because those modules import numpy: the CLI builds
-its configuration and maps ConvergenceError to its exit code from here,
-so the commands that never touch a matrix start on the standard library
-alone.
+its configuration, checks a roster and maps ConvergenceError to its exit
+code from here, so the commands that never touch a matrix start on the
+standard library alone, and pipeline starts its worker processes before
+numpy loads.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-__all__ = ["GemParams", "NetworkParams", "ConvergenceError"]
+__all__ = ["GemParams", "NetworkParams", "ConvergenceError", "require_pairs"]
 
 
 @dataclass(frozen=True)
@@ -49,3 +51,9 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+def require_pairs(n: int, what: str) -> None:
+    """The measures are over pairs: fewer than 2 individuals is an error."""
+    if n < 2:
+        raise ValueError(f"{what} needs at least 2 individuals, got {n}")

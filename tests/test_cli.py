@@ -10,6 +10,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -565,6 +566,41 @@ def test_pipeline_rejects_a_one_individual_roster_before_any_stream(tmp_path, ca
     assert not out.exists()
 
 
+_ONE_TRACK_OF_A = json.dumps({
+    "track_id": 0, "video_id": "v1", "observations": [{"frame_index": 0, "bbox": [0, 0, 1, 1], "score": 0.9}],
+    "identity": {"name": "a", "confidence": 0.9},
+}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flag,text,with_roster",
+    [
+        ("--ledger", "video_id,present\nv1,a\n", True),
+        ("--ledger", "video_id,present\nv1,a\n", False),
+        ("--tracks", _ONE_TRACK_OF_A, True),
+        ("--tracks", _ONE_TRACK_OF_A, False),
+        ("--pair-ledger", "video_id,pair\n", True),  # without a roster a pair names two
+    ],
+    ids=["ledger-roster", "ledger", "tracks-roster", "tracks", "pair-ledger-roster"],
+)
+def test_cooccur_of_one_individual_is_named_and_writes_nothing(tmp_path, capsys, flag, text, with_roster):
+    # network and layout reject a one-name matrix, so cooccur must not write one: with a
+    # roster its names are the roster's, without one they are the names the input counts
+    source = tmp_path / "input"
+    source.write_text(text)
+    argv = ["cooccur", flag, str(source), "--out", str(tmp_path / "m.csv"),
+            "--ledger-out", str(tmp_path / "l.csv"), "--conflicts-out", str(tmp_path / "c.json")]
+    inputs = [source]
+    if with_roster:
+        inputs.append(tmp_path / "roster.csv")
+        inputs[-1].write_text("name,sex,age_years\na,unknown,\n")
+        argv += ["--roster", str(inputs[-1])]
+    assert main(argv) == 2
+    named = f"{inputs[-1]}: roster" if with_roster else str(source)
+    assert capsys.readouterr().err == f"{named}: cooccur needs at least 2 individuals, got 1\n"
+    assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+
 _ONE_NAME_REPORT = {
     "density": 0.0,
     "global_efficiency_binary": 0.0,
@@ -950,6 +986,121 @@ def test_pipeline_parse_error_names_the_file(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"{detections / 'v2.jsonl'}: line 1: needs integer 'frame_index'\n"
     assert not out.exists()
+
+
+# pipeline through cli.main in a fresh interpreter (pytest has loaded numpy, so
+# in-process runs never reach the worker pool): sys.argv[1] is "auto", or
+# "numpy-first" to import numpy before troopnet, or a number of workers to fix
+# cli._workers at. Prints, for each fork, whether numpy was loaded.
+_FRESH_PIPELINE = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from troopnet import cli
+if sys.argv[1].isdigit():
+    workers = int(sys.argv[1])
+    cli._workers = lambda n_files: workers
+forks = []
+os.register_at_fork(before=lambda: forks.append("numpy" in sys.modules))
+code = cli.main(["pipeline", *sys.argv[2:]])
+print(json.dumps(forks))
+sys.exit(code)
+"""
+
+
+def _fresh_pipeline(script, first, scenario, out, *extra):
+    argv = ["--detections-dir", str(scenario / "detections"), "--roster", str(scenario / "roster.csv"),
+            "--out-dir", str(out), "--seed", "5", *extra]
+    return subprocess.run([sys.executable, "-c", script, first, *argv], capture_output=True, text=True, timeout=120)
+
+
+def test_pipeline_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    # test_outputs_match_pinned_digests' scenario: its pipeline digests hold at every count
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "7", "--matrilines", "2", "--videos", "10",
+         "--frames", "12", "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2",
+         "--id-confusion-rate", "0.2", "--out-dir", str(scenario)]
+    ) == 0
+    for mode, extra in _MODE_ARGS.items():
+        pinned = {name: digest for name, digest in _PINNED_DIGESTS.items() if name.startswith(f"pipeline/{mode}/")}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"{mode}-{workers}"
+            proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, out, "--min-track-len", "1", *extra)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == ([False] * workers if workers > 1 else []), workers
+            assert {f"pipeline/{mode}/{name}": _digest(out / name) for name in _PIPELINE_FILES} == pinned, workers
+
+
+def test_pipeline_names_the_first_bad_file_at_any_worker_count(tmp_path):
+    # the 4th of 5 streams fails on its first line and the 2nd on its last, so
+    # with workers the 4th fails first; the error must still be the 2nd's
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "6", "--matrilines", "2", "--videos", "5",
+         "--frames", "40", "--out-dir", str(scenario)]
+    ) == 0
+    streams = sorted((scenario / "detections").iterdir())
+    for path, line in [(streams[1], -1), (streams[3], 0)]:
+        frames = [json.loads(text) for text in path.read_text().splitlines()]
+        frames[line]["frame_index"] = True
+        _write_stream(path, frames)
+    expected = f"{streams[1]}: line 40: needs integer 'frame_index'\n"
+    for workers in (1, 2, 3):
+        out = tmp_path / f"out-{workers}"
+        proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, out)
+        assert (proc.returncode, proc.stderr) == (2, expected), workers
+        assert not out.exists()
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="with one usable CPU the videos run in-process")
+def test_pipeline_forks_its_workers_before_numpy_loads(tmp_path):
+    # a fork after numpy's BLAS has started its threads is unsafe
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "6", "--matrilines", "2", "--videos", "4",
+         "--frames", "10", "--out-dir", str(scenario)]
+    ) == 0
+    outputs = {}
+    for first, forks in [("auto", [False] * min(4, _usable_cpus())), ("numpy-first", [])]:
+        proc = _fresh_pipeline(_FRESH_PIPELINE, first, scenario, tmp_path / first)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == forks, first
+        outputs[first] = {name: (tmp_path / first / name).read_bytes() for name in _PIPELINE_FILES}
+    assert outputs["auto"] == outputs["numpy-first"]
+
+
+# pipeline at 2 workers, in which the worker given the stream sys.argv[1] kills itself
+_PIPELINE_WITH_A_KILLED_WORKER = """
+import os, signal, sys
+from troopnet import cli
+video_ledger = cli._video_ledger
+def killed_on(path, roster, config):
+    if path == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return video_ledger(path, roster, config)
+cli._video_ledger = killed_on
+cli._workers = lambda n_files: 2
+sys.exit(cli.main(["pipeline", *sys.argv[2:]]))
+"""
+
+
+def test_pipeline_fails_when_a_worker_dies(tmp_path):
+    # a worker the system kills, say for memory, must end the run with an error, not hang it
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "6", "--matrilines", "2", "--videos", "4",
+         "--frames", "10", "--out-dir", str(scenario)]
+    ) == 0
+    second = sorted((scenario / "detections").iterdir())[1]
+    proc = _fresh_pipeline(_PIPELINE_WITH_A_KILLED_WORKER, str(second), scenario, tmp_path / "out")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"{scenario / 'detections'}: a pipeline worker process died: "), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # one row per command input that is parsed: (flag, bad file text, message
