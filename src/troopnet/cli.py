@@ -95,7 +95,9 @@ _SETTING_BY_KEY = {s.key: s for s in _SETTINGS}
 
 def _parse_config_text(text: str, origin: str) -> dict:
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a line ends at LF, CRLF or a bare CR; str.splitlines would also end it at U+2028, U+0085 or \f
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -148,7 +150,9 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    """The file's text as written: no newline translation, so each format
+    decides where its lines end."""
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -167,25 +171,25 @@ def _read_roster(path: str | None):
     return _parse_file(ingest.parse_roster, path)
 
 
-# what each required PipelineConfig value is called, and how to give it
+# what each required value is called, by config key
 _REQUIRED = {
-    "seed": ("a seed", "--seed or set the 'seed' config key"),
-    "detections_dir": ("a detections directory", "--detections-dir"),
-    "roster_path": ("a roster", "--roster"),
-    "out_dir": ("an output directory", "--out-dir"),
+    "seed": "a seed",
+    "paths.detections_dir": "a detections directory",
+    "paths.roster": "a roster",
+    "paths.out_dir": "an output directory",
 }
 
 
-def _required(config: PipelineConfig, *attrs: str) -> tuple:
-    """The config's values of attrs, checked in order; a missing one is a usage error.
+def _required(config: PipelineConfig, *keys: str) -> tuple:
+    """The config's values of the settings keys, checked in order; a missing one is a usage error.
 
     Seed 0 is a seed, but an empty path is no path.
     """
-    values = tuple(getattr(config, attr) for attr in attrs)
-    for attr, value in zip(attrs, values):
-        if (value is None) if attr == "seed" else (not value):
-            what, how = _REQUIRED[attr]
-            raise UsageError(f"{what} is required: pass {how}")
+    settings = [_SETTING_BY_KEY[key] for key in keys]
+    values = tuple(getattr(config, s.field or s.key) for s in settings)
+    for s, value in zip(settings, values):
+        if (value is None) if s.key == "seed" else (not value):
+            raise UsageError(f"{_REQUIRED[s.key]} is required: pass {s.flag} or set the {s.key!r} config key")
     return values
 
 
@@ -370,7 +374,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
     config = _resolve_config(args)
-    seed, out_dir = _required(config, "seed", "out_dir")
+    seed, out_dir = _required(config, "seed", "paths.out_dir")
     try:
         # noise flags left out are absent from args, so the defaults stay in NoiseParams
         noise = synth.NoiseParams(
@@ -405,7 +409,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     seed, detections_dir, roster_path, out_dir = _required(
-        config, "seed", "detections_dir", "roster_path", "out_dir"
+        config, "seed", "paths.detections_dir", "paths.roster", "paths.out_dir"
     )
     roster = _read_roster(roster_path)
     require_pairs(len(roster), f"{roster_path}: roster: pipeline")

@@ -55,13 +55,13 @@ def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
 
 
 def _curve(flags: list[bool], n_gt: int) -> list[tuple[float, float]]:
-    """(recall, precision) after each score-ordered prediction; recall is 0.0
-    without ground truths."""
+    """(recall, precision) after each score-ordered prediction, over n_gt > 0
+    ground truths."""
     points = []
     tp = 0
     for k, flag in enumerate(flags, start=1):
         tp += flag
-        points.append((tp / n_gt if n_gt else 0.0, tp / k))
+        points.append((tp / n_gt, tp / k))
     return points
 
 

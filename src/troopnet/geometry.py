@@ -63,13 +63,21 @@ class ProximityParams:
             )
 
 
+_MIN_NORMAL = 2.0**-1022  # the least normal float
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes, in [0, 1].
 
-    Returns exactly 1.0 for identical boxes and 0.0 when the interiors are
-    disjoint (touching edges count as disjoint). All widths derive from the
-    same corner differences, which keeps the ratio at or below 1 even when
-    x + w - x does not round back to w.
+    Returns exactly 1.0 for identical boxes, at any size, and 0.0 when the
+    interiors are disjoint (touching edges count as disjoint). All widths
+    derive from the same corner differences, which keeps the ratio at or
+    below 1 even when x + w - x does not round back to w: each area is a
+    product of corner differences at least as large as iw and ih, so
+    union >= inter. Where a product leaves the normal float range (boxes
+    below about 1e-154 or above about 1e154 px), each axis is measured in
+    units of a power of two near its wider side; as that rescaling is
+    exact, a box pair scaled by a power of two keeps its IoU bit for bit.
     """
     ax2 = a.x + a.w
     ay2 = a.y + a.h
@@ -79,11 +87,21 @@ def iou(a: BBox, b: BBox) -> float:
     ih = min(ay2, by2) - max(a.y, b.y)
     if iw <= 0 or ih <= 0:
         return 0.0
+    aw = ax2 - a.x
+    ah = ay2 - a.y
+    bw = bx2 - b.x
+    bh = by2 - b.y
     inter = iw * ih
-    area_a = (ax2 - a.x) * (ay2 - a.y)
-    area_b = (bx2 - b.x) * (by2 - b.y)
-    union = area_a + area_b - inter
-    return inter / union
+    union = aw * ah + bw * bh - inter
+    if inter >= _MIN_NORMAL and union < math.inf:
+        return inter / union
+    ex = math.frexp(max(aw, bw))[1]
+    ey = math.frexp(max(ah, bh))[1]
+    iw, aw, bw = (math.ldexp(v, -ex) for v in (iw, aw, bw))
+    ih, ah, bh = (math.ldexp(v, -ey) for v in (ih, ah, bh))
+    inter = iw * ih  # every side is now at most 1, so nothing overflows
+    union = aw * ah + bw * bh - inter
+    return inter / union if inter else 0.0  # 0.0 when the ratio itself underflows
 
 
 def center_distance(a: BBox, b: BBox) -> float:

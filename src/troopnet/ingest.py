@@ -157,6 +157,19 @@ def _loads(text: str, locus: str):
         raise ParseError(f"{locus}: malformed JSON: {exc}") from None
 
 
+def _csv_records(data: str | bytes, what: str):
+    """Yield each row of a CSV table, read as the csv module asks: from a
+    newline="" stream, so a row ends at LF, CRLF or a bare CR, and a quoted
+    cell keeps its line breaks. A row the reader refuses (a cell past its
+    field size limit) raises ParseError naming the physical line.
+    """
+    reader = csv.reader(io.StringIO(_text(data), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{what} line {reader.line_num}: {exc}") from None
+
+
 def _csv_rows(data: str | bytes, what: str, header: tuple[str, ...]):
     """Yield (line number, row) for each data row of a CSV table.
 
@@ -164,7 +177,7 @@ def _csv_rows(data: str | bytes, what: str, header: tuple[str, ...]):
     are skipped; every other row must have one cell per header column.
     Line numbers count CSV records from 1, the header included.
     """
-    rows = csv.reader(io.StringIO(_text(data)))
+    rows = _csv_records(data, what)
     if next(rows, None) != list(header):
         raise ParseError(f"{what}: expected header '{','.join(header)}'")
     for lineno, row in enumerate(rows, start=2):
@@ -674,7 +687,7 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
     """
     import numpy as np
 
-    rows = [row for row in csv.reader(io.StringIO(_text(text))) if any(cell != "" for cell in row)]
+    rows = [row for row in _csv_records(text, "matrix") if any(cell != "" for cell in row)]
     if not rows:
         raise ParseError("matrix: empty input")
     header = rows[0]

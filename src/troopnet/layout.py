@@ -46,22 +46,23 @@ __all__ = [
 
 # GEM's constants (Frick, Ludwig & Mehldau 1994). Gravity pulls a vertex
 # toward the barycenter with weight 1/16 per unit of phi. Every vertex
-# starts at a temperature equal to the desired edge length, and none
-# exceeds 256. A vertex's temperature is scaled by 1 + cos(beta)/2 for
-# the angle beta between successive impulses, so steady motion warms and
-# oscillation cools. An angle whose sine exceeds sin(60 degrees) feeds a
-# signed rotation gauge that halves the temperature when it saturates. A
-# linear envelope from the start temperature to a small floor over the
-# first 5/8 of the round budget bounds every temperature from above,
-# which forces the mean below the stop threshold well before the round
-# cap.
+# starts at a temperature equal to the desired edge length E. A vertex's
+# temperature is scaled by 1 + cos(beta)/2 for the angle beta between
+# successive impulses, so steady motion warms and oscillation cools. An
+# angle whose sine exceeds sin(60 degrees) feeds a signed rotation gauge
+# that halves the temperature when it saturates. A linear envelope from
+# the start temperature to a small floor over the first 5/8 of the round
+# budget bounds every temperature from above after each round, so none
+# exceeds 1.5 E, and forces the mean below the stop threshold well before
+# the round cap. Every length is a multiple of E, so the layout has no
+# fixed pixel size: at E * 2**k it is 2**k times the layout at E, bit for
+# bit, with the same rounds.
 _OSCILLATION_GAIN = 0.5
 _ROTATION_COOL = 0.5
 _SIN_ROTATION = math.sqrt(3.0) / 2.0
 _RAMP_SHARE = 5.0 / 8.0
 _FLOOR_FRACTION = 1.0 / 128.0
 _GRAVITY = 1.0 / 16.0
-_MAX_TEMPERATURE = 256.0
 # Graphs with at least this many vertices take _vector_visit, smaller ones
 # _scalar_visit: numpy's fixed cost, about 13 us a visit, outweighs the
 # loop's O(n) work below about 40 vertices on dense graphs and 80 on
@@ -240,13 +241,11 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
                     lx = last_x[v]
                     ly = last_y[v]
                     last_mag_sq = lx * lx + ly * ly
-                    if last_mag_sq > 0.0 and math.isfinite(last_mag_sq):
+                    if last_mag_sq > 0.0:  # an earlier impulse, finite as mag_sq was
                         denom = mag * math.sqrt(last_mag_sq)
                         cos_b = (px * lx + py * ly) / denom
                         sin_b = (px * ly - py * lx) / denom
                         t = t * (1.0 + _OSCILLATION_GAIN * cos_b)
-                        if t > _MAX_TEMPERATURE:
-                            t = _MAX_TEMPERATURE
                         if sin_b > _SIN_ROTATION or sin_b < -_SIN_ROTATION:
                             step = 1.0 / (2.0 * n)
                             skew[v] += step if sin_b > 0.0 else -step

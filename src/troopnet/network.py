@@ -95,9 +95,7 @@ def eigenvector_centrality(m: AssociationMatrix, params: NetworkParams = Network
     diff = math.inf
     for _ in range(params.max_iter):
         nxt = [math.fsum(w * v[j] for j, w in row) + v[i] for i, row in enumerate(rows)]
-        peak = max(nxt)
-        if peak <= 0.0:
-            raise ConvergenceError("power iteration collapsed to the zero vector", math.inf)
+        peak = max(nxt)  # at least 1: no entry of nxt is below v's, whose peak is 1
         nxt = [x / peak for x in nxt]
         diff = max(abs(a - b) for a, b in zip(nxt, v))
         v = nxt

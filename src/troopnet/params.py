@@ -19,6 +19,12 @@ __all__ = ["GemParams", "NetworkParams", "ConvergenceError", "require_pairs"]
 
 @dataclass(frozen=True)
 class GemParams:
+    """GEM layout settings. desired_edge_length lies in [2**-400, 2**400]:
+    there its square, and that square times squared distances and degrees,
+    stay normal floats, so scaling it by a power of two scales the layout
+    exactly. Far outside, the square underflows to 0 or overflows to inf.
+    """
+
     desired_edge_length: float = 128.0
     max_rounds_factor: int = 40
     stop_temperature_fraction: float = 1.0 / 50.0
@@ -28,6 +34,10 @@ class GemParams:
             value = getattr(self, f.name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{f.name} must be positive and finite, got {value}")
+        if not 2.0**-400 <= self.desired_edge_length <= 2.0**400:
+            raise ValueError(
+                f"desired_edge_length must lie in [2**-400, 2**400], got {self.desired_edge_length}"
+            )
 
 
 @dataclass(frozen=True)

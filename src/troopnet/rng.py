@@ -25,6 +25,11 @@ generator (an xorshift-family generator), whose step is
 
 with rotl(x, k) the 64-bit left rotation. Floats in [0, 1) take the top
 53 bits of one 64-bit output: (u >> 11) * 2.0**-53.
+
+No seed gives xoshiro256** its forbidden all-zero state: splitmix64's
+output is a one-to-one function of its state (each xor-shift and odd
+multiplication inverts mod 2**64), and the four seeding states differ,
+as the constant is odd, so at most one of the four words is zero.
 """
 
 from __future__ import annotations
@@ -81,10 +86,6 @@ class Rng:
         for _ in range(4):
             state, out = splitmix64_next(state)
             words.append(out)
-        if not any(words):
-            # xoshiro state must never be all zero; unreachable in practice
-            # for splitmix64 outputs but guarded for safety.
-            words[0] = _GOLDEN
         self._s0, self._s1, self._s2, self._s3 = words
 
     def next_u64(self) -> int:

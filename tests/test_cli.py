@@ -223,6 +223,16 @@ def test_config_value_outside_its_choices_names_file_line_and_key(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_config_lines_end_at_lf_crlf_or_cr_only(tmp_path, newline):
+    # str.splitlines would also break at U+2028, U+0085 and form feed, ending the comment
+    cfg = tmp_path / "a.cfg"
+    text = "# a note\u2028on seeds\x85and\x0cmore\nseed = 7\nnetwork.max_iter = 9\n"
+    cfg.write_bytes(text.replace("\n", newline).encode())
+    config = _pipeline_config("--config", str(cfg))
+    assert (config.seed, config.network.max_iter) == (7, 9)
+
+
 def test_config_seed_satisfies_layout_and_flag_wins(tmp_path, fixture_matrix_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("seed = 7\n")
@@ -319,8 +329,14 @@ def test_readme_configuration_table_matches_the_cli():
 _GEM_FIELDS = ["desired_edge_length", "max_rounds_factor", "stop_temperature_fraction"]
 
 
-@pytest.mark.parametrize("name", _GEM_FIELDS)
-@pytest.mark.parametrize("value", ["inf", "nan"])
+# the edge length's square must stay a normal float: 2**-400 is about 3.9e-121, 2**400 2.6e120
+@pytest.mark.parametrize(
+    "value,name",
+    [
+        *((value, name) for value in ("inf", "nan") for name in _GEM_FIELDS),
+        *((value, "desired_edge_length") for value in ("1e-200", "3e-121", "3e120", "1e200")),
+    ],
+)
 def test_gem_rejects_non_finite_values(tmp_path, fixture_matrix_path, capsys, name, value):
     with pytest.raises(ValueError, match=name):
         GemParams(**{name: float(value)})
@@ -1124,6 +1140,10 @@ _BAD_INPUTS = {
         "--ledger", "video_id,pair\n", "ledger: expected header 'video_id,present'",
         lambda d: ["cooccur", "--out", str(d / "o")],
     ),
+    "cooccur-ledger-field-limit": (  # the csv module refuses a cell over 131,072 characters
+        "--ledger", f"video_id,present\nv1,A;B\nv2,{'B' * 200_000}\n", "ledger line 3: field larger than field limit (131072)",
+        lambda d: ["cooccur", "--out", str(d / "o")],
+    ),
     "cooccur-pair-ledger": (
         "--pair-ledger", "video_id,pair\nv1\n", "pair ledger line 2: expected 2 columns, got 1",
         lambda d: ["cooccur", "--out", str(d / "o")],
@@ -1150,6 +1170,89 @@ def test_parse_errors_name_the_file(tmp_path, capsys, case):
     assert main([*other_args(tmp_path), flag, str(bad)]) == 2
     assert capsys.readouterr().err == f"{bad}: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+_REQUIRED_VALUES = [
+    ("a seed", "--seed", "seed"),
+    ("a detections directory", "--detections-dir", "paths.detections_dir"),
+    ("a roster", "--roster", "paths.roster"),
+    ("an output directory", "--out-dir", "paths.out_dir"),
+]
+
+
+@pytest.mark.parametrize("what,flag,key", _REQUIRED_VALUES, ids=[r[1] for r in _REQUIRED_VALUES])
+def test_a_missing_value_names_its_flag_and_its_config_key(tmp_path, synth_run, capsys, what, flag, key):
+    given = {
+        "--seed": "5",
+        "--detections-dir": str(synth_run / "detections"),
+        "--roster": str(synth_run / "roster.csv"),
+        "--out-dir": str(tmp_path / "out"),
+    }
+    argv = ["pipeline", "--min-track-len", "1", *(a for f, v in given.items() if f != flag for a in (f, v))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{what} is required: pass {flag} or set the {key!r} config key\n"
+    # and the key named gives it
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"{key} = {given[flag]}\n")
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "ledger.csv").read_bytes() == (synth_run / "ledger.csv").read_bytes()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_inputs_give_the_lf_outputs(tmp_path, synth_run, newline):
+    # the roster and config end their lines with newline, the streams with CRLF (a record ends at LF)
+    other = tmp_path / "other"
+    (other / "detections").mkdir(parents=True)
+    roster = (synth_run / "roster.csv").read_bytes()
+    (other / "roster.csv").write_bytes(roster.replace(b"\n", newline.encode()))
+    for src in (synth_run / "detections").iterdir():
+        (other / "detections" / src.name).write_bytes(src.read_bytes().replace(b"\n", b"\r\n"))
+    assert (other / "roster.csv").read_bytes().count(newline.encode()) > 1
+    config = "# pinned\nseed = 5\ntracker.min_track_len_for_id = 1\n"
+    outs = []
+    for root, end in ((synth_run, "\n"), (other, newline)):
+        cfg = tmp_path / f"{root.name}.cfg"
+        cfg.write_bytes(config.replace("\n", end).encode())
+        out = tmp_path / f"out-{root.name}"
+        argv = ["pipeline", "--config", str(cfg), "--detections-dir", str(root / "detections"),
+                "--roster", str(root / "roster.csv"), "--out-dir", str(out)]
+        assert main(argv) == 0
+        outs.append(out)
+    for name in _PIPELINE_FILES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_matrices_give_the_lf_report(tmp_path, fixture_matrix_path, newline):
+    # a CR-only CSV is what Excel's "CSV (Macintosh)" export writes
+    other = tmp_path / "other.csv"
+    other.write_bytes(fixture_matrix_path.read_bytes().replace(b"\n", newline.encode()))
+    reports = []
+    for matrix in (fixture_matrix_path, other):
+        out = tmp_path / f"{matrix.stem}.json"
+        assert main(["network", "--matrix", str(matrix), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_a_bare_cr_inside_a_json_lines_record_is_whitespace(tmp_path):
+    stream = tmp_path / "v.jsonl"
+    stream.write_bytes(b'{"frame_index":0,\r"detections":[]}\n')
+    out = tmp_path / "t.jsonl"
+    assert main(["track", "--detections", str(stream), "--video-id", "v", "--out", str(out)]) == 0
+    assert parse_tracks(out.read_text()) == []
+
+
+@pytest.mark.parametrize("side", [1e-200, 1e200])
+def test_track_follows_a_still_box_of_any_size(tmp_path, side):
+    # the overlap's area underflowed (ZeroDivisionError) or overflowed (NaN: two one-frame tracks)
+    stream = tmp_path / "v.jsonl"
+    box = {"bbox": [0, 0, side, side], "score": 0.9}
+    _write_stream(stream, [{"frame_index": fi, "detections": [box]} for fi in (0, 1)])
+    out = tmp_path / "t.jsonl"
+    assert main(["track", "--detections", str(stream), "--video-id", "v", "--out", str(out)]) == 0
+    tracks = parse_tracks(out.read_text())
+    assert [[o.frame_index for o in t.observations] for t in tracks] == [[0, 1]]
 
 
 def test_pipeline_missing_inputs_are_usage_errors(tmp_path, synth_run, capsys):

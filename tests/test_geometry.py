@@ -146,11 +146,25 @@ _box_strategy = st.builds(
 )
 
 
-@given(_box_strategy, _box_strategy)
-def test_iou_symmetric_and_bounded(a, b):
+@given(_box_strategy, _box_strategy, st.integers(-300, 300))
+@example(BBox(0.0, 0.0, 1.0, 1.0), BBox(0.0, 0.0, 1.0, 1.0), -200)
+def test_iou_symmetric_and_bounded(a, b, e):
+    # both boxes scaled by 10**e, so products may leave the normal float range
+    s = 10.0**e
+    a, b = (BBox(box.x * s, box.y * s, box.w * s, box.h * s) for box in (a, b))
     v = iou(a, b)
     assert 0.0 <= v <= 1.0
     assert v == iou(b, a)
+
+
+@pytest.mark.parametrize("k", [-1070, -1000, -600, -300, 300, 600, 1000])
+def test_iou_keeps_its_value_under_power_of_two_scaling(k):
+    # below about 1e-154 px the overlap's area underflowed (0.0, or 0 / 0), above about 1e154 it overflowed (NaN)
+    a, b = BBox(10.0, 20.0, 30.0, 40.0), BBox(25.0, 5.0, 50.0, 45.0)
+    s = 2.0**k
+    a2, b2 = (BBox(box.x * s, box.y * s, box.w * s, box.h * s) for box in (a, b))
+    assert iou(a2, a2) == 1.0
+    assert iou(a2, b2) == iou(a, b) > 0.0
 
 
 @given(_box_strategy, _box_strategy, st.floats(-50, 50), st.floats(-50, 50))

@@ -54,11 +54,15 @@ def test_gem_params_defaults():
 def test_gem_params_validation():
     for bad in (
         dict(desired_edge_length=0.0),
+        dict(desired_edge_length=2.0**-401),
+        dict(desired_edge_length=2.0**401),
         dict(max_rounds_factor=0),
         dict(stop_temperature_fraction=0.0),
     ):
         with pytest.raises(ValueError):
             GemParams(**bad)
+    for edge in (2.0**-400, 2.0**400):
+        assert GemParams(desired_edge_length=edge).desired_edge_length == edge
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +208,41 @@ def test_vector_layout_matches_scalar_layout(m, seed, rounds_factor):
     assert vector.rounds_used == scalar.rounds_used
     assert {k: _hex(p) for k, p in vector.positions.items()} == {
         k: _hex(p) for k, p in scalar.positions.items()
+    }
+
+
+def _random_graph(n, seed, p=0.2):
+    rng = Rng(seed)
+    names = [f"n{k}" for k in range(n)]
+    dyads = {
+        (names[i], names[j]): 0.05 + 0.95 * rng.random()
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < p
+    }
+    return matrix_from_dyads(names, dyads)
+
+
+@pytest.fixture(scope="module")
+def scaling_bases(troop_matrix):
+    """Per visit path, a graph and its layout at the default edge length."""
+    bases = {}
+    for visit_path, m in (("scalar", troop_matrix), ("vector", _random_graph(layout._VECTOR_MIN_N, 3))):
+        assert (m.n >= layout._VECTOR_MIN_N) == (visit_path == "vector")
+        bases[visit_path] = m, gem_layout(m, GemParams(max_rounds_factor=3), seed=7)
+    return bases
+
+
+@pytest.mark.parametrize("k", [-300, -7, 1, 7, 20, 300])
+@pytest.mark.parametrize("visit_path", ["scalar", "vector"])
+def test_layout_scales_exactly_with_the_edge_length(scaling_bases, visit_path, k):
+    # every length is a multiple of the edge length, so a power-of-two factor is exact
+    m, base = scaling_bases[visit_path]
+    factor = 2.0**k
+    scaled = gem_layout(m, GemParams(desired_edge_length=128.0 * factor, max_rounds_factor=3), seed=7)
+    assert scaled.rounds_used == base.rounds_used
+    assert {name: _hex(p) for name, p in scaled.positions.items()} == {
+        name: _hex((x * factor, y * factor)) for name, (x, y) in base.positions.items()
     }
 
 
