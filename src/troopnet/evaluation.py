@@ -9,7 +9,8 @@ unmatched ground truth of highest IoU at or above the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .geometry import BBox, iou
@@ -24,12 +25,30 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class IdSample:
-    """One identification sample: a score map and the true label."""
+    """One identification sample: a score map and the true label.
+
+    The constructor holds the one sample rule: class_scores is non-empty and
+    scores the true label. It reads class_scores once, ranking by rank_key:
+    rank counts the names that outrank the true label, predicted is the first.
+    """
 
     class_scores: dict[str, float]
     true_label: str
+    rank: int = field(init=False, compare=False)
+    predicted: str = field(init=False, compare=False)
+
+    def __post_init__(self):
+        scores, label = self.class_scores, self.true_label
+        if not scores:
+            raise ValueError("class_scores is empty")
+        if label not in scores:
+            raise ValueError(f"true_label {label!r} has no class score")
+        key = rank_key(scores)
+        own = key(label)
+        object.__setattr__(self, "rank", sum(key(nm) > own for nm in scores))
+        object.__setattr__(self, "predicted", max(scores, key=key))
 
 
 def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
@@ -54,22 +73,6 @@ def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
         yield i, best_j, best_iou
 
 
-def _curve(flags: list[bool], n_gt: int) -> list[tuple[float, float]]:
-    """(recall, precision) after each score-ordered prediction, over n_gt > 0
-    ground truths."""
-    points = []
-    tp = 0
-    for k, flag in enumerate(flags, start=1):
-        tp += flag
-        points.append((tp / n_gt, tp / k))
-    return points
-
-
-def _envelope(points: list[tuple[float, float]]) -> list[float]:
-    """The precision envelope max{P at recall >= r} at each curve point."""
-    return list(accumulate((p for _r, p in reversed(points)), max))[::-1]
-
-
 def rank_key(scores: dict[str, float]):
     """The key that ranks names by score: a name with a greater key ranks
     first, so equal scores rank the lexicographically later name first."""
@@ -82,16 +85,7 @@ def topk_accuracy(samples: list[IdSample], k: int) -> float:
         raise ValueError(f"k must be at least 1, got {k}")
     if not samples:
         raise ValueError("topk_accuracy needs at least one sample")
-    hits = 0
-    for i, sample in enumerate(samples):
-        if not sample.class_scores:
-            raise ValueError(f"sample {i}: empty class_scores")
-        if sample.true_label not in sample.class_scores:
-            raise ValueError(f"sample {i}: true label {sample.true_label!r} absent from class_scores")
-        key = rank_key(sample.class_scores)
-        own = key(sample.true_label)
-        hits += sum(key(nm) > own for nm in sample.class_scores) < k
-    return hits / len(samples)
+    return sum(sample.rank < k for sample in samples) / len(samples)
 
 
 def confusion_matrix(samples: list[IdSample], roster: Roster) -> list[list[float]]:
@@ -103,14 +97,11 @@ def confusion_matrix(samples: list[IdSample], roster: Roster) -> list[list[float
     index = roster.positions
     counts = [[0.0] * len(roster) for _ in range(len(roster))]
     for i, sample in enumerate(samples):
-        if not sample.class_scores:
-            raise ValueError(f"sample {i}: empty class_scores")
         if sample.true_label not in index:
             raise ValueError(f"sample {i}: unknown true label {sample.true_label!r}")
-        predicted = max(sample.class_scores, key=rank_key(sample.class_scores))
-        if predicted not in index:
-            raise ValueError(f"sample {i}: unknown predicted name {predicted!r}")
-        counts[index[sample.true_label]][index[predicted]] += 1.0
+        if sample.predicted not in index:
+            raise ValueError(f"sample {i}: unknown predicted name {sample.predicted!r}")
+        counts[index[sample.true_label]][index[sample.predicted]] += 1.0
     # the counts are whole numbers, so each row sum is exact
     return [[c / total for c in row] if (total := sum(row)) else row for row in counts]
 
@@ -148,19 +139,14 @@ def pooled_detection_metrics(
     pooled.sort()
     if n_gt == 0:
         ap = 1.0 if not pooled else 0.0
-    elif not pooled:
-        ap = 0.0
     else:
-        points = _curve([flag for *_, flag in pooled], n_gt)
-        envelope = _envelope(points)
-        values = []
-        k = 0
-        for i in range(101):
-            r = i / 100.0
-            while k < len(points) and points[k][0] < r:
-                k += 1
-            values.append(envelope[k] if k < len(points) else 0.0)
-        ap = math.fsum(values) / 101.0
+        # recall never falls, so bisection finds the first point at recall >= r;
+        # a level no point reaches reads the 0.0 past the last point
+        tps = list(accumulate(int(flag) for *_, flag in pooled))
+        recalls = [tp / n_gt for tp in tps]
+        precisions = [tp / k for k, tp in enumerate(tps, start=1)]
+        envelope = list(accumulate(reversed(precisions), max))[::-1] + [0.0]
+        ap = math.fsum(envelope[bisect_left(recalls, i / 100)] for i in range(101)) / 101.0
     return {
         "average_precision": ap,
         "false_negative_rate": ((n_gt - tp_at_threshold) / n_gt) if n_gt else 0.0,

@@ -3,7 +3,8 @@
 Boxes use a top-left origin and (x, y, w, h) layout so annotation exports
 load without any coordinate conversion. BBox's constructor holds the one box
 rule, whoever builds the box: four finite numbers (no bools) with positive
-width and height. Degenerate boxes are rejected rather than clamped.
+width and height and finite right and bottom edges (x + w and y + h).
+Degenerate boxes are rejected rather than clamped.
 """
 
 from __future__ import annotations
@@ -25,15 +26,19 @@ class BBox:
 
     def __post_init__(self):
         x, y, w, h = self.x, self.y, self.w, self.h
-        # four floats with a finite sum are four finite floats: inf and NaN carry through it
+        # four floats whose corner sum is finite have four finite sides and
+        # finite right and bottom edges: inf and NaN carry through the sum
         if type(x) is type(y) is type(w) is type(h) is float and w > 0.0 and h > 0.0:
-            if -math.inf < x + y + w + h < math.inf:
+            if -math.inf < (x + w) + (y + h) < math.inf:
                 return
         for name, v in zip(("x", "y", "w", "h"), (x, y, w, h)):  # the rest, and sums that overflow
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
                 raise ValueError(f"bbox field {name!r} must be a finite number, got {v!r}")
         if w <= 0 or h <= 0:
             raise ValueError(f"bbox sides must be positive, got w={w}, h={h}")
+        right, bottom = float(x) + w, float(y) + h
+        if not (math.isfinite(right) and math.isfinite(bottom)):
+            raise ValueError(f"bbox right and bottom edges must be finite, got x + w = {right}, y + h = {bottom}")
 
     @property
     def center(self) -> tuple[float, float]:

@@ -641,7 +641,8 @@ class AssociationMatrix:
     def __post_init__(self):
         import numpy as np
 
-        self.values = np.asarray(self.values, dtype=float)
+        # + 0.0 turns each -0.0 into 0.0, whose reciprocal edge length is +inf
+        self.values = np.asarray(self.values, dtype=float) + 0.0
         n = len(self.names)
         if not n:
             raise ValueError("matrix needs at least one name")
@@ -653,7 +654,7 @@ class AssociationMatrix:
             raise ValueError("matrix values must be finite")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
             raise ValueError("matrix values must lie in [0, 1]")
-        if any(self.values[i, i] != 0.0 for i in range(n)):
+        if np.diagonal(self.values).any():
             raise ValueError("matrix diagonal must be exactly zero")
         if np.abs(self.values - self.values.T).max() > SYMMETRY_TOLERANCE:
             raise ValueError("matrix is not symmetric within 1e-12")
@@ -724,17 +725,14 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
                 raise ParseError(f"matrix row {i + 2}: nonzero diagonal value {v}")
             raw[i, j] = v
 
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = raw[i, j], raw[j, i]
-            if a > 0.0 and b > 0.0 and abs(a - b) > MIRROR_TOLERANCE:
-                raise ParseError(
-                    f"matrix: mirror cells ({names[i]!r}, {names[j]!r}) conflict: {a} vs {b}"
-                )
-            values[i, j] = values[j, i] = max(a, b)
+    clash = (raw > 0.0) & (raw.T > 0.0) & (np.abs(raw - raw.T) > MIRROR_TOLERANCE)
+    if clash.any():
+        i, j = np.argwhere(np.triu(clash, 1))[0]  # the first in row order
+        raise ParseError(
+            f"matrix: mirror cells ({names[i]!r}, {names[j]!r}) conflict: {raw[i, j]} vs {raw[j, i]}"
+        )
     try:
-        return AssociationMatrix(names=names, values=values)
+        return AssociationMatrix(names=names, values=np.maximum(raw, raw.T))
     except ValueError as exc:
         raise ParseError(f"matrix: {exc}") from None
 
@@ -836,9 +834,10 @@ def parse_id_samples(data: str | bytes, roster: Roster) -> list:
             raise ParseError(f"{locus}: true_label must be a string, got {label!r}")
         if label not in roster:
             raise ParseError(f"{locus}: unknown individual {label!r} in true_label")
-        if label not in scores:
-            raise ParseError(f"{locus}: true_label {label!r} has no class score")
-        samples.append(IdSample(class_scores=scores, true_label=label))
+        try:
+            samples.append(IdSample(class_scores=scores, true_label=label))
+        except ValueError as exc:
+            raise ParseError(f"{locus}: {exc}") from None
     if not samples:
         raise ParseError("samples file contains no samples")
     return samples

@@ -1255,6 +1255,31 @@ def test_track_follows_a_still_box_of_any_size(tmp_path, side):
     assert [[o.frame_index for o in t.observations] for t in tracks] == [[0, 1]]
 
 
+def test_track_rejects_a_box_whose_right_edge_overflows(tmp_path, capsys):
+    # x + w = inf: the box's IoU with itself was NaN, and track wrote two one-frame tracks
+    stream = tmp_path / "v.jsonl"
+    box = {"bbox": [1e308, 0, 1e308, 1], "score": 0.9}
+    _write_stream(stream, [{"frame_index": fi, "detections": [box]} for fi in (0, 1)])
+    out = tmp_path / "t.jsonl"
+    assert main(["track", "--detections", str(stream), "--video-id", "v", "--out", str(out)]) == 2
+    assert "line 1: detection 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("zero", ["-0.0", "-0"])
+def test_network_reads_a_negative_zero_cell_as_blank(tmp_path, zero):
+    # a -0.0 cell kept its sign through the mirror merge, and its edge length 1 / -0.0 = -inf
+    # made the weighted efficiency 0.0 with two RuntimeWarnings
+    reports = []
+    for name, cell in (("blank", ""), ("zero", zero)):
+        matrix = tmp_path / f"{name}.csv"
+        matrix.write_text(f",a,b,c\na,,0.5,{cell}\nb,0.5,,0.5\nc,{cell},0.5,\n")
+        out = tmp_path / f"{name}.json"
+        assert main(["network", "--matrix", str(matrix), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_pipeline_missing_inputs_are_usage_errors(tmp_path, synth_run, capsys):
     assert main(["pipeline", "--out-dir", str(tmp_path / "x"), "--seed", "1"]) == 1
     assert main(

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from troopnet import evaluation
 from troopnet.evaluation import IdSample, confusion_matrix, pooled_detection_metrics, topk_accuracy
@@ -329,7 +330,7 @@ def test_topk_errors():
         topk_accuracy([], 1)
     with pytest.raises(ValueError, match="empty"):
         topk_accuracy([IdSample({}, "A")], 1)
-    with pytest.raises(ValueError, match="absent"):
+    with pytest.raises(ValueError, match="true_label 'A' has no class score"):
         topk_accuracy([IdSample({"B": 1.0}, "A")], 1)
 
 
@@ -366,9 +367,9 @@ def test_confusion_argmax_tie_takes_later_name():
 
 def test_confusion_rejects_unknown_names():
     with pytest.raises(ValueError, match="true label"):
-        confusion_matrix([IdSample({"A": 1.0}, "Zed")], ROSTER3)
+        confusion_matrix([IdSample({"A": 1.0, "Zed": 0.5}, "Zed")], ROSTER3)
     with pytest.raises(ValueError, match="predicted"):
-        confusion_matrix([IdSample({"Zed": 1.0}, "A")], ROSTER3)
+        confusion_matrix([IdSample({"Zed": 1.0, "A": 0.5}, "A")], ROSTER3)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,9 @@ def _tied_id_case(draw):
 @given(_tied_id_case())
 def test_ranking_by_key_equals_the_full_sort(case):
     names, samples, k = case
+    for s in samples:
+        ranked = _ranked_names(s.class_scores)
+        assert (s.rank, s.predicted) == (ranked.index(s.true_label), ranked[0])
     hits = sum(s.true_label in _ranked_names(s.class_scores)[:k] for s in samples)
     assert topk_accuracy(samples, k) == hits / len(samples)
     roster = Roster([Individual(nm) for nm in names])
@@ -516,6 +520,45 @@ def test_pooled_ap_equals_matching_curve_oracle(group, iou_threshold):
     preds, gts = group
     points = _curve_from_matching(preds, gts, iou_threshold)
     assert _ap(preds, gts, iou_threshold) == _ap_101_from_curve(points, len(gts))
+
+
+def _walked_envelope_ap(flags: list[bool], n_gt: int) -> float:
+    """Oracle: 101-point AP over n_gt > 0 ground truths from the score-ordered
+    hit flags, by the (recall, precision) curve, its reversed-max envelope and
+    an index walk over the recall levels (the code the one-pass curve in
+    pooled_detection_metrics replaced)."""
+    points = []
+    tp = 0
+    for k, flag in enumerate(flags, start=1):
+        tp += flag
+        points.append((tp / n_gt, tp / k))
+    envelope = list(accumulate((p for _r, p in reversed(points)), max))[::-1]
+    values = []
+    k = 0
+    for i in range(101):
+        r = i / 100.0
+        while k < len(points) and points[k][0] < r:
+            k += 1
+        values.append(envelope[k] if k < len(points) else 0.0)
+    return math.fsum(values) / 101.0
+
+
+@given(st.lists(st.booleans(), max_size=40), st.integers(0, 6))
+@settings(max_examples=500, deadline=None)
+@example([False] * 5, 3)  # all miss
+@example([True] * 7, 0)  # all hit, every ground truth found
+@example([True] * 4, 5)  # all hit, some ground truths never found
+@example([True, False, False, True, False, False, False, True], 2)  # runs of repeated recall
+@example([], 4)  # ground truths, no predictions
+def test_pooled_ap_equals_the_walked_envelope(flags, missed):
+    # one group per prediction, all at one score, so the pooled order is the
+    # group order: a hit sits on its group's ground truth, a miss has none
+    n_gt = sum(flags) + missed
+    assume(n_gt > 0)
+    groups = [([_det(0.0, 0.0, 10.0, 10.0, 0.5)], [G1] if flag else []) for flag in flags]
+    groups += [([], [G1])] * missed
+    ap = pooled_detection_metrics(groups)["average_precision"]
+    assert ap == _walked_envelope_ap(flags, n_gt)
 
 
 def test_pooled_two_groups_hand_case():

@@ -33,12 +33,16 @@ def test_bbox_rejects_bool_fields():
 
 
 def _per_field_check(x, y, w, h) -> None:
-    """The per-field rule BBox held every box to before its whole-box test."""
+    """The box rule field by field, as BBox held every box to before its
+    whole-box test, then the right and bottom edges in float arithmetic."""
     for name, v in zip(("x", "y", "w", "h"), (x, y, w, h)):
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
             raise ValueError(f"bbox field {name!r} must be a finite number, got {v!r}")
     if w <= 0 or h <= 0:
         raise ValueError(f"bbox sides must be positive, got w={w}, h={h}")
+    right, bottom = float(x) + float(w), float(y) + float(h)
+    if math.isinf(right) or math.isinf(bottom):
+        raise ValueError(f"bbox right and bottom edges must be finite, got x + w = {right}, y + h = {bottom}")
 
 
 def _box_outcome(check, sides) -> str:
@@ -68,7 +72,9 @@ def _with_non_finite_sides(test):
 
 @given(st.lists(_sides, min_size=4, max_size=4))
 @settings(max_examples=500, deadline=None)
-@example([1e308, 0.0, 1e308, 1.0])  # the sum overflows; the box is valid
+@example([1e308, 0.0, 1e308, 1.0])  # the right edge overflows; the box is rejected
+@example([1e308, 1e308, 1e307, 1e307])  # the corner sum overflows; both edges are finite, the box is valid
+@example([0.0, 1e308, 1.0, 1e308])  # the bottom edge overflows
 @example([-1e308, -1e308, 1.0, 1.0])
 @example([0.0, 0.0, 0.0, 1.0])
 @example([0.0, 0.0, 1.0, -0.0])

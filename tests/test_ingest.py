@@ -500,6 +500,14 @@ def test_matrix_mirror_conflict_rejected():
         parse_association_matrix(text)
 
 
+def test_matrix_mirror_conflict_names_the_first_pair_in_row_order():
+    # conflicts at (A, D) and (B, C): row order meets (A, D) first, column order (B, C)
+    text = ",A,B,C,D\nA,,,,0.3\nB,,,0.2,\nC,,0.4,,\nD,0.5,,,\n"
+    with pytest.raises(ParseError) as info:
+        parse_association_matrix(text)
+    assert str(info.value) == "matrix: mirror cells ('A', 'D') conflict: 0.3 vs 0.5"
+
+
 def test_matrix_mirror_agreement_within_tolerance_ok():
     text = ",A,B\nA,,0.3\nB,0.3,\n"
     m = parse_association_matrix(text)

@@ -7,6 +7,7 @@ import heapq
 import math
 import subprocess
 import sys
+import warnings
 from collections import deque
 
 import numpy as np
@@ -256,6 +257,16 @@ def test_weighted_efficiency_prefers_strong_detour():
     )
     expected = (0.5 + 0.5 + 0.25) / 3.0
     assert global_efficiency(m, "weighted") == pytest.approx(expected, abs=1e-12)
+
+
+def test_a_negative_zero_entry_is_no_edge():
+    # 1 / -0.0 was an edge length of -inf, which the Dijkstra turned to NaN with a RuntimeWarning
+    values = np.array([[0.0, 0.5, -0.0], [0.5, 0.0, 0.5], [-0.0, 0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = network_report(AssociationMatrix(["a", "b", "c"], values))
+    assert report == network_report(AssociationMatrix(["a", "b", "c"], np.abs(values)))
+    assert report.global_efficiency_weighted == pytest.approx(5.0 / 12.0, abs=1e-12)
 
 
 def test_efficiency_unknown_mode_rejected():
