@@ -6,6 +6,8 @@ videos of presence and x_ij videos of joint presence, the simple ratio is
     x_ij / (N_i + N_j - x_ij)
 
 the fraction of videos featuring either individual in which both appear.
+Both association modes count from the same ledger: a video's joint
+records decide who was seen in it and who was seen together.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AssociationMatrix, OccurrenceLedger, PairLedger
+from .ingest import AssociationMatrix, OccurrenceLedger
 
 __all__ = ["OccurrenceCounts", "count_occurrences", "simple_ratio_matrix", "unobserved_individuals"]
 
@@ -37,32 +39,20 @@ class OccurrenceCounts:
             raise ValueError("individual counts must be non-negative")
 
 
-def count_occurrences(ledger: OccurrenceLedger | PairLedger) -> OccurrenceCounts:
+def count_occurrences(ledger: OccurrenceLedger) -> OccurrenceCounts:
     """Count presences and joint presences over a ledger.
 
-    For an OccurrenceLedger, a pair co-occurs in a video when both names are
-    present. For a PairLedger (proximity-filtered joint records), a pair
-    co-occurs when it was jointly recorded, and an individual is counted
-    present when it appears in at least one joint record of the video.
+    In each video an individual counts once when some joint record names
+    it, and a pair counts once when some record names both: the whole
+    video's record in video-level mode, a proximal pair's in proximal mode.
     """
     per_individual: dict[str, int] = {}
     per_pair: dict[tuple[str, str], int] = {}
-    if isinstance(ledger, PairLedger):
-        for entry in ledger.entries:
-            names = set()
-            for pair in entry.pairs:
-                names.update(pair)
-                per_pair[pair] = per_pair.get(pair, 0) + 1
-            for name in names:
-                per_individual[name] = per_individual.get(name, 0) + 1
-    else:
-        for entry in ledger.entries:
-            names = sorted(entry.present)
-            for name in names:
-                per_individual[name] = per_individual.get(name, 0) + 1
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    per_pair[(a, b)] = per_pair.get((a, b), 0) + 1
+    for entry in ledger.entries:
+        for name in entry.present:
+            per_individual[name] = per_individual.get(name, 0) + 1
+        for pair in entry.pairs:
+            per_pair[pair] = per_pair.get(pair, 0) + 1
     return OccurrenceCounts(per_individual=per_individual, per_pair=per_pair)
 
 

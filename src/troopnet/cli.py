@@ -150,10 +150,14 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _read_text(path: str) -> str:
-    """The file's text as written: no newline translation, so each format
-    decides where its lines end."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+    """The file's text as written, less a leading UTF-8 BOM (Excel writes
+    one): no newline translation, so each format decides where its lines
+    end. A file that is not UTF-8 raises ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _parse_file(parse, path: str, *args):
@@ -219,8 +223,7 @@ def _video_ledger(path: str, roster, config: PipelineConfig) -> tuple:
     tracks = _stream_tracks(path, video_id, roster, config)
     ledger, conflicts = tracking.tracks_to_ledger(tracks, mode=config.association_mode, prox=config.proximity)
     if not ledger.entries:  # a stream with no tracks
-        empty = ingest.PairEntry if config.association_mode == "proximal" else ingest.LedgerEntry
-        return empty(video_id, frozenset()), conflicts
+        return ingest.LedgerEntry(video_id=video_id, records=()), conflicts
     return ledger.entries[0], conflicts
 
 
@@ -248,10 +251,9 @@ def _matrix(ledger, roster) -> ingest.AssociationMatrix:
     return association.simple_ratio_matrix(counts, names)
 
 
-def _ledger_text(ledger, roster) -> str:
-    if isinstance(ledger, ingest.PairLedger):
-        return ingest.write_pair_ledger(ledger)
-    return ingest.write_ledger(ledger, roster)
+def _ledger_text(ledger, roster, pairs: bool) -> str:
+    """The ledger in the pair format when pairs, else in the presence format."""
+    return ingest.write_pair_ledger(ledger) if pairs else ingest.write_ledger(ledger, roster)
 
 
 def _conflicts_text(conflicts: list[tracking.IdentityConflict]) -> str:
@@ -329,7 +331,8 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
     require_pairs(matrix.n, f"{source}: cooccur")
     atomic_write_text(args.out, ingest.write_matrix(matrix))
     if args.ledger_out:
-        atomic_write_text(args.ledger_out, _ledger_text(ledger, roster))
+        pairs = bool(args.pair_ledger) or (bool(args.tracks) and config.association_mode == "proximal")
+        atomic_write_text(args.ledger_out, _ledger_text(ledger, roster, pairs))
     if args.conflicts_out:
         atomic_write_text(args.conflicts_out, _conflicts_text(conflicts))
     return 0
@@ -439,14 +442,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
     from . import layout, network
 
-    ledger_type = ingest.PairLedger if config.association_mode == "proximal" else ingest.OccurrenceLedger
-    ledger = ledger_type(entries)
+    ledger = ingest.OccurrenceLedger(entries)
     matrix = _matrix(ledger, roster)
     report = network.network_report(matrix, config.network)
     placed = layout.gem_layout(matrix, config.gem, seed)
 
     os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(out_dir, "ledger.csv"), _ledger_text(ledger, roster))
+    ledger_text = _ledger_text(ledger, roster, config.association_mode == "proximal")
+    atomic_write_text(os.path.join(out_dir, "ledger.csv"), ledger_text)
     atomic_write_text(os.path.join(out_dir, "matrix.csv"), ingest.write_matrix(matrix))
     atomic_write_text(os.path.join(out_dir, "report.json"), ingest.write_report(report))
     atomic_write_bytes(os.path.join(out_dir, "network.svg"), layout.render_svg(matrix, placed, report))

@@ -1,17 +1,20 @@
 """Wire formats.
 
 Parsers and writers for every file the toolkit reads or emits: rosters,
-COCO-style ground truth, per-frame detection streams, occurrence ledgers,
-association matrices, track files, report JSON and identification samples
-(parse_id_samples). All text is UTF-8 with LF line endings; every parser
-rejects bad input with the offending record or line named, and writers are
-deterministic so identical data always produces identical bytes.
+COCO-style ground truth, per-frame detection streams, occurrence ledgers
+(one OccurrenceLedger type for both association modes, in a presence and a
+pair format), association matrices, track files, report JSON and
+identification samples (parse_id_samples). All text is UTF-8 with LF line
+endings; every parser rejects bad input with the offending record or line
+named, and writers are deterministic so identical data always produces
+identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -34,8 +37,6 @@ __all__ = [
     "DetectionStream",
     "LedgerEntry",
     "OccurrenceLedger",
-    "PairEntry",
-    "PairLedger",
     "AssociationMatrix",
     "parse_roster",
     "write_roster",
@@ -147,7 +148,7 @@ def _check_id(x, locus: str, what: str) -> None:
 
 
 def _text(data: str | bytes) -> str:
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    return data.decode("utf-8-sig") if isinstance(data, bytes) else data  # less a leading BOM
 
 
 def _loads(text: str, locus: str):
@@ -519,10 +520,31 @@ def write_detection_stream(stream: DetectionStream) -> str:
 # occurrence ledgers
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class LedgerEntry:
+    """One video's joint records: sets of names recorded together, none empty.
+
+    Video-level mode makes one record of everyone identified, proximal mode
+    one per proximal pair, in sorted order. Keyword-only: a set of names
+    passed positionally would read as records of characters.
+    """
+
     video_id: str
-    present: frozenset[str]
+    records: tuple[frozenset[str], ...]
+
+    def __post_init__(self):
+        if not all(self.records):
+            raise ValueError(f"video {self.video_id!r} has an empty joint record")
+
+    @property
+    def present(self) -> frozenset[str]:
+        """The names in some record."""
+        return frozenset().union(*self.records)
+
+    @property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        """The sorted pairs of names that share a record."""
+        return frozenset(pair for record in self.records for pair in itertools.combinations(sorted(record), 2))
 
 
 @dataclass
@@ -560,7 +582,7 @@ def parse_occurrence_ledger(text: str | bytes, roster: Roster | None = None) -> 
             for name in names:
                 if name not in roster:
                     raise ParseError(f"ledger line {lineno}: unknown individual {name!r}")
-        entries.append(LedgerEntry(video_id=video_id, present=frozenset(names)))
+        entries.append(LedgerEntry(video_id=video_id, records=(frozenset(names),) if names else ()))
     return OccurrenceLedger(entries)
 
 
@@ -573,33 +595,9 @@ def write_ledger(ledger: OccurrenceLedger, roster: Roster | None = None) -> str:
     )
 
 
-@dataclass
-class PairEntry:
-    video_id: str
-    pairs: frozenset[tuple[str, str]]  # each pair tuple sorted
-
-
-@dataclass
-class PairLedger:
-    """Per-video joint records of name pairs (the proximal ledger variant)."""
-
-    entries: list[PairEntry]
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            if e.video_id in seen:
-                raise ValueError(f"duplicate video_id {e.video_id!r}")
-            seen.add(e.video_id)
-            for pair in e.pairs:
-                if len(pair) != 2 or pair[0] >= pair[1]:
-                    raise ValueError(f"pair {pair!r} must be two distinct sorted names")
-
-
-def parse_pair_ledger(text: str | bytes, roster: Roster | None = None) -> PairLedger:
+def parse_pair_ledger(text: str | bytes, roster: Roster | None = None) -> OccurrenceLedger:
     """Parse a pair ledger CSV: header video_id,pair; one joint record per row."""
-    order: list[str] = []
-    pairs_by_video: dict[str, set] = {}
+    pairs_by_video: dict[str, set] = {}  # videos in order of first row
     for lineno, (video_id, cell) in _csv_rows(text, "pair ledger", _PAIR_LEDGER_HEADER):
         names = cell.split(",")
         if len(names) != 2 or not all(names) or names[0] == names[1]:
@@ -608,14 +606,16 @@ def parse_pair_ledger(text: str | bytes, roster: Roster | None = None) -> PairLe
             for name in names:
                 if name not in roster:
                     raise ParseError(f"pair ledger line {lineno}: unknown individual {name!r}")
-        if video_id not in pairs_by_video:
-            pairs_by_video[video_id] = set()
-            order.append(video_id)
-        pairs_by_video[video_id].add(tuple(sorted(names)))
-    return PairLedger([PairEntry(v, frozenset(pairs_by_video[v])) for v in order])
+        pairs_by_video.setdefault(video_id, set()).add(tuple(sorted(names)))
+    entries = [
+        LedgerEntry(video_id=video_id, records=tuple(map(frozenset, sorted(pairs))))
+        for video_id, pairs in pairs_by_video.items()
+    ]
+    return OccurrenceLedger(entries)
 
 
-def write_pair_ledger(ledger: PairLedger) -> str:
+def write_pair_ledger(ledger: OccurrenceLedger) -> str:
+    """Write a pair ledger CSV: a row per sorted pair that shares a record."""
     return _write_csv(
         _PAIR_LEDGER_HEADER,
         ([entry.video_id, ",".join(pair)] for entry in ledger.entries for pair in sorted(entry.pairs)),

@@ -149,7 +149,7 @@ def sample_ledger(scenario: SynthScenario, n_videos: int, seed: int) -> Occurren
                 continue
             if rng.random() < weights[focal, j]:
                 present.append(names[j])
-        entries.append(LedgerEntry(video_id=f"v{v:04d}", present=frozenset(present)))
+        entries.append(LedgerEntry(video_id=f"v{v:04d}", records=(frozenset(present),)))
     return OccurrenceLedger(entries)
 
 

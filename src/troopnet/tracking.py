@@ -7,7 +7,8 @@ total cost with cost = 1 - IoU, pairs below the IoU gate excluded, ties
 as the solver returns them. A track unmatched for more than
 max_gap_frames frames in a row is closed; unmatched detections open new
 tracks. The result is a deterministic function of the stream and
-parameters.
+parameters. tracks_to_ledger gives the one OccurrenceLedger type in both
+association modes; the mode decides only each video's joint records.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .evaluation import rank_key
 from .geometry import BBox, ProximityParams, iou, is_proximal
-from .ingest import Detection, DetectionStream, LedgerEntry, OccurrenceLedger, PairEntry, PairLedger
+from .ingest import Detection, DetectionStream, LedgerEntry, OccurrenceLedger
 
 __all__ = [
     "Identity",
@@ -233,13 +234,13 @@ def tracks_to_ledger(
     tracks: list[Track],
     mode: str = "video-level",
     prox: ProximityParams = ProximityParams(),
-) -> tuple[OccurrenceLedger | PairLedger, list[IdentityConflict]]:
-    """Turn identified tracks into a ledger, grouping by video.
+) -> tuple[OccurrenceLedger, list[IdentityConflict]]:
+    """Turn identified tracks into a ledger, one entry per video.
 
-    video-level mode records an individual as present in a video when some
-    identified track bears its name; proximal mode records a pair jointly
-    for a video when some frame shows both boxes proximal, and returns a
-    PairLedger. Tracks without an identity are excluded. Simultaneous
+    The mode decides the entry's joint records: video-level mode makes one
+    record of every name an identified track of the video bears; proximal
+    mode makes one record per pair whose boxes some frame shows proximal,
+    in sorted order. Tracks without an identity are excluded. Simultaneous
     same-name tracks are kept and returned as identity conflicts, ordered
     by video (first appearance), frame and name.
     """
@@ -249,7 +250,7 @@ def tracks_to_ledger(
     for t in tracks:
         by_video.setdefault(t.video_id, []).append(t)
 
-    entries: list[LedgerEntry | PairEntry] = []
+    entries: list[LedgerEntry] = []
     conflicts: list[IdentityConflict] = []
     for video_id, video_tracks in by_video.items():
         identified = [t for t in video_tracks if t.identity is not None]
@@ -257,7 +258,6 @@ def tracks_to_ledger(
         for t in identified:
             for obs in t.observations:
                 boxes_by_frame.setdefault(obs.frame_index, []).append((t.identity.name, t.track_id, obs.bbox))
-        pairs = set()
         for fi in sorted(boxes_by_frame):
             boxes = boxes_by_frame[fi]
             if len(boxes) < 2:
@@ -270,18 +270,18 @@ def tracks_to_ledger(
                     ids = ids_by_name[name]
                     if len(ids) > 1:
                         conflicts.append(IdentityConflict(video_id, fi, name, tuple(sorted(ids))))
-            if mode == "proximal":
+        if mode == "video-level":
+            names = frozenset(t.identity.name for t in identified)
+            records = (names,) if names else ()
+        else:
+            pairs = set()
+            for boxes in boxes_by_frame.values():
                 for i, (name_a, _, box_a) in enumerate(boxes):
                     for name_b, _, box_b in boxes[i + 1 :]:
                         if name_a != name_b:
                             pair = (name_a, name_b) if name_a < name_b else (name_b, name_a)
                             if pair not in pairs and is_proximal(box_a, box_b, prox):
                                 pairs.add(pair)
-        if mode == "video-level":
-            present = frozenset(t.identity.name for t in identified)
-            entries.append(LedgerEntry(video_id=video_id, present=present))
-        else:
-            entries.append(PairEntry(video_id=video_id, pairs=frozenset(pairs)))
-    if mode == "video-level":
-        return OccurrenceLedger(entries), conflicts
-    return PairLedger(entries), conflicts
+            records = tuple(map(frozenset, sorted(pairs)))
+        entries.append(LedgerEntry(video_id=video_id, records=records))
+    return OccurrenceLedger(entries), conflicts

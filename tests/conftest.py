@@ -1,4 +1,4 @@
-"""Shared fixtures: the bundled troop matrix, small graph builders and a matrix lookup."""
+"""Shared fixtures: the bundled troop matrix, small graph and ledger builders and a matrix lookup."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from troopnet import bundled
-from troopnet.ingest import AssociationMatrix
+from troopnet.ingest import AssociationMatrix, LedgerEntry
 from troopnet.network import network_report
 
 
@@ -32,3 +32,15 @@ def matrix_from_dyads(names: list[str], dyads: dict[tuple[str, str], float]) -> 
 def matrix_value(m: AssociationMatrix, a: str, b: str) -> float:
     """The association index of a and b, looked up through m.names."""
     return float(m.values[m.names.index(a), m.names.index(b)])
+
+
+def video_entry(video_id: str, present) -> LedgerEntry:
+    """A video-level ledger entry: one joint record of the names present, none without names."""
+    names = frozenset(present)
+    return LedgerEntry(video_id=video_id, records=(names,) if names else ())
+
+
+def pair_entry(video_id: str, pairs) -> LedgerEntry:
+    """A proximal ledger entry: one joint record per pair, in sorted order."""
+    records = tuple(map(frozenset, sorted({tuple(sorted(pair)) for pair in pairs})))
+    return LedgerEntry(video_id=video_id, records=records)

@@ -333,7 +333,7 @@ def test_c4_simple_ratio_oracle():
             entries = []
             for v in range(1 + rng.randrange(20)):
                 present = frozenset(nm for nm in names if rng.random() < 0.4)
-                entries.append(LedgerEntry(f"v{v:03d}", present))
+                entries.append(LedgerEntry(video_id=f"v{v:03d}", records=(present,) if present else ()))
             ledger = OccurrenceLedger(entries)
             m = simple_ratio_matrix(count_occurrences(ledger), names)
             for i, a in enumerate(names):
@@ -350,7 +350,7 @@ def test_c4_simple_ratio_oracle():
         # joint presence 2 of (5 + 4 - 2) videos
         videos = [{"A", "B"}] * 2 + [{"A"}] * 3 + [{"B"}] * 2
         ledger = OccurrenceLedger(
-            [LedgerEntry(f"v{k}", frozenset(p)) for k, p in enumerate(videos)]
+            [LedgerEntry(video_id=f"v{k}", records=(frozenset(p),)) for k, p in enumerate(videos)]
         )
         got = matrix_value(simple_ratio_matrix(count_occurrences(ledger), ["A", "B"]), "A", "B")
         if abs(got - 2.0 / 7.0) > 1e-9:

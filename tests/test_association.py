@@ -12,14 +12,14 @@ from troopnet.association import (
     simple_ratio_matrix,
     unobserved_individuals,
 )
-from troopnet.ingest import LedgerEntry, OccurrenceLedger, PairEntry, PairLedger
+from troopnet.ingest import OccurrenceLedger, write_matrix
 from troopnet.rng import Rng
 
-from conftest import matrix_value
+from conftest import matrix_value, pair_entry, video_entry
 
 
 def _ledger(*videos):
-    entries = [LedgerEntry(f"v{k}", frozenset(present)) for k, present in enumerate(videos)]
+    entries = [video_entry(f"v{k}", present) for k, present in enumerate(videos)]
     return OccurrenceLedger(entries=entries)
 
 
@@ -81,11 +81,11 @@ def test_occurrence_counts_validation():
 
 def test_pair_ledger_counting():
     entries = [
-        PairEntry("v1", frozenset({("A", "B"), ("B", "C")})),
-        PairEntry("v2", frozenset({("A", "B")})),
-        PairEntry("v3", frozenset()),
+        pair_entry("v1", {("A", "B"), ("B", "C")}),
+        pair_entry("v2", {("A", "B")}),
+        pair_entry("v3", set()),
     ]
-    counts = count_occurrences(PairLedger(entries=entries))
+    counts = count_occurrences(OccurrenceLedger(entries=entries))
     assert counts.per_pair == {("A", "B"): 2, ("B", "C"): 1}
     # presence means taking part in at least one joint record of the video
     assert counts.per_individual == {"A": 2, "B": 2, "C": 1}
@@ -93,6 +93,46 @@ def test_pair_ledger_counting():
     assert matrix_value(m, "A", "B") == 1.0
     # B in two videos, C in one, together in one: 1 / (2 + 1 - 1)
     assert matrix_value(m, "B", "C") == 0.5
+
+
+def _two_branch_counts(videos, proximal: bool) -> OccurrenceCounts:
+    """count_occurrences as it was with a ledger type per mode: videos holds
+    each video's present names (video-level) or its sorted pairs (proximal)."""
+    per_individual: dict[str, int] = {}
+    per_pair: dict[tuple[str, str], int] = {}
+    if proximal:
+        for pairs in videos:
+            names = set()
+            for pair in pairs:
+                names.update(pair)
+                per_pair[pair] = per_pair.get(pair, 0) + 1
+            for name in names:
+                per_individual[name] = per_individual.get(name, 0) + 1
+    else:
+        for present in videos:
+            names = sorted(present)
+            for name in names:
+                per_individual[name] = per_individual.get(name, 0) + 1
+            for i, a in enumerate(names):
+                for b in names[i + 1 :]:
+                    per_pair[(a, b)] = per_pair.get((a, b), 0) + 1
+    return OccurrenceCounts(per_individual=per_individual, per_pair=per_pair)
+
+
+_NAMES = ["A", "B", "C", "Dee", "Zo\u00eb"]
+_PRESENT = st.frozensets(st.sampled_from(_NAMES))
+_PAIRS = st.frozensets(st.lists(st.sampled_from(_NAMES), min_size=2, max_size=2, unique=True).map(sorted).map(tuple))
+
+
+@given(st.lists(_PRESENT, max_size=12), st.lists(_PAIRS, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_counts_and_ratios_equal_the_two_branch_oracle(presences, pair_sets):
+    for videos, entry, proximal in ((presences, video_entry, False), (pair_sets, pair_entry, True)):
+        got = count_occurrences(OccurrenceLedger([entry(f"v{k}", v) for k, v in enumerate(videos)]))
+        want = _two_branch_counts(videos, proximal)
+        assert got == want
+        got_matrix, want_matrix = (simple_ratio_matrix(c, _NAMES) for c in (got, want))
+        assert write_matrix(got_matrix) == write_matrix(want_matrix)
 
 
 def test_video_duplication_leaves_ratios_unchanged():
@@ -108,7 +148,7 @@ def _random_ledger(seed, max_videos=20, max_individuals=10):
     entries = []
     for v in range(1 + rng.randrange(max_videos)):
         present = frozenset(nm for nm in names if rng.random() < 0.4)
-        entries.append(LedgerEntry(f"v{v:03d}", present))
+        entries.append(video_entry(f"v{v:03d}", present))
     return OccurrenceLedger(entries=entries), names
 
 

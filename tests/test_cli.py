@@ -893,6 +893,30 @@ def test_pipeline_equals_stage_composition(tmp_path, synth_run, mode):
     assert dot_out.read_bytes() == (pipe_out / "network.dot").read_bytes()
 
 
+@pytest.mark.parametrize("mode", list(_MODE_ARGS))
+def test_cooccur_of_the_pipeline_ledger_gives_its_matrix_and_ledger(tmp_path, synth_run, mode):
+    pipe_out = tmp_path / "pipe"
+    assert _run_pipeline(synth_run, pipe_out, *_MODE_ARGS[mode]) == 0
+    out = tmp_path / "cooccur"
+    out.mkdir()
+    flag = "--pair-ledger" if mode == "proximal" else "--ledger"
+    argv = ["cooccur", flag, str(pipe_out / "ledger.csv"), "--roster", str(synth_run / "roster.csv"),
+            "--out", str(out / "matrix.csv"), "--ledger-out", str(out / "ledger.csv")]
+    assert main(argv) == 0
+    for name in ("matrix.csv", "ledger.csv"):
+        assert (out / name).read_bytes() == (pipe_out / name).read_bytes(), name
+
+
+def test_cooccur_writes_a_presence_ledger_as_it_was_read_in_either_mode(tmp_path, synth_run):
+    # --mode forms the records of tracks only; a presence ledger stays one
+    for mode, extra in _MODE_ARGS.items():
+        ledger_out = tmp_path / f"{mode}.csv"
+        argv = ["cooccur", "--ledger", str(synth_run / "ledger.csv"), "--roster", str(synth_run / "roster.csv"),
+                "--out", str(tmp_path / "matrix.csv"), "--ledger-out", str(ledger_out), *extra]
+        assert main(argv) == 0
+        assert ledger_out.read_bytes() == (synth_run / "ledger.csv").read_bytes(), mode
+
+
 def _write_scenario(root, roster, streams) -> None:
     (root / "detections").mkdir(parents=True)
     (root / "roster.csv").write_text(ingest.write_roster(roster))
@@ -1233,6 +1257,85 @@ def test_crlf_and_cr_matrices_give_the_lf_report(tmp_path, fixture_matrix_path, 
         assert main(["network", "--matrix", str(matrix), "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def _bom_inputs(d) -> dict[str, str]:
+    """One small input of each format a command reads, by file name."""
+    _eval_det_inputs(d)  # preds.jsonl and gt.json
+    faces = [{"bbox": [0, 0, 10, 10], "score": 0.9, "class_scores": {"Ayu": 0.9, "Bora": 0.1}},
+             {"bbox": [12, 0, 10, 10], "score": 0.9, "class_scores": {"Ayu": 0.2, "Bora": 0.8}}]
+    _write_stream(d / "stream.jsonl", [{"frame_index": fi, "detections": faces} for fi in range(3)])
+    texts = {
+        "roster.csv": "name,sex,age_years\nAyu,female,9\nBora,male,\n",
+        "ledger.csv": 'video_id,present\nv1,"Ayu,Bora"\nv2,Ayu\n',
+        "pairs.csv": 'video_id,pair\nv1,"Ayu,Bora"\nv2,"Ayu,Cai"\n',
+        "matrix.csv": _ABC,
+        "samples.jsonl": '{"class_scores": {"Ayu": 0.8, "Bora": 0.2}, "true_label": "Ayu"}\n',
+        "config.cfg": "seed = 5\n",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    inputs = {name: str(d / name) for name in [*texts, "stream.jsonl", "preds.jsonl", "gt.json"]}
+    inputs["tracks.jsonl"], inputs["report.json"] = str(d / "tracks.jsonl"), str(d / "report.json")
+    assert main(["track", "--detections", inputs["stream.jsonl"], "--video-id", "v1",
+                 "--roster", inputs["roster.csv"], "--out", inputs["tracks.jsonl"]]) == 0
+    assert main(["network", "--matrix", inputs["matrix.csv"], "--out", inputs["report.json"]]) == 0
+    return inputs
+
+
+# by the input given a byte order mark: the command given the inputs and the output
+_BOM_COMMANDS = {
+    "roster.csv": lambda i, o: ["cooccur", "--ledger", i["ledger.csv"], "--roster", i["roster.csv"], "--out", o],
+    "config.cfg": lambda i, o: ["layout", "--matrix", i["matrix.csv"], "--config", i["config.cfg"], "--svg-out", o],
+    "stream.jsonl": lambda i, o: ["track", "--detections", i["stream.jsonl"], "--video-id", "v1",
+                                  "--roster", i["roster.csv"], "--out", o],
+    "tracks.jsonl": lambda i, o: ["cooccur", "--tracks", i["tracks.jsonl"], "--mode", "proximal", "--out", o],
+    "ledger.csv": lambda i, o: ["cooccur", "--ledger", i["ledger.csv"], "--out", o],
+    "pairs.csv": lambda i, o: ["cooccur", "--pair-ledger", i["pairs.csv"], "--out", o],
+    "matrix.csv": lambda i, o: ["network", "--matrix", i["matrix.csv"], "--out", o],
+    "report.json": lambda i, o: ["layout", "--matrix", i["matrix.csv"], "--report", i["report.json"],
+                                 "--seed", "1", "--dot-out", o],
+    "samples.jsonl": lambda i, o: ["eval-id", "--samples", i["samples.jsonl"], "--roster", i["roster.csv"], "--out", o],
+    "gt.json": lambda i, o: ["eval-det", "--predictions", i["preds.jsonl"], "--ground-truth", i["gt.json"],
+                             "--video-id", "v1", "--out", o],
+}
+
+
+@pytest.mark.parametrize("name", list(_BOM_COMMANDS))
+def test_an_input_with_a_leading_utf8_bom_gives_the_output_without(tmp_path, name):
+    # Excel's "CSV UTF-8" export begins the file with the byte order mark EF BB BF
+    inputs = _bom_inputs(tmp_path)
+    bom = tmp_path / f"bom-{name}"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(inputs[name]).read_bytes())
+    outs = []
+    for given in (inputs, {**inputs, name: str(bom)}):
+        out = tmp_path / f"out-{len(outs)}"
+        assert main(_BOM_COMMANDS[name](given, str(out))) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad", ["stream", "roster"])
+def test_pipeline_names_a_file_that_is_not_utf8(tmp_path, bad, workers):
+    # macOS leaves an AppleDouble file "._<name>" beside each file it copies to a foreign
+    # volume; a spreadsheet may save a roster as Latin-1
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "3", "--matrilines", "1", "--videos", "3",
+         "--frames", "4", "--out-dir", str(scenario)]
+    ) == 0
+    if bad == "stream":
+        path = scenario / "detections" / "._v0001.jsonl"
+        path.write_bytes(b"\x00\x05\x16\x07\xa3\x00\x02\x00")
+        reason = "byte 0xa3 in position 4: invalid start byte"
+    else:
+        path = scenario / "roster.csv"
+        path.write_bytes("name,sex,age_years\nZo\u00eb,female,3\n".encode("latin-1"))
+        reason = "byte 0xeb in position 21: invalid continuation byte"
+    proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (2, f"{path}: not UTF-8 text: 'utf-8' codec can't decode {reason}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_bare_cr_inside_a_json_lines_record_is_whitespace(tmp_path):

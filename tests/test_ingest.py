@@ -23,8 +23,6 @@ from troopnet.ingest import (
     Individual,
     LedgerEntry,
     OccurrenceLedger,
-    PairEntry,
-    PairLedger,
     ParseError,
     Roster,
     atomic_write_bytes,
@@ -49,7 +47,7 @@ from troopnet.ingest import (
 from troopnet.network import IndividualMeasures, NetworkReport
 from troopnet.tracking import Identity, Track
 
-from conftest import matrix_value
+from conftest import matrix_value, pair_entry, video_entry
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +397,9 @@ def test_json_lines_accept_crlf():
 def test_ledger_round_trip():
     ledger = OccurrenceLedger(
         [
-            LedgerEntry("v1", frozenset({"Ayu", "Bora"})),
-            LedgerEntry("v2", frozenset({"Ayu"})),
-            LedgerEntry("v3", frozenset()),
+            video_entry("v1", {"Ayu", "Bora"}),
+            video_entry("v2", {"Ayu"}),
+            video_entry("v3", set()),
         ]
     )
     text = write_ledger(ledger)
@@ -412,11 +410,11 @@ def test_ledger_round_trip():
 
 def test_ledger_write_orders_by_roster_when_given():
     roster = Roster([Individual("Bora"), Individual("Ayu")])
-    ledger = OccurrenceLedger([LedgerEntry("v1", frozenset({"Ayu", "Bora"}))])
+    ledger = OccurrenceLedger([video_entry("v1", {"Ayu", "Bora"})])
     assert "Bora,Ayu" in write_ledger(ledger, roster)
     assert "Ayu,Bora" in write_ledger(ledger)
     # names off the roster follow the roster's, in lexicographic order
-    ledger = OccurrenceLedger([LedgerEntry("v1", frozenset({"Zed", "Ayu", "Cai", "Bora"}))])
+    ledger = OccurrenceLedger([video_entry("v1", {"Zed", "Ayu", "Cai", "Bora"})])
     assert write_ledger(ledger, roster) == 'video_id,present\nv1,"Bora,Ayu,Cai,Zed"\n'
 
 
@@ -425,13 +423,15 @@ def test_ledger_duplicate_video_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse_occurrence_ledger(text)
     with pytest.raises(ValueError, match="duplicate"):
-        OccurrenceLedger([LedgerEntry("v1", frozenset()), LedgerEntry("v1", frozenset())])
+        OccurrenceLedger([video_entry("v1", set()), video_entry("v1", set())])
 
 
 def test_ledger_unknown_name_with_roster():
     roster = Roster([Individual("Ayu")])
     with pytest.raises(ParseError, match="Zed"):
         parse_occurrence_ledger('video_id,present\nv1,"Ayu,Zed"\n', roster)
+    with pytest.raises(ParseError, match="unknown individual 'Zed'"):  # the first in the cell
+        parse_occurrence_ledger('video_id,present\nv1,"Ayu,Zed,Yan,Xi"\n', roster)
 
 
 def test_ledger_empty_file_is_header_only():
@@ -440,25 +440,76 @@ def test_ledger_empty_file_is_header_only():
 
 
 def test_pair_ledger_round_trip():
-    ledger = PairLedger(
-        [
-            PairEntry("v1", frozenset({("Ayu", "Bora"), ("Ayu", "Chiro")})),
-            PairEntry("v2", frozenset()),
-        ]
-    )
+    ledger = OccurrenceLedger([pair_entry("v1", {("Ayu", "Bora"), ("Chiro", "Ayu")}), pair_entry("v2", set())])
     text = write_pair_ledger(ledger)
-    again = parse_pair_ledger(text)
-    got = {e.video_id: e.pairs for e in again.entries}
-    want = {e.video_id: e.pairs for e in ledger.entries}
+    assert text == 'video_id,pair\nv1,"Ayu,Bora"\nv1,"Ayu,Chiro"\n'
     # v2 has no pairs, so it cannot survive the pair-per-row format
-    assert got["v1"] == want["v1"]
+    assert parse_pair_ledger(text).entries == ledger.entries[:1]
 
 
 def test_pair_ledger_rejects_self_pair():
     with pytest.raises(ParseError):
         parse_pair_ledger('video_id,pair\nv1,"Ayu,Ayu"\n')
-    with pytest.raises(ValueError):
-        PairLedger([PairEntry("v1", frozenset({("Bora", "Ayu")}))])  # unsorted
+
+
+_LEDGER_NAMES = ["Ayu", "Bora", "Zo\u00eb", 'say "hi"', "two\nlines"]
+
+
+@given(
+    st.lists(st.frozensets(st.sampled_from(_LEDGER_NAMES)), max_size=8),
+    st.lists(st.frozensets(st.lists(st.sampled_from(_LEDGER_NAMES), min_size=2, max_size=2, unique=True)
+                           .map(sorted).map(tuple)), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_ledger_parse_write_parse_gives_equal_entries(presences, pair_sets):
+    ledger = OccurrenceLedger([video_entry(f"v{k}", p) for k, p in enumerate(presences)])
+    first = parse_occurrence_ledger(write_ledger(ledger))
+    assert first == ledger
+    assert parse_occurrence_ledger(write_ledger(first)) == first
+    ledger = OccurrenceLedger([pair_entry(f"v{k}", p) for k, p in enumerate(pair_sets)])
+    first = parse_pair_ledger(write_pair_ledger(ledger))
+    assert first.entries == [e for e in ledger.entries if e.records]  # a video without pairs has no row
+    assert parse_pair_ledger(write_pair_ledger(first)) == first
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_roster, "name,sex,age_years\nAyu,female,9\n"),
+        (parse_occurrence_ledger, 'video_id,present\nv1,"Ayu,Bora"\n'),
+        (parse_pair_ledger, 'video_id,pair\nv1,"Ayu,Bora"\n'),
+        (parse_association_matrix, ",A,B\nA,,0.5\nB,0.5,\n"),
+        (partial(parse_detection_stream, video_id="v1"), '{"frame_index": 0, "detections": []}\n'),
+    ],
+    ids=["roster", "ledger", "pair-ledger", "matrix", "stream"],
+)
+def test_bytes_with_a_leading_bom_parse_as_without(parse, text):
+    data = text.encode()
+    want = parse(data)
+    got = parse(b"\xef\xbb\xbf" + data)
+    if isinstance(want, AssociationMatrix):  # compared by identity
+        assert (got.names, got.values.tolist()) == (want.names, want.values.tolist())
+    else:
+        assert got == want
+
+
+def test_ledger_entry_present_and_pairs():
+    whole = video_entry("v1", {"Cai", "Ayu", "Bora"})
+    assert whole.present == {"Ayu", "Bora", "Cai"}
+    assert whole.pairs == {("Ayu", "Bora"), ("Ayu", "Cai"), ("Bora", "Cai")}
+    proximal = pair_entry("v1", {("Cai", "Ayu"), ("Ayu", "Bora")})
+    assert proximal.records == (frozenset({"Ayu", "Bora"}), frozenset({"Ayu", "Cai"}))
+    assert proximal.present == {"Ayu", "Bora", "Cai"}
+    assert proximal.pairs == {("Ayu", "Bora"), ("Ayu", "Cai")}
+    assert video_entry("v1", set()).records == ()
+    assert video_entry("v1", {"Ayu"}).pairs == frozenset()
+
+
+def test_ledger_entry_takes_keywords_and_no_empty_record():
+    with pytest.raises(TypeError):
+        LedgerEntry("v1", frozenset({"Ayu", "Bora"}))  # a set of names is not records
+    with pytest.raises(ValueError, match="'v1' has an empty joint record"):
+        LedgerEntry(video_id="v1", records=(frozenset({"Ayu"}), frozenset()))
 
 
 # ---------------------------------------------------------------------------
