@@ -23,20 +23,14 @@ __all__ = ["OccurrenceCounts", "count_occurrences", "simple_ratio_matrix", "unob
 
 @dataclass
 class OccurrenceCounts:
-    """Presence counts per individual and joint counts per unordered pair."""
+    """Presence counts per individual and joint counts per unordered pair.
+
+    count_occurrences builds it from LedgerEntry.pairs, so each pair key is
+    a sorted pair of distinct names, counted at most as often as either.
+    """
 
     per_individual: dict[str, int]
     per_pair: dict[tuple[str, str], int]
-
-    def __post_init__(self):
-        for pair, x in self.per_pair.items():
-            if len(pair) != 2 or pair[0] >= pair[1]:
-                raise ValueError(f"pair key {pair!r} must be a sorted 2-tuple of distinct names")
-            cap = min(self.per_individual.get(pair[0], 0), self.per_individual.get(pair[1], 0))
-            if not 0 <= x <= cap:
-                raise ValueError(f"pair count {pair!r}={x} exceeds individual counts")
-        if any(n < 0 for n in self.per_individual.values()):
-            raise ValueError("individual counts must be non-negative")
 
 
 def count_occurrences(ledger: OccurrenceLedger) -> OccurrenceCounts:
@@ -59,15 +53,13 @@ def count_occurrences(ledger: OccurrenceLedger) -> OccurrenceCounts:
 def simple_ratio_matrix(counts: OccurrenceCounts, names: list[str]) -> AssociationMatrix:
     """Build the simple-ratio association matrix over the given name order.
 
-    Every counted individual must appear in names; names without counts get
-    zero rows. Dyads whose denominator is zero (neither individual ever
-    seen) are 0 by convention; unobserved_individuals distinguishes them
-    from true zero association.
+    names holds every counted individual: the roster's names, which every
+    ledger name has passed, or the sorted counted names. Names without
+    counts get zero rows. Dyads whose denominator is zero (neither
+    individual ever seen) are 0 by convention; unobserved_individuals
+    distinguishes them from true zero association.
     """
     index = {name: i for i, name in enumerate(names)}
-    for name in counts.per_individual:
-        if name not in index:
-            raise ValueError(f"counted individual {name!r} missing from the name order")
     n = len(names)
     values = np.zeros((n, n))
     for (a, b), x in counts.per_pair.items():

@@ -416,8 +416,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     )
     roster = _read_roster(roster_path)
     require_pairs(len(roster), f"{roster_path}: roster: pipeline")
+    # a hidden name is no stream: macOS leaves an AppleDouble ._v0001.jsonl beside each file it copies
     paths = [
-        os.path.join(detections_dir, n) for n in sorted(os.listdir(detections_dir)) if n.endswith(".jsonl")
+        os.path.join(detections_dir, n)
+        for n in sorted(os.listdir(detections_dir))
+        if n.endswith(".jsonl") and not n.startswith(".")
     ]
     if not paths:
         raise ParseError(f"no .jsonl detection streams in {detections_dir}")

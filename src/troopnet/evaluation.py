@@ -53,7 +53,7 @@ class IdSample:
 
 def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
     """Greedy one-to-one matching of predictions to ground-truth boxes: yield
-    (prediction index, matched ground-truth index or -1, IoU) for each
+    (prediction index, matched ground-truth index or -1) for each
     prediction, in descending score order (ties by input order). Each takes
     the unmatched ground truth of highest IoU at or above the threshold, IoU
     ties going to the lower ground-truth index."""
@@ -70,7 +70,7 @@ def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
                 best_j = j
         if best_j >= 0:
             taken[best_j] = True
-        yield i, best_j, best_iou
+        yield i, best_j
 
 
 def rank_key(scores: dict[str, float]):
@@ -80,11 +80,11 @@ def rank_key(scores: dict[str, float]):
 
 
 def topk_accuracy(samples: list[IdSample], k: int) -> float:
-    """Fraction of samples whose true label is outranked by fewer than k names."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not samples:
-        raise ValueError("topk_accuracy needs at least one sample")
+    """Fraction of samples whose true label is outranked by fewer than k names.
+
+    samples is not empty and k is at least 1: parse_id_samples and the --k
+    flag check them.
+    """
     return sum(sample.rank < k for sample in samples) / len(samples)
 
 
@@ -92,15 +92,12 @@ def confusion_matrix(samples: list[IdSample], roster: Roster) -> list[list[float
     """Confusion matrix, rows = true identity, columns = the best-ranked name.
 
     Rows with at least one sample are divided by their sum; all-zero rows
-    stay zero. Row and column order follow the roster.
+    stay zero. Row and column order follow the roster, which holds every
+    label and scored name: parse_id_samples checks them against it.
     """
     index = roster.positions
     counts = [[0.0] * len(roster) for _ in range(len(roster))]
-    for i, sample in enumerate(samples):
-        if sample.true_label not in index:
-            raise ValueError(f"sample {i}: unknown true label {sample.true_label!r}")
-        if sample.predicted not in index:
-            raise ValueError(f"sample {i}: unknown predicted name {sample.predicted!r}")
+    for sample in samples:
         counts[index[sample.true_label]][index[sample.predicted]] += 1.0
     # the counts are whole numbers, so each row sum is exact
     return [[c / total for c in row] if (total := sum(row)) else row for row in counts]
@@ -132,7 +129,7 @@ def pooled_detection_metrics(
         # The predictions kept at the score threshold are a prefix of the
         # score order, so matching them alone makes the same matches as the
         # full matching does over that prefix.
-        for i, j, _o in _greedy(preds, gts, iou_threshold):
+        for i, j in _greedy(preds, gts, iou_threshold):
             pooled.append((-preds[i].score, g, i, j >= 0))
             if j >= 0 and preds[i].score >= score_threshold:
                 tp_at_threshold += 1

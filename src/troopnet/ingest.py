@@ -549,20 +549,9 @@ class LedgerEntry:
 
 @dataclass
 class OccurrenceLedger:
+    """One entry per video, no two with the same video_id."""
+
     entries: list[LedgerEntry]
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            if e.video_id in seen:
-                raise ValueError(f"duplicate video_id {e.video_id!r}")
-            seen.add(e.video_id)
-
-
-def _sorted_names(names, roster: Roster | None) -> list[str]:
-    if roster is None:
-        return sorted(names)
-    return sorted(names, key=lambda n: (roster.positions.get(n, len(roster)), n))
 
 
 def parse_occurrence_ledger(text: str | bytes, roster: Roster | None = None) -> OccurrenceLedger:
@@ -588,10 +577,12 @@ def parse_occurrence_ledger(text: str | bytes, roster: Roster | None = None) -> 
 
 def write_ledger(ledger: OccurrenceLedger, roster: Roster | None = None) -> str:
     """Write a ledger CSV; names within a row follow roster order when a
-    roster is given, lexicographic order otherwise."""
+    roster is given (it holds every name the ledger does), lexicographic
+    order otherwise."""
+    key = None if roster is None else roster.positions.__getitem__
     return _write_csv(
         _LEDGER_HEADER,
-        ([entry.video_id, ",".join(_sorted_names(entry.present, roster))] for entry in ledger.entries),
+        ([entry.video_id, ",".join(sorted(entry.present, key=key))] for entry in ledger.entries),
     )
 
 

@@ -301,7 +301,7 @@ def _positive_dyads(m: AssociationMatrix) -> list[tuple[int, int, float]]:
 
 def check_report(m: AssociationMatrix, report: NetworkReport) -> None:
     """A report drawn with m must measure m's names in matrix order, as
-    network_report writes them."""
+    network_report writes them: the check on a report read from a file."""
     names = [ind.name for ind in report.individuals]
     if names != m.names:
         raise ValueError(f"report individuals {names} are not the matrix's names {m.names} in matrix order")
@@ -314,12 +314,10 @@ def render_svg(m: AssociationMatrix, layout: LayoutResult, report: NetworkReport
     units; a flat range pins every node to the midpoint), edge stroke
     width is affine in the association index (0.5 up to 8 at the maximum
     index). The viewBox covers all circles and lines with a 5% margin.
+    The layout and the report are m's: gem_layout places each of m's
+    names, and the report measures them in matrix order (see check_report).
     """
     names = m.names
-    missing = [name for name in names if name not in layout.positions]
-    if missing:
-        raise ValueError(f"layout is missing positions for: {', '.join(missing)}")
-    check_report(m, report)
     radii = _radius_map(report)
 
     dyads = _positive_dyads(m)
@@ -389,9 +387,9 @@ def render_dot(m: AssociationMatrix, report: NetworkReport) -> str:
 
     Nodes appear in matrix order annotated with degree, strength and
     eigenvector centrality; edges follow ascending (i, j) index order and
-    carry the association index as their weight.
+    carry the association index as their weight. The report measures m's
+    names in matrix order (see check_report).
     """
-    check_report(m, report)
     out = ["graph association {"]
     for name, ind in zip(m.names, report.individuals):
         out.append(

@@ -56,7 +56,6 @@ class NetworkReport:
 
 def density(m: AssociationMatrix) -> float:
     """Fraction of unordered pairs with a positive association index."""
-    require_pairs(m.n, "density")
     n = m.n
     positive = sum(1 for i, row in enumerate(m.edges) for j, _w in row if j > i)
     return positive / (n * (n - 1) / 2)
@@ -83,13 +82,11 @@ def eigenvector_centrality(m: AssociationMatrix, params: NetworkParams = Network
     even on bipartite graphs (a zero-diagonal star, say, where M alone has
     a matching negative eigenvalue and the iteration would oscillate).
 
+    The matrix has a positive entry: network_report calls this only then.
     Raises ConvergenceError (carrying the last step size) when
-    params.max_iter is exceeded, and ValueError when the matrix has no
-    positive entry.
+    params.max_iter is exceeded.
     """
-    top = max((w for row in m.edges for _j, w in row), default=0.0)
-    if top <= 0.0:
-        raise ValueError("eigenvector centrality needs at least one positive entry")
+    top = max(w for row in m.edges for _j, w in row)
     rows = [[(j, w / top) for j, w in row] for row in m.edges]
     v = [1.0] * m.n
     diff = math.inf
@@ -152,11 +149,9 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
 
     binary mode uses hop counts over positive edges (length 1 each); weighted
     mode uses nonnegative-weight shortest paths with edge length 1/index, so
-    strong associations are short.
+    strong associations are short. m has at least 2 individuals, as
+    network_report requires.
     """
-    require_pairs(m.n, "global efficiency")
-    if mode not in ("binary", "weighted"):
-        raise ValueError(f"mode must be 'binary' or 'weighted', got {mode!r}")
     if mode == "binary":
         lengths = np.where(m.values > 0.0, 1.0, math.inf)
     else:
@@ -189,11 +184,13 @@ def connected_components(m: AssociationMatrix) -> list[list[str]]:
 def network_report(m: AssociationMatrix, params: NetworkParams = NetworkParams()) -> NetworkReport:
     """Assemble all measures; individual order equals matrix order.
 
-    A matrix with no positive entries yields all-zero eigenvector values
-    with a warning instead of an error; a disconnected graph is flagged
-    because eigenvector centrality then reflects only the dominant
-    component.
+    The measures are over pairs, so a matrix of fewer than 2 individuals
+    raises ValueError. A matrix with no positive entries yields all-zero
+    eigenvector values with a warning instead of an error; a disconnected
+    graph is flagged because eigenvector centrality then reflects only the
+    dominant component.
     """
+    require_pairs(m.n, "network report")
     warnings: list[str] = []
     ds = degree_strength(m)
     if not any(deg for deg, _s in ds.values()):

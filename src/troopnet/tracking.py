@@ -146,19 +146,15 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
     (one track, two equally close detections: the first). When no two
     in-gate pairs share a track or a detection, the frame keeps them all
     without the solver, which would return exactly those. So identical
-    input yields identical tracks. A frame index that does not increase on
-    the one before, or a detection whose frame_index is not its frame's,
-    raises ValueError.
+    input yields identical tracks. The stream's frame indices increase, and
+    each detection carries its frame's index, as parse_detection_stream and
+    synth build it.
     """
     active: list[Track] = []  # in track_id order: survivors keep it, new ids are larger
     done: list[Track] = []
     next_id = 0
-    last_fi = None
     for frame in stream.frames:
         fi = frame.frame_index
-        if last_fi is not None and fi <= last_fi:
-            raise ValueError(f"frame_index must strictly increase, got {fi} after {last_fi}")
-        last_fi = fi
         still_active = []
         for track in active:
             if fi - track.observations[-1].frame_index - 1 > params.max_gap_frames:
@@ -191,8 +187,6 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
                 assignment = {c: r for r, c in zip(*_assign(cost)) if cost[r][c] < _FORBIDDEN}
 
         for c, det in enumerate(detections):
-            if det.frame_index != fi:
-                raise ValueError(f"detection frame_index {det.frame_index} is not its frame's {fi}")
             if c in assignment:
                 active[assignment[c]].observations.append(det)
             else:
@@ -223,7 +217,7 @@ def fuse_identity(track: Track, params: TrackerParams = TrackerParams()) -> Trac
         scored_frames += 1
         for name, value in obs.class_scores.items():
             sums[name] = sums.get(name, 0.0) + value
-    if scored_frames == 0 or not sums:
+    if scored_frames == 0:  # a scored frame names someone: _class_scores refuses an empty object
         return replace(track, identity=None)
     means = {name: total / scored_frames for name, total in sums.items()}
     best = max(means, key=rank_key(means))
@@ -242,10 +236,9 @@ def tracks_to_ledger(
     mode makes one record per pair whose boxes some frame shows proximal,
     in sorted order. Tracks without an identity are excluded. Simultaneous
     same-name tracks are kept and returned as identity conflicts, ordered
-    by video (first appearance), frame and name.
+    by video (first appearance), frame and name. mode is one of
+    ASSOCIATION_MODES: the --mode flag and the config key check it.
     """
-    if mode not in ASSOCIATION_MODES:
-        raise ValueError(f"mode must be 'video-level' or 'proximal', got {mode!r}")
     by_video: dict[str, list[Track]] = {}  # videos in order of first appearance
     for t in tracks:
         by_video.setdefault(t.video_id, []).append(t)

@@ -70,6 +70,24 @@ def test_unknown_flag_is_usage_error(tmp_path, fixture_matrix_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["eval-id", "--samples", "s.jsonl", "--roster", "r.csv", "--k", "0"],
+         "argument --k: must be at least 1, got 0"),
+        (["cooccur", "--ledger", "l.csv", "--mode", "sideways"],
+         "argument --mode: invalid choice: 'sideways'"),
+    ],
+    ids=["eval-id-k", "cooccur-mode"],
+)
+def test_a_flag_value_out_of_range_is_a_usage_error(tmp_path, capsys, argv, message):
+    # the flag is the one check: topk_accuracy and tracks_to_ledger take the value it passes
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -1315,19 +1333,22 @@ def test_an_input_with_a_leading_utf8_bom_gives_the_output_without(tmp_path, nam
     assert outs[0] == outs[1]
 
 
+# an AppleDouble header: the magic number 00 05 16 07, then a byte that is not UTF-8
+_APPLEDOUBLE = b"\x00\x05\x16\x07\xa3\x00\x02\x00"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("bad", ["stream", "roster"])
 def test_pipeline_names_a_file_that_is_not_utf8(tmp_path, bad, workers):
-    # macOS leaves an AppleDouble file "._<name>" beside each file it copies to a foreign
-    # volume; a spreadsheet may save a roster as Latin-1
+    # a stream holding binary bytes; a spreadsheet may save a roster as Latin-1
     scenario = tmp_path / "scenario"
     assert main(
         ["synth", "--seed", "3", "--individuals", "3", "--matrilines", "1", "--videos", "3",
          "--frames", "4", "--out-dir", str(scenario)]
     ) == 0
     if bad == "stream":
-        path = scenario / "detections" / "._v0001.jsonl"
-        path.write_bytes(b"\x00\x05\x16\x07\xa3\x00\x02\x00")
+        path = scenario / "detections" / "v0001.jsonl"
+        path.write_bytes(_APPLEDOUBLE)
         reason = "byte 0xa3 in position 4: invalid start byte"
     else:
         path = scenario / "roster.csv"
@@ -1335,6 +1356,42 @@ def test_pipeline_names_a_file_that_is_not_utf8(tmp_path, bad, workers):
         reason = "byte 0xeb in position 21: invalid continuation byte"
     proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, tmp_path / "out")
     assert (proc.returncode, proc.stderr) == (2, f"{path}: not UTF-8 text: 'utf-8' codec can't decode {reason}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_ignores_hidden_appledouble_files(tmp_path):
+    # macOS leaves an AppleDouble file "._<name>" beside each file it copies to a foreign volume
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "3", "--matrilines", "1", "--videos", "3",
+         "--frames", "4", "--out-dir", str(scenario)]
+    ) == 0
+    clean = _fresh_pipeline(_FRESH_PIPELINE, "1", scenario, tmp_path / "clean")
+    assert clean.returncode == 0, clean.stderr
+    expected = {name: (tmp_path / "clean" / name).read_bytes() for name in _PIPELINE_FILES}
+    (scenario / "detections" / "._v0001.jsonl").write_bytes(_APPLEDOUBLE)
+    for workers in (1, 2):
+        out = tmp_path / f"out-{workers}"
+        proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, out)
+        assert proc.returncode == 0, proc.stderr
+        assert {name: (out / name).read_bytes() for name in _PIPELINE_FILES} == expected, workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_names_the_line_of_a_repeated_frame_index(tmp_path, workers):
+    # the parser is the one check on frame order: build_tracks takes the frames as they come
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "3", "--matrilines", "1", "--videos", "3",
+         "--frames", "4", "--out-dir", str(scenario)]
+    ) == 0
+    path = scenario / "detections" / "v0001.jsonl"
+    frames = [json.loads(text) for text in path.read_text().splitlines()]
+    frames[2]["frame_index"] = frames[1]["frame_index"]
+    _write_stream(path, frames)
+    proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, tmp_path / "out")
+    expected = f"{path}: line 3: frame_index 1 not greater than previous 1\n"
+    assert (proc.returncode, proc.stderr) == (2, expected)
     assert not (tmp_path / "out").exists()
 
 

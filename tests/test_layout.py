@@ -351,44 +351,6 @@ def test_escape_matches_saxutils(text):
     assert layout._escape(text) == escape(text)
 
 
-def test_svg_missing_position_rejected():
-    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
-    report = network_report(m)
-    smaller = matrix_from_dyads(["A"], {})
-    layout = gem_layout(smaller, seed=0)
-    with pytest.raises(ValueError, match="missing positions.*B"):
-        render_svg(m, layout, report)
-
-
-def test_svg_missing_measures_rejected():
-    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
-    layout = gem_layout(m, seed=0)
-    smaller = matrix_from_dyads(["A", "C"], {})
-    with pytest.raises(ValueError, match=r"report individuals \['A', 'C'\] are not the matrix's names \['A', 'B'\]"):
-        render_svg(m, layout, network_report(smaller))
-
-
-_AB = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
-
-
-@pytest.mark.parametrize(
-    "report",
-    [
-        network_report(matrix_from_dyads(["A", "B", "C"], {("A", "B"): 0.5, ("B", "C"): 0.2})),
-        network_report(matrix_from_dyads(["B", "A"], {("A", "B"): 0.5})),
-    ],
-    ids=["more-names", "other-order"],
-)
-@pytest.mark.parametrize("render", ["svg", "dot"])
-def test_renderers_take_only_a_report_of_the_matrix_names_in_order(report, render):
-    # the report network_report writes for m names m's individuals in m's order
-    with pytest.raises(ValueError, match="are not the matrix's names"):
-        if render == "svg":
-            render_svg(_AB, gem_layout(_AB, seed=0), report)
-        else:
-            render_dot(_AB, report)
-
-
 # ---------------------------------------------------------------------------
 # DOT rendering
 
@@ -423,10 +385,3 @@ def test_dot_quotes_awkward_names():
 
 def test_dot_deterministic(troop_matrix, troop_report):
     assert render_dot(troop_matrix, troop_report) == render_dot(troop_matrix, troop_report)
-
-
-def test_dot_missing_measures_rejected():
-    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
-    smaller = matrix_from_dyads(["A", "C"], {})
-    with pytest.raises(ValueError, match=r"report individuals \['A', 'C'\] are not the matrix's names \['A', 'B'\]"):
-        render_dot(m, network_report(smaller))

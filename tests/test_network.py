@@ -70,8 +70,8 @@ def test_density_extremes():
 
 def test_density_needs_two_individuals():
     solo = AssociationMatrix(names=["A"], values=np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="at least 2"):
-        density(solo)
+    with pytest.raises(ValueError, match="network report needs at least 2 individuals, got 1"):
+        network_report(solo)
 
 
 def test_degree_strength_hand_case():
@@ -112,12 +112,6 @@ def test_centrality_max_is_exactly_one():
     assert assume_edges
     eig = eigenvector_centrality(m)
     assert max(eig.values()) == 1.0
-
-
-def test_centrality_requires_positive_entry():
-    m = matrix_from_dyads(["A", "B"], {})
-    with pytest.raises(ValueError, match="positive"):
-        eigenvector_centrality(m)
 
 
 @pytest.mark.parametrize(
@@ -267,12 +261,6 @@ def test_a_negative_zero_entry_is_no_edge():
         report = network_report(AssociationMatrix(["a", "b", "c"], values))
     assert report == network_report(AssociationMatrix(["a", "b", "c"], np.abs(values)))
     assert report.global_efficiency_weighted == pytest.approx(5.0 / 12.0, abs=1e-12)
-
-
-def test_efficiency_unknown_mode_rejected():
-    m = matrix_from_dyads(["A", "B"], {("A", "B"): 0.5})
-    with pytest.raises(ValueError, match="mode"):
-        global_efficiency(m, "hops")
 
 
 def _brute_distances(m, mode):

@@ -12,7 +12,8 @@ from scipy.optimize import linear_sum_assignment
 
 from troopnet import tracking
 from troopnet.geometry import BBox, ProximityParams, iou, is_proximal
-from troopnet.ingest import Detection, DetectionStream, Frame
+from troopnet.ingest import Detection, DetectionStream, Frame, parse_detection_stream, write_detection_stream
+from troopnet.synth import NoiseParams, build_scenario
 from troopnet.tracking import (
     Identity,
     Track,
@@ -127,13 +128,6 @@ def test_track_validation():
         )
 
 
-def test_frame_index_must_increase():
-    # no track spans the repeated frame, so only build_tracks itself can see it
-    for frames in ([_frame(0, BOX), _frame(0, FAR)], [_frame(5, BOX), _frame(2, FAR)]):
-        with pytest.raises(ValueError, match="frame_index must strictly increase"):
-            build_tracks(_stream(*frames))
-
-
 def test_tracks_hold_the_streams_own_detections():
     stream = _stream(_frame(0, BOX, FAR), _frame(1), _frame(2, FAR, BOX), _frame(3, BOX))
     tracks = build_tracks(stream)
@@ -144,10 +138,13 @@ def test_tracks_hold_the_streams_own_detections():
 
 
 def test_detection_frame_index_must_be_its_frames():
-    # the record and its frame carry the index twice; build_tracks refuses a disagreement
-    stream = _stream(_frame(0, BOX), Frame(1, [Detection(0, BOX, 0.9)]))
-    with pytest.raises(ValueError, match="detection frame_index 0 is not its frame's 1"):
-        build_tracks(stream)
+    # build_tracks reads a detection's frame from its record: both builders of a stream,
+    # synth and the parser, give each detection its frame's index
+    _, streams = build_scenario(3, 4, 2, 3, 6, NoiseParams(fp_rate=0.2, fn_rate=0.2))
+    assert all(stream.detection_count for stream in streams.values())
+    for stream in streams.values():
+        for built in (stream, parse_detection_stream(write_detection_stream(stream), stream.video_id)):
+            assert all(d.frame_index == f.frame_index for f in built.frames for d in f.detections)
 
 
 def test_tracker_params_validation():
@@ -399,11 +396,6 @@ def test_proximal_requires_same_frame():
     ]
     ledger, _ = tracks_to_ledger(tracks, mode="proximal")
     assert ledger.entries[0].pairs == frozenset()
-
-
-def test_tracks_to_ledger_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        tracks_to_ledger([], mode="frame-level")
 
 
 def test_tracks_without_identity_excluded():
