@@ -19,7 +19,10 @@ vertex order and then edge order. Two visit paths do this with the same
 bits, chosen by vertex count (``_VECTOR_MIN_N``): a scalar loop, which is
 faster on small graphs and is the reference the tests hold the other to,
 and a numpy one over whole rows that sums with ``np.add.accumulate``
-(left to right), never with ``np.sum``, ``dot`` or ``@``. Rendering
+(left to right), never with ``np.sum``, ``dot`` or ``@``. The numpy visit
+forms every term without the loop's masks; its sums are the loop's
+whenever both are finite and non-zero, and any other visit is summed
+again with the masks (``_vector_visit`` has the proof). Rendering
 formats every number with six significant digits for byte-stable output.
 """
 
@@ -64,11 +67,12 @@ _RAMP_SHARE = 5.0 / 8.0
 _FLOOR_FRACTION = 1.0 / 128.0
 _GRAVITY = 1.0 / 16.0
 # Graphs with at least this many vertices take _vector_visit, smaller ones
-# _scalar_visit: numpy's fixed cost, about 13 us a visit, outweighs the
-# loop's O(n) work below about 40 vertices on dense graphs and 80 on
-# sparse ones (CHANGES.md has the measured table, in the entry on the
-# exact numpy GEM visit).
-_VECTOR_MIN_N = 64
+# _scalar_visit: numpy's fixed cost, about 7 us a visit, outweighs the
+# loop's O(n) work below about 30 vertices on dense graphs and 48 on
+# sparse ones. The line sits at the sparse crossover, so no graph is
+# slower for taking the numpy visit (CHANGES.md has the measured table, in
+# the entry on the unmasked numpy GEM visit).
+_VECTOR_MIN_N = 48
 
 
 @dataclass
@@ -106,56 +110,86 @@ def _scalar_visit(xs, ys, neighbors, phi, edge_sq):
     return visit
 
 
+def _masked_sums(terms, d2, w):
+    """The sums of terms with each term the loop skips held at -0.0: the
+    repulsion where d2 is not positive, the attraction where w is not."""
+    keep = np.concatenate([d2 > 0.0, w > 0.0])
+    terms[:, 1:][:, ~keep] = -0.0
+    return np.add.accumulate(terms, axis=1)[:, -1].tolist()
+
+
 def _vector_visit(xs, ys, weights, phi, edge_sq):
     """_scalar_visit's visit over whole numpy rows, with the same bits.
 
     weights is the matrix's values array, whose positive entries are the edges.
 
-    delta = pos_v - pos is the loop's (dx, dy) for every u at once; pos -
-    pos_v with signs flipped later would not do, as x - x is +0.0 either
-    way round. Repulsion terms are delta * (E^2 / d2) and attraction terms
-    delta * ((d2 * w) / -(E^2 * phi_v)), exactly -(dx * f). A skipped
-    slot (d2 not positive, or no edge) holds -0.0, which adds nothing to
-    any float. One np.add.accumulate over [impulse, repulsion...,
-    attraction...] then adds left to right as the loop does; np.sum, dot
-    and @ would not. Call it under np.errstate(all="ignore"), and move no
-    vertex between calls but the previous call's.
+    delta = pos_v - pos is the loop's (dx, dy) for every u at once, twice
+    over: pos holds the coordinates twice, one copy for the repulsion terms
+    and one for the attraction terms. pos - pos_v with signs flipped later
+    would not do, as x - x is +0.0 either way round. One divide gives both
+    factors, [E^2 ... | d2 * w] / [d2 | -(E^2 * phi_v)], each rounded once
+    as in the loop, and one multiply by delta gives every term: repulsion
+    delta * (E^2 / d2) and attraction delta * ((d2 * w) / -(E^2 * phi_v)),
+    exactly -(dx * f). v's own repulsion slot holds -0.0. One
+    np.add.accumulate over [impulse, repulsion..., attraction...] then adds
+    left to right as the loop does; np.sum, dot and @ would not.
+
+    No term is masked, yet the sums are the loop's whenever both are finite
+    and non-zero. The loop skips a repulsion term where d2 is not positive
+    and an attraction term where there is no edge; here such a slot is NaN
+    (0 * inf, inf * 0, a NaN coordinate), +-inf (a non-zero delta over an
+    underflowed d2) or +-0 (a non-edge with finite d2). NaN and inf leave
+    the sum non-finite. A +-0 term changes a running sum only when that sum
+    is itself +-0, and the first non-zero term makes both agree again, so
+    the two can differ only in a sum that ends at +-0. Any other sum is
+    recomputed with the skipped terms at -0.0, which adds nothing to any
+    float (_masked_sums). Call it under np.errstate(all="ignore"), and move
+    no vertex between calls but the previous call's.
     """
     n = len(xs)
-    pos = np.array([xs, ys])
-    is_edge = weights > 0.0
-    neg_scale = [-(edge_sq * p) for p in phi]
+    pos = np.array([xs + xs, ys + ys])
     columns = [pos[:, v : v + 1] for v in range(n)]
+    rows = list(weights)
+    neg_scale = [-(edge_sq * p) for p in phi]
+    delta = np.empty((2, 2 * n))
+    half = delta[:, :n]
+    square = np.empty((2, n))
+    sq_x, sq_y = square
+    numer = np.full(2 * n, edge_sq)
+    denom = np.empty(2 * n)
+    d2 = denom[:n]
+    wd2 = numer[n:]
+    scale = denom[n:]
+    f = np.empty(2 * n)
     # one buffer for the whole sum: the impulse so far, n repulsion terms, n attraction terms
     terms = np.empty((2, 1 + 2 * n))
-    repulsion = terms[:, 1 : 1 + n]
-    attraction = terms[:, 1 + n :]
+    body = terms[:, 1:]
+    own = [terms[:, 1 + v] for v in range(n)]
     sums = np.empty_like(terms)
-    delta = np.empty((2, n))
-    d2 = np.empty(n)
-    f = np.empty(n)
-    apart = np.empty(n, dtype=bool)
+    last = sums[:, -1]
     moved = 0
 
     def visit(v: int, px: float, py: float) -> list[float]:
         nonlocal moved
-        pos[0, moved] = xs[moved]
-        pos[1, moved] = ys[moved]
+        x, y = xs[moved], ys[moved]
+        pos[0, moved] = pos[0, n + moved] = x
+        pos[1, moved] = pos[1, n + moved] = y
         moved = v
         np.subtract(columns[v], pos, out=delta)
-        np.multiply(delta, delta, out=repulsion)
-        np.add(repulsion[0], repulsion[1], out=d2)
-        np.greater(d2, 0.0, out=apart)
-        terms.fill(-0.0)
-        np.divide(edge_sq, d2, out=f)
-        np.multiply(delta, f, out=repulsion, where=apart)
-        np.multiply(d2, weights[v], out=f)
-        np.divide(f, neg_scale[v], out=f)
-        np.multiply(delta, f, out=attraction, where=is_edge[v])
+        np.multiply(half, half, out=square)
+        np.add(sq_x, sq_y, out=d2)
+        np.multiply(d2, rows[v], out=wd2)
+        scale.fill(neg_scale[v])
+        np.divide(numer, denom, out=f)
+        np.multiply(delta, f, out=body)
+        own[v].fill(-0.0)
         terms[0, 0] = px
         terms[1, 0] = py
         np.add.accumulate(terms, axis=1, out=sums)
-        return sums[:, -1].tolist()
+        sx, sy = last.tolist()
+        if sx != 0.0 and sy != 0.0 and math.isfinite(sx) and math.isfinite(sy):
+            return [sx, sy]
+        return _masked_sums(terms, d2, rows[v])
 
     return visit
 
@@ -175,8 +209,8 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     impulse direction, and t adapts by the angle between successive
     impulses (see the module constants). Random draws happen in a fixed
     order (initial x, y per vertex in matrix order; per round a vertex
-    permutation, then jitter x, y per visit), so a seed pins the exact
-    result.
+    permutation, then jitter x, y per visit, each drawn in one bulk call),
+    so a seed pins the exact result.
     """
     n = m.n
     names = m.names
@@ -188,13 +222,12 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     rng = Rng(seed)
 
     phi = [1.0 + len(row) / 2.0 for row in m.edges]
+    gravity = [_GRAVITY * p for p in phi]
 
     spread = edge_len * math.sqrt(float(n))
-    xs: list[float] = []
-    ys: list[float] = []
-    for _ in range(n):
-        xs.append((rng.random() - 0.5) * spread)
-        ys.append((rng.random() - 0.5) * spread)
+    start = rng.randoms(2 * n)
+    xs = [(r - 0.5) * spread for r in start[0::2]]
+    ys = [(r - 0.5) * spread for r in start[1::2]]
 
     temps = [edge_len] * n
     skew = [0.0] * n
@@ -218,15 +251,18 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     with np.errstate(all="ignore"):
         while rounds < max_rounds:
             rounds += 1
-            for v in rng.permutation(n):
+            order = rng.permutation(n)
+            draws = rng.randoms(2 * n)
+            for v, rx, ry in zip(order, draws[0::2], draws[1::2]):
                 t = temps[v]
                 # gravity toward the barycenter (running coordinate sums)
-                g = _GRAVITY * phi[v]
+                g = gravity[v]
                 px = (sum_x / n - xs[v]) * g
                 py = (sum_y / n - ys[v]) * g
                 # random disturbance scaled by the vertex temperature
-                px += (rng.random() - 0.5) * (t / 4.0)
-                py += (rng.random() - 0.5) * (t / 4.0)
+                jitter = t / 4.0
+                px += (rx - 0.5) * jitter
+                py += (ry - 0.5) * jitter
                 px, py = visit(v, px, py)
 
                 mag_sq = px * px + py * py

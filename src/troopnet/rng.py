@@ -26,6 +26,11 @@ generator (an xorshift-family generator), whose step is
 with rotl(x, k) the 64-bit left rotation. Floats in [0, 1) take the top
 53 bits of one 64-bit output: (u >> 11) * 2.0**-53.
 
+The bulk draws, permutation(n) and randoms(k), step the generator inline
+in one loop each and consume the same words in the same order as n - 1
+randrange calls (rejection redraws included) and k random() calls, so
+drawing in bulk changes no output.
+
 No seed gives xoshiro256** its forbidden all-zero state: splitmix64's
 output is a one-to-one function of its state (each xor-shift and odd
 multiplication inverts mod 2**64), and the four seeding states differ,
@@ -34,7 +39,8 @@ as the constant is odd, so at most one of the four words is zero.
 
 from __future__ import annotations
 
-_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -109,19 +115,50 @@ class Rng:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:
             raise ValueError("randrange bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _TWO64 - _TWO64 % n
         while True:
             x = self.next_u64()
             if x < limit:
                 return x % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def permutation(self, n: int) -> list[int]:
+        """A Fisher-Yates shuffle of range(n), drawing the words of n - 1
+        randrange(i + 1) calls, i from n - 1 down to 1, rejections included."""
         out = list(range(n))
-        self.shuffle(out)
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        for i in range(n - 1, 0, -1):
+            bound = i + 1
+            limit = _TWO64 - _TWO64 % bound
+            result = limit
+            while result >= limit:
+                x = (s1 * 5) & _MASK64
+                result = (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            j = result % bound
+            out[i], out[j] = out[j], out[i]
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return out
+
+    def randoms(self, k: int) -> list[float]:
+        """k floats in [0, 1): the words of k random() calls, in order."""
+        out = []
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        for _ in range(k):
+            x = (s1 * 5) & _MASK64
+            result = (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
+            out.append((result >> 11) * 2.0**-53)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return out

@@ -1589,6 +1589,7 @@ _PINNED_DIGESTS = {
     "layout/network.svg": "a3201a96d0441925611aa639a8406fbafbd7992d68f437e1fddb1ec7355df5d9",
     "layout/network.dot": "396adbb75241d9ff38870a8a3d562c20522e67132a861a4b0b9d4ce5475ad83d",
     "layout/n96/network.svg": "78a88de1e7dae3e11534e34a58c236c2bda22d804696f32f01e5d4ccd4884c54",
+    "layout/n160/network.svg": "ca4a264484faa0821bc310c34611c4e91add5986daf3562291c47dcc872632a1",
     "network/n96/report.json": "e1a6bcf289c14c503dedc36764c069ee97302f2ab68c1435dbdd6a8011d8d81b",
     "eval-det/hand.json": "7654eb3e26523ab90969a4e0ca7675d2ded199297f3169bdac5b826a695ac8f6",
     "eval-det/noisy.json": "38c67e95906bf80f1b3f8bbea9f3506b1161cf130143f9c9f29c691af203f7ed",
@@ -1660,6 +1661,21 @@ def test_outputs_match_pinned_digests(tmp_path, fixture_matrix_path):
     # a report large enough that per-source loops and all-sources arrays part ways in cost
     assert main(["network", "--matrix", str(large / "matrix.csv"), "--out", str(large / "report.json")]) == 0
     outputs["network/n96/report.json"] = large / "report.json"
+    # a dense (0.87) layout of perfbench wide's size, on the numpy visit
+    wide = tmp_path / "wide"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "160", "--matrilines", "16", "--videos", "320",
+         "--frames", "1", "--out-dir", str(wide)]
+    ) == 0
+    assert main(
+        ["cooccur", "--ledger", str(wide / "ledger.csv"), "--roster", str(wide / "roster.csv"),
+         "--out", str(wide / "matrix.csv")]
+    ) == 0
+    assert main(
+        ["layout", "--matrix", str(wide / "matrix.csv"), "--seed", "5", "--max-rounds-factor", "2",
+         "--svg-out", str(wide / "network.svg")]
+    ) == 0
+    outputs["layout/n160/network.svg"] = wide / "network.svg"
 
     hand = tmp_path / "hand.json"
     assert main([*_eval_det_inputs(tmp_path), "--out", str(hand)]) == 0

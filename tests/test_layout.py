@@ -195,6 +195,47 @@ def test_vector_visit_matches_scalar_visit(m, data):
             assert _hex(vector(v, px, py)) == _hex(scalar(v, px, py))
 
 
+# visits whose unmasked sums are not both finite and non-zero, so the masked
+# pass (layout._masked_sums) must run: two coincident vertices (d2 == 0), a
+# sum that ends at exactly zero (v at the origin between non-adjacent
+# vertices at (+-1, 0), no impulse), and an infinite coordinate. In the zero
+# sum, v's y and the impulse's are -0.0, so that the masked sum is -0.0 and
+# the unmasked one +0.0: each non-edge adds (-0.0) * (-0.0).
+_PATH = {("n0", "n1"): 0.5, ("n1", "n2"): 0.25}
+_FALLBACK_CASES = {
+    "coincident": (_PATH, [0.0, 3.0, 3.0], [1.0, -2.0, -2.0], 1, 0.25, 0.5),
+    "zero sum": ({}, [0.0, 1.0, -1.0], [-0.0, 0.0, 0.0], 0, 0.0, -0.0),
+    "infinite": (_PATH, [0.0, math.inf, 2.0], [0.0, 1.0, 1.0], 0, 0.25, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FALLBACK_CASES))
+def test_vector_visit_falls_back_to_the_masked_pass(case):
+    dyads, xs, ys, v, px, py = _FALLBACK_CASES[case]
+    m = matrix_from_dyads(["n0", "n1", "n2"], dyads)
+    phi = [1.0 + len(row) / 2.0 for row in m.edges]
+    scalar = layout._scalar_visit(xs, ys, m.edges, phi, 3.0)
+    vector = layout._vector_visit(xs, ys, m.values, phi, 3.0)
+    with np.errstate(all="ignore"), mock.patch.object(layout, "_masked_sums", wraps=layout._masked_sums) as masked:
+        assert _hex(vector(v, px, py)) == _hex(scalar(v, px, py))
+    assert masked.call_count == 1
+
+
+def test_bundled_layout_never_needs_the_masked_pass(troop_matrix):
+    runs = []
+    for line in (troop_matrix.n, troop_matrix.n + 1):
+        with mock.patch.object(layout, "_VECTOR_MIN_N", line), mock.patch.object(
+            layout, "_masked_sums", wraps=layout._masked_sums
+        ) as masked:
+            runs.append(gem_layout(troop_matrix, seed=5))
+        assert masked.call_count == 0
+    vector, scalar = runs
+    assert vector.rounds_used == scalar.rounds_used
+    assert {k: _hex(p) for k, p in vector.positions.items()} == {
+        k: _hex(p) for k, p in scalar.positions.items()
+    }
+
+
 @given(_graphs(), st.integers(0, 1000), st.integers(1, 40))
 @settings(max_examples=25, deadline=None)
 def test_vector_layout_matches_scalar_layout(m, seed, rounds_factor):

@@ -118,11 +118,61 @@ def test_permutation_is_permutation():
         assert sorted(rng.permutation(n)) == list(range(n))
 
 
-def test_shuffle_preserves_elements():
-    rng = Rng(4)
-    items = list("abcdefgh")
-    rng.shuffle(items)
-    assert sorted(items) == sorted("abcdefgh")
+def test_permutation_is_fisher_yates_over_randrange():
+    # each i from n - 1 down to 1 swaps i with randrange(i + 1)
+    for seed, n in [(4, 8), (5, 1), (6, 2), (7, 41)]:
+        rng, calls = Rng(seed), Rng(seed)
+        want = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = calls.randrange(i + 1)
+            want[i], want[j] = want[j], want[i]
+        assert rng.permutation(n) == want
+        assert rng.next_u64() == calls.next_u64()
+
+
+def _per_call_draws(seed: int, n: int, k: int):
+    """permutation(n), then k random() floats, then the next word, from the oracle's words."""
+    words = iter(_xoshiro_oracle_sequence(seed, 2 * n + k + 1))
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        bound = i + 1
+        limit = (1 << 64) - (1 << 64) % bound
+        word = next(words)
+        while word >= limit:
+            word = next(words)
+        j = word % bound
+        perm[i], perm[j] = perm[j], perm[i]
+    floats = [(next(words) >> 11) * 2.0**-53 for _ in range(k)]
+    return perm, floats, next(words)
+
+
+@given(st.integers(min_value=0, max_value=MASK64), st.integers(0, 60), st.integers(0, 130))
+def test_bulk_draws_match_the_per_call_sequence(seed, n, k):
+    rng = Rng(seed)
+    perm = rng.permutation(n)
+    floats = rng.randoms(k)
+    assert (perm, floats, rng.next_u64()) == _per_call_draws(seed, n, k)
+
+
+def _rotr(x: int, k: int) -> int:
+    return ((x >> k) | (x << (64 - k))) & MASK64
+
+
+def test_permutation_redraws_a_rejected_word():
+    # the next word is rotl(s1 * 5, 7) * 9; pick s1 so that it is 2**64 - 1,
+    # which bound 3 rejects (2**64 % 3 == 1, so the limit is 2**64 - 1)
+    s1 = _rotr(MASK64 * pow(9, -1, 1 << 64) & MASK64, 7) * pow(5, -1, 1 << 64) & MASK64
+    rng, words = Rng(8), Rng(8)
+    rng._s1 = words._s1 = s1
+    drawn = [words.next_u64() for _ in range(4)]
+    assert drawn[0] == MASK64
+    perm = [0, 1, 2]
+    j = drawn[1] % 3  # the redraw, for i = 2
+    perm[2], perm[j] = perm[j], perm[2]
+    j = drawn[2] % 2  # i = 1
+    perm[1], perm[j] = perm[j], perm[1]
+    assert rng.permutation(3) == perm
+    assert rng.next_u64() == drawn[3]
 
 
 def test_derive_seed_key_sensitivity():
