@@ -125,8 +125,9 @@ def _object(x, what: str) -> dict:
 
 
 def _key(obj: dict, key: str, what: str):
+    """obj[key]; what prefixes the error for a missing key, as in "track " or "individual 0: "."""
     if key not in obj:
-        raise ValueError(f"{what} needs {key!r}")
+        raise ValueError(f"{what}needs {key!r}")
     return obj[key]
 
 
@@ -765,7 +766,7 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
         try:
             obj = _object(obj, "track")
             observations = []
-            for k, o in enumerate(_list(_key(obj, "observations", "track"), "observations")):
+            for k, o in enumerate(_list(_key(obj, "observations", "track "), "observations")):
                 # the detection's own fields are checked first, then its frame_index
                 det = _parse_detection(o, None, f"tracks line {lineno}: observation {k}", roster)
                 try:
@@ -777,8 +778,8 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
             if obj.get("identity") is not None:
                 ident = _object(obj["identity"], "identity")
                 identity = Identity(
-                    name=_str(_key(ident, "name", "identity"), "identity name"),
-                    confidence=_num(_key(ident, "confidence", "identity")),
+                    name=_str(_key(ident, "name", "identity "), "identity name"),
+                    confidence=_num(_key(ident, "confidence", "identity ")),
                 )
                 Individual(identity.name)  # a roster name's rules: non-empty, no comma
                 if not 0.0 <= identity.confidence <= 1.0:  # also rejects NaN
@@ -787,8 +788,8 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
                     raise ValueError(f"unknown individual {identity.name!r} in identity")
             tracks.append(
                 Track(
-                    track_id=_int(_key(obj, "track_id", "track")),
-                    video_id=_str(_key(obj, "video_id", "track"), "video_id"),
+                    track_id=_int(_key(obj, "track_id", "track ")),
+                    video_id=_str(_key(obj, "video_id", "track "), "video_id"),
                     observations=observations,
                     identity=identity,
                 )
@@ -869,23 +870,36 @@ def parse_report(data: str | bytes):
     obj = _loads(_text(data), "report")
     if not isinstance(obj, dict):
         raise ParseError("report: top level must be a JSON object")
+
+    def field(o: dict, key: str, convert, locus: str = ""):
+        """convert(o[key]); a bad value is named by locus and key."""
+        value = _key(o, key, locus)
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{locus}{key}: {exc}") from None
+
+    def individual(k: int, ind) -> IndividualMeasures:
+        ind = _object(ind, f"individual {k}")
+        locus = f"individual {k}: "
+        return IndividualMeasures(
+            name=_str(_key(ind, "name", locus), f"individual {k}: name"),
+            degree=field(ind, "degree", _int, locus),
+            strength=field(ind, "strength", _num, locus),
+            eigenvector=field(ind, "eigenvector", _num, locus),
+        )
+
     try:
         return NetworkReport(
-            density=_num(obj["density"]),
-            global_efficiency_binary=_num(obj["global_efficiency_binary"]),
-            global_efficiency_weighted=_num(obj["global_efficiency_weighted"]),
+            density=field(obj, "density", _num),
+            global_efficiency_binary=field(obj, "global_efficiency_binary", _num),
+            global_efficiency_weighted=field(obj, "global_efficiency_weighted", _num),
             individuals=[
-                IndividualMeasures(
-                    name=_str(_object(ind, f"individual {k}")["name"], f"individual {k}: name"),
-                    degree=_int(ind["degree"]),
-                    strength=_num(ind["strength"]),
-                    eigenvector=_num(ind["eigenvector"]),
-                )
-                for k, ind in enumerate(_list(obj["individuals"], "individuals"))
+                individual(k, ind) for k, ind in enumerate(_list(_key(obj, "individuals", ""), "individuals"))
             ],
             warnings=[_str(wt, f"warning {k}") for k, wt in enumerate(_list(obj.get("warnings", []), "warnings"))],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"report: {exc}") from None
 
 

@@ -3,12 +3,12 @@
 The placement algorithm is GEM (graph embedder): each round visits the
 vertices in random order, computes an impulse from gravity, pairwise
 repulsion, attraction along weighted edges and a random disturbance, then
-moves the vertex by its own temperature along that impulse. Temperatures
-adapt per vertex by comparing successive impulse directions (alignment
-warms, oscillation cools, sustained rotation cools) under a slowly
-falling global envelope, so the run provably reaches its stop condition:
-mean temperature below a fraction of the desired edge length, with a
-round cap as backstop.
+moves the vertex by the round's temperature along that impulse. Every
+vertex shares one temperature, which falls on a fixed schedule: linearly
+from the desired edge length to a small floor over the first 5/8 of the
+round budget. The run ends once the temperature is below a fraction of
+the edge length, or at the round cap, so the number of rounds depends
+only on the vertex count and the settings.
 
 Determinism: all randomness comes from the seeded generator in
 :mod:`troopnet.rng`, and the arithmetic uses only IEEE 754 operations with
@@ -47,22 +47,17 @@ __all__ = [
     "render_dot",
 ]
 
-# GEM's constants (Frick, Ludwig & Mehldau 1994). Gravity pulls a vertex
-# toward the barycenter with weight 1/16 per unit of phi. Every vertex
-# starts at a temperature equal to the desired edge length E. A vertex's
-# temperature is scaled by 1 + cos(beta)/2 for the angle beta between
-# successive impulses, so steady motion warms and oscillation cools. An
-# angle whose sine exceeds sin(60 degrees) feeds a signed rotation gauge
-# that halves the temperature when it saturates. A linear envelope from
-# the start temperature to a small floor over the first 5/8 of the round
-# budget bounds every temperature from above after each round, so none
-# exceeds 1.5 E, and forces the mean below the stop threshold well before
-# the round cap. Every length is a multiple of E, so the layout has no
+# GEM's forces (Frick, Ludwig & Mehldau 1994) under one global cooling
+# schedule. Gravity pulls a vertex toward the barycenter with weight 1/16
+# per unit of phi. The temperature starts at the desired edge length E and
+# falls linearly to E/128 over the first 5/8 of the round budget, then
+# stays there, so a stop fraction below 1/128 runs exactly the budget.
+# GEM's per-vertex temperatures, adapted from the angle between a vertex's
+# successive impulses, are not used: under this schedule they bought no
+# lower stress (ROADMAP item 1(a) has the table; test_layout's stress gate
+# holds the bound). Every length is a multiple of E, so the layout has no
 # fixed pixel size: at E * 2**k it is 2**k times the layout at E, bit for
 # bit, with the same rounds.
-_OSCILLATION_GAIN = 0.5
-_ROTATION_COOL = 0.5
-_SIN_ROTATION = math.sqrt(3.0) / 2.0
 _RAMP_SHARE = 5.0 / 8.0
 _FLOOR_FRACTION = 1.0 / 128.0
 _GRAVITY = 1.0 / 16.0
@@ -204,13 +199,15 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
         attraction: sum over positive edges of -delta * |delta|^2 * w / (E^2 * phi)
         jitter:     uniform in [-t/8, t/8] per component
 
-    with E the desired edge length, phi = 1 + degree/2 and t the vertex
-    temperature, which starts at E. The vertex then moves by t along the
-    impulse direction, and t adapts by the angle between successive
-    impulses (see the module constants). Random draws happen in a fixed
-    order (initial x, y per vertex in matrix order; per round a vertex
-    permutation, then jitter x, y per visit, each drawn in one bulk call),
-    so a seed pins the exact result.
+    with E the desired edge length, phi = 1 + degree/2 and t the temperature
+    of the round, shared by every vertex: E in the first round, then
+    max(E * (1 - r / ramp), E / 128) after round r, with ramp 5/8 of the
+    round cap. The vertex moves by t along the impulse direction. The run
+    stops after the first round that leaves t below stop_temperature_fraction
+    * E, or at the cap. Random draws happen in a fixed order (initial x, y
+    per vertex in matrix order; per round a vertex permutation, then jitter
+    x, y per visit, each drawn in one bulk call), so a seed pins the exact
+    result.
     """
     n = m.n
     names = m.names
@@ -229,17 +226,13 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     xs = [(r - 0.5) * spread for r in start[0::2]]
     ys = [(r - 0.5) * spread for r in start[1::2]]
 
-    temps = [edge_len] * n
-    skew = [0.0] * n
-    last_x = [0.0] * n
-    last_y = [0.0] * n
     sum_x = 0.0
     sum_y = 0.0
     for i in range(n):
         sum_x += xs[i]
         sum_y += ys[i]
 
-    stop_mean = edge_len * params.stop_temperature_fraction
+    stop = edge_len * params.stop_temperature_fraction
     floor = edge_len * _FLOOR_FRACTION
     max_rounds = params.max_rounds_factor * n
     ramp_rounds = max_rounds * _RAMP_SHARE
@@ -247,20 +240,20 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
         visit = _vector_visit(xs, ys, m.values, phi, edge_sq)
     else:
         visit = _scalar_visit(xs, ys, m.edges, phi, edge_sq)
+    t = edge_len
     rounds = 0
     with np.errstate(all="ignore"):
         while rounds < max_rounds:
             rounds += 1
             order = rng.permutation(n)
             draws = rng.randoms(2 * n)
+            # random disturbance scaled by the temperature
+            jitter = t / 4.0
             for v, rx, ry in zip(order, draws[0::2], draws[1::2]):
-                t = temps[v]
                 # gravity toward the barycenter (running coordinate sums)
                 g = gravity[v]
                 px = (sum_x / n - xs[v]) * g
                 py = (sum_y / n - ys[v]) * g
-                # random disturbance scaled by the vertex temperature
-                jitter = t / 4.0
                 px += (rx - 0.5) * jitter
                 py += (ry - 0.5) * jitter
                 px, py = visit(v, px, py)
@@ -274,34 +267,10 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
                     ys[v] += move_y
                     sum_x += move_x
                     sum_y += move_y
-                    lx = last_x[v]
-                    ly = last_y[v]
-                    last_mag_sq = lx * lx + ly * ly
-                    if last_mag_sq > 0.0:  # an earlier impulse, finite as mag_sq was
-                        denom = mag * math.sqrt(last_mag_sq)
-                        cos_b = (px * lx + py * ly) / denom
-                        sin_b = (px * ly - py * lx) / denom
-                        t = t * (1.0 + _OSCILLATION_GAIN * cos_b)
-                        if sin_b > _SIN_ROTATION or sin_b < -_SIN_ROTATION:
-                            step = 1.0 / (2.0 * n)
-                            skew[v] += step if sin_b > 0.0 else -step
-                            if skew[v] > 1.0 or skew[v] < -1.0:
-                                t = t * _ROTATION_COOL
-                                skew[v] = 0.0
-                        temps[v] = t
-                    last_x[v] = px
-                    last_y[v] = py
-            envelope = edge_len * (1.0 - rounds / ramp_rounds)
-            if envelope < floor:
-                envelope = floor
-            mean_temp = 0.0
-            for i in range(n):
-                if temps[i] > envelope:
-                    temps[i] = envelope
-                elif temps[i] < floor:
-                    temps[i] = floor
-                mean_temp += temps[i]
-            if mean_temp / n < stop_mean:
+            t = edge_len * (1.0 - rounds / ramp_rounds)
+            if t < floor:
+                t = floor
+            if t < stop:
                 break
 
     positions = {names[i]: (xs[i], ys[i]) for i in range(n)}

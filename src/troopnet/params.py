@@ -26,7 +26,7 @@ class GemParams:
     """
 
     desired_edge_length: float = 128.0
-    max_rounds_factor: int = 40
+    max_rounds_factor: int = 6
     stop_temperature_fraction: float = 1.0 / 50.0
 
     def __post_init__(self) -> None:

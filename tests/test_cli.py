@@ -1195,7 +1195,7 @@ _BAD_INPUTS = {
         lambda d: ["network", "--out", str(d / "o")],
     ),
     "layout-report": (
-        "--report", '{"density": 0.5}', "report: 'global_efficiency_binary'",
+        "--report", '{"density": 0.5}', "report: needs 'global_efficiency_binary'",
         lambda d: ["layout", "--matrix", str(d / "matrix.csv"), "--seed", "1", "--svg-out", str(d / "o")],
     ),
 }
@@ -1576,20 +1576,20 @@ _PINNED_DIGESTS = {
     "pipeline/video-level/ledger.csv": "fe47b11ac25f8339d03eeccc1e6a9829f0c78930004fad542a14a110144c2c66",
     "pipeline/video-level/matrix.csv": "b4814d67c000a34c62706aab369ad314ce6c26cf245169494dfca83cf972f1f8",
     "pipeline/video-level/report.json": "5f16774abb911db244e7f9b323bbb0e8ed2ef9037dff857ac4b7e87ac1b3c865",
-    "pipeline/video-level/network.svg": "6216b0c6440803e6ecbdb9f965726bcbb73cd4b44384a51af8221615626ca666",
+    "pipeline/video-level/network.svg": "52b52cc2ec1c0bf0a648106c6b74ed58a2e7ff738f51488adf964587ef58642f",
     "pipeline/video-level/network.dot": "e2008ded28ddd78c0ccdf6b175626ac177d292d04476c09956461551c16f5f6b",
     "pipeline/video-level/conflicts.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "pipeline/proximal/ledger.csv": "e27bf01bf1fcda8b0f9935ad8562cb7472adc7e39e8bff84d615359d999a10f0",
     "pipeline/proximal/matrix.csv": "970204b96e513aea81c2b0c1e5e850e8ba70e98666bd91abe21a8dd5c4bfb1ce",
     "pipeline/proximal/report.json": "be19ea62b5138c7f1c79f256540969342450da628b8ffe313cd88fa500cca0ff",
-    "pipeline/proximal/network.svg": "fcbab3f1ae08ea89c589eb5e2fdf9c4826b22cbf723b0c8df049906a0ad9810c",
+    "pipeline/proximal/network.svg": "006c999ed2da032b3ce61eaf1491306f8c1986ced9e9da753910572bd541796f",
     "pipeline/proximal/network.dot": "67d43432a1e60ce916341ed2845349759a4151ac47be035937f37bf1ec8b6b01",
     "pipeline/proximal/conflicts.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "network/report.json": "c4ee3708058a149ee5616f5b5a3fe31785e3eeef57f9e5becc7f7fb24d2f1814",
-    "layout/network.svg": "a3201a96d0441925611aa639a8406fbafbd7992d68f437e1fddb1ec7355df5d9",
+    "layout/network.svg": "d01f93b388b005dff96a9e60bbd86c766d346ee0a7a2262a8ce0738061e2d208",
     "layout/network.dot": "396adbb75241d9ff38870a8a3d562c20522e67132a861a4b0b9d4ce5475ad83d",
-    "layout/n96/network.svg": "78a88de1e7dae3e11534e34a58c236c2bda22d804696f32f01e5d4ccd4884c54",
-    "layout/n160/network.svg": "ca4a264484faa0821bc310c34611c4e91add5986daf3562291c47dcc872632a1",
+    "layout/n96/network.svg": "7bce11a6fc07e4150e9251bdc95143764782a3f5ca42135b9080e93e6976bd3d",
+    "layout/n160/network.svg": "1b0fb155ede60f21a0b55292680e44aa4b69c0026d383e32ec13b111a6f710f3",
     "network/n96/report.json": "e1a6bcf289c14c503dedc36764c069ee97302f2ab68c1435dbdd6a8011d8d81b",
     "eval-det/hand.json": "7654eb3e26523ab90969a4e0ca7675d2ded199297f3169bdac5b826a695ac8f6",
     "eval-det/noisy.json": "38c67e95906bf80f1b3f8bbea9f3506b1161cf130143f9c9f29c691af203f7ed",

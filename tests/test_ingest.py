@@ -958,8 +958,19 @@ _FRAMING_ERRORS = [
         _track_text(identity={"name": "Zed", "confidence": 0.9}),
         "tracks line 1: unknown individual 'Zed' in identity",
     ),
-    ("report-degree-float", parse_report, _report_text(2.9), "report: expected an integer, got 2.9"),
-    ("report-degree-bool", parse_report, _report_text(True), "report: expected an integer, got True"),
+    ("report-no-density", parse_report, "{}", "report: needs 'density'"),
+    (
+        "report-no-degree", parse_report, _report_text().replace('"degree": 1, ', ""),
+        "report: individual 0: needs 'degree'",
+    ),
+    (
+        "report-degree-float", parse_report, _report_text(2.9),
+        "report: individual 0: degree: expected an integer, got 2.9",
+    ),
+    (
+        "report-degree-bool", parse_report, _report_text(True),
+        "report: individual 0: degree: expected an integer, got True",
+    ),
     # strings are JSON strings, never the text of a list or an object
     (
         "gt-category-name-list", parse_ground_truth,

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import math
+import statistics
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troopnet import layout
-from troopnet.ingest import AssociationMatrix
+from troopnet import bundled, layout, synth
+from troopnet.association import count_occurrences, simple_ratio_matrix
+from troopnet.geometry import ProximityParams
+from troopnet.ingest import AssociationMatrix, OccurrenceLedger
 from troopnet.layout import GemParams, gem_layout, render_dot, render_svg
 from troopnet.network import network_report
 from troopnet.rng import Rng
+from troopnet.tracking import Identity, tracks_to_ledger
 
 from conftest import matrix_from_dyads
 
@@ -47,7 +52,7 @@ SQUARE = matrix_from_dyads(
 def test_gem_params_defaults():
     params = GemParams()
     assert params.desired_edge_length == 128.0
-    assert params.max_rounds_factor == 40
+    assert params.max_rounds_factor == 6
     assert params.stop_temperature_fraction == 1.0 / 50.0
 
 
@@ -300,6 +305,137 @@ def test_network_and_layout_derive_the_edge_lists_once(visit_path):
         render_svg(m, placed, report)
         render_dot(m, report)
     assert builds.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# layout quality: stress against hop distances, and the rounds the schedule runs
+
+
+def _ledger_matrix(seed, individuals, matrilines, videos):
+    """The video-level SRI matrix of a ledger synth samples from its latent weights."""
+    roster, weights = synth.generate_troop(seed, individuals, matrilines)
+    scenario = synth.SynthScenario(roster, weights, OccurrenceLedger([]), {})
+    ledger = synth.sample_ledger(scenario, videos, seed)
+    return simple_ratio_matrix(count_occurrences(ledger), roster.names)
+
+
+def _proximal_matrix(seed, individuals, matrilines, videos, frames):
+    """The proximal SRI matrix of synth's true tracks, each named through the
+    ground-truth ledger: synth numbers a video's tracks in roster order."""
+    scenario, _streams = synth.build_scenario(seed, individuals, matrilines, videos, frames)
+    labelled = []
+    for entry in scenario.ground_truth_ledger.entries:
+        present = [name for name in scenario.roster.names if name in entry.present]
+        for t in scenario.ground_truth_tracks[entry.video_id]:
+            labelled.append(replace(t, identity=Identity(name=present[t.track_id], confidence=1.0)))
+    ledger, _conflicts = tracks_to_ledger(labelled, "proximal", ProximityParams(max_gap=3.0))
+    return simple_ratio_matrix(count_occurrences(ledger), scenario.roster.names)
+
+
+def _path(n):
+    names = [f"p{k:02d}" for k in range(n)]
+    return matrix_from_dyads(names, {(names[k], names[k + 1]): 0.5 for k in range(n - 1)})
+
+
+def _grid(side):
+    name = "g{}_{}".format
+    dyads = {}
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                dyads[(name(r, c), name(r, c + 1))] = 0.5
+            if r + 1 < side:
+                dyads[(name(r, c), name(r + 1, c))] = 0.5
+    return matrix_from_dyads([name(r, c) for r in range(side) for c in range(side)], dyads)
+
+
+def _hops(m):
+    """Per vertex, the hop distance to each vertex it reaches, by breadth-first search."""
+    out = []
+    for source in range(m.n):
+        dist = {source: 0}
+        queue = [source]
+        for v in queue:
+            for u, _w in m.edges[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        out.append(dist)
+    return out
+
+
+def _stress(m, placed, hops):
+    """Kamada & Kawai's stress of a layout: over connected pairs, the mean of
+    ((s * d - t) / t)^2 with d the layout distance, t the hop distance and
+    s = sum(d / t) / sum(d^2 / t^2), the scale that minimises it."""
+    pairs = [
+        (math.dist(placed.positions[m.names[i]], placed.positions[m.names[j]]), t)
+        for i in range(m.n)
+        for j, t in hops[i].items()
+        if j > i
+    ]
+    s = math.fsum(d / t for d, t in pairs) / math.fsum((d / t) ** 2 for d, t in pairs)
+    return math.fsum(((s * d - t) / t) ** 2 for d, t in pairs) / len(pairs)
+
+
+# graph -> (builder, layout seeds), at default GemParams; n = 160 takes two seeds to keep the suite quick
+_STRESS_GRAPHS = {
+    "bundled": (bundled.load_troop_matrix, range(8)),
+    "video-40": (lambda: _ledger_matrix(7, 42, 6, 40), range(8)),
+    "proximal-24": (lambda: _proximal_matrix(5, 24, 1, 5, 20), range(8)),
+    "path-20": (lambda: _path(20), range(8)),
+    "grid-6x6": (lambda: _grid(6), range(8)),
+    "n160": (lambda: _ledger_matrix(61, 160, 16, 320), range(2)),
+}
+
+
+# (median, maximum) stress over each graph's seeds, measured with the code
+# above on the per-vertex adaptive cooling that the one schedule replaced,
+# at its default budget of 40 n rounds
+_ADAPTIVE_STRESS = {
+    "bundled": (0.11156, 0.12876),
+    "video-40": (0.14381, 0.14682),
+    "proximal-24": (0.11922, 0.12097),
+    "path-20": (0.046307, 0.047487),
+    "grid-6x6": (0.022176, 0.022297),
+    "n160": (0.18806, 0.18826),
+}
+
+
+@pytest.mark.parametrize("graph", list(_STRESS_GRAPHS))
+def test_layout_stress_no_worse_than_adaptive_cooling(graph):
+    build, seeds = _STRESS_GRAPHS[graph]
+    m = build()
+    hops = _hops(m)
+    stresses = [_stress(m, gem_layout(m, seed=seed), hops) for seed in seeds]
+    median, worst = _ADAPTIVE_STRESS[graph]
+    assert statistics.median(stresses) <= 1.02 * median
+    assert max(stresses) <= 1.05 * worst
+
+
+def _scheduled_rounds(n, params=GemParams()):
+    """The first round r that leaves the temperature, E * (1 - r / ramp), below
+    the stop fraction of E: the closed form of the rounds a layout runs."""
+    ramp = params.max_rounds_factor * n * 5 / 8
+    return math.floor(ramp * (1.0 - params.stop_temperature_fraction)) + 1
+
+
+def test_rounds_depend_only_on_the_vertex_count():
+    dense = _random_graph(20, 5, p=0.6)
+    rounds = {gem_layout(m, seed=seed).rounds_used for m, seed in ((_path(20), 0), (dense, 3))}
+    assert rounds == {_scheduled_rounds(20)} == {74}
+
+
+@pytest.mark.parametrize(
+    ("build", "factor"),
+    [(bundled.load_troop_matrix, 6), (lambda: _random_graph(48, 3), 2)],
+    ids=["bundled-6n", "random48-2n"],
+)
+def test_stop_fraction_below_the_floor_runs_exactly_the_cap(build, factor):
+    # the temperature never falls below E/128, so a stop at E/256 never fires
+    m = build()
+    params = GemParams(max_rounds_factor=factor, stop_temperature_fraction=1.0 / 256.0)
+    assert gem_layout(m, params, seed=1).rounds_used == factor * m.n
 
 
 # ---------------------------------------------------------------------------
