@@ -1134,6 +1134,64 @@ _FRAMING_ERRORS = [
         "line 2: malformed JSON: Exceeds the limit (4300 digits) for integer string conversion: "
         "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit",
     ),
+    # ground-truth records: ids, references, bounds and a category or label
+    (
+        "gt-category-no-name", parse_ground_truth, json.dumps({"categories": [{"id": 7}], "images": []}),
+        "ground truth: category 0: needs 'id' and 'name'",
+    ),
+    (
+        "gt-image-no-id", parse_ground_truth, json.dumps({"images": [{"width": 10, "height": 10}]}),
+        "ground truth: image 0: missing 'id'",
+    ),
+    (
+        "gt-image-id-duplicate", parse_ground_truth,
+        json.dumps({"images": [{"id": 1, "width": 10, "height": 10}, {"id": 1, "width": 10, "height": 10}]}),
+        "ground truth: image 1: duplicate image id 1",
+    ),
+    (
+        "gt-annotation-image-id-unknown", parse_ground_truth, _gt_text({}, {"image_id": 2}),
+        "ground truth: annotation 0: unknown image_id 2",
+    ),
+    (
+        "gt-annotation-category-id-unknown", parse_ground_truth, _gt_text({}, {"category_id": 3}),
+        "ground truth: annotation 0: unknown category_id 3",
+    ),
+    (
+        "gt-bbox-outside-image", parse_ground_truth, _gt_text({}, {"bbox": [5, 5, 6, 1]}),
+        "ground truth: annotation 0: bbox exceeds image bounds (10.0x10.0)",
+    ),
+    (
+        "gt-annotation-no-category-or-label", parse_ground_truth,
+        json.dumps({"images": [{"id": 1, "width": 10, "height": 10}],
+                    "annotations": [{"image_id": 1, "bbox": [0, 0, 1, 1]}]}),
+        "ground truth: annotation 0: needs 'category_id' or 'label'",
+    ),
+    # matrix headers and rows
+    ("matrix-header-no-names", parse_association_matrix, "corner\n", "matrix: header row has no names"),
+    (
+        "matrix-header-empty-name", parse_association_matrix, ",A,,B\nA,,,0.5\n,,,\nB,0.5,,\n",
+        "matrix: header contains an empty name",
+    ),
+    (
+        "matrix-row-out-of-order", parse_association_matrix, ",A,B\nB,,0.5\nA,0.5,\n",
+        "matrix row 2: expected name 'A' (header order), got 'B'",
+    ),
+    (
+        "matrix-row-too-long", parse_association_matrix, ",A,B\nA,,0.5,0.1\nB,0.5,\n",
+        "matrix row 2: more cells than names",
+    ),
+    (
+        "matrix-diagonal-nonzero", parse_association_matrix, ",A,B\nA,0.5,0.5\nB,0.5,\n",
+        "matrix row 2: nonzero diagonal value 0.5",
+    ),
+    (
+        "pair-cell-one-name-twice", parse_pair_ledger, 'video_id,pair\nv1,"A,A"\n',
+        "pair ledger line 2: pair cell must join two distinct names",
+    ),
+    (
+        "stream-detections-object", _parse_stream, '{"frame_index": 0, "detections": {}}\n',
+        "line 1: detections must be a list",
+    ),
 ]
 
 
