@@ -5,9 +5,14 @@ COCO-style ground truth, per-frame detection streams, occurrence ledgers
 (one OccurrenceLedger type for both association modes, in a presence and a
 pair format), association matrices, track files, report JSON and
 identification samples (parse_id_samples). All text is UTF-8 with LF line
-endings; every parser rejects bad input with the offending record or line
-named, and writers are deterministic so identical data always produces
+endings, and writers are deterministic so identical data always produces
 identical bytes.
+
+Every parser rejects bad input one way. A field check raises ValueError
+naming the field, given as its what argument ("score: expected a number,
+got '1'"), and the parser adds the record's place once, through _raise_at,
+nesting for sub-records ("line 3: detection 1: score: ..."). The CLI then
+prefixes the file, so a message reads <file>: <record>: <field>: <problem>.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .geometry import BBox
 
@@ -66,43 +71,43 @@ _PAIR_LEDGER_HEADER = ("video_id", "pair")
 
 MIRROR_TOLERANCE = 1e-9  # max allowed disagreement between mirror cells
 SYMMETRY_TOLERANCE = 1e-12
+_BLANK = " \t\r\n"  # JSON's whitespace: a JSON-lines line or a matrix cell of only these is blank
 
 
 class ParseError(ValueError):
     """Input file violates its format; the message names the locus."""
 
 
-def _num(x) -> float:
+def _raise_at(place: str, exc: Exception) -> NoReturn:
+    """Raise exc as a ParseError at place, as in "line 3: ...". A sub-record's
+    ParseError is a ValueError, so the record around it places it again."""
+    raise ParseError(f"{place}: {exc}") from None
+
+
+def _num(x, what: str = "") -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"expected a number, got {x!r}")
+        raise ValueError(f"{what}expected a number, got {x!r}")
     try:
         return float(x)
     except OverflowError:  # an integer beyond float range
-        raise ValueError("expected a number, got an integer too large for a float") from None
+        raise ValueError(f"{what}expected a number, got an integer too large for a float") from None
 
 
-def _field_num(x, field: str, locus: str) -> float:
-    try:
-        return _num(x)
-    except ValueError as exc:
-        raise ParseError(f"{locus}: {field}: {exc}") from None
-
-
-def _bbox(raw, locus: str) -> BBox:
+def _bbox(raw) -> BBox:
     """A bbox field [x, y, w, h]; a bad number is named by its index."""
     if not isinstance(raw, list) or len(raw) != 4:
-        raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
+        raise ValueError("bbox must be [x, y, w, h]")
     try:
         return BBox(*map(_num, raw))
-    except ValueError as exc:
+    except ValueError:
         for k, v in enumerate(raw):  # raises for the first side that is no number
-            _field_num(v, f"bbox[{k}]", locus)
-        raise ParseError(f"{locus}: {exc}") from None
+            _num(v, f"bbox[{k}]: ")
+        raise  # the box rule's own error
 
 
-def _int(x) -> int:
+def _int(x, what: str = "") -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected an integer, got {x!r}")
+        raise ValueError(f"{what}expected an integer, got {x!r}")
     return x
 
 
@@ -124,24 +129,36 @@ def _object(x, what: str) -> dict:
     return x
 
 
-def _key(obj: dict, key: str, what: str):
-    """obj[key]; what prefixes the error for a missing key, as in "track " or "individual 0: "."""
+def _key(obj: dict, key: str, what: str = ""):
+    """obj[key], or an error naming the missing key."""
     if key not in obj:
         raise ValueError(f"{what}needs {key!r}")
     return obj[key]
 
 
-def _cell_number(cell: str, convert):
-    """convert(cell), refusing the digit-group underscores and non-ASCII digits int() and float() allow."""
-    if "_" in cell or not cell.isascii():
-        raise ValueError(f"not a plain number: {cell!r}")
-    return convert(cell)
+def _cell_number(cell: str, convert, what: str = ""):
+    """convert(cell), convert being int or float, refusing the digit-group
+    underscores and non-ASCII digits they allow."""
+    if "_" not in cell and cell.isascii():
+        try:
+            return convert(cell)
+        except ValueError:
+            pass
+    raise ValueError(f"{what}{cell!r} is not {'an integer' if convert is int else 'a number'}")
 
 
-def _check_id(x, locus: str, what: str) -> None:
+def _check_id(x, what: str) -> int | str:
     """Record ids are JSON integers or strings, never lists, objects or bools."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ParseError(f"{locus}: {what} must be an integer or a string, got {x!r}")
+        raise ValueError(f"{what} must be an integer or a string, got {x!r}")
+    return x
+
+
+def _on_roster(name: str, roster: Roster | None, where: str = "") -> str:
+    """name, refused unless roster is None or holds it; where ends the error, as in " in identity"."""
+    if roster is not None and name not in roster:
+        raise ValueError(f"unknown individual {name!r}{where}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +173,7 @@ def _loads(text: str, locus: str):
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-        raise ParseError(f"{locus}: malformed JSON: {exc}") from None
+        _raise_at(f"{locus}: malformed JSON", exc)
 
 
 def _csv_records(data: str | bytes, what: str):
@@ -169,7 +186,7 @@ def _csv_records(data: str | bytes, what: str):
     try:
         yield from reader
     except csv.Error as exc:
-        raise ParseError(f"{what} line {reader.line_num}: {exc}") from None
+        _raise_at(f"{what} line {reader.line_num}", exc)
 
 
 def _csv_rows(data: str | bytes, what: str, header: tuple[str, ...]):
@@ -195,12 +212,12 @@ def _json_lines(data: str | bytes, prefix: str):
 
     Lines end at "\n" only: U+2028, U+2029 and U+0085 may stand unescaped
     inside a JSON string, and the writers leave them so. A CRLF line keeps
-    its "\r", which JSON reads as whitespace. Line numbers count from 1,
-    blank lines included. A line that is not JSON raises ParseError
-    located as prefix + "line N".
+    its "\r", which JSON reads as whitespace. A line of only JSON whitespace
+    is blank; any other must be JSON, or ParseError is raised located as
+    prefix + "line N". Line numbers count from 1, blank lines included.
     """
     for lineno, line in enumerate(_text(data).split("\n"), start=1):
-        if line.strip():
+        if line.strip(_BLANK):
             yield lineno, _loads(line, f"{prefix}line {lineno}")
 
 
@@ -272,20 +289,15 @@ def parse_roster(text: str | bytes) -> Roster:
     """
     individuals = []
     for lineno, (name, sex, age_cell) in _csv_rows(text, "roster", _ROSTER_HEADER):
-        age = None
-        if age_cell != "":
-            try:
-                age = _cell_number(age_cell, int)
-            except ValueError:
-                raise ParseError(f"roster line {lineno}: age_years {age_cell!r} is not an integer") from None
         try:
+            age = None if age_cell == "" else _cell_number(age_cell, int, "age_years ")
             individuals.append(Individual(name=name, sex=sex, age_years=age))
         except ValueError as exc:
-            raise ParseError(f"roster line {lineno}: {exc}") from None
+            _raise_at(f"roster line {lineno}", exc)
     try:
         return Roster(individuals)
     except ValueError as exc:
-        raise ParseError(f"roster: {exc}") from None
+        _raise_at("roster", exc)
 
 
 def write_roster(roster: Roster) -> str:
@@ -314,85 +326,82 @@ def parse_ground_truth(data: str | bytes) -> dict[str, dict[int, list[BBox]]]:
     no boxes.
     """
     doc = _loads(_text(data), "ground truth")
-    if not isinstance(doc, dict):
-        raise ParseError("ground truth: top level must be a JSON object")
-
     try:
+        if not isinstance(doc, dict):
+            raise ValueError("top level must be a JSON object")
         cats, imgs, anns = (_list(doc.get(key, []), key) for key in ("categories", "images", "annotations"))
+
+        categories = set()
+        for i, cat in enumerate(cats):
+            try:
+                if not isinstance(cat, dict) or "id" not in cat or "name" not in cat:
+                    raise ValueError("needs 'id' and 'name'")
+                if _check_id(cat["id"], "'id'") in categories:
+                    raise ValueError(f"duplicate category id {cat['id']}")
+                _str(cat["name"], "name")
+            except ValueError as exc:
+                _raise_at(f"category {i}", exc)
+            categories.add(cat["id"])
+
+        videos: dict[str, dict[int, list[BBox]]] = {}
+        by_id: dict[int | str, tuple[float, float, list[BBox]]] = {}  # image id -> width, height, its frame's boxes
+        owners: dict[tuple[str, int], int | str] = {}  # (video_id, frame_index) -> image id
+        for i, rec in enumerate(imgs):
+            place = f"image {i}"
+            try:
+                if not isinstance(rec, dict) or "id" not in rec:
+                    raise ValueError("missing 'id'")
+                img_id = _check_id(rec["id"], "'id'")
+                if img_id in by_id:
+                    raise ValueError(f"duplicate image id {img_id}")
+                place = f"image {i} (id {img_id})"
+                try:
+                    width = _num(rec["width"])
+                    height = _num(rec["height"])
+                except (KeyError, ValueError):
+                    raise ValueError("needs numeric 'width' and 'height'") from None
+                if not (0 < width < math.inf and 0 < height < math.inf):  # also rejects NaN
+                    raise ValueError(f"dimensions must be positive and finite, got {width}x{height}")
+                if "frame_index" not in rec and not isinstance(img_id, int):
+                    place = f"image {i}"  # the id's fault, so the id is not repeated
+                    raise ValueError(f"needs 'frame_index' (image id {img_id!r} is not an integer)")
+                frame_index = rec.get("frame_index", img_id)
+                if isinstance(frame_index, bool) or not isinstance(frame_index, int):
+                    raise ValueError("frame_index must be an integer")
+                video_id = _str(rec.get("video_id", ""), "video_id")
+                owner = owners.setdefault((video_id, frame_index), img_id)
+                if owner != img_id:
+                    raise ValueError(f"video {video_id!r} frame {frame_index} already belongs to image id {owner!r}")
+            except ValueError as exc:
+                _raise_at(place, exc)
+            boxes = videos.setdefault(video_id, {})[frame_index] = []
+            by_id[img_id] = (width, height, boxes)
+
+        for i, rec in enumerate(anns):
+            try:
+                if not isinstance(rec, dict):
+                    raise ValueError("not an object")
+                if "image_id" in rec:
+                    _check_id(rec["image_id"], "image_id")
+                img = by_id.get(rec.get("image_id"))
+                if img is None:
+                    raise ValueError(f"unknown image_id {rec.get('image_id')!r}")
+                width, height, boxes = img
+                box = _bbox(rec.get("bbox"))
+                if box.x < 0 or box.y < 0 or box.x + box.w > width or box.y + box.h > height:
+                    raise ValueError(f"bbox exceeds image bounds ({width}x{height})")
+                if "category_id" in rec:
+                    if _check_id(rec["category_id"], "category_id") not in categories:
+                        raise ValueError(f"unknown category_id {rec['category_id']!r}")
+                elif "label" in rec:
+                    _str(rec["label"], "label")
+                else:
+                    raise ValueError("needs 'category_id' or 'label'")
+            except ValueError as exc:
+                _raise_at(f"annotation {i}", exc)
+            boxes.append(box)
     except ValueError as exc:
-        raise ParseError(f"ground truth: {exc}") from None
-
-    categories = set()
-    for i, cat in enumerate(cats):
-        locus = f"ground truth: category {i}"
-        if not isinstance(cat, dict) or "id" not in cat or "name" not in cat:
-            raise ParseError(f"{locus}: needs 'id' and 'name'")
-        _check_id(cat["id"], locus, "'id'")
-        if cat["id"] in categories:
-            raise ParseError(f"{locus}: duplicate category id {cat['id']}")
-        if not isinstance(cat["name"], str):
-            raise ParseError(f"{locus}: name must be a string, got {cat['name']!r}")
-        categories.add(cat["id"])
-
-    videos: dict[str, dict[int, list[BBox]]] = {}
-    by_id: dict[int | str, tuple[float, float, list[BBox]]] = {}  # image id -> width, height, its frame's boxes
-    owners: dict[tuple[str, int], int | str] = {}  # (video_id, frame_index) -> image id
-    for i, rec in enumerate(imgs):
-        locus = f"ground truth: image {i}"
-        if not isinstance(rec, dict) or "id" not in rec:
-            raise ParseError(f"{locus}: missing 'id'")
-        img_id = rec["id"]
-        _check_id(img_id, locus, "'id'")
-        if img_id in by_id:
-            raise ParseError(f"{locus}: duplicate image id {img_id}")
-        try:
-            width = _num(rec["width"])
-            height = _num(rec["height"])
-        except (KeyError, ValueError):
-            raise ParseError(f"{locus} (id {img_id}): needs numeric 'width' and 'height'") from None
-        if not (0 < width < math.inf and 0 < height < math.inf):  # also rejects NaN
-            raise ParseError(f"{locus} (id {img_id}): dimensions must be positive and finite, got {width}x{height}")
-        if "frame_index" not in rec and not isinstance(img_id, int):
-            raise ParseError(f"{locus}: needs 'frame_index' (image id {img_id!r} is not an integer)")
-        try:
-            frame_index = _int(rec.get("frame_index", img_id))
-        except ValueError:
-            raise ParseError(f"{locus} (id {img_id}): frame_index must be an integer") from None
-        video_id = rec.get("video_id", "")
-        if not isinstance(video_id, str):
-            raise ParseError(f"{locus} (id {img_id}): video_id must be a string, got {video_id!r}")
-        owner = owners.setdefault((video_id, frame_index), img_id)
-        if owner != img_id:
-            raise ParseError(
-                f"{locus} (id {img_id}): video {video_id!r} frame {frame_index} already belongs to image id {owner!r}"
-            )
-        boxes = videos.setdefault(video_id, {})[frame_index] = []
-        by_id[img_id] = (width, height, boxes)
-
-    for i, rec in enumerate(anns):
-        locus = f"ground truth: annotation {i}"
-        if not isinstance(rec, dict):
-            raise ParseError(f"{locus}: not an object")
-        if "image_id" in rec:
-            _check_id(rec["image_id"], locus, "image_id")
-        img = by_id.get(rec.get("image_id"))
-        if img is None:
-            raise ParseError(f"{locus}: unknown image_id {rec.get('image_id')!r}")
-        width, height, boxes = img
-        box = _bbox(rec.get("bbox"), locus)
-        if box.x < 0 or box.y < 0 or box.x + box.w > width or box.y + box.h > height:
-            raise ParseError(f"{locus}: bbox exceeds image bounds ({width}x{height})")
-        if "category_id" in rec:
-            _check_id(rec["category_id"], locus, "category_id")
-            if rec["category_id"] not in categories:
-                raise ParseError(f"{locus}: unknown category_id {rec['category_id']!r}")
-        elif "label" in rec:
-            if not isinstance(rec["label"], str):
-                raise ParseError(f"{locus}: label must be a string, got {rec['label']!r}")
-        else:
-            raise ParseError(f"{locus}: needs 'category_id' or 'label'")
-        boxes.append(box)
-
+        _raise_at("ground truth", exc)
     return videos
 
 
@@ -426,7 +435,7 @@ class DetectionStream:
         return sum(len(f.detections) for f in self.frames)
 
 
-def _class_scores(raw, locus: str, roster: Roster | None) -> dict[str, float]:
+def _class_scores(raw, roster: Roster | None) -> dict[str, float]:
     """The one class-score check: a non-empty object of numbers in [0, 1], names in the roster if given.
 
     An object of floats that passes as a whole is returned as it is, not
@@ -439,37 +448,36 @@ def _class_scores(raw, locus: str, roster: Roster | None) -> dict[str, float]:
         if {*map(type, values)} == {float} and 0.0 <= min(values) and max(values) <= 1.0:
             if not math.isnan(sum(values)):
                 return raw
-    return _class_scores_by_name(raw, locus, roster)
+    return _class_scores_by_name(raw, roster)
 
 
-def _class_scores_by_name(raw, locus: str, roster: Roster | None) -> dict[str, float]:
+def _class_scores_by_name(raw, roster: Roster | None) -> dict[str, float]:
     if not isinstance(raw, dict) or not raw:
-        raise ParseError(f"{locus}: class_scores must be a non-empty object")
+        raise ValueError("class_scores must be a non-empty object")
     scores = {}
     for name, value in raw.items():
-        if roster is not None and name not in roster:
-            raise ParseError(f"{locus}: unknown individual {name!r} in class_scores")
-        v = _field_num(value, f"class_scores[{name!r}]", locus)
+        _on_roster(name, roster, " in class_scores")
+        v = _num(value, f"class_scores[{name!r}]: ")
         if not 0.0 <= v <= 1.0:  # also rejects NaN
-            raise ParseError(f"{locus}: class_scores[{name!r}] = {v} outside [0, 1]")
+            raise ValueError(f"class_scores[{name!r}] = {v} outside [0, 1]")
         scores[name] = v
     return scores
 
 
-def _parse_detection(obj, frame_index: int | None, locus: str, roster: Roster | None) -> Detection:
+def _parse_detection(obj, frame_index: int | None, roster: Roster | None) -> Detection:
     """One detection record: bbox [x, y, w, h], score in [0, 1], optional class_scores.
 
     The fields are checked in that order, and the first bad one is named.
     Integers are converted to floats.
     """
     if not isinstance(obj, dict):
-        raise ParseError(f"{locus}: not an object")
-    box = _bbox(obj.get("bbox"), locus)
-    score = _field_num(obj.get("score"), "score", locus)
+        raise ValueError("not an object")
+    box = _bbox(obj.get("bbox"))
+    score = _num(obj.get("score"), "score: ")
     if not 0.0 <= score <= 1.0:
-        raise ParseError(f"{locus}: score {score} outside [0, 1]")
+        raise ValueError(f"score {score} outside [0, 1]")
     raw_scores = obj.get("class_scores")
-    class_scores = None if raw_scores is None else _class_scores(raw_scores, locus, roster)
+    class_scores = None if raw_scores is None else _class_scores(raw_scores, roster)
     return Detection(frame_index, box, score, class_scores)
 
 
@@ -486,19 +494,23 @@ def parse_detection_stream(data: str | bytes, video_id: str, roster: Roster | No
     prev_index = None
     for lineno, obj in _json_lines(data, ""):
         try:
-            index = _int(obj["frame_index"])
-        except (KeyError, TypeError, ValueError):  # TypeError: obj is not an object
-            raise ParseError(f"line {lineno}: needs integer 'frame_index'") from None
-        if prev_index is not None and index <= prev_index:
-            raise ParseError(f"line {lineno}: frame_index {index} not greater than previous {prev_index}")
+            index = obj.get("frame_index") if isinstance(obj, dict) else None
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise ValueError("needs integer 'frame_index'")
+            if prev_index is not None and index <= prev_index:
+                raise ValueError(f"frame_index {index} not greater than previous {prev_index}")
+            raw_dets = obj.get("detections", [])
+            if not isinstance(raw_dets, list):
+                raise ValueError("detections must be a list")
+            detections = []
+            for k, d in enumerate(raw_dets):  # k is formatted only for a bad detection
+                try:
+                    detections.append(_parse_detection(d, index, roster))
+                except ValueError as exc:
+                    _raise_at(f"detection {k}", exc)
+        except ValueError as exc:
+            _raise_at(f"line {lineno}", exc)
         prev_index = index
-        raw_dets = obj.get("detections", [])
-        if not isinstance(raw_dets, list):
-            raise ParseError(f"line {lineno}: detections must be a list")
-        detections = [
-            _parse_detection(d, index, f"line {lineno}: detection {k}", roster)
-            for k, d in enumerate(raw_dets)
-        ]
         frames.append(Frame(frame_index=index, detections=detections))
     return DetectionStream(video_id=video_id, frames=frames)
 
@@ -564,14 +576,13 @@ def parse_occurrence_ledger(text: str | bytes, roster: Roster | None = None) -> 
     entries = []
     seen = set()
     for lineno, (video_id, cell) in _csv_rows(text, "ledger", _LEDGER_HEADER):
-        if video_id in seen:
-            raise ParseError(f"ledger line {lineno}: duplicate video_id {video_id!r}")
+        try:
+            if video_id in seen:
+                raise ValueError(f"duplicate video_id {video_id!r}")
+            names = [_on_roster(p, roster) for p in cell.split(",") if p != ""]
+        except ValueError as exc:
+            _raise_at(f"ledger line {lineno}", exc)
         seen.add(video_id)
-        names = [p for p in cell.split(",") if p != ""]
-        if roster is not None:
-            for name in names:
-                if name not in roster:
-                    raise ParseError(f"ledger line {lineno}: unknown individual {name!r}")
         entries.append(LedgerEntry(video_id=video_id, records=(frozenset(names),) if names else ()))
     return OccurrenceLedger(entries)
 
@@ -592,12 +603,13 @@ def parse_pair_ledger(text: str | bytes, roster: Roster | None = None) -> Occurr
     pairs_by_video: dict[str, set] = {}  # videos in order of first row
     for lineno, (video_id, cell) in _csv_rows(text, "pair ledger", _PAIR_LEDGER_HEADER):
         names = cell.split(",")
-        if len(names) != 2 or not all(names) or names[0] == names[1]:
-            raise ParseError(f"pair ledger line {lineno}: pair cell must join two distinct names")
-        if roster is not None:
+        try:
+            if len(names) != 2 or not all(names) or names[0] == names[1]:
+                raise ValueError("pair cell must join two distinct names")
             for name in names:
-                if name not in roster:
-                    raise ParseError(f"pair ledger line {lineno}: unknown individual {name!r}")
+                _on_roster(name, roster)
+        except ValueError as exc:
+            _raise_at(f"pair ledger line {lineno}", exc)
         pairs_by_video.setdefault(video_id, set()).add(tuple(sorted(names)))
     entries = [
         LedgerEntry(video_id=video_id, records=tuple(map(frozenset, sorted(pairs))))
@@ -699,23 +711,24 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
 
     raw = np.zeros((n, n))
     for i, row in enumerate(rows[1:]):
-        if row[0] != names[i]:
-            raise ParseError(f"matrix row {i + 2}: expected name {names[i]!r} (header order), got {row[0]!r}")
-        cells = row[1:]
-        if len(cells) > n and any(cell != "" for cell in cells[n:]):
-            raise ParseError(f"matrix row {i + 2}: more cells than names")
-        for j, cell in enumerate(cells[:n]):
-            if cell.strip() == "":
-                continue
-            try:
+        j = None  # the column of the cell being read; a fault of the row as a whole has none
+        try:
+            if row[0] != names[i]:
+                raise ValueError(f"expected name {names[i]!r} (header order), got {row[0]!r}")
+            if any(cell != "" for cell in row[n + 1 :]):
+                raise ValueError("more cells than names")
+            for j, cell in enumerate(row[1 : n + 1]):
+                if not cell.strip(_BLANK):
+                    continue
                 v = _cell_number(cell, float)
-            except ValueError:
-                raise ParseError(f"matrix row {i + 2}, column {names[j]!r}: {cell!r} is not a number") from None
-            if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise ParseError(f"matrix row {i + 2}, column {names[j]!r}: value {v} outside [0, 1]")
-            if i == j and v != 0.0:
-                raise ParseError(f"matrix row {i + 2}: nonzero diagonal value {v}")
-            raw[i, j] = v
+                if not math.isfinite(v) or not 0.0 <= v <= 1.0:
+                    raise ValueError(f"value {v} outside [0, 1]")
+                if i == j and v != 0.0:
+                    j = None
+                    raise ValueError(f"nonzero diagonal value {v}")
+                raw[i, j] = v
+        except ValueError as exc:
+            _raise_at(f"matrix row {i + 2}" + ("" if j is None else f", column {names[j]!r}"), exc)
 
     clash = (raw > 0.0) & (raw.T > 0.0) & (np.abs(raw - raw.T) > MIRROR_TOLERANCE)
     if clash.any():
@@ -726,7 +739,7 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
     try:
         return AssociationMatrix(names=names, values=np.maximum(raw, raw.T))
     except ValueError as exc:
-        raise ParseError(f"matrix: {exc}") from None
+        _raise_at("matrix", exc)
 
 
 def write_matrix(m: AssociationMatrix) -> str:
@@ -767,12 +780,13 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
             obj = _object(obj, "track")
             observations = []
             for k, o in enumerate(_list(_key(obj, "observations", "track "), "observations")):
-                # the detection's own fields are checked first, then its frame_index
-                det = _parse_detection(o, None, f"tracks line {lineno}: observation {k}", roster)
                 try:
-                    det.frame_index = _int(o.get("frame_index"))
-                except ValueError:
-                    raise ValueError(f"observation {k}: needs integer frame_index") from None
+                    det = _parse_detection(o, None, roster)  # the detection's own fields first, then its frame_index
+                    det.frame_index = o.get("frame_index")
+                    if isinstance(det.frame_index, bool) or not isinstance(det.frame_index, int):
+                        raise ValueError("needs integer frame_index")
+                except ValueError as exc:
+                    _raise_at(f"observation {k}", exc)
                 observations.append(det)
             identity = None
             if obj.get("identity") is not None:
@@ -784,8 +798,7 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
                 Individual(identity.name)  # a roster name's rules: non-empty, no comma
                 if not 0.0 <= identity.confidence <= 1.0:  # also rejects NaN
                     raise ValueError(f"identity confidence {identity.confidence} outside [0, 1]")
-                if roster is not None and identity.name not in roster:
-                    raise ValueError(f"unknown individual {identity.name!r} in identity")
+                _on_roster(identity.name, roster, " in identity")
             tracks.append(
                 Track(
                     track_id=_int(_key(obj, "track_id", "track ")),
@@ -795,9 +808,7 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
                 )
             )
         except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(f"tracks line {lineno}: {exc}") from None
+            _raise_at(f"tracks line {lineno}", exc)
     return tracks
 
 
@@ -817,19 +828,14 @@ def parse_id_samples(data: str | bytes, roster: Roster) -> list:
 
     samples = []
     for lineno, rec in _json_lines(data, "samples "):
-        locus = f"samples line {lineno}"
-        if not isinstance(rec, dict) or "class_scores" not in rec or "true_label" not in rec:
-            raise ParseError(f"{locus}: needs 'class_scores' and 'true_label'")
-        scores = _class_scores(rec["class_scores"], locus, roster)
-        label = rec["true_label"]
-        if not isinstance(label, str):
-            raise ParseError(f"{locus}: true_label must be a string, got {label!r}")
-        if label not in roster:
-            raise ParseError(f"{locus}: unknown individual {label!r} in true_label")
         try:
+            if not isinstance(rec, dict) or "class_scores" not in rec or "true_label" not in rec:
+                raise ValueError("needs 'class_scores' and 'true_label'")
+            scores = _class_scores(rec["class_scores"], roster)
+            label = _on_roster(_str(rec["true_label"], "true_label"), roster, " in true_label")
             samples.append(IdSample(class_scores=scores, true_label=label))
         except ValueError as exc:
-            raise ParseError(f"{locus}: {exc}") from None
+            _raise_at(f"samples line {lineno}", exc)
     if not samples:
         raise ParseError("samples file contains no samples")
     return samples
@@ -867,40 +873,31 @@ def write_report(report) -> str:
 def parse_report(data: str | bytes):
     from .network import IndividualMeasures, NetworkReport
 
-    obj = _loads(_text(data), "report")
-    if not isinstance(obj, dict):
-        raise ParseError("report: top level must be a JSON object")
-
-    def field(o: dict, key: str, convert, locus: str = ""):
-        """convert(o[key]); a bad value is named by locus and key."""
-        value = _key(o, key, locus)
-        try:
-            return convert(value)
-        except ValueError as exc:
-            raise ValueError(f"{locus}{key}: {exc}") from None
-
     def individual(k: int, ind) -> IndividualMeasures:
         ind = _object(ind, f"individual {k}")
-        locus = f"individual {k}: "
-        return IndividualMeasures(
-            name=_str(_key(ind, "name", locus), f"individual {k}: name"),
-            degree=field(ind, "degree", _int, locus),
-            strength=field(ind, "strength", _num, locus),
-            eigenvector=field(ind, "eigenvector", _num, locus),
-        )
+        try:
+            return IndividualMeasures(
+                name=_str(_key(ind, "name"), "name"),
+                degree=_int(_key(ind, "degree"), "degree: "),
+                strength=_num(_key(ind, "strength"), "strength: "),
+                eigenvector=_num(_key(ind, "eigenvector"), "eigenvector: "),
+            )
+        except ValueError as exc:
+            _raise_at(f"individual {k}", exc)
 
+    obj = _loads(_text(data), "report")
     try:
+        if not isinstance(obj, dict):
+            raise ValueError("top level must be a JSON object")
         return NetworkReport(
-            density=field(obj, "density", _num),
-            global_efficiency_binary=field(obj, "global_efficiency_binary", _num),
-            global_efficiency_weighted=field(obj, "global_efficiency_weighted", _num),
-            individuals=[
-                individual(k, ind) for k, ind in enumerate(_list(_key(obj, "individuals", ""), "individuals"))
-            ],
+            density=_num(_key(obj, "density"), "density: "),
+            global_efficiency_binary=_num(_key(obj, "global_efficiency_binary"), "global_efficiency_binary: "),
+            global_efficiency_weighted=_num(_key(obj, "global_efficiency_weighted"), "global_efficiency_weighted: "),
+            individuals=[individual(k, ind) for k, ind in enumerate(_list(_key(obj, "individuals"), "individuals"))],
             warnings=[_str(wt, f"warning {k}") for k, wt in enumerate(_list(obj.get("warnings", []), "warnings"))],
         )
     except ValueError as exc:
-        raise ParseError(f"report: {exc}") from None
+        _raise_at("report", exc)
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,9 @@ def _class_scores(names: list[str], true_name: str, confusion: float) -> dict[st
 
 
 def sample_detection_stream(
-    scenario: SynthScenario, video_id: str, n_frames: int, seed: int
+    scenario: SynthScenario, entry: LedgerEntry, n_frames: int, seed: int
 ) -> tuple[DetectionStream, list[Track]]:
-    """Render one ledger video as a detection stream plus its true tracks.
+    """Render one ledger entry's video as a detection stream plus its true tracks.
 
     Present individuals (roster order) get persistent disjoint boxes on a
     grid. Per frame and individual the draws are jitter x, jitter y, a
@@ -180,13 +180,10 @@ def sample_detection_stream(
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
-    by_id = {e.video_id: e for e in scenario.ground_truth_ledger.entries}
-    if video_id not in by_id:
-        raise ValueError(f"video {video_id!r} is not in the ground-truth ledger")
     names = scenario.roster.names
-    present = [nm for nm in names if nm in by_id[video_id].present]
+    present = [nm for nm in names if nm in entry.present]
     noise = scenario.noise
-    rng = Rng(derive_seed(seed, "detections", video_id))
+    rng = Rng(derive_seed(seed, "detections", entry.video_id))
 
     columns = max(1, math.isqrt(len(present) - 1) + 1) if present else 1
     origins = [_grid_origin(k, columns) for k in range(len(present))]
@@ -223,11 +220,11 @@ def sample_detection_stream(
         frames.append(Frame(frame_index=fi, detections=detections))
 
     tracks = [
-        Track(track_id=k, video_id=video_id, observations=obs)
+        Track(track_id=k, video_id=entry.video_id, observations=obs)
         for k, obs in enumerate(observations)
         if obs
     ]
-    return DetectionStream(video_id=video_id, frames=frames), tracks
+    return DetectionStream(video_id=entry.video_id, frames=frames), tracks
 
 
 def build_scenario(
@@ -254,7 +251,7 @@ def build_scenario(
     streams = {}
     tracks = {}
     for entry in ledger.entries:
-        stream, gt = sample_detection_stream(scenario, entry.video_id, n_frames, seed)
+        stream, gt = sample_detection_stream(scenario, entry, n_frames, seed)
         streams[entry.video_id] = stream
         tracks[entry.video_id] = gt
     scenario = replace(scenario, ground_truth_tracks=tracks)

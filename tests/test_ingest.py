@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from functools import partial
 from unittest import mock
 
@@ -1212,6 +1213,123 @@ def test_number_cells_keep_blanks_and_surrounding_spaces():
     assert matrix.values.tolist() == [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
 
+# only JSON's whitespace (space, tab, CR and LF) makes a JSON-lines line or a matrix cell blank
+_NOT_BLANK = {"no-break-space": "\xa0", "line-separator": "\u2028", "form-feed": "\f", "file-separator": "\x1c"}
+
+
+@pytest.mark.parametrize("space", _NOT_BLANK.values(), ids=_NOT_BLANK.keys())
+def test_a_line_of_other_whitespace_is_not_blank(space):
+    for parse, line, place in [
+        (_parse_stream, '{"frame_index": 0}\n', "line"),
+        (parse_tracks, _track_text(), "tracks line"),
+        (_parse_samples, '{"class_scores": {"A": 1.0}, "true_label": "A"}\n', "samples line"),
+    ]:
+        parse(line + " \t\r\n")  # a line of JSON whitespace is blank
+        with pytest.raises(ParseError) as exc:
+            parse(line + space + "\n")
+        assert str(exc.value) == f"{place} 2: malformed JSON: Expecting value: line 1 column 1 (char 0)"
+
+
+@pytest.mark.parametrize("space", _NOT_BLANK.values(), ids=_NOT_BLANK.keys())
+def test_a_matrix_cell_of_other_whitespace_is_not_a_number(space):
+    with pytest.raises(ParseError) as exc:
+        parse_association_matrix(f",A,B\nA,,{space}\nB,,\n")
+    assert str(exc.value) == f"matrix row 2, column 'B': {space!r} is not a number"
+
+
+# ---------------------------------------------------------------------------
+# well-formed records with any field replaced by any JSON value: only a
+# ParseError escapes, and it begins with the record's place
+
+
+_AB = Roster([Individual("A"), Individual("B")])
+_DETECTION = {"bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class_scores": {"A": 0.75, "B": 0.25}}
+_WELL_FORMED = {
+    # name: (parser, JSON lines or one document, the records, the place every error begins with)
+    "stream": (
+        partial(parse_detection_stream, video_id="v", roster=_AB), True,
+        [{"frame_index": 0, "detections": [_DETECTION]}, {"frame_index": 1, "detections": [_DETECTION] * 2}],
+        r"line \d+: ",
+    ),
+    "tracks": (
+        partial(parse_tracks, roster=_AB), True,
+        [
+            {"track_id": 0, "video_id": "v", "identity": {"name": "A", "confidence": 0.75},
+             "observations": [{"frame_index": 0, **_DETECTION}, {"frame_index": 1, **_DETECTION}]},
+            {"track_id": 1, "video_id": "v", "identity": None, "observations": [{"frame_index": 0, **_DETECTION}]},
+        ],
+        r"tracks line \d+: ",
+    ),
+    "samples": (
+        partial(parse_id_samples, roster=_AB), True,
+        [{"class_scores": {"A": 0.75, "B": 0.25}, "true_label": "B"}, {"class_scores": {"A": 1}, "true_label": "A"}],
+        r"samples line \d+: ",
+    ),
+    "report": (
+        parse_report, False,
+        {"density": 0.5, "global_efficiency_binary": 0.5, "global_efficiency_weighted": 0.25, "warnings": ["w"],
+         "individuals": [{"name": n, "degree": 1, "strength": 0.5, "eigenvector": 1.0} for n in "AB"]},
+        "report: ",
+    ),
+    "ground-truth": (
+        parse_ground_truth, False,
+        {
+            "categories": [{"id": 1, "name": "face"}],
+            "images": [{"id": 1, "video_id": "v", "frame_index": 0, "width": 10, "height": 10},
+                       {"id": "b", "frame_index": 1, "width": 10, "height": 10}],
+            "annotations": [{"image_id": 1, "bbox": [0, 0, 5, 5], "category_id": 1},
+                            {"image_id": "b", "bbox": [1, 1, 2, 2], "label": "face"}],
+        },
+        "ground truth: ",
+    ),
+}
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.just(10**400),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    """The path to value and to every list item and object member inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@pytest.mark.parametrize("name", _WELL_FORMED)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_only_a_parse_error_naming_the_record_escapes(name, data):
+    parse, lines, records, place = _WELL_FORMED[name]
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_paths(records))[1 if lines else 0 :]  # each line stays a line
+        records = _replaced(records, data.draw(st.sampled_from(paths)), data.draw(_JSON_VALUES))
+    text = "".join(json.dumps(r) + "\n" for r in records) if lines else json.dumps(records)
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert re.match(place, str(exc)), str(exc)
+
+
+@pytest.mark.parametrize("name", _WELL_FORMED)
+def test_the_records_fuzzed_are_well_formed(name):
+    parse, lines, records, _ = _WELL_FORMED[name]
+    parse("".join(json.dumps(r) + "\n" for r in records) if lines else json.dumps(records))
+
+
 def test_id_samples_parse_bytes_like_text():
     text = (
         '{"class_scores": {"A": 0.75, "B": 0.25}, "true_label": "B"}\n'
@@ -1253,18 +1371,15 @@ def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
 # the one detection path against the two it replaced
 
 
-def _oracle_bbox(raw, locus):
+def _oracle_bbox(raw):
     if not isinstance(raw, list) or len(raw) != 4:
-        raise ParseError(f"{locus}: bbox must be [x, y, w, h]")
-    try:
-        return BBox(ingest._num(raw[0]), ingest._num(raw[1]), ingest._num(raw[2]), ingest._num(raw[3]))
-    except ValueError as exc:
-        for k, v in enumerate(raw):
-            ingest._field_num(v, f"bbox[{k}]", locus)
-        raise ParseError(f"{locus}: {exc}") from None
+        raise ValueError("bbox must be [x, y, w, h]")
+    for k, v in enumerate(raw):
+        ingest._num(v, f"bbox[{k}]: ")
+    return BBox(ingest._num(raw[0]), ingest._num(raw[1]), ingest._num(raw[2]), ingest._num(raw[3]))
 
 
-def _oracle_detection(obj, frame_index, locus, roster):
+def _oracle_detection(obj, frame_index, roster):
     """The whole-record check and the per-field path that detection records went through before."""
     if type(obj) is dict:
         raw, score = obj.get("bbox"), obj.get("score")
@@ -1277,20 +1392,20 @@ def _oracle_detection(obj, frame_index, locus, roster):
                 and -math.inf < x + y + w + h < math.inf
             ):
                 raw_scores = obj.get("class_scores")
-                class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, locus, roster)
+                class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, roster)
                 return Detection(frame_index, BBox(x, y, w, h), score, class_scores)
-    return _oracle_detection_by_field(obj, frame_index, locus, roster)
+    return _oracle_detection_by_field(obj, frame_index, roster)
 
 
-def _oracle_detection_by_field(obj, frame_index, locus, roster):
+def _oracle_detection_by_field(obj, frame_index, roster):
     if not isinstance(obj, dict):
-        raise ParseError(f"{locus}: not an object")
-    box = _oracle_bbox(obj.get("bbox"), locus)
-    score = ingest._field_num(obj.get("score"), "score", locus)
+        raise ValueError("not an object")
+    box = _oracle_bbox(obj.get("bbox"))
+    score = ingest._num(obj.get("score"), "score: ")
     if not 0.0 <= score <= 1.0:
-        raise ParseError(f"{locus}: score {score} outside [0, 1]")
+        raise ValueError(f"score {score} outside [0, 1]")
     raw_scores = obj.get("class_scores")
-    class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, locus, roster)
+    class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, roster)
     return Detection(frame_index, box, score, class_scores)
 
 
@@ -1347,8 +1462,8 @@ def _outcome(parse, *args) -> str:
     """repr tells 1 from 1.0 and 0.0 from -0.0, which == does not."""
     try:
         return repr(parse(*args))
-    except ParseError as exc:
-        return f"ParseError: {exc}"
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @given(_score_objects, st.sampled_from([None, _ABC]))
@@ -1357,9 +1472,7 @@ def _outcome(parse, *args) -> str:
 @example({"A": 0.5, "B": 10**400}, _ABC)
 @example({"A": 0.5, "B": -0.0}, _ABC)
 def test_class_score_check_agrees_with_the_per_name_path(raw, roster):
-    assert _outcome(ingest._class_scores, raw, "d", roster) == _outcome(
-        ingest._class_scores_by_name, raw, "d", roster
-    )
+    assert _outcome(ingest._class_scores, raw, roster) == _outcome(ingest._class_scores_by_name, raw, roster)
 
 
 @given(_detection_records(), st.sampled_from([None, _ABC]))
@@ -1373,16 +1486,14 @@ def test_class_score_check_agrees_with_the_per_name_path(raw, roster):
 @example({"bbox": [0.0, 0.0, True, 1.0], "score": 0.5}, None)  # a bool is no number
 @example({"bbox": [0.0, 0.0, 1.0, 1.0], "score": False}, None)
 def test_detection_check_agrees_with_the_per_field_path(record, roster):
-    assert _outcome(ingest._parse_detection, record, 0, "d", roster) == _outcome(
-        _oracle_detection, record, 0, "d", roster
-    )
+    assert _outcome(ingest._parse_detection, record, 0, roster) == _outcome(_oracle_detection, record, 0, roster)
 
 
 def test_float_records_pass_without_the_per_field_path():
     scores = {"A": 0.25, "C": 1.0}
     record = {"bbox": [0.5, 1.0, 2.0, 3.0], "score": 0.0, "class_scores": scores}
     with mock.patch.object(ingest, "_class_scores_by_name") as by_name:
-        det = ingest._parse_detection(record, 4, "d", _ABC)
+        det = ingest._parse_detection(record, 4, _ABC)
     by_name.assert_not_called()
     assert det == Detection(4, BBox(0.5, 1.0, 2.0, 3.0), 0.0, scores)
     assert det.class_scores is scores  # json's own dict, not a copy

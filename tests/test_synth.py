@@ -187,7 +187,7 @@ def _zero_noise_scenario(seed=0, n=5, videos=4):
 def test_stream_zero_noise_is_complete_and_static():
     scenario = _zero_noise_scenario()
     entry = scenario.ground_truth_ledger.entries[0]
-    stream, tracks = sample_detection_stream(scenario, entry.video_id, 8, seed=0)
+    stream, tracks = sample_detection_stream(scenario, entry, 8, seed=0)
     n_present = len(entry.present)
     assert len(stream.frames) == 8
     for frame in stream.frames:
@@ -207,7 +207,7 @@ def test_stream_zero_noise_is_complete_and_static():
 def test_stream_class_scores_zero_confusion():
     scenario = _zero_noise_scenario()
     entry = scenario.ground_truth_ledger.entries[0]
-    stream, tracks = sample_detection_stream(scenario, entry.video_id, 2, seed=0)
+    stream, tracks = sample_detection_stream(scenario, entry, 2, seed=0)
     names = set(scenario.roster.names)
     for track in tracks:
         for obs in track.observations:
@@ -222,7 +222,7 @@ def test_stream_class_scores_spread_confusion():
     ledger = sample_ledger(scenario, 1, seed=0)
     scenario = _bare_scenario(roster, weights, NoiseParams(id_confusion_rate=0.2))
     scenario.ground_truth_ledger = ledger
-    stream, _ = sample_detection_stream(scenario, "v0000", 1, seed=0)
+    stream, _ = sample_detection_stream(scenario, scenario.ground_truth_ledger.entries[0], 1, seed=0)
     det = stream.frames[0].detections[0]
     values = sorted(det.class_scores.values(), reverse=True)
     assert values[0] == pytest.approx(0.8)
@@ -234,7 +234,7 @@ def test_stream_fn_rate_one_empties_frames():
     roster, weights = generate_troop(0, 4, 2)
     scenario = _bare_scenario(roster, weights, NoiseParams(fn_rate=1.0))
     scenario.ground_truth_ledger = sample_ledger(scenario, 2, seed=0)
-    stream, tracks = sample_detection_stream(scenario, "v0000", 6, seed=0)
+    stream, tracks = sample_detection_stream(scenario, scenario.ground_truth_ledger.entries[0], 6, seed=0)
     assert all(frame.detections == [] for frame in stream.frames)
     assert tracks == []
 
@@ -243,7 +243,7 @@ def test_stream_false_positive_count_is_binomial():
     roster, _ = generate_troop(0, 2, 1)
     scenario = _bare_scenario(roster, np.zeros((2, 2)), NoiseParams(fp_rate=0.05))
     scenario.ground_truth_ledger = sample_ledger(scenario, 1, seed=0)
-    stream, _ = sample_detection_stream(scenario, "v0000", 1000, seed=0)
+    stream, _ = sample_detection_stream(scenario, scenario.ground_truth_ledger.entries[0], 1000, seed=0)
     fp = sum(
         1
         for frame in stream.frames
@@ -262,7 +262,7 @@ def test_stream_jitter_stays_bounded():
     roster, weights = generate_troop(0, 4, 2)
     scenario = _bare_scenario(roster, weights, NoiseParams(jitter_px=2.0))
     scenario.ground_truth_ledger = sample_ledger(scenario, 1, seed=0)
-    stream, tracks = sample_detection_stream(scenario, "v0000", 30, seed=0)
+    stream, tracks = sample_detection_stream(scenario, scenario.ground_truth_ledger.entries[0], 30, seed=0)
     for track in tracks:
         xs = [o.bbox.x for o in track.observations]
         ys = [o.bbox.y for o in track.observations]
@@ -273,7 +273,7 @@ def test_stream_jitter_stays_bounded():
 def test_stream_grid_boxes_disjoint():
     scenario = _zero_noise_scenario(n=9, videos=9)
     for entry in scenario.ground_truth_ledger.entries:
-        stream, _ = sample_detection_stream(scenario, entry.video_id, 1, seed=0)
+        stream, _ = sample_detection_stream(scenario, entry, 1, seed=0)
         boxes = [d.bbox for d in stream.frames[0].detections]
         for i, a in enumerate(boxes):
             for b in boxes[i + 1 :]:
@@ -282,20 +282,16 @@ def test_stream_grid_boxes_disjoint():
                 assert iou(a, b) == 0.0
 
 
-def test_stream_unknown_video_rejected():
+def test_stream_needs_a_frame():
     scenario = _zero_noise_scenario()
-    with pytest.raises(ValueError, match="nope"):
-        sample_detection_stream(scenario, "nope", 4, seed=0)
     with pytest.raises(ValueError, match="n_frames"):
-        sample_detection_stream(
-            scenario, scenario.ground_truth_ledger.entries[0].video_id, 0, seed=0
-        )
+        sample_detection_stream(scenario, scenario.ground_truth_ledger.entries[0], 0, seed=0)
 
 
 def test_stream_zero_noise_is_a_tracking_oracle():
     scenario = _zero_noise_scenario(seed=1, n=6, videos=3)
     for entry in scenario.ground_truth_ledger.entries:
-        stream, gt = sample_detection_stream(scenario, entry.video_id, 12, seed=1)
+        stream, gt = sample_detection_stream(scenario, entry, 12, seed=1)
         assert build_tracks(stream) == gt
 
 
