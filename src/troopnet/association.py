@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ingest import AssociationMatrix, OccurrenceLedger
 
 __all__ = ["OccurrenceCounts", "count_occurrences", "simple_ratio_matrix", "unobserved_individuals"]
@@ -61,13 +59,13 @@ def simple_ratio_matrix(counts: OccurrenceCounts, names: list[str]) -> Associati
     """
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    values = np.zeros((n, n))
+    values = [[0.0] * n for _ in range(n)]
     for (a, b), x in counts.per_pair.items():
         denom = counts.per_individual[a] + counts.per_individual[b] - x
         if denom <= 0:
             continue
         i, j = index[a], index[b]
-        values[i, j] = values[j, i] = x / denom
+        values[i][j] = values[j][i] = x / denom
     return AssociationMatrix(names=list(names), values=values)
 
 

@@ -9,11 +9,13 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 or a JSON object when --error-json is set. All output files are written
 atomically (temp file in the target directory, then rename).
 
-The matrix stages (association, network, layout, synth) import numpy,
-so each handler that runs one imports it itself: track, eval-det and
-eval-id start on the standard library alone, and pipeline forks its
-per-video worker processes before numpy loads, since a fork after
-OpenBLAS has started its threads is unsafe.
+numpy loads only in synth, and in network, layout and pipeline on
+graphs of params.NUMPY_MIN_N (48) vertices or more; every other command,
+and these on smaller graphs, runs on the standard library alone. Each
+handler imports the stages it runs itself, so every command starts on
+the standard library, and pipeline forks its per-video worker processes
+before numpy could load, since a fork after OpenBLAS has started its
+threads is unsafe.
 
 Configuration: a flat key = value file (--config) supplies settings that
 command-line flags override; the README's Configuration section lists

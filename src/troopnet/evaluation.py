@@ -30,8 +30,9 @@ class IdSample:
     """One identification sample: a score map and the true label.
 
     The constructor holds the one sample rule: class_scores is non-empty and
-    scores the true label. It reads class_scores once, ranking by rank_key:
-    rank counts the names that outrank the true label, predicted is the first.
+    scores the true label. It ranks class_scores once, by one sort on
+    rank_key: rank counts the names that outrank the true label, predicted
+    is the first.
     """
 
     class_scores: dict[str, float]
@@ -45,10 +46,10 @@ class IdSample:
             raise ValueError("class_scores is empty")
         if label not in scores:
             raise ValueError(f"true_label {label!r} has no class score")
-        key = rank_key(scores)
-        own = key(label)
-        object.__setattr__(self, "rank", sum(key(nm) > own for nm in scores))
-        object.__setattr__(self, "predicted", max(scores, key=key))
+        # names are unique, so no two keys are equal
+        ranked = sorted(scores, key=rank_key(scores), reverse=True)
+        object.__setattr__(self, "rank", ranked.index(label))
+        object.__setattr__(self, "predicted", ranked[0])
 
 
 def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):

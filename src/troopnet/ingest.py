@@ -26,12 +26,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from .geometry import BBox
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ParseError",
@@ -634,33 +631,41 @@ def write_pair_ledger(ledger: OccurrenceLedger) -> str:
 class AssociationMatrix:
     """Symmetric matrix of dyadic association indices in [0, 1].
 
-    names (at least one) fixes the row/column order; values is an (n, n)
-    float array with a zero diagonal, symmetric within 1e-12, never written
-    after construction.
+    names (at least one) fixes the row/column order; values is n rows of n
+    floats with a zero diagonal, symmetric within 1e-12, never written after
+    construction. The constructor copies any n x n sequence of numbers into
+    those rows, a numpy array among them (synth builds one).
     """
 
     names: list[str]
-    values: np.ndarray
+    values: list[list[float]]
 
     def __post_init__(self):
-        import numpy as np
-
+        raw = self.values
+        raw = raw.tolist() if hasattr(raw, "tolist") else raw  # an ndarray's rows as floats
         # + 0.0 turns each -0.0 into 0.0, whose reciprocal edge length is +inf
-        self.values = np.asarray(self.values, dtype=float) + 0.0
+        self.values = rows = [[v + 0.0 for v in map(float, row)] for row in raw]
         n = len(self.names)
         if not n:
             raise ValueError("matrix needs at least one name")
         if len(set(self.names)) != n or any(not name for name in self.names):
             raise ValueError("matrix names must be unique and non-empty")
-        if self.values.shape != (n, n):
-            raise ValueError(f"matrix shape {self.values.shape} does not match {n} names")
-        if not np.isfinite(self.values).all():
+        widths = {len(row) for row in rows}
+        if len(rows) != n or widths != {n}:
+            shape = (len(rows), *widths) if len(widths) < 2 else f"({len(rows)}, ragged)"
+            raise ValueError(f"matrix shape {shape} does not match {n} names")
+        cells = list(itertools.chain.from_iterable(rows))
+        if not all(map(math.isfinite, cells)):
             raise ValueError("matrix values must be finite")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
+        if min(cells) < 0.0 or max(cells) > 1.0:
             raise ValueError("matrix values must lie in [0, 1]")
-        if np.diagonal(self.values).any():
+        if any(row[i] for i, row in enumerate(rows)):
             raise ValueError("matrix diagonal must be exactly zero")
-        if np.abs(self.values - self.values.T).max() > SYMMETRY_TOLERANCE:
+        # one list comparison passes an exactly symmetric matrix, as every writer makes
+        columns = [list(col) for col in zip(*rows)]
+        if columns != rows and any(
+            abs(a - b) > SYMMETRY_TOLERANCE for row, col in zip(rows, columns) for a, b in zip(row, col)
+        ):
             raise ValueError("matrix is not symmetric within 1e-12")
 
     @property
@@ -672,13 +677,7 @@ class AssociationMatrix:
         """Each vertex's (partner, weight) list over the positive entries of its
         row (the diagonal is exactly zero), partners in index order: the one
         graph view the network measures and the layout read."""
-        import numpy as np
-
-        out = []
-        for row in self.values:
-            partners = np.flatnonzero(row > 0.0)
-            out.append(list(zip(partners.tolist(), row[partners].tolist())))
-        return out
+        return [[(j, w) for j, w in enumerate(row) if w > 0.0] for row in self.values]
 
 
 def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
@@ -690,8 +689,6 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
     that disagree by more than 1e-9 are an error. Rows may be shorter than
     the header (missing trailing cells are blank).
     """
-    import numpy as np
-
     rows = [row for row in _csv_records(text, "matrix") if any(cell != "" for cell in row)]
     if not rows:
         raise ParseError("matrix: empty input")
@@ -709,7 +706,7 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
     if len(rows) - 1 != n:
         raise ParseError(f"matrix: expected {n} data rows, got {len(rows) - 1}")
 
-    raw = np.zeros((n, n))
+    raw = [[0.0] * n for _ in range(n)]
     for i, row in enumerate(rows[1:]):
         j = None  # the column of the cell being read; a fault of the row as a whole has none
         try:
@@ -726,28 +723,27 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
                 if i == j and v != 0.0:
                     j = None
                     raise ValueError(f"nonzero diagonal value {v}")
-                raw[i, j] = v
+                raw[i][j] = v
         except ValueError as exc:
             _raise_at(f"matrix row {i + 2}" + ("" if j is None else f", column {names[j]!r}"), exc)
 
-    clash = (raw > 0.0) & (raw.T > 0.0) & (np.abs(raw - raw.T) > MIRROR_TOLERANCE)
-    if clash.any():
-        i, j = np.argwhere(np.triu(clash, 1))[0]  # the first in row order
-        raise ParseError(
-            f"matrix: mirror cells ({names[i]!r}, {names[j]!r}) conflict: {raw[i, j]} vs {raw[j, i]}"
-        )
+    # merge each mirror pair by max, in row order, so the first clash named is the first in row order
+    for i in range(n):
+        upper = raw[i]
+        for j in range(i + 1, n):
+            a, b = upper[j], raw[j][i]
+            if a > 0.0 and b > 0.0 and abs(a - b) > MIRROR_TOLERANCE:
+                raise ParseError(f"matrix: mirror cells ({names[i]!r}, {names[j]!r}) conflict: {a} vs {b}")
+            upper[j] = raw[j][i] = a if a >= b else b
     try:
-        return AssociationMatrix(names=names, values=np.maximum(raw, raw.T))
+        return AssociationMatrix(names=names, values=raw)
     except ValueError as exc:
         _raise_at("matrix", exc)
 
 
 def write_matrix(m: AssociationMatrix) -> str:
     """Write the full symmetric matrix; zeros become blank cells."""
-    rows = (
-        [name] + ["" if v == 0.0 else repr(v) for v in m.values[i].tolist()]
-        for i, name in enumerate(m.names)
-    )
+    rows = ([name] + ["" if v == 0.0 else repr(v) for v in row] for name, row in zip(m.names, m.values))
     return _write_csv(["", *m.names], rows)
 
 

@@ -16,26 +16,26 @@ exact semantics (+, -, *, /, sqrt), each rounded on its own and applied in
 a fixed order, so the same inputs produce bitwise identical coordinates on
 any conforming platform. A visit adds its impulse terms one at a time, in
 vertex order and then edge order. Two visit paths do this with the same
-bits, chosen by vertex count (``_VECTOR_MIN_N``): a scalar loop, which is
-faster on small graphs and is the reference the tests hold the other to,
+bits, chosen by vertex count (``params.NUMPY_MIN_N``): a scalar loop, which
+is faster on small graphs and is the reference the tests hold the other to,
 and a numpy one over whole rows that sums with ``np.add.accumulate``
 (left to right), never with ``np.sum``, ``dot`` or ``@``. The numpy visit
 forms every term without the loop's masks; its sums are the loop's
 whenever both are finite and non-zero, and any other visit is summed
-again with the masks (``_vector_visit`` has the proof). Rendering
-formats every number with six significant digits for byte-stable output.
+again with the masks (``_vector_visit`` has the proof). numpy is imported
+only on the numpy path. Rendering formats every number with six significant
+digits for byte-stable output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ingest import AssociationMatrix
 from .network import NetworkReport
-from .params import GemParams
+from .params import NUMPY_MIN_N, GemParams
 from .rng import Rng
 
 __all__ = [
@@ -61,13 +61,6 @@ __all__ = [
 _RAMP_SHARE = 5.0 / 8.0
 _FLOOR_FRACTION = 1.0 / 128.0
 _GRAVITY = 1.0 / 16.0
-# Graphs with at least this many vertices take _vector_visit, smaller ones
-# _scalar_visit: numpy's fixed cost, about 7 us a visit, outweighs the
-# loop's O(n) work below about 30 vertices on dense graphs and 48 on
-# sparse ones. The line sits at the sparse crossover, so no graph is
-# slower for taking the numpy visit (CHANGES.md has the measured table, in
-# the entry on the unmasked numpy GEM visit).
-_VECTOR_MIN_N = 48
 
 
 @dataclass
@@ -108,6 +101,8 @@ def _scalar_visit(xs, ys, neighbors, phi, edge_sq):
 def _masked_sums(terms, d2, w):
     """The sums of terms with each term the loop skips held at -0.0: the
     repulsion where d2 is not positive, the attraction where w is not."""
+    import numpy as np
+
     keep = np.concatenate([d2 > 0.0, w > 0.0])
     terms[:, 1:][:, ~keep] = -0.0
     return np.add.accumulate(terms, axis=1)[:, -1].tolist()
@@ -116,7 +111,8 @@ def _masked_sums(terms, d2, w):
 def _vector_visit(xs, ys, weights, phi, edge_sq):
     """_scalar_visit's visit over whole numpy rows, with the same bits.
 
-    weights is the matrix's values array, whose positive entries are the edges.
+    weights is the matrix's values, whose positive entries are the edges;
+    each row is visited as a numpy array.
 
     delta = pos_v - pos is the loop's (dx, dy) for every u at once, twice
     over: pos holds the coordinates twice, one copy for the repulsion terms
@@ -141,10 +137,12 @@ def _vector_visit(xs, ys, weights, phi, edge_sq):
     float (_masked_sums). Call it under np.errstate(all="ignore"), and move
     no vertex between calls but the previous call's.
     """
+    import numpy as np
+
     n = len(xs)
     pos = np.array([xs + xs, ys + ys])
     columns = [pos[:, v : v + 1] for v in range(n)]
-    rows = list(weights)
+    rows = list(np.array(weights))
     neg_scale = [-(edge_sq * p) for p in phi]
     delta = np.empty((2, 2 * n))
     half = delta[:, :n]
@@ -236,13 +234,17 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     floor = edge_len * _FLOOR_FRACTION
     max_rounds = params.max_rounds_factor * n
     ramp_rounds = max_rounds * _RAMP_SHARE
-    if n >= _VECTOR_MIN_N:
+    if n >= NUMPY_MIN_N:
+        import numpy as np
+
         visit = _vector_visit(xs, ys, m.values, phi, edge_sq)
+        quiet = np.errstate(all="ignore")  # the numpy visit's inf and NaN slots are expected
     else:
         visit = _scalar_visit(xs, ys, m.edges, phi, edge_sq)
+        quiet = contextlib.nullcontext()
     t = edge_len
     rounds = 0
-    with np.errstate(all="ignore"):
+    with quiet:
         while rounds < max_rounds:
             rounds += 1
             order = rng.permutation(n)

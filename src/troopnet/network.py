@@ -5,21 +5,22 @@ assembled into a NetworkReport. All accumulation uses math.fsum, which is
 exactly rounded, so results do not depend on summation order, BLAS builds
 or platform.
 
-Shortest paths are exact and computed from all sources at once on n x n
-numpy arrays by one dense Dijkstra: it adds d + l, the float operation of a
-per-source heap Dijkstra, whose bits it reaches. Weighted distances use
-l = 1/w; hop counts use l = 1, whose sums are exact integers.
+Shortest paths are exact. Below NUMPY_MIN_N vertices a heap Dijkstra runs
+from each source in plain Python; from it on, one dense Dijkstra runs from
+all sources at once on n x n numpy arrays. Both add d + l, so the dense one
+reaches the heap's bits (_distances has the proof). Weighted distances use
+l = 1/w; hop counts use l = 1, whose sums are exact integers. numpy is
+imported only on that dense path.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .ingest import AssociationMatrix
-from .params import ConvergenceError, NetworkParams, require_pairs
+from .params import NUMPY_MIN_N, ConvergenceError, NetworkParams, require_pairs
 
 __all__ = [
     "IndividualMeasures",
@@ -115,20 +116,40 @@ def eigenvector_residual(m: AssociationMatrix, centrality: dict[str, float]) -> 
     return max(abs(mv[i] - lam * v[i]) for i in range(m.n))
 
 
-def _distances(lengths: np.ndarray) -> np.ndarray:
-    """Shortest-path lengths from every source (row), given the n x n edge
-    lengths (inf off the edges), inf where unreachable: Dijkstra run for all
-    sources at once on dense arrays, n steps of n x n work whatever the
-    graph's diameter.
+def _heap_distances(lengths: list[list[tuple[int, float]]], src: int) -> list[float]:
+    """Shortest-path lengths from src by a heap Dijkstra, inf where
+    unreachable, given each vertex's (partner, length) list."""
+    dist = [math.inf] * len(lengths)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, length in lengths[u]:
+            nd = d + length
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def _distances(lengths):
+    """Shortest-path lengths from every source (row), given the n x n numpy
+    array of edge lengths (inf off the edges), inf where unreachable:
+    Dijkstra run for all sources at once on dense arrays, n steps of n x n
+    work whatever the graph's diameter.
 
     Each step every source closes its open vertex of least label and relaxes
     with that vertex's row of lengths, d + l (which cannot lower a closed
     label). fl(d + l) is monotone in d and at least d for l >= 0, so
     label-setting settles each vertex at the least left-folded path sum
-    whatever the order of ties: the same bits as a heap Dijkstra per source,
+    whatever the order of ties: the same bits as _heap_distances per source,
     and exact hop counts at unit lengths. Row u, not column u, holds u's
     out-lengths, as the matrix is symmetric only within 1e-12.
     """
+    import numpy as np
+
     n = len(lengths)
     dist = np.where(np.eye(n, dtype=bool), 0.0, math.inf)
     closed = np.zeros((n, n))  # inf once a source has closed the vertex
@@ -149,35 +170,51 @@ def global_efficiency(m: AssociationMatrix, mode: str = "binary") -> float:
 
     binary mode uses hop counts over positive edges (length 1 each); weighted
     mode uses nonnegative-weight shortest paths with edge length 1/index, so
-    strong associations are short. m has at least 2 individuals, as
-    network_report requires.
+    strong associations are short (1/w may overflow to inf, no edge at all).
+    m has at least 2 individuals, as network_report requires.
     """
-    if mode == "binary":
-        lengths = np.where(m.values > 0.0, 1.0, math.inf)
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            lengths = 1.0 / m.values  # inf off the edges, and where 1/w overflows
-    dist = _distances(lengths)
     n = m.n
-    reachable = np.isfinite(dist) & ~np.eye(n, dtype=bool)
-    return math.fsum((1.0 / dist[reachable]).tolist()) / (n * (n - 1))
+    if n < NUMPY_MIN_N:
+        lengths = [[(j, 1.0 if mode == "binary" else 1.0 / w) for j, w in row] for row in m.edges]
+        inverses = [
+            1.0 / d
+            for src in range(n)
+            for j, d in enumerate(_heap_distances(lengths, src))
+            if j != src and d < math.inf
+        ]
+    else:
+        import numpy as np
+
+        values = np.array(m.values)
+        if mode == "binary":
+            lengths = np.where(values > 0.0, 1.0, math.inf)
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                lengths = 1.0 / values  # inf off the edges, and where 1/w overflows
+        dist = _distances(lengths)
+        reachable = np.isfinite(dist) & ~np.eye(n, dtype=bool)
+        inverses = (1.0 / dist[reachable]).tolist()
+    return math.fsum(inverses) / (n * (n - 1))
 
 
 def connected_components(m: AssociationMatrix) -> list[list[str]]:
-    """Vertex components over positive edges, in matrix order."""
-    edge = m.values > 0.0
-    seen = np.zeros(m.n, dtype=bool)
+    """Vertex components over positive edges, in matrix order: a depth-first
+    search along each row's edges from every vertex not yet seen."""
+    seen = [False] * m.n
     components = []
     for start in range(m.n):
-        if not seen[start]:
-            frontier = np.arange(m.n) == start
-            seen |= frontier
-            comp = frontier
-            while frontier.any():
-                frontier = edge[frontier].any(axis=0) & ~seen
-                seen |= frontier
-                comp = comp | frontier
-            components.append([name for name, inside in zip(m.names, comp.tolist()) if inside])
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v, _w in m.edges[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        components.append([m.names[v] for v in sorted(comp)])
     return components
 
 

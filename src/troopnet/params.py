@@ -1,12 +1,12 @@
-"""Settings of the matrix stages, the error their iteration raises, and
-their two-individual rule.
+"""Settings of the matrix stages, the error their iteration raises, their
+two-individual rule and the vertex count from which they use numpy.
 
 These live apart from :mod:`troopnet.network` and :mod:`troopnet.layout`,
-which re-export them, because those modules import numpy: the CLI builds
-its configuration, checks a roster and maps ConvergenceError to its exit
-code from here, so the commands that never touch a matrix start on the
-standard library alone, and pipeline starts its worker processes before
-numpy loads.
+which re-export them, so that the CLI can build its configuration, check a
+roster and map ConvergenceError to its exit code before it imports either.
+Neither imports numpy unless a graph has NUMPY_MIN_N vertices or more, so
+network, layout and pipeline on a smaller graph run on the standard library
+alone, and pipeline forks its worker processes before numpy could load.
 """
 
 from __future__ import annotations
@@ -15,6 +15,20 @@ import math
 from dataclasses import dataclass, fields
 
 __all__ = ["GemParams", "NetworkParams", "ConvergenceError", "require_pairs"]
+
+# Graphs of at least this many vertices take the two numpy kernels, smaller
+# ones their plain-Python twins, which give the same bits: GEM's visit
+# (layout._vector_visit against _scalar_visit) and the all-pairs shortest
+# paths (network._distances against a heap Dijkstra per source). numpy's
+# fixed cost, about 7 us a GEM visit, outweighs the loop's O(n) work below
+# about 30 vertices on dense graphs and 48 on sparse ones, so GEM's line
+# sits at the sparse crossover and no graph is slower for taking the numpy
+# visit (CHANGES.md has the measured table, in the entry on the unmasked
+# numpy GEM visit). The shortest paths share the line because from it on GEM
+# loads numpy anyway: below it no stage does, and the heap Dijkstra, though
+# slower than the dense one once numpy is loaded (10 against 2 ms for both
+# modes at 47 vertices and density 0.9), costs far less than numpy's import.
+NUMPY_MIN_N = 48
 
 
 @dataclass(frozen=True)

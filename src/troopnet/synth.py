@@ -74,7 +74,7 @@ class SynthScenario:
     noise: NoiseParams = field(default_factory=NoiseParams)
 
     def __post_init__(self) -> None:
-        self.latent_weights = AssociationMatrix(self.roster.names, self.latent_weights).values
+        self.latent_weights = np.array(AssociationMatrix(self.roster.names, self.latent_weights).values)
 
 
 def generate_troop(seed: int, n_individuals: int, n_matrilines: int) -> tuple[Roster, np.ndarray]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from troopnet import bundled
@@ -23,15 +22,15 @@ def troop_report(troop_matrix):
 def matrix_from_dyads(names: list[str], dyads: dict[tuple[str, str], float]) -> AssociationMatrix:
     """Build an AssociationMatrix from a sparse {(a, b): weight} map."""
     index = {name: i for i, name in enumerate(names)}
-    values = np.zeros((len(names), len(names)))
+    values = [[0.0] * len(names) for _ in names]
     for (a, b), w in dyads.items():
-        values[index[a], index[b]] = values[index[b], index[a]] = w
+        values[index[a]][index[b]] = values[index[b]][index[a]] = w
     return AssociationMatrix(names=list(names), values=values)
 
 
 def matrix_value(m: AssociationMatrix, a: str, b: str) -> float:
     """The association index of a and b, looked up through m.names."""
-    return float(m.values[m.names.index(a), m.names.index(b)])
+    return m.values[m.names.index(a)][m.names.index(b)]
 
 
 def video_entry(video_id: str, present) -> LedgerEntry:

@@ -193,7 +193,7 @@ def test_c2_reference_table_match():
         for ind, want_deg, want_str in mismatches:
             row = m.values[index[ind.name]]
             cells = [
-                f"{ind.name}--{m.names[j]}={row[j]:.4f}" for j in np.nonzero(row > 0)[0]
+                f"{ind.name}--{m.names[j]}={w:.4f}" for j, w in enumerate(row) if w > 0
             ]
             _note(
                 "C2",
@@ -464,7 +464,7 @@ def test_c7_end_to_end_recovery():
             count_occurrences(scenario.ground_truth_ledger), scenario.roster.names
         )
         if not np.array_equal(matrix.values, oracle.values):
-            worst = float(np.max(np.abs(matrix.values - oracle.values)))
+            worst = float(np.max(np.abs(np.array(matrix.values) - np.array(oracle.values))))
             failures.append(f"noise-free matrix differs from the oracle (max {worst:.3e})")
         got_report = network_report(matrix)
         want_report = network_report(oracle)
@@ -493,7 +493,7 @@ def test_c7_end_to_end_recovery():
         )
         iu = np.triu_indices(noisy_matrix.n, k=1)
         rho = float(
-            spearmanr(noisy_matrix.values[iu], noisy_scenario.latent_weights[iu]).statistic
+            spearmanr(np.array(noisy_matrix.values)[iu], noisy_scenario.latent_weights[iu]).statistic
         )
         if rho < 0.8:
             failures.append(f"noisy Spearman correlation {rho:.4f} below 0.8")
@@ -547,7 +547,7 @@ def test_c8_determinism_and_formats(tmp_path):
         matrix = parse_association_matrix((pipe_a / "matrix.csv").read_text())
         root = ET.fromstring((pipe_a / "network.svg").read_bytes())
         tags = [el.tag.split("}")[-1] for el in root.iter()]
-        expected_edges = int((matrix.values > 0).sum() // 2)
+        expected_edges = int((np.array(matrix.values) > 0).sum() // 2)
         if tags.count("circle") != matrix.n:
             failures.append(
                 f"SVG has {tags.count('circle')} nodes for a {matrix.n}-member graph"
@@ -558,7 +558,7 @@ def test_c8_determinism_and_formats(tmp_path):
             )
 
         reparsed = parse_association_matrix(write_matrix(matrix))
-        worst = float(np.max(np.abs(reparsed.values - matrix.values))) if matrix.n else 0.0
+        worst = float(np.max(np.abs(np.array(reparsed.values) - np.array(matrix.values)))) if matrix.n else 0.0
         if reparsed.names != matrix.names or worst > 1e-12:
             failures.append(f"matrix CSV round trip drifts by {worst:.3e}")
 

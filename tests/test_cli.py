@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from troopnet import cli, ingest, synth, tracking
+from troopnet import cli, ingest, params, synth, tracking
 from troopnet.cli import PipelineConfig, main
 from troopnet.geometry import ProximityParams
 from troopnet.ingest import (
@@ -1566,6 +1566,86 @@ def test_eval_det_and_track_run_without_numpy(synth_run, tmp_path):
     assert outputs["blocked"] == outputs["unblocked"]
 
 
+# cli.main on each command of sys.argv[1:], a JSON list of arguments, in a
+# fresh interpreter (pytest has loaded numpy). Prints, after each command,
+# whether numpy was loaded.
+_NUMPY_WATCH = """
+import json, sys
+from troopnet.cli import main
+loaded = []
+for argv in map(json.loads, sys.argv[1:]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _numpy_watch(*commands) -> list[bool]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_WATCH, *map(json.dumps, commands)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_small_graphs_never_load_numpy(tmp_path, fixture_matrix_path):
+    # test_outputs_match_pinned_digests' scenario (7 individuals) and matrix (42), below params.NUMPY_MIN_N
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "7", "--matrilines", "2", "--videos", "10",
+         "--frames", "12", "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2",
+         "--id-confusion-rate", "0.2", "--out-dir", str(scenario)]
+    ) == 0
+    pipe, out = tmp_path / "pipeline", tmp_path / "out"
+    out.mkdir()
+    matrix = str(fixture_matrix_path)
+    loaded = _numpy_watch(
+        ["pipeline", "--detections-dir", str(scenario / "detections"), "--roster", str(scenario / "roster.csv"),
+         "--out-dir", str(pipe), "--seed", "5", "--min-track-len", "1"],
+        # the pipeline's own ledger counts to the pipeline's matrix
+        ["cooccur", "--ledger", str(pipe / "ledger.csv"), "--roster", str(scenario / "roster.csv"),
+         "--out", str(out / "cooccur.csv")],
+        ["network", "--matrix", matrix, "--out", str(out / "report.json")],
+        ["layout", "--matrix", matrix, "--report", str(out / "report.json"), "--seed", "5",
+         "--svg-out", str(out / "network.svg"), "--dot-out", str(out / "network.dot")],
+        # without --report, layout measures the network itself
+        ["layout", "--matrix", matrix, "--seed", "5", "--dot-out", str(out / "measured.dot")],
+    )
+    assert loaded == [False] * 5
+    got = {f"pipeline/video-level/{name}": _digest(pipe / name) for name in _PIPELINE_FILES}
+    got.update({"network/report.json": _digest(out / "report.json")})
+    got.update({f"layout/{name}": _digest(out / name) for name in ("network.svg", "network.dot")})
+    assert got == {name: _PINNED_DIGESTS[name] for name in got}
+    assert (out / "cooccur.csv").read_bytes() == (pipe / "matrix.csv").read_bytes()
+    assert (out / "measured.dot").read_bytes() == (out / "network.dot").read_bytes()
+
+
+def test_graphs_from_the_line_on_load_numpy(tmp_path):
+    # test_outputs_match_pinned_digests' 96-vertex matrix, and the first 48 of its vertices
+    large = tmp_path / "large"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "96", "--matrilines", "8", "--videos", "96",
+         "--frames", "1", "--out-dir", str(large)]
+    ) == 0
+    assert main(
+        ["cooccur", "--ledger", str(large / "ledger.csv"), "--roster", str(large / "roster.csv"),
+         "--out", str(large / "matrix.csv")]
+    ) == 0
+    rows = (large / "matrix.csv").read_text().splitlines()
+    line = params.NUMPY_MIN_N
+    (tmp_path / "at_line.csv").write_text("".join(",".join(row.split(",")[: line + 1]) + "\n" for row in rows[: line + 1]))
+    for matrix in (large / "matrix.csv", tmp_path / "at_line.csv"):
+        report, svg = tmp_path / f"{matrix.stem}.json", tmp_path / f"{matrix.stem}.svg"
+        assert _numpy_watch(["network", "--matrix", str(matrix), "--out", str(report)]) == [True]
+        assert _numpy_watch(
+            ["layout", "--matrix", str(matrix), "--report", str(report), "--seed", "5", "--max-rounds-factor", "2",
+             "--svg-out", str(svg)]
+        ) == [True]
+    assert _digest(tmp_path / "matrix.json") == _PINNED_DIGESTS["network/n96/report.json"]
+    assert _digest(tmp_path / "matrix.svg") == _PINNED_DIGESTS["layout/n96/network.svg"]
+
+
 # ---------------------------------------------------------------------------
 # output bytes pinned across versions
 
@@ -1643,7 +1723,7 @@ def test_outputs_match_pinned_digests(tmp_path, fixture_matrix_path):
     ) == 0
     outputs.update({"network/report.json": report, "layout/network.svg": svg, "layout/network.dot": dot})
 
-    # a layout large enough for GEM's numpy visit (layout._VECTOR_MIN_N)
+    # a layout large enough for GEM's numpy visit (params.NUMPY_MIN_N)
     large = tmp_path / "large"
     assert main(
         ["synth", "--seed", "11", "--individuals", "96", "--matrilines", "8", "--videos", "96",

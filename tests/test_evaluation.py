@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from troopnet import evaluation
-from troopnet.evaluation import IdSample, confusion_matrix, pooled_detection_metrics, topk_accuracy
+from troopnet.evaluation import IdSample, confusion_matrix, pooled_detection_metrics, rank_key, topk_accuracy
 from troopnet.geometry import BBox, iou
 from troopnet.ingest import Detection, Individual, Roster
 from troopnet.rng import Rng, derive_seed
@@ -406,6 +406,29 @@ def test_ranking_by_key_equals_the_full_sort(case):
     assert topk_accuracy(samples, k) == hits / len(samples)
     roster = Roster([Individual(nm) for nm in names])
     assert confusion_matrix(samples, roster) == _oracle_confusion(samples, roster)
+
+
+def _walk_rank(scores: dict[str, float], label: str) -> tuple[int, str]:
+    """Oracle: (rank, predicted) by one walk over the names per answer, the
+    count of keys above the label's and the greatest key (the walk the one
+    sort replaced)."""
+    key = rank_key(scores)
+    own = key(label)
+    return sum(key(nm) > own for nm in scores), max(scores, key=key)
+
+
+# zeros of both signs, which compare equal, so only the name breaks their tie
+_SIGNED_SCORE = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_sort_ranks_as_the_walk(data):
+    names = data.draw(_NAMES)
+    scores = data.draw(st.fixed_dictionaries({nm: _SIGNED_SCORE for nm in names}))
+    label = data.draw(st.sampled_from(names))
+    sample = IdSample(scores, label)
+    assert (sample.rank, sample.predicted) == _walk_rank(scores, label)
 
 
 @st.composite

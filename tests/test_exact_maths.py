@@ -30,12 +30,12 @@ ALLOWED = {
     "libm, which IEEE 754 does not require to be correctly rounded: geometry.is_proximal's depth gate "
     "and its default. ROADMAP item 4(a) replaces it with a height ratio decided by * and <=": ("math.log",),
     "elementwise IEEE 754 arithmetic, each result rounded once": (
-        "np.add", "np.subtract", "np.multiply", "np.divide", "np.abs", "np.maximum", "np.minimum",
+        "np.add", "np.subtract", "np.multiply", "np.divide", "np.minimum",
     ),
     "adds left to right, one rounding per add, as a loop would": ("np.add.accumulate",),
     "builds, copies or indexes arrays: no arithmetic": (
-        "np.array", "np.asarray", "np.zeros", "np.empty", "np.empty_like", "np.full", "np.eye", "np.arange",
-        "np.concatenate", "np.diagonal", "np.triu", "np.where", "np.argwhere", "np.flatnonzero",
+        "np.array", "np.zeros", "np.empty", "np.empty_like", "np.full", "np.eye", "np.arange",
+        "np.concatenate", "np.where",
     ),
     "a type or a context, no arithmetic": ("np.ndarray", "np.errstate"),
 }

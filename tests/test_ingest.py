@@ -486,7 +486,7 @@ def test_bytes_with_a_leading_bom_parse_as_without(parse, text):
     want = parse(data)
     got = parse(b"\xef\xbb\xbf" + data)
     if isinstance(want, AssociationMatrix):  # compared by identity
-        assert (got.names, got.values.tolist()) == (want.names, want.values.tolist())
+        assert (got.names, got.values) == (want.names, want.values)
     else:
         assert got == want
 
@@ -540,7 +540,7 @@ def test_matrix_triangular_input_symmetrized():
 
 def test_matrix_blank_body_is_zero():
     m = parse_association_matrix(",A,B\nA,,\nB,,\n")
-    assert np.array_equal(m.values, np.zeros((2, 2)))
+    assert m.values == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_matrix_mirror_conflict_rejected():
@@ -601,6 +601,87 @@ def test_association_matrix_validation():
         AssociationMatrix(names=["A", "B"], values=np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
+# every message of the constructor, word for word, and a bad input for each
+_MATRIX_ERRORS = {
+    "no names": ([], [], "matrix needs at least one name"),
+    "repeated name": (["A", "A"], [[0.0, 0.0], [0.0, 0.0]], "matrix names must be unique and non-empty"),
+    "empty name": (["A", ""], [[0.0, 0.0], [0.0, 0.0]], "matrix names must be unique and non-empty"),
+    "too many rows": (["A"], [[0.0, 0.0], [0.0, 0.0]], "matrix shape (2, 2) does not match 1 names"),
+    "too few columns": (["A", "B", "C"], [[0.0, 0.0]] * 3, "matrix shape (3, 2) does not match 3 names"),
+    "nan": (["A", "B"], [[0.0, math.nan], [math.nan, 0.0]], "matrix values must be finite"),
+    "inf": (["A", "B"], [[0.0, math.inf], [math.inf, 0.0]], "matrix values must be finite"),
+    "negative": (["A", "B"], [[0.0, -0.5], [-0.5, 0.0]], "matrix values must lie in [0, 1]"),
+    "above one": (["A", "B"], [[0.0, 1.5], [1.5, 0.0]], "matrix values must lie in [0, 1]"),
+    "diagonal": (["A", "B"], [[0.1, 0.3], [0.3, 0.0]], "matrix diagonal must be exactly zero"),
+    "asymmetric": (["A", "B"], [[0.0, 0.3], [0.2, 0.0]], "matrix is not symmetric within 1e-12"),
+    "asymmetric by 2e-12": (["A", "B"], [[0.0, 0.3], [0.3 + 2e-12, 0.0]], "matrix is not symmetric within 1e-12"),
+}
+
+
+@pytest.mark.parametrize("case", _MATRIX_ERRORS, ids=list(_MATRIX_ERRORS))
+@pytest.mark.parametrize("form", ["list", "ndarray"])
+def test_association_matrix_messages_word_for_word(case, form):
+    names, rows, message = _MATRIX_ERRORS[case]
+    values = rows if form == "list" else np.array(rows, dtype=float)
+    with pytest.raises(ValueError) as info:
+        AssociationMatrix(names, values)
+    assert str(info.value) == message
+
+
+def test_association_matrix_ragged_rows_are_a_shape_error():
+    # a numpy array cannot be ragged, so this message has no ndarray twin
+    with pytest.raises(ValueError) as info:
+        AssociationMatrix(["A", "B"], [[0.0, 0.5], [0.5]])
+    assert str(info.value) == "matrix shape (2, ragged) does not match 2 names"
+
+
+# a matrix, its rows as lists: zeros of both signs, ones, a weight the
+# 1e-12 tolerance lets face a zero, and now and then a bad cell
+_CELLS = st.sampled_from([0.0, -0.0, 1.0, 5e-13]) | st.floats(0.0, 1.0)
+_BAD_CELLS = st.sampled_from([math.nan, math.inf, -0.5, 1.5, 0.25])
+
+
+@st.composite
+def _matrix_inputs(draw):
+    n = draw(st.integers(1, 6))
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(_CELLS)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(_BAD_CELLS)  # off the diagonal an asymmetry, on it a diagonal fault
+    return [f"n{k}" for k in range(n)], rows
+
+
+def _built(names, values):
+    """(values as hex, edges) of the matrix, or the message it is refused with."""
+    try:
+        m = AssociationMatrix(names, values)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(v) is float for row in m.values for v in row)
+    return [[v.hex() for v in row] for row in m.values], m.edges
+
+
+@given(_matrix_inputs())
+@settings(max_examples=300, deadline=None)
+def test_ndarray_and_list_forms_build_the_same_matrix(case):
+    names, rows = case
+    from_list = _built(names, rows)
+    assert _built(names, np.array(rows)) == from_list
+    if not isinstance(from_list, str):
+        # -0.0 reads as 0.0, and the rows are copies of the input's
+        assert from_list[0] == [[(v + 0.0).hex() for v in row] for row in rows]
+
+
+def test_association_matrix_copies_its_rows():
+    rows = [[0.0, 0.5], [0.5, 0.0]]
+    m = AssociationMatrix(["A", "B"], rows)
+    rows[0][1] = rows[1][0] = 0.25
+    assert m.values == [[0.0, 0.5], [0.5, 0.0]]
+
+
 def test_association_matrix_needs_a_name():
     # parse_association_matrix already refuses a header of no names
     with pytest.raises(ValueError, match="at least one name"):
@@ -629,7 +710,7 @@ def _symmetric_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_matrix_edges_are_each_rows_nonzero_entries(m):
     expected = [
-        [(int(j), float(m.values[i, j])) for j in np.flatnonzero(m.values[i])] for i in range(m.n)
+        [(int(j), m.values[i][j]) for j in np.flatnonzero(m.values[i])] for i in range(m.n)
     ]
     assert m.edges == expected
     assert m.edges is m.edges  # derived once, then kept
@@ -1210,7 +1291,7 @@ def test_number_cells_keep_blanks_and_surrounding_spaces():
     roster = parse_roster("name,sex,age_years\nA,female, 10 \nB,male,\n")
     assert [ind.age_years for ind in roster.individuals] == [10, None]
     matrix = parse_association_matrix(",A,B,C\nA,, 0.25 ,  \nB,0.25,,\nC,,,\n")
-    assert matrix.values.tolist() == [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert matrix.values == [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
 
 # only JSON's whitespace (space, tab, CR and LF) makes a JSON-lines line or a matrix cell blank

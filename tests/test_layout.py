@@ -229,7 +229,7 @@ def test_vector_visit_falls_back_to_the_masked_pass(case):
 def test_bundled_layout_never_needs_the_masked_pass(troop_matrix):
     runs = []
     for line in (troop_matrix.n, troop_matrix.n + 1):
-        with mock.patch.object(layout, "_VECTOR_MIN_N", line), mock.patch.object(
+        with mock.patch.object(layout, "NUMPY_MIN_N", line), mock.patch.object(
             layout, "_masked_sums", wraps=layout._masked_sums
         ) as masked:
             runs.append(gem_layout(troop_matrix, seed=5))
@@ -246,9 +246,9 @@ def test_bundled_layout_never_needs_the_masked_pass(troop_matrix):
 def test_vector_layout_matches_scalar_layout(m, seed, rounds_factor):
     params = GemParams(max_rounds_factor=rounds_factor)
     runs = []
-    # a graph of exactly _VECTOR_MIN_N vertices takes the numpy visit
+    # a graph of exactly NUMPY_MIN_N vertices takes the numpy visit
     for line in (m.n, m.n + 1):
-        with mock.patch.object(layout, "_VECTOR_MIN_N", line):
+        with mock.patch.object(layout, "NUMPY_MIN_N", line):
             runs.append(gem_layout(m, params, seed))
     vector, scalar = runs
     assert vector.rounds_used == scalar.rounds_used
@@ -273,8 +273,8 @@ def _random_graph(n, seed, p=0.2):
 def scaling_bases(troop_matrix):
     """Per visit path, a graph and its layout at the default edge length."""
     bases = {}
-    for visit_path, m in (("scalar", troop_matrix), ("vector", _random_graph(layout._VECTOR_MIN_N, 3))):
-        assert (m.n >= layout._VECTOR_MIN_N) == (visit_path == "vector")
+    for visit_path, m in (("scalar", troop_matrix), ("vector", _random_graph(layout.NUMPY_MIN_N, 3))):
+        assert (m.n >= layout.NUMPY_MIN_N) == (visit_path == "vector")
         bases[visit_path] = m, gem_layout(m, GemParams(max_rounds_factor=3), seed=7)
     return bases
 
@@ -295,7 +295,7 @@ def test_layout_scales_exactly_with_the_edge_length(scaling_bases, visit_path, k
 @pytest.mark.parametrize("visit_path", ["scalar", "vector"])
 def test_network_and_layout_derive_the_edge_lists_once(visit_path):
     # a ring, with or without enough vertices for the numpy visit
-    n = 5 if visit_path == "scalar" else layout._VECTOR_MIN_N
+    n = 5 if visit_path == "scalar" else layout.NUMPY_MIN_N
     names = [f"n{k}" for k in range(n)]
     m = matrix_from_dyads(names, {(names[k], names[(k + 1) % n]): 0.25 + k / (2 * n) for k in range(n)})
     edges = AssociationMatrix.__dict__["edges"]  # the cached_property, whose func builds the lists
@@ -453,7 +453,7 @@ def test_svg_is_wellformed_with_matching_counts(troop_matrix, troop_report):
     svg = render_svg(troop_matrix, layout, troop_report)
     tags = _tags(svg)
     n = troop_matrix.n
-    edges = int((troop_matrix.values > 0).sum() // 2)
+    edges = int((np.array(troop_matrix.values) > 0).sum() // 2)
     assert tags.count("circle") == n
     assert tags.count("text") == n
     assert tags.count("line") == edges
@@ -548,7 +548,7 @@ def test_dot_counts_match_graph(troop_matrix, troop_report):
     dot = render_dot(troop_matrix, troop_report)
     lines = dot.splitlines()
     n = troop_matrix.n
-    edges = int((troop_matrix.values > 0).sum() // 2)
+    edges = int((np.array(troop_matrix.values) > 0).sum() // 2)
     assert len([l for l in lines if " [degree=" in l]) == n
     assert len([l for l in lines if " -- " in l]) == edges
 

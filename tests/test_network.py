@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_two_equal_disconnected_edges_all_equal():
 
 def test_centrality_max_is_exactly_one():
     m = _random_sparse_matrix(3, 9)
-    assume_edges = m.values.max() > 0
+    assume_edges = max(map(max, m.values)) > 0
     assert assume_edges
     eig = eigenvector_centrality(m)
     assert max(eig.values()) == 1.0
@@ -206,7 +207,7 @@ def _dense_centrality(rows):
 @settings(max_examples=150, deadline=None)
 def test_measures_equal_dense_formulas(m, data):
     n = m.n
-    rows = m.values.tolist()
+    rows = m.values
     positive = sum(1 for i in range(n) for j in range(i + 1, n) if rows[i][j] > 0.0)
     assert density(m) == positive / (n * (n - 1) / 2)
     assert degree_strength(m) == {
@@ -214,7 +215,7 @@ def test_measures_equal_dense_formulas(m, data):
     }
     v = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     assert eigenvector_residual(m, dict(zip(m.names, v))) == _dense_residual(rows, v)
-    if m.values.max() > 0.0:
+    if max(map(max, rows)) > 0.0:
         dense = _dense_centrality(rows)
         assume(dense is not None)
         eig = eigenvector_centrality(m)
@@ -359,40 +360,49 @@ def _oracle_efficiency(dist):
 
 
 def _oracle_components(m):
-    """Components by a stack search from each unseen vertex: the reference for connected_components."""
-    seen = [False] * m.n
+    """Components by whole-row frontiers on a boolean array, grown until
+    they stop: the reference for connected_components' depth-first search."""
+    edge = np.array(m.values) > 0.0
+    seen = np.zeros(m.n, dtype=bool)
     components = []
     for start in range(m.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for vtx, _w in m.edges[u]:
-                if not seen[vtx]:
-                    seen[vtx] = True
-                    stack.append(vtx)
-        components.append([m.names[i] for i in sorted(comp)])
+        if not seen[start]:
+            frontier = np.arange(m.n) == start
+            seen |= frontier
+            comp = frontier
+            while frontier.any():
+                frontier = edge[frontier].any(axis=0) & ~seen
+                seen |= frontier
+                comp = comp | frontier
+            components.append([name for name, inside in zip(m.names, comp.tolist()) if inside])
     return components
 
 
 def _helper_distances(m, mode):
     """network._distances over the edge lengths global_efficiency builds for mode."""
+    values = np.array(m.values)
     if mode == "binary":
-        return network._distances(np.where(m.values > 0.0, 1.0, math.inf))
+        return network._distances(np.where(values > 0.0, 1.0, math.inf))
     with np.errstate(divide="ignore", over="ignore"):
-        return network._distances(1.0 / m.values)
+        return network._distances(1.0 / values)
+
+
+def _efficiency_paths(m, mode):
+    """global_efficiency(m, mode) by the heap Dijkstra and by the dense one,
+    the line moved to either side of m."""
+    with mock.patch.object(network, "NUMPY_MIN_N", m.n + 1):
+        heap = global_efficiency(m, mode)
+    with mock.patch.object(network, "NUMPY_MIN_N", m.n):
+        dense = global_efficiency(m, mode)
+    return heap, dense
 
 
 def _assert_matches_oracles(m):
     hops, lengths = _bfs_distances(m), _dijkstra_distances(m)
     assert np.array_equal(_helper_distances(m, "binary"), hops)
     assert np.array_equal(_helper_distances(m, "weighted"), lengths)
-    assert global_efficiency(m, "binary") == _oracle_efficiency(hops)
-    assert global_efficiency(m, "weighted") == _oracle_efficiency(lengths)
+    assert _efficiency_paths(m, "binary") == (_oracle_efficiency(hops),) * 2
+    assert _efficiency_paths(m, "weighted") == (_oracle_efficiency(lengths),) * 2
     assert connected_components(m) == _oracle_components(m)
 
 
@@ -439,6 +449,42 @@ def test_distances_equal_the_search_oracles(m):
 @settings(max_examples=20, deadline=None)
 def test_distances_equal_the_search_oracles_on_larger_graphs(seed, n, p):
     _assert_matches_oracles(_random_sparse_matrix(seed, n, p))
+
+
+@st.composite
+def _line_graphs(draw):
+    """Graphs on either side of the numpy line: random components or paths
+    cut into pieces, weights whose 1/w overflows to inf among them, and
+    -0.0 in some of the cells that hold no edge."""
+    line = network.NUMPY_MIN_N
+    n = draw(st.integers(2, 12) | st.integers(line - 2, line + 6))
+    if draw(st.booleans()):  # a path along the matrix order, cut at a few places
+        cuts = draw(st.sets(st.integers(0, n - 2), max_size=3))
+        pairs = [(i, i + 1) for i in range(n - 1) if i not in cuts]
+    else:
+        groups = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        p = draw(st.sampled_from([0.1, 0.5, 0.9]))
+        rng = Rng(draw(st.integers(0, 2**32)))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if groups[i] == groups[j] and rng.random() < p]
+    blank = draw(st.sampled_from([0.0, -0.0]))
+    values = [[blank] * n for _ in range(n)]
+    for i in range(n):
+        values[i][i] = 0.0
+    for i, j in pairs:
+        values[i][j] = values[j][i] = draw(_ORACLE_WEIGHTS)
+    return AssociationMatrix(names=[f"n{k}" for k in range(n)], values=values)
+
+
+@given(_line_graphs())
+@settings(max_examples=80, deadline=None)
+@example(AssociationMatrix(names=["a", "b", "c"], values=[[0.0, 5e-324, -0.0], [5e-324, 0.0, 1e-310], [-0.0, 1e-310, 0.0]]))
+def test_heap_and_dense_efficiencies_agree_bit_for_bit(m):
+    for mode in ("binary", "weighted"):
+        heap, dense = _efficiency_paths(m, mode)
+        assert heap.hex() == dense.hex()
+        # the real line picks one of the two
+        assert global_efficiency(m, mode).hex() == (dense if m.n >= network.NUMPY_MIN_N else heap).hex()
+    assert connected_components(m) == _oracle_components(m)
 
 
 def test_complete_graph_past_255_vertices():
@@ -489,13 +535,13 @@ def test_adding_an_edge_never_lowers_binary_efficiency(seed):
         (i, j)
         for i in range(m.n)
         for j in range(i + 1, m.n)
-        if m.values[i, j] == 0.0
+        if m.values[i][j] == 0.0
     ]
     assume(zeros)
     i, j = zeros[0]
     before = global_efficiency(m, "binary")
-    grown = m.values.copy()
-    grown[i, j] = grown[j, i] = 0.5
+    grown = [row[:] for row in m.values]
+    grown[i][j] = grown[j][i] = 0.5
     after = global_efficiency(AssociationMatrix(names=m.names, values=grown), "binary")
     assert after >= before
 
@@ -504,7 +550,7 @@ def test_adding_an_edge_never_lowers_binary_efficiency(seed):
 @settings(max_examples=30, deadline=None)
 def test_isolated_newcomer_dilutes_everything(seed):
     m = _random_sparse_matrix(seed, 6)
-    assume(m.values.max() > 0)
+    assume(max(map(max, m.values)) > 0)
     bigger = np.zeros((m.n + 1, m.n + 1))
     bigger[: m.n, : m.n] = m.values
     grown = AssociationMatrix(names=m.names + ["loner"], values=bigger)
@@ -528,7 +574,7 @@ def test_dyadic_scale_by_ten_is_bit_stable():
             if rng.random() < 0.7:
                 dyads[(names[i], names[j])] = (1 + rng.randrange(25)) / 256.0
     m = matrix_from_dyads(names, dyads)
-    scaled = AssociationMatrix(names=names, values=m.values * 10.0)
+    scaled = AssociationMatrix(names=names, values=np.array(m.values) * 10.0)
     assert density(scaled) == density(m)
     assert global_efficiency(scaled, "binary") == global_efficiency(m, "binary")
     eig, eig10 = eigenvector_centrality(m), eigenvector_centrality(scaled)
@@ -544,9 +590,10 @@ def test_dyadic_scale_by_ten_is_bit_stable():
 @settings(max_examples=30, deadline=None)
 def test_generic_scaling_behaviour(seed, c):
     m = _random_sparse_matrix(seed, 6)
-    assume(m.values.max() > 0)
-    scaled_values = np.minimum(m.values * c, 1.0) if c > 1.0 else m.values * c
-    assume(np.all(m.values * c <= 1.0))
+    values = np.array(m.values)
+    assume(values.max() > 0)
+    scaled_values = np.minimum(values * c, 1.0) if c > 1.0 else values * c
+    assume(np.all(values * c <= 1.0))
     scaled = AssociationMatrix(names=m.names, values=scaled_values)
     assert density(scaled) == density(m)
     assert global_efficiency(scaled, "binary") == global_efficiency(m, "binary")
