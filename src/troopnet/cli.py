@@ -9,9 +9,9 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 or a JSON object when --error-json is set. All output files are written
 atomically (temp file in the target directory, then rename).
 
-numpy loads only in synth, and in network, layout and pipeline on
-graphs of params.NUMPY_MIN_N (48) vertices or more; every other command,
-and these on smaller graphs, runs on the standard library alone. Each
+numpy loads only in network, layout and pipeline on graphs of
+params.NUMPY_MIN_N (48) vertices or more; every other command, and these
+on smaller graphs, runs on the standard library alone. Each
 handler imports the stages it runs itself, so every command starts on
 the standard library, and pipeline forks its per-video worker processes
 before numpy could load, since a fork after OpenBLAS has started its
@@ -80,7 +80,7 @@ _SETTINGS = (
     _Setting("tracker.max_gap_frames", "--max-gap-frames", int),
     _Setting("tracker.min_track_len_for_id", "--min-track-len", int),
     _Setting("proximity.max_gap", "--prox-max-gap", float),
-    _Setting("proximity.max_depth_disparity", "--prox-max-depth-disparity", float),
+    _Setting("proximity.max_height_ratio", "--prox-max-height-ratio", float),
     _Setting("association.mode", "--mode", str, "association_mode", tracking.ASSOCIATION_MODES),
     _Setting("network.tol", "--tol", float),
     _Setting("network.max_iter", "--max-iter", int),
@@ -375,6 +375,12 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stream_names(directory: str) -> list[str]:
+    """The .jsonl files in directory, sorted. A hidden name is no stream: macOS
+    leaves an AppleDouble ._v0001.jsonl beside each file it copies."""
+    return sorted(n for n in os.listdir(directory) if n.endswith(".jsonl") and not n.startswith("."))
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
@@ -390,11 +396,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # a stream of an earlier, longer run would join this run's videos in a pipeline over the directory
+    written = {f"{video_id}.jsonl" for video_id in streams}
+    for directory in (os.path.join(out_dir, "detections"), os.path.join(out_dir, "tracks")):
+        stale = [n for n in _stream_names(directory) if n not in written] if os.path.isdir(directory) else []
+        if stale:
+            raise FileExistsError(
+                f"{os.path.join(directory, stale[0])}: a stream this run does not write; "
+                "synth deletes nothing, so remove it or write to another directory"
+            )
     os.makedirs(os.path.join(out_dir, "detections"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "tracks"), exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "roster.csv"), ingest.write_roster(scenario.roster))
-    latent = ingest.AssociationMatrix(scenario.roster.names, scenario.latent_weights)
-    atomic_write_text(os.path.join(out_dir, "latent.csv"), ingest.write_matrix(latent))
+    atomic_write_text(os.path.join(out_dir, "latent.csv"), ingest.write_matrix(scenario.latent_weights))
     atomic_write_text(
         os.path.join(out_dir, "ledger.csv"),
         ingest.write_ledger(scenario.ground_truth_ledger, scenario.roster),
@@ -418,12 +432,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     )
     roster = _read_roster(roster_path)
     require_pairs(len(roster), f"{roster_path}: roster: pipeline")
-    # a hidden name is no stream: macOS leaves an AppleDouble ._v0001.jsonl beside each file it copies
-    paths = [
-        os.path.join(detections_dir, n)
-        for n in sorted(os.listdir(detections_dir))
-        if n.endswith(".jsonl") and not n.startswith(".")
-    ]
+    paths = [os.path.join(detections_dir, n) for n in _stream_names(detections_dir)]
     if not paths:
         raise ParseError(f"no .jsonl detection streams in {detections_dir}")
 

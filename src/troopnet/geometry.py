@@ -50,22 +50,20 @@ class ProximityParams:
     """Thresholds for the proximity predicate.
 
     max_gap bounds the center distance in units of the mean box height;
-    max_depth_disparity bounds the absolute log of the height ratio, using
+    max_height_ratio bounds the taller box's height over the shorter's, using
     apparent face size as a stand-in for distance from the camera. The
-    defaults (2.0 face-heights, ln 1.5) are configurable stand-ins; no
+    defaults (2.0 face-heights, a ratio of 1.5) are configurable stand-ins; no
     calibrated pixel threshold exists for the field protocol.
     """
 
     max_gap: float = 2.0
-    max_depth_disparity: float = math.log(1.5)
+    max_height_ratio: float = 1.5
 
     def __post_init__(self):
         if not (self.max_gap > 0 and math.isfinite(self.max_gap)):
             raise ValueError(f"max_gap must be positive, got {self.max_gap}")
-        if not (self.max_depth_disparity >= 0 and math.isfinite(self.max_depth_disparity)):
-            raise ValueError(
-                f"max_depth_disparity must be non-negative, got {self.max_depth_disparity}"
-            )
+        if not (self.max_height_ratio >= 1 and math.isfinite(self.max_height_ratio)):
+            raise ValueError(f"max_height_ratio must be finite and at least 1, got {self.max_height_ratio}")
 
 
 _MIN_NORMAL = 2.0**-1022  # the least normal float
@@ -120,11 +118,13 @@ def is_proximal(a: BBox, b: BBox, params: ProximityParams = ProximityParams()) -
     """Whether two boxes plausibly show individuals near each other.
 
     True iff the center distance normalized by the mean box height is at
-    most max_gap and the absolute log height ratio is at most
-    max_depth_disparity. Both tests are invariant under common translation
-    and common uniform scaling of the two boxes.
+    most max_gap and the taller box's height is at most max_height_ratio
+    times the shorter's. Both tests are invariant under common translation
+    and common uniform scaling of the two boxes. The height test is one
+    correctly rounded product and a comparison, so it gives the same answer
+    on any platform.
     """
     mean_h = (a.h + b.h) / 2.0
     if center_distance(a, b) / mean_h > params.max_gap:
         return False
-    return abs(math.log(a.h / b.h)) <= params.max_depth_disparity
+    return max(a.h, b.h) <= params.max_height_ratio * min(a.h, b.h)

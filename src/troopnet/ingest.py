@@ -634,11 +634,18 @@ class AssociationMatrix:
     names (at least one) fixes the row/column order; values is n rows of n
     floats with a zero diagonal, symmetric within 1e-12, never written after
     construction. The constructor copies any n x n sequence of numbers into
-    those rows, a numpy array among them (synth builds one).
+    those rows, a numpy array among them (tests and perfbench's oracle pass one).
     """
 
     names: list[str]
     values: list[list[float]]
+
+    @classmethod
+    def _proven(cls, names: list[str], rows: list[list[float]]) -> AssociationMatrix:
+        """Names and rows already proven to keep every rule above, no -0.0 among them, stored unchecked."""
+        m = cls.__new__(cls)
+        m.names, m.values = names, rows
+        return m
 
     def __post_init__(self):
         raw = self.values
@@ -723,7 +730,7 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
                 if i == j and v != 0.0:
                     j = None
                     raise ValueError(f"nonzero diagonal value {v}")
-                raw[i][j] = v
+                raw[i][j] = v + 0.0  # -0.0 becomes 0.0, whose reciprocal edge length is +inf
         except ValueError as exc:
             _raise_at(f"matrix row {i + 2}" + ("" if j is None else f", column {names[j]!r}"), exc)
 
@@ -735,10 +742,7 @@ def parse_association_matrix(text: str | bytes) -> AssociationMatrix:
             if a > 0.0 and b > 0.0 and abs(a - b) > MIRROR_TOLERANCE:
                 raise ParseError(f"matrix: mirror cells ({names[i]!r}, {names[j]!r}) conflict: {a} vs {b}")
             upper[j] = raw[j][i] = a if a >= b else b
-    try:
-        return AssociationMatrix(names=names, values=raw)
-    except ValueError as exc:
-        _raise_at("matrix", exc)
+    return AssociationMatrix._proven(names, raw)
 
 
 def write_matrix(m: AssociationMatrix) -> str:

@@ -6,7 +6,8 @@ videos from those weights, and renders each video as a detection stream
 of persistent jittered boxes with configurable false-positive,
 false-negative and identity-confusion noise. Because every artefact is
 constructed rather than inferred, the outputs double as exact oracles for
-the downstream pipeline.
+the downstream pipeline. The latent weights are an AssociationMatrix, the
+type every stage reads, so synth runs on the standard library alone.
 
 All sampling is deterministic per seed. Each operation derives its own
 child seed (see :func:`troopnet.rng.derive_seed`) so the troop, the
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .geometry import BBox
 from .ingest import (
@@ -68,16 +67,13 @@ class NoiseParams:
 @dataclass
 class SynthScenario:
     roster: Roster
-    latent_weights: np.ndarray
+    latent_weights: AssociationMatrix
     ground_truth_ledger: OccurrenceLedger
     ground_truth_tracks: dict[str, list[Track]]
     noise: NoiseParams = field(default_factory=NoiseParams)
 
-    def __post_init__(self) -> None:
-        self.latent_weights = np.array(AssociationMatrix(self.roster.names, self.latent_weights).values)
 
-
-def generate_troop(seed: int, n_individuals: int, n_matrilines: int) -> tuple[Roster, np.ndarray]:
+def generate_troop(seed: int, n_individuals: int, n_matrilines: int) -> tuple[Roster, AssociationMatrix]:
     """Generate a roster split into matrilines and its latent weight matrix.
 
     Matriline sizes differ by at most one; names encode the matriline and
@@ -115,16 +111,16 @@ def generate_troop(seed: int, n_individuals: int, n_matrilines: int) -> tuple[Ro
             Individual(name=f"m{current_line + 1:02d}i{member:02d}", sex=sex, age_years=age)
         )
 
-    weights = np.zeros((n_individuals, n_individuals))
+    weights = [[0.0] * n_individuals for _ in range(n_individuals)]
     for i in range(n_individuals):
         for j in range(i + 1, n_individuals):
             if matriline_of[i] == matriline_of[j]:
                 w = 0.3 + rng.random() * 0.5
             else:
                 w = rng.random() * 0.1
-            weights[i, j] = w
-            weights[j, i] = w
-    return Roster(individuals), weights
+            weights[i][j] = weights[j][i] = w
+    roster = Roster(individuals)
+    return roster, AssociationMatrix(roster.names, weights)
 
 
 def sample_ledger(scenario: SynthScenario, n_videos: int, seed: int) -> OccurrenceLedger:
@@ -139,15 +135,15 @@ def sample_ledger(scenario: SynthScenario, n_videos: int, seed: int) -> Occurren
     rng = Rng(derive_seed(seed, "ledger"))
     names = scenario.roster.names
     n = len(names)
-    weights = scenario.latent_weights
     entries = []
     for v in range(n_videos):
         focal = v % n
+        weights = scenario.latent_weights.values[focal]
         present = [names[focal]]
         for j in range(n):
             if j == focal:
                 continue
-            if rng.random() < weights[focal, j]:
+            if rng.random() < weights[j]:
                 present.append(names[j])
         entries.append(LedgerEntry(video_id=f"v{v:04d}", records=(frozenset(present),)))
     return OccurrenceLedger(entries)

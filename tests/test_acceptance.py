@@ -493,7 +493,7 @@ def test_c7_end_to_end_recovery():
         )
         iu = np.triu_indices(noisy_matrix.n, k=1)
         rho = float(
-            spearmanr(np.array(noisy_matrix.values)[iu], noisy_scenario.latent_weights[iu]).statistic
+            spearmanr(np.array(noisy_matrix.values)[iu], np.array(noisy_scenario.latent_weights.values)[iu]).statistic
         )
         if rho < 0.8:
             failures.append(f"noisy Spearman correlation {rho:.4f} below 0.8")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -199,9 +198,11 @@ def test_config_overrides_and_comments(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "a.cfg"
-    cfg.write_text("tracker.iou = 0.5\n")
-    with pytest.raises(Exception, match="unknown config key"):
-        _pipeline_config("--config", str(cfg))
+    # the log-ratio depth gate's old key is not read as a height ratio below 1
+    for text in ("tracker.iou = 0.5\n", "proximity.max_depth_disparity = 0.405\n"):
+        cfg.write_text(text)
+        with pytest.raises(Exception, match="unknown config key"):
+            _pipeline_config("--config", str(cfg))
 
 
 def test_config_type_mismatch_names_the_key(tmp_path):
@@ -213,9 +214,13 @@ def test_config_type_mismatch_names_the_key(tmp_path):
 
 def test_config_out_of_range_value_rejected(tmp_path):
     cfg = tmp_path / "a.cfg"
-    cfg.write_text("tracker.iou_gate = 1.5\n")
-    with pytest.raises(Exception, match="iou_gate"):
-        _pipeline_config("--config", str(cfg))
+    for text, name in (
+        ("tracker.iou_gate = 1.5\n", "iou_gate"),
+        ("proximity.max_height_ratio = 0.9\n", "max_height_ratio"),
+    ):
+        cfg.write_text(text)
+        with pytest.raises(Exception, match=name):
+            _pipeline_config("--config", str(cfg))
 
 
 def test_config_errors_exit_two_through_cli(tmp_path, fixture_matrix_path, capsys):
@@ -285,7 +290,7 @@ _KEY_FLAG_VALUES = [
     ("tracker.max_gap_frames", "--max-gap-frames", "4", "6"),
     ("tracker.min_track_len_for_id", "--min-track-len", "2", "5"),
     ("proximity.max_gap", "--prox-max-gap", "1.5", "3.0"),
-    ("proximity.max_depth_disparity", "--prox-max-depth-disparity", "0.25", "0.5"),
+    ("proximity.max_height_ratio", "--prox-max-height-ratio", "1.25", "2.0"),
     ("association.mode", "--mode", "proximal", "video-level"),
     ("network.tol", "--tol", "1e-08", "1e-06"),
     ("network.max_iter", "--max-iter", "50", "70"),
@@ -322,8 +327,6 @@ def test_config_key_equals_its_flag_and_flag_wins(tmp_path, key, flag, value, ot
 def _readme_default(cell: str, typ: type):
     if cell == "none":
         return None
-    if cell.startswith("ln "):
-        return math.log(float(cell[3:]))
     if "/" in cell:
         num, den = cell.split("/")
         return float(num) / float(den)
@@ -823,6 +826,43 @@ def test_synth_rejects_infinite_jitter_naming_it(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == "jitter_px must be finite and non-negative, got inf\n"
     assert not (tmp_path / "out").exists()
+
+
+def _synth_videos(out_dir, videos):
+    return main(["synth", "--seed", "5", "--individuals", "4", "--matrilines", "2", "--videos", str(videos),
+                 "--frames", "2", "--out-dir", str(out_dir)])
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_refuses_a_stream_it_would_not_write(tmp_path, capsys):
+    # a pipeline over the directory would count v0003-v0005 of the longer run against a 3-video ledger
+    out = tmp_path / "out"
+    assert _synth_videos(out, 6) == 0
+    (out / "detections" / "._v0009.jsonl").write_bytes(b"\0")  # a hidden name is no stream
+    before = _tree(out)
+    capsys.readouterr()
+    assert _synth_videos(out, 3) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{out / 'detections' / 'v0003.jsonl'}: a stream this run does not write")
+    assert _tree(out) == before  # nothing written, nothing deleted
+    for k in (3, 4, 5):
+        (out / "detections" / f"v{k:04d}.jsonl").unlink()
+    assert _synth_videos(out, 3) == 2
+    assert capsys.readouterr().err.startswith(f"{out / 'tracks' / 'v0003.jsonl'}: ")
+
+
+def test_synth_reruns_with_as_many_videos_or_more(tmp_path):
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    assert _synth_videos(again, 3) == 0
+    first = _tree(again)
+    assert _synth_videos(again, 3) == 0
+    assert _tree(again) == first
+    assert _synth_videos(again, 6) == 0
+    assert _synth_videos(fresh, 6) == 0
+    assert _tree(again) == _tree(fresh)
 
 
 def _run_pipeline(synth_dir, out_dir, *extra):
@@ -1592,15 +1632,13 @@ def _numpy_watch(*commands) -> list[bool]:
 def test_small_graphs_never_load_numpy(tmp_path, fixture_matrix_path):
     # test_outputs_match_pinned_digests' scenario (7 individuals) and matrix (42), below params.NUMPY_MIN_N
     scenario = tmp_path / "scenario"
-    assert main(
-        ["synth", "--seed", "11", "--individuals", "7", "--matrilines", "2", "--videos", "10",
-         "--frames", "12", "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2",
-         "--id-confusion-rate", "0.2", "--out-dir", str(scenario)]
-    ) == 0
     pipe, out = tmp_path / "pipeline", tmp_path / "out"
     out.mkdir()
     matrix = str(fixture_matrix_path)
     loaded = _numpy_watch(
+        ["synth", "--seed", "11", "--individuals", "7", "--matrilines", "2", "--videos", "10",
+         "--frames", "12", "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2",
+         "--id-confusion-rate", "0.2", "--out-dir", str(scenario)],
         ["pipeline", "--detections-dir", str(scenario / "detections"), "--roster", str(scenario / "roster.csv"),
          "--out-dir", str(pipe), "--seed", "5", "--min-track-len", "1"],
         # the pipeline's own ledger counts to the pipeline's matrix
@@ -1612,7 +1650,7 @@ def test_small_graphs_never_load_numpy(tmp_path, fixture_matrix_path):
         # without --report, layout measures the network itself
         ["layout", "--matrix", matrix, "--seed", "5", "--dot-out", str(out / "measured.dot")],
     )
-    assert loaded == [False] * 5
+    assert loaded == [False] * 6
     got = {f"pipeline/video-level/{name}": _digest(pipe / name) for name in _PIPELINE_FILES}
     got.update({"network/report.json": _digest(out / "report.json")})
     got.update({f"layout/{name}": _digest(out / name) for name in ("network.svg", "network.dot")})
@@ -1624,10 +1662,11 @@ def test_small_graphs_never_load_numpy(tmp_path, fixture_matrix_path):
 def test_graphs_from_the_line_on_load_numpy(tmp_path):
     # test_outputs_match_pinned_digests' 96-vertex matrix, and the first 48 of its vertices
     large = tmp_path / "large"
-    assert main(
+    # synth never loads numpy, whatever the troop's size
+    assert _numpy_watch(
         ["synth", "--seed", "11", "--individuals", "96", "--matrilines", "8", "--videos", "96",
          "--frames", "1", "--out-dir", str(large)]
-    ) == 0
+    ) == [False]
     assert main(
         ["cooccur", "--ledger", str(large / "ledger.csv"), "--roster", str(large / "roster.csv"),
          "--out", str(large / "matrix.csv")]

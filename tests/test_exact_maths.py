@@ -27,8 +27,6 @@ ALLOWED = {
     "exact: splits off or scales by a power of two": ("math.frexp", "math.ldexp"),
     "integer arithmetic": ("math.isqrt",),
     "a constant or a classification: no rounding": ("math.inf", "math.isfinite", "math.isnan", "np.isfinite"),
-    "libm, which IEEE 754 does not require to be correctly rounded: geometry.is_proximal's depth gate "
-    "and its default. ROADMAP item 4(a) replaces it with a height ratio decided by * and <=": ("math.log",),
     "elementwise IEEE 754 arithmetic, each result rounded once": (
         "np.add", "np.subtract", "np.multiply", "np.divide", "np.minimum",
     ),
@@ -37,7 +35,7 @@ ALLOWED = {
         "np.array", "np.zeros", "np.empty", "np.empty_like", "np.full", "np.eye", "np.arange",
         "np.concatenate", "np.where",
     ),
-    "a type or a context, no arithmetic": ("np.ndarray", "np.errstate"),
+    "a context, no arithmetic": ("np.errstate",),
 }
 ALLOWED_NAMES = {name: reason for reason, names in ALLOWED.items() for name in names}
 

@@ -205,30 +205,39 @@ def test_center_distance_triangle_inequality(a, b, c):
 def test_proximity_params_validation():
     with pytest.raises(ValueError):
         ProximityParams(max_gap=0)
-    with pytest.raises(ValueError):
-        ProximityParams(max_depth_disparity=-0.1)
-    # zero disparity is allowed: equal heights only
-    ProximityParams(max_depth_disparity=0.0)
+    for bad in (math.nextafter(1.0, 0.0), 0.0, -1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_height_ratio"):
+            ProximityParams(max_height_ratio=bad)
+    # a ratio of 1 is allowed: equal heights only
+    ProximityParams(max_height_ratio=1.0)
 
 
 def test_is_proximal_same_box_always_true():
     b = BBox(10, 10, 30, 30)
-    assert is_proximal(b, b, ProximityParams(max_gap=0.001, max_depth_disparity=0.0))
+    assert is_proximal(b, b, ProximityParams(max_gap=0.001, max_height_ratio=1.0))
 
 
 def test_is_proximal_hand_case_within_gap():
     a = BBox(0, 0, 100, 100)
     b = BBox(150, 0, 100, 100)  # centers 150 apart, mean height 100 -> gap 1.5
-    p = ProximityParams(max_gap=2.0, max_depth_disparity=0.405)
+    p = ProximityParams(max_gap=2.0, max_height_ratio=1.5)
     assert is_proximal(a, b, p)
 
 
 def test_is_proximal_depth_disparity_rejects():
-    # heights 100 vs 300: |ln 3| > 0.405 regardless of distance
+    # heights 100 vs 300: a ratio of 3 > 1.5 regardless of distance
     a = BBox(0, 0, 100, 100)
     b = BBox(0, 0, 100, 300)
-    p = ProximityParams(max_gap=100.0, max_depth_disparity=0.405)
+    p = ProximityParams(max_gap=100.0, max_height_ratio=1.5)
     assert not is_proximal(a, b, p)
+
+
+@pytest.mark.parametrize("taller,proximal", [(96.0, True), (math.nextafter(96.0, math.inf), False)])
+def test_is_proximal_height_ratio_is_exact(taller, proximal):
+    # 1.5 * 64 is exactly 96: the gate holds at the ratio and fails one ulp past it, in either order
+    short, tall = BBox(0, 0, 64, 64), BBox(0, 0, 64, taller)
+    p = ProximityParams()
+    assert is_proximal(short, tall, p) is is_proximal(tall, short, p) is proximal
 
 
 def test_is_proximal_distance_rejects():
@@ -250,7 +259,7 @@ def test_is_proximal_translation_and_scale_invariant(a, b, dx, dy, s):
     moved_b = BBox((b.x + dx) * s, (b.y + dy) * s, b.w * s, b.h * s)
     # skip knife-edge cases where rounding could legitimately flip the predicate
     gap = center_distance(a, b) / ((a.h + b.h) / 2.0)
-    disparity = abs(math.log(a.h / b.h))
-    if abs(gap - p.max_gap) < 1e-6 or abs(disparity - p.max_depth_disparity) < 1e-6:
+    ratio = max(a.h, b.h) / min(a.h, b.h)
+    if abs(gap - p.max_gap) < 1e-6 or abs(ratio - p.max_height_ratio) < 1e-6:
         return
     assert is_proximal(moved_a, moved_b, p) == is_proximal(a, b, p)

@@ -675,6 +675,56 @@ def test_ndarray_and_list_forms_build_the_same_matrix(case):
         assert from_list[0] == [[(v + 0.0).hex() for v in row] for row in rows]
 
 
+# matrix CSV cells: blanks, zeros of both signs, and weights that face their
+# mirror cell blank, equal, within the 1e-9 tolerance or in conflict
+_CSV_CELLS = ["", " ", "0", "-0", "-0.0", "0.25", "0.5", "0.5000000005", "1", "1e-300"]
+
+
+@st.composite
+def _matrix_texts(draw):
+    n = draw(st.integers(1, 4))
+    names = [f"n{k}" for k in range(n)]
+    cells = [[draw(st.sampled_from(_CSV_CELLS)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        cells[i][i] = draw(st.sampled_from(["", "0", "-0", "-0.0", "0.5"]))
+        for j in range(i):
+            cells[i][j] = draw(st.sampled_from(["", cells[j][i], cells[i][j]]))  # triangular, mirrored or free
+    rows = [",".join([names[i], *cells[i][: draw(st.integers(0, n))]]) for i in range(n)]  # short rows too
+    return "\n".join([",".join(["", *names]), *rows]) + "\n"
+
+
+@given(_matrix_texts())
+@example(",A,B\nA,-0,-0\nB,0,\n")
+@settings(max_examples=300, deadline=None)
+def test_a_parsed_matrix_is_the_one_its_constructor_builds(text):
+    # the parser's proven rows skip the constructor's checks: wherever it accepts a
+    # text, they are the rows the constructor builds from them, bit for bit, no -0.0 among them
+    try:
+        m = parse_association_matrix(text)
+    except ParseError:
+        return
+    rebuilt = AssociationMatrix(m.names, m.values)
+    assert [[v.hex() for v in row] for row in rebuilt.values] == [[v.hex() for v in row] for row in m.values]
+
+
+def test_each_build_of_a_matrix_is_checked_once(tmp_path):
+    from troopnet.association import count_occurrences, simple_ratio_matrix
+    from troopnet.cli import main
+    from troopnet.synth import build_scenario
+
+    check = AssociationMatrix.__post_init__
+    with mock.patch.object(AssociationMatrix, "__post_init__", autospec=True, side_effect=check) as checks:
+        parse_association_matrix(",A,B\nA,,0.5\nB,0.5,\n")
+        assert checks.call_count == 0
+        simple_ratio_matrix(count_occurrences(OccurrenceLedger([video_entry("v1", ["A", "B"])])), ["A", "B"])
+        assert checks.call_count == 1
+        build_scenario(3, 6, 2, 4, 2)
+        assert checks.call_count == 2
+        assert main(["synth", "--seed", "3", "--individuals", "6", "--matrilines", "2", "--videos", "4",
+                     "--frames", "2", "--out-dir", str(tmp_path)]) == 0
+        assert checks.call_count == 3
+
+
 def test_association_matrix_copies_its_rows():
     rows = [[0.0, 0.5], [0.5, 0.0]]
     m = AssociationMatrix(["A", "B"], rows)

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from troopnet.ingest import OccurrenceLedger
+from troopnet.ingest import AssociationMatrix, OccurrenceLedger
 from troopnet.synth import (
     NoiseParams,
     SynthScenario,
@@ -27,6 +26,12 @@ def _bare_scenario(roster, weights, noise=None):
         ground_truth_tracks={},
         noise=noise or NoiseParams(),
     )
+
+
+def _uniform(roster, w):
+    """Latent weights of w between every two individuals."""
+    n = len(roster)
+    return AssociationMatrix(roster.names, [[0.0 if i == j else w for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +54,19 @@ def test_noise_params_validation():
 
 
 def test_scenario_rejects_bad_weights():
+    # a scenario's latent weights are an AssociationMatrix, whose constructor refuses them
     roster, weights = generate_troop(0, 4, 2)
+    names, rows = roster.names, weights.values
     with pytest.raises(ValueError, match="shape"):
-        _bare_scenario(roster, np.zeros((3, 3)))
+        AssociationMatrix(names, [[0.0] * 3 for _ in range(3)])
     with pytest.raises(ValueError, match="symmetric"):
-        bad = weights.copy()
-        bad[0, 1] = bad[1, 0] + 0.1
-        _bare_scenario(roster, bad)
+        bad = [list(row) for row in rows]
+        bad[0][1] = bad[1][0] + 0.1
+        AssociationMatrix(names, bad)
     with pytest.raises(ValueError, match="diagonal"):
-        _bare_scenario(roster, weights + np.eye(4))
+        AssociationMatrix(names, [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        _bare_scenario(roster, weights * 20.0)
+        AssociationMatrix(names, [[v * 20.0 for v in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +94,16 @@ def test_troop_sizes_differ_by_at_most_one():
 def test_troop_weight_bands():
     roster, weights = generate_troop(3, 10, 2)
     lines = [name[:3] for name in roster.names]
+    rows = weights.values
+    assert weights.names == roster.names
     for i in range(10):
-        assert weights[i, i] == 0.0
+        assert rows[i][i] == 0.0
         for j in range(i + 1, 10):
-            assert weights[i, j] == weights[j, i]
+            assert rows[i][j] == rows[j][i]
             if lines[i] == lines[j]:
-                assert 0.3 <= weights[i, j] <= 0.8
+                assert 0.3 <= rows[i][j] <= 0.8
             else:
-                assert 0.0 <= weights[i, j] <= 0.1
+                assert 0.0 <= rows[i][j] <= 0.1
 
 
 def test_troop_members_are_plausible():
@@ -109,8 +118,8 @@ def test_troop_determinism_and_seed_sensitivity():
     b = generate_troop(5, 8, 2)
     c = generate_troop(6, 8, 2)
     assert a[0] == b[0]
-    assert np.array_equal(a[1], b[1])
-    assert not np.array_equal(a[1], c[1])
+    assert a[1].values == b[1].values
+    assert a[1].values != c[1].values
 
 
 def test_troop_input_validation():
@@ -143,7 +152,7 @@ def test_ledger_round_robin_focals():
 
 def test_ledger_zero_weights_give_lone_focals():
     roster, _ = generate_troop(0, 5, 1)
-    scenario = _bare_scenario(roster, np.zeros((5, 5)))
+    scenario = _bare_scenario(roster, _uniform(roster, 0.0))
     ledger = sample_ledger(scenario, 10, seed=3)
     for v, entry in enumerate(ledger.entries):
         assert entry.present == frozenset({roster.names[v % 5]})
@@ -151,8 +160,7 @@ def test_ledger_zero_weights_give_lone_focals():
 
 def test_ledger_unit_weights_bring_everyone():
     roster, _ = generate_troop(0, 5, 1)
-    ones = np.ones((5, 5)) - np.eye(5)
-    scenario = _bare_scenario(roster, ones)
+    scenario = _bare_scenario(roster, _uniform(roster, 1.0))
     ledger = sample_ledger(scenario, 10, seed=3)
     for entry in ledger.entries:
         assert entry.present == frozenset(roster.names)
@@ -241,7 +249,7 @@ def test_stream_fn_rate_one_empties_frames():
 
 def test_stream_false_positive_count_is_binomial():
     roster, _ = generate_troop(0, 2, 1)
-    scenario = _bare_scenario(roster, np.zeros((2, 2)), NoiseParams(fp_rate=0.05))
+    scenario = _bare_scenario(roster, _uniform(roster, 0.0), NoiseParams(fp_rate=0.05))
     scenario.ground_truth_ledger = sample_ledger(scenario, 1, seed=0)
     stream, _ = sample_detection_stream(scenario, scenario.ground_truth_ledger.entries[0], 1000, seed=0)
     fp = sum(
