@@ -18,7 +18,6 @@ from .ingest import Detection, Roster
 
 __all__ = [
     "IdSample",
-    "rank_key",
     "topk_accuracy",
     "confusion_matrix",
     "pooled_detection_metrics",
@@ -30,9 +29,11 @@ class IdSample:
     """One identification sample: a score map and the true label.
 
     The constructor holds the one sample rule: class_scores is non-empty and
-    scores the true label. It ranks class_scores once, by one sort on
-    rank_key: rank counts the names that outrank the true label, predicted
-    is the first.
+    scores the true label. It ranks the (score, name) pairs by plain tuple
+    comparison: rank counts the pairs greater than the true label's,
+    predicted names the greatest. So a greater score ranks first, and equal
+    scores (-0.0 and 0.0 among them) rank the lexicographically later name
+    first; fuse_identity's tie rule is the same.
     """
 
     class_scores: dict[str, float]
@@ -46,10 +47,10 @@ class IdSample:
             raise ValueError("class_scores is empty")
         if label not in scores:
             raise ValueError(f"true_label {label!r} has no class score")
-        # names are unique, so no two keys are equal
-        ranked = sorted(scores, key=rank_key(scores), reverse=True)
-        object.__setattr__(self, "rank", ranked.index(label))
-        object.__setattr__(self, "predicted", ranked[0])
+        pairs = list(zip(scores.values(), scores))  # names are unique, so no two pairs are equal
+        own = (scores[label], label)
+        object.__setattr__(self, "rank", sum(map(own.__lt__, pairs)))
+        object.__setattr__(self, "predicted", max(pairs)[1])
 
 
 def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
@@ -72,12 +73,6 @@ def _greedy(preds: list[Detection], gts: list[BBox], iou_threshold: float):
         if best_j >= 0:
             taken[best_j] = True
         yield i, best_j
-
-
-def rank_key(scores: dict[str, float]):
-    """The key that ranks names by score: a name with a greater key ranks
-    first, so equal scores rank the lexicographically later name first."""
-    return lambda name: (scores[name], name)
 
 
 def topk_accuracy(samples: list[IdSample], k: int) -> float:

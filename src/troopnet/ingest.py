@@ -8,6 +8,11 @@ identification samples (parse_id_samples). All text is UTF-8 with LF line
 endings, and writers are deterministic so identical data always produces
 identical bytes.
 
+A detection stream and a tracks file name their classes once, on a first
+{"classes": [...]} line, and each detection gives its class scores as one
+list in that order, held in memory as a ClassScores over the file's shared
+names. Identification samples keep an object of names and scores each.
+
 Every parser rejects bad input one way. A field check raises ValueError
 naming the field, given as its what argument ("score: expected a number,
 got '1'"), and the parser adds the record's place once, through _raise_at,
@@ -24,6 +29,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NoReturn
@@ -34,6 +40,7 @@ __all__ = [
     "ParseError",
     "Individual",
     "Roster",
+    "ClassScores",
     "Detection",
     "Frame",
     "DetectionStream",
@@ -406,6 +413,39 @@ def parse_ground_truth(data: str | bytes) -> dict[str, dict[int, list[BBox]]]:
 # detection streams
 
 
+class ClassScores(Mapping):
+    """One detection's class scores: a read-only name -> score mapping.
+
+    row holds one score per class in the order of names, the class list of
+    the whole stream, so cs[name], iteration (in class order) and
+    comparison with a dict work as on a dict of the scores. positions maps
+    each name to its place in names. Build names and positions once per
+    class list and share them by reference: a stream's classes line gives
+    one pair, a synth roster another (its positions), never one per
+    detection. Nothing is checked here; the parsers check a row against its
+    class list once, where it enters.
+    """
+
+    __slots__ = ("names", "positions", "row")
+
+    def __init__(self, names: tuple[str, ...], positions: dict[str, int], row: list[float]):
+        self.names = names
+        self.positions = positions
+        self.row = row
+
+    def __getitem__(self, name: str) -> float:
+        return self.row[self.positions[name]]
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __repr__(self) -> str:
+        return f"ClassScores({dict(self)!r})"
+
+
 @dataclass
 class Detection:
     """One detected face: the only per-box record, in streams and in tracks alike."""
@@ -413,7 +453,7 @@ class Detection:
     frame_index: int
     bbox: BBox
     score: float
-    class_scores: dict[str, float] | None = None
+    class_scores: ClassScores | None = None
 
 
 @dataclass
@@ -424,8 +464,12 @@ class Frame:
 
 @dataclass
 class DetectionStream:
+    """A video's frames; classes names the class_scores rows, () when no
+    detection carries any."""
+
     video_id: str
     frames: list[Frame] = field(default_factory=list)
+    classes: tuple[str, ...] = ()
 
     @property
     def detection_count(self) -> int:
@@ -433,7 +477,8 @@ class DetectionStream:
 
 
 def _class_scores(raw, roster: Roster | None) -> dict[str, float]:
-    """The one class-score check: a non-empty object of numbers in [0, 1], names in the roster if given.
+    """An identification sample's class-score check: a non-empty object of
+    numbers in [0, 1], names in the roster if given.
 
     An object of floats that passes as a whole is returned as it is, not
     copied; any other goes to _class_scores_by_name, which converts
@@ -461,8 +506,69 @@ def _class_scores_by_name(raw, roster: Roster | None) -> dict[str, float]:
     return scores
 
 
-def _parse_detection(obj, frame_index: int | None, roster: Roster | None) -> Detection:
-    """One detection record: bbox [x, y, w, h], score in [0, 1], optional class_scores.
+def _classes_line(records, roster: Roster | None, prefix: str):
+    """Split a stream's or a tracks file's classes line off its records:
+    (names, positions, the other records), names and positions None
+    without one.
+
+    The classes line is the first record, {"classes": [...]}: distinct
+    strings, each on the roster when one is given, checked here once per
+    file. Without it, no record may carry class scores.
+    """
+    first = next(records, None)
+    if first is None or not (isinstance(first[1], dict) and "classes" in first[1]):
+        return None, None, itertools.chain([first] if first else [], records)
+    lineno, obj = first
+    try:
+        names = obj["classes"]
+        if not isinstance(names, list) or not names:
+            raise ValueError(f"classes must be a non-empty list, got {names!r}")
+        positions: dict[str, int] = {}
+        for k, name in enumerate(names):
+            _on_roster(_str(name, f"classes[{k}]"), roster, " in classes")
+            if positions.setdefault(name, k) != k:
+                raise ValueError(f"duplicate class {name!r} in classes")
+    except ValueError as exc:
+        _raise_at(f"{prefix}line {lineno}", exc)
+    return tuple(names), positions, records
+
+
+def _class_row(raw, names: tuple[str, ...] | None) -> list[float]:
+    """The one check of a detection's class scores: a list of one number in
+    [0, 1] per class, in the order of the classes line.
+
+    A list of floats that passes as a whole is returned as it is, not
+    copied; any other goes to _class_row_by_index, which converts integers
+    or raises naming the first bad entry.
+    """
+    if type(raw) is list and names is not None and len(raw) == len(names):
+        # min and max skip a NaN that is not first; the sum carries it
+        if {*map(type, raw)} == {float} and 0.0 <= min(raw) and max(raw) <= 1.0:
+            if not math.isnan(sum(raw)):
+                return raw
+    return _class_row_by_index(raw, names)
+
+
+def _class_row_by_index(raw, names: tuple[str, ...] | None) -> list[float]:
+    if isinstance(raw, dict):
+        raise ValueError('class_scores is an object; scores are now a list in the order of the "classes" line')
+    if names is None:
+        raise ValueError('class_scores needs a "classes" line first in the file')
+    _list(raw, "class_scores")
+    if len(raw) != len(names):
+        raise ValueError(f"class_scores has {len(raw)} entries; the classes line names {len(names)}")
+    row = []
+    for k, value in enumerate(raw):
+        v = _num(value, f"class_scores[{k}]: ")
+        if not 0.0 <= v <= 1.0:  # also rejects NaN
+            raise ValueError(f"class_scores[{k}] = {v} outside [0, 1]")
+        row.append(v)
+    return row
+
+
+def _parse_detection(obj, frame_index: int | None, names, positions) -> Detection:
+    """One detection record: bbox [x, y, w, h], score in [0, 1], optional
+    class_scores over the classes names (None without a classes line).
 
     The fields are checked in that order, and the first bad one is named.
     Integers are converted to floats.
@@ -474,22 +580,26 @@ def _parse_detection(obj, frame_index: int | None, roster: Roster | None) -> Det
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score} outside [0, 1]")
     raw_scores = obj.get("class_scores")
-    class_scores = None if raw_scores is None else _class_scores(raw_scores, roster)
+    class_scores = None if raw_scores is None else ClassScores(names, positions, _class_row(raw_scores, names))
     return Detection(frame_index, box, score, class_scores)
 
 
 def parse_detection_stream(data: str | bytes, video_id: str, roster: Roster | None = None) -> DetectionStream:
     """Parse a detection stream from JSON-lines, one frame object per line.
 
-    Each line is {"frame_index": int, "detections": [...]} with detections
-    carrying "bbox", "score" and optionally "class_scores". Frame indices
-    must be strictly increasing; the file is rejected, not re-sorted, when
-    they are not. When a roster is given, class-score keys are validated
-    against it. Blank lines are ignored.
+    The first line, {"classes": [...]}, names the classes once; it may be
+    left out when no detection carries class_scores. Each later line is
+    {"frame_index": int, "detections": [...]} with detections carrying
+    "bbox", "score" and optionally "class_scores", a list of one score per
+    class in the order of the classes line. Frame indices must be strictly
+    increasing; the file is rejected, not re-sorted, when they are not.
+    When a roster is given, every class must be on it. Blank lines are
+    ignored.
     """
+    names, positions, records = _classes_line(_json_lines(data, ""), roster, "")
     frames: list[Frame] = []
     prev_index = None
-    for lineno, obj in _json_lines(data, ""):
+    for lineno, obj in records:
         try:
             index = obj.get("frame_index") if isinstance(obj, dict) else None
             if isinstance(index, bool) or not isinstance(index, int):
@@ -502,28 +612,38 @@ def parse_detection_stream(data: str | bytes, video_id: str, roster: Roster | No
             detections = []
             for k, d in enumerate(raw_dets):  # k is formatted only for a bad detection
                 try:
-                    detections.append(_parse_detection(d, index, roster))
+                    detections.append(_parse_detection(d, index, names, positions))
                 except ValueError as exc:
                     _raise_at(f"detection {k}", exc)
         except ValueError as exc:
             _raise_at(f"line {lineno}", exc)
         prev_index = index
         frames.append(Frame(frame_index=index, detections=detections))
-    return DetectionStream(video_id=video_id, frames=frames)
+    return DetectionStream(video_id=video_id, frames=frames, classes=names or ())
 
 
-def _detection_obj(det: Detection) -> dict:
+def _classes_head(classes: tuple[str, ...]) -> list[dict]:
+    """A file's classes line, none when there are no classes."""
+    return [{"classes": list(classes)}] if classes else []
+
+
+def _detection_obj(det: Detection, classes: tuple[str, ...]) -> dict:
     obj = {"bbox": [det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h], "score": det.score}
     if det.class_scores is not None:
-        obj["class_scores"] = {k: det.class_scores[k] for k in sorted(det.class_scores)}
+        if det.class_scores.names != classes:
+            raise ValueError(f"class scores over {list(det.class_scores.names)} in a file of classes {list(classes)}")
+        obj["class_scores"] = det.class_scores.row
     return obj
 
 
 def write_detection_stream(stream: DetectionStream) -> str:
-    return _write_json_lines(
-        {"frame_index": frame.frame_index, "detections": [_detection_obj(d) for d in frame.detections]}
+    """The stream's classes line, then a line per frame; every class_scores
+    row is over stream.classes."""
+    frames = (
+        {"frame_index": frame.frame_index, "detections": [_detection_obj(d, stream.classes) for d in frame.detections]}
         for frame in stream.frames
     )
+    return _write_json_lines(itertools.chain(_classes_head(stream.classes), frames))
 
 
 # ---------------------------------------------------------------------------
@@ -756,12 +876,15 @@ def write_matrix(m: AssociationMatrix) -> str:
 
 
 def write_tracks(tracks) -> str:
-    return _write_json_lines(
+    """A classes line, from the first scored observation, then a line per
+    track; every class_scores row is over the same classes."""
+    classes = next((o.class_scores.names for t in tracks for o in t.observations if o.class_scores is not None), ())
+    lines = (
         {
             "track_id": t.track_id,
             "video_id": t.video_id,
             "observations": [
-                {"frame_index": o.frame_index, **_detection_obj(o)} for o in t.observations
+                {"frame_index": o.frame_index, **_detection_obj(o, classes)} for o in t.observations
             ],
             "identity": None
             if t.identity is None
@@ -769,19 +892,24 @@ def write_tracks(tracks) -> str:
         }
         for t in tracks
     )
+    return _write_json_lines(itertools.chain(_classes_head(classes), lines))
 
 
 def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
+    """Parse a tracks file: a classes line as a detection stream has, then
+    one track per line, whose observations are detections with a frame_index."""
     from .tracking import Identity, Track
 
+    names, positions, records = _classes_line(_json_lines(data, "tracks "), roster, "tracks ")
     tracks = []
-    for lineno, obj in _json_lines(data, "tracks "):
+    for lineno, obj in records:
         try:
             obj = _object(obj, "track")
             observations = []
             for k, o in enumerate(_list(_key(obj, "observations", "track "), "observations")):
                 try:
-                    det = _parse_detection(o, None, roster)  # the detection's own fields first, then its frame_index
+                    # the detection's own fields first, then its frame_index
+                    det = _parse_detection(o, None, names, positions)
                     det.frame_index = o.get("frame_index")
                     if isinstance(det.frame_index, bool) or not isinstance(det.frame_index, int):
                         raise ValueError("needs integer frame_index")
@@ -819,8 +947,8 @@ def parse_tracks(data: str | bytes, roster: Roster | None = None) -> list:
 def parse_id_samples(data: str | bytes, roster: Roster) -> list:
     """Parse identification samples: {"class_scores": {...}, "true_label": ...} per line.
 
-    class_scores must be a non-empty object of numbers in [0, 1] keyed by
-    roster names, checked by the same code as a detection's; true_label
+    Samples keep the object form: class_scores must be a non-empty object
+    of numbers in [0, 1] keyed by roster names; true_label
     must be a roster name with a score of its own. Blank lines are
     ignored; a file with no samples is an error.
     """

@@ -7,7 +7,9 @@ of persistent jittered boxes with configurable false-positive,
 false-negative and identity-confusion noise. Because every artefact is
 constructed rather than inferred, the outputs double as exact oracles for
 the downstream pipeline. The latent weights are an AssociationMatrix, the
-type every stage reads, so synth runs on the standard library alone.
+type every stage reads, so synth runs on the standard library alone. Each
+stream's classes are the roster's names, and its class scores are one row
+per detection in that order.
 
 All sampling is deterministic per seed. Each operation derives its own
 child seed (see :func:`troopnet.rng.derive_seed`) so the troop, the
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from .geometry import BBox
 from .ingest import (
     AssociationMatrix,
+    ClassScores,
     Detection,
     DetectionStream,
     Frame,
@@ -155,9 +158,11 @@ def _grid_origin(slot: int, columns: int) -> tuple[float, float]:
     return (_GRID_MARGIN + col * _GRID_PITCH, _GRID_MARGIN + row * _GRID_PITCH)
 
 
-def _class_scores(names: list[str], true_name: str, confusion: float) -> dict[str, float]:
-    spread = confusion / (len(names) - 1)
-    return {nm: (1.0 - confusion) if nm == true_name else spread for nm in names}
+def _score_row(n: int, true_position: int, confusion: float) -> list[float]:
+    """Scores of n classes: 1 - confusion on the true one, the rest spread evenly over the others."""
+    row = [confusion / (n - 1)] * n
+    row[true_position] = 1.0 - confusion
+    return row
 
 
 def sample_detection_stream(
@@ -169,16 +174,24 @@ def sample_detection_stream(
     grid. Per frame and individual the draws are jitter x, jitter y, a
     false-negative coin and a score in [0.5, 1); one false-positive coin
     per frame follows, and a firing coin draws the spurious box's x, y,
-    width, height and score. Class scores put 1 - id_confusion_rate on
-    the true identity and spread the rest uniformly. The returned tracks
-    are exactly what ideal tracking would produce (identity left unset,
-    as tracking itself emits it).
+    width, height and score. The stream's classes are the roster's names.
+    Class scores put 1 - id_confusion_rate on the true identity and spread
+    the rest uniformly; each individual's detections share one
+    ClassScores, whose positions are the roster's, so a scenario builds no
+    name index of its own. The returned tracks are exactly what ideal
+    tracking would produce (identity left unset, as tracking itself emits
+    it).
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
-    names = scenario.roster.names
-    present = [nm for nm in names if nm in entry.present]
+    roster = scenario.roster
+    classes = tuple(roster.names)
+    present = [nm for nm in classes if nm in entry.present]
     noise = scenario.noise
+    scores = [
+        ClassScores(classes, roster.positions, _score_row(len(classes), roster.positions[nm], noise.id_confusion_rate))
+        for nm in present
+    ]
     rng = Rng(derive_seed(seed, "detections", entry.video_id))
 
     columns = max(1, math.isqrt(len(present) - 1) + 1) if present else 1
@@ -190,19 +203,18 @@ def sample_detection_stream(
     observations: list[list[Detection]] = [[] for _ in present]
     for fi in range(n_frames):
         detections = []
-        for k, nm in enumerate(present):
+        for k, (ox, oy) in enumerate(origins):
             jx = (rng.random() * 2.0 - 1.0) * noise.jitter_px
             jy = (rng.random() * 2.0 - 1.0) * noise.jitter_px
             dropped = rng.random() < noise.fn_rate
             score = 0.5 + rng.random() * 0.5
             if dropped:
                 continue
-            ox, oy = origins[k]
             det = Detection(
                 frame_index=fi,
                 bbox=BBox(ox + jx, oy + jy, _BOX_SIZE, _BOX_SIZE),
                 score=score,
-                class_scores=_class_scores(names, nm, noise.id_confusion_rate),
+                class_scores=scores[k],
             )
             detections.append(det)
             observations[k].append(det)
@@ -220,7 +232,7 @@ def sample_detection_stream(
         for k, obs in enumerate(observations)
         if obs
     ]
-    return DetectionStream(video_id=entry.video_id, frames=frames), tracks
+    return DetectionStream(video_id=entry.video_id, frames=frames, classes=classes), tracks
 
 
 def build_scenario(

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import add
 
-from .evaluation import rank_key
 from .geometry import BBox, ProximityParams, iou, is_proximal
 from .ingest import Detection, DetectionStream, LedgerEntry, OccurrenceLedger
 
@@ -54,6 +54,13 @@ class Track:
         indices = [o.frame_index for o in self.observations]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("track observations must have strictly increasing frame_index")
+        names = None  # the class list of the scored observations
+        for o in self.observations:
+            if o.class_scores is not None:
+                if names is None:
+                    names = o.class_scores.names
+                elif o.class_scores.names is not names and o.class_scores.names != names:
+                    raise ValueError("track observations must score one class list")
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -166,13 +173,16 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
         detections = frame.detections
         assignment: dict[int, int] = {}
         if active and detections:
-            spans = [(det.bbox.x, det.bbox.x + det.bbox.w) for det in detections]
+            # each box's extents, its right and bottom edges rounded as iou rounds them
+            spans = [(b.x, b.x + b.w, b.y, b.y + b.h) for b in (det.bbox for det in detections)]
             gated = []  # (row, column, cost) of each pair inside the gate
             for r, track in enumerate(active):
                 last_bbox = track.observations[-1].bbox
                 left, right = last_bbox.x, last_bbox.x + last_bbox.w
-                for c, (det_left, det_right) in enumerate(spans):
-                    if det_left < right and left < det_right:  # else iou is 0.0, below any gate
+                top, bottom = last_bbox.y, last_bbox.y + last_bbox.h
+                for c, (det_left, det_right, det_top, det_bottom) in enumerate(spans):
+                    # boxes apart on either axis have iou 0.0, below any gate
+                    if det_left < right and left < det_right and det_top < bottom and top < det_bottom:
                         overlap = iou(last_bbox, detections[c].bbox)
                         if overlap >= params.iou_gate:
                             gated.append((r, c, 1.0 - overlap))
@@ -199,29 +209,28 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
 
 
 def fuse_identity(track: Track, params: TrackerParams = TrackerParams()) -> Track:
-    """Attach the fused identity: the first name by evaluation.rank_key over
-    the mean per-frame scores, as in top-k; its mean is the confidence.
+    """Attach the fused identity: the class of the greatest (mean score,
+    name) pair over the per-frame scores, so equal means go to the
+    lexicographically later name, as in top-k; its mean is the confidence.
 
-    Frames without class_scores contribute nothing. The identity is
-    omitted when the track is shorter than min_track_len_for_id or no
-    observation carries scores. Names are not checked here;
-    parse_detection_stream checks them against the roster.
+    Each scored frame adds its whole row to the sums, which start at 0.0,
+    in frame order. Frames without class_scores contribute nothing. The
+    identity is omitted when the track is shorter than min_track_len_for_id
+    or no observation carries scores. Every scored frame of a track scores
+    the same class list (Track checks it), every class of it; a roster name
+    that the list leaves out is never scored, so it never wins. Names are
+    not checked here; parse_detection_stream checks them against the roster.
     """
     if len(track.observations) < params.min_track_len_for_id:
         return replace(track, identity=None)
-    sums: dict[str, float] = {}
-    scored_frames = 0
-    for obs in track.observations:
-        if obs.class_scores is None:
-            continue
-        scored_frames += 1
-        for name, value in obs.class_scores.items():
-            sums[name] = sums.get(name, 0.0) + value
-    if scored_frames == 0:  # a scored frame names someone: _class_scores refuses an empty object
+    scored = [obs.class_scores for obs in track.observations if obs.class_scores is not None]
+    if not scored:
         return replace(track, identity=None)
-    means = {name: total / scored_frames for name, total in sums.items()}
-    best = max(means, key=rank_key(means))
-    return replace(track, identity=Identity(name=best, confidence=means[best]))
+    sums = [0.0] * len(scored[0].row)
+    for scores in scored:
+        sums = list(map(add, sums, scores.row))
+    mean, best = max(zip([total / len(scored) for total in sums], scored[0].names))
+    return replace(track, identity=Identity(name=best, confidence=mean))
 
 
 def tracks_to_ledger(

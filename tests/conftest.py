@@ -1,11 +1,11 @@
-"""Shared fixtures: the bundled troop matrix, small graph and ledger builders and a matrix lookup."""
+"""Shared fixtures: the bundled troop matrix, small graph, ledger and class-score builders and a matrix lookup."""
 
 from __future__ import annotations
 
 import pytest
 
 from troopnet import bundled
-from troopnet.ingest import AssociationMatrix, LedgerEntry
+from troopnet.ingest import AssociationMatrix, ClassScores, LedgerEntry
 from troopnet.network import network_report
 
 
@@ -43,3 +43,16 @@ def pair_entry(video_id: str, pairs) -> LedgerEntry:
     """A proximal ledger entry: one joint record per pair, in sorted order."""
     records = tuple(map(frozenset, sorted({tuple(sorted(pair)) for pair in pairs})))
     return LedgerEntry(video_id=video_id, records=records)
+
+
+def class_scores(score_maps, names=None) -> list:
+    """A ClassScores for each {name: score} map of score_maps, None for None.
+
+    All share one names tuple and positions map, as a parsed stream's do:
+    names, or the first map's keys in order. Each map scores every name.
+    """
+    if names is None:
+        names = next((tuple(m) for m in score_maps if m is not None), ())
+    names = tuple(names)
+    positions = {name: k for k, name in enumerate(names)}
+    return [None if m is None else ClassScores(names, positions, [m[name] for name in names]) for m in score_maps]

@@ -42,8 +42,9 @@ def fixture_matrix_path(tmp_path):
     return path
 
 
-def _write_stream(path, frames):
-    lines = [json.dumps(f, separators=(",", ":")) for f in frames]
+def _write_stream(path, frames, classes=()):
+    """A stream of frames, after a classes line when there are classes."""
+    lines = [json.dumps(f, separators=(",", ":")) for f in ([{"classes": list(classes)}] if classes else []) + frames]
     path.write_text("".join(line + "\n" for line in lines))
 
 
@@ -390,7 +391,7 @@ def test_track_roundtrip_with_identities(tmp_path):
     roster = tmp_path / "roster.csv"
     roster.write_text("name,sex,age_years\nAyu,female,9\nBora,male,7\n")
     stream = tmp_path / "v1.jsonl"
-    scores = {"Ayu": 0.9, "Bora": 0.1}
+    scores = [0.9, 0.1]
     frames = [
         {
             "frame_index": fi,
@@ -400,7 +401,7 @@ def test_track_roundtrip_with_identities(tmp_path):
         }
         for fi in range(4)
     ]
-    _write_stream(stream, frames)
+    _write_stream(stream, frames, ["Ayu", "Bora"])
     out = tmp_path / "tracks.jsonl"
     code = main(
         ["track", "--detections", str(stream), "--video-id", "v1",
@@ -570,7 +571,7 @@ def test_an_empty_roster_is_named_as_the_error(tmp_path, capsys, command):
     (tmp_path / "detections").mkdir()
     stream = tmp_path / "detections" / "v1.jsonl"
     _write_stream(stream, [{"frame_index": 0, "detections": [
-        {"bbox": [0, 0, 10, 10], "score": 0.9, "class_scores": {"a": 1.0}}]}])
+        {"bbox": [0, 0, 10, 10], "score": 0.9, "class_scores": [1.0]}]}], ["a"])
     (tmp_path / "ledger.csv").write_text("video_id,present\nv1,a\n")
     (tmp_path / "samples.jsonl").write_text('{"class_scores": {"a": 1.0}, "true_label": "a"}\n')
     for roster_text, code in [("name,sex,age_years\na,unknown,\nb,unknown,\n", 0), ("name,sex,age_years\n", 2)]:
@@ -1024,11 +1025,12 @@ def test_pipeline_ledger_equals_one_ledger_call_over_all_tracks(tmp_path, mode):
 @pytest.mark.parametrize("mode", list(_MODE_ARGS))
 def test_pipeline_gives_an_empty_stream_its_ledger_entry(tmp_path, mode):
     roster = ingest.Roster([ingest.Individual("Ayu"), ingest.Individual("Bora")])
-    faces = [{"bbox": [0.0, 0.0, 10.0, 10.0], "score": 0.9, "class_scores": {"Ayu": 0.9, "Bora": 0.1}},
-             {"bbox": [12.0, 0.0, 10.0, 10.0], "score": 0.9, "class_scores": {"Ayu": 0.2, "Bora": 0.8}}]
+    faces = [{"bbox": [0.0, 0.0, 10.0, 10.0], "score": 0.9, "class_scores": [0.9, 0.1]},
+             {"bbox": [12.0, 0.0, 10.0, 10.0], "score": 0.9, "class_scores": [0.2, 0.8]}]
     unscored = [{"bbox": [0.0, 0.0, 10.0, 10.0], "score": 0.9}]
-    streams = {
-        "v0": "".join(json.dumps({"frame_index": fi, "detections": faces}) + "\n" for fi in range(3)),
+    streams = {  # an unscored stream needs no classes line
+        "v0": '{"classes": ["Ayu", "Bora"]}\n'
+        + "".join(json.dumps({"frame_index": fi, "detections": faces}) + "\n" for fi in range(3)),
         "v2": json.dumps({"frame_index": 0, "detections": unscored}) + "\n",
     }
     _write_scenario(tmp_path / "without", roster, streams)
@@ -1140,10 +1142,10 @@ def test_pipeline_names_the_first_bad_file_at_any_worker_count(tmp_path):
     ) == 0
     streams = sorted((scenario / "detections").iterdir())
     for path, line in [(streams[1], -1), (streams[3], 0)]:
-        frames = [json.loads(text) for text in path.read_text().splitlines()]
+        header, *frames = [json.loads(text) for text in path.read_text().splitlines()]
         frames[line]["frame_index"] = True
-        _write_stream(path, frames)
-    expected = f"{streams[1]}: line 40: needs integer 'frame_index'\n"
+        _write_stream(path, frames, header["classes"])
+    expected = f"{streams[1]}: line 41: needs integer 'frame_index'\n"  # the classes line is line 1
     for workers in (1, 2, 3):
         out = tmp_path / f"out-{workers}"
         proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, out)
@@ -1320,9 +1322,9 @@ def test_crlf_and_cr_matrices_give_the_lf_report(tmp_path, fixture_matrix_path, 
 def _bom_inputs(d) -> dict[str, str]:
     """One small input of each format a command reads, by file name."""
     _eval_det_inputs(d)  # preds.jsonl and gt.json
-    faces = [{"bbox": [0, 0, 10, 10], "score": 0.9, "class_scores": {"Ayu": 0.9, "Bora": 0.1}},
-             {"bbox": [12, 0, 10, 10], "score": 0.9, "class_scores": {"Ayu": 0.2, "Bora": 0.8}}]
-    _write_stream(d / "stream.jsonl", [{"frame_index": fi, "detections": faces} for fi in range(3)])
+    faces = [{"bbox": [0, 0, 10, 10], "score": 0.9, "class_scores": [0.9, 0.1]},
+             {"bbox": [12, 0, 10, 10], "score": 0.9, "class_scores": [0.2, 0.8]}]
+    _write_stream(d / "stream.jsonl", [{"frame_index": fi, "detections": faces} for fi in range(3)], ["Ayu", "Bora"])
     texts = {
         "roster.csv": "name,sex,age_years\nAyu,female,9\nBora,male,\n",
         "ledger.csv": 'video_id,present\nv1,"Ayu,Bora"\nv2,Ayu\n',
@@ -1426,11 +1428,39 @@ def test_pipeline_names_the_line_of_a_repeated_frame_index(tmp_path, workers):
          "--frames", "4", "--out-dir", str(scenario)]
     ) == 0
     path = scenario / "detections" / "v0001.jsonl"
-    frames = [json.loads(text) for text in path.read_text().splitlines()]
+    header, *frames = [json.loads(text) for text in path.read_text().splitlines()]
     frames[2]["frame_index"] = frames[1]["frame_index"]
-    _write_stream(path, frames)
+    _write_stream(path, frames, header["classes"])
     proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, tmp_path / "out")
-    expected = f"{path}: line 3: frame_index 1 not greater than previous 1\n"
+    expected = f"{path}: line 4: frame_index 1 not greater than previous 1\n"  # the classes line is line 1
+    assert (proc.returncode, proc.stderr) == (2, expected)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_stream_in_the_object_form_exits_2_naming_the_new_form(tmp_path, capsys):
+    # class scores were once an object by name on every detection; streams now name the
+    # classes once and give each detection a list, so an old stream is refused, not misread
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "3", "--matrilines", "1", "--videos", "3",
+         "--frames", "4", "--out-dir", str(scenario)]
+    ) == 0
+    path = scenario / "detections" / "v0001.jsonl"
+    header, *frames = [json.loads(text) for text in path.read_text().splitlines()]
+    for frame in frames:
+        for det in frame["detections"]:
+            det["class_scores"] = dict(zip(header["classes"], det["class_scores"]))
+    _write_stream(path, frames)
+    expected = (
+        f"{path}: line 1: detection 0: class_scores is an object; "
+        'scores are now a list in the order of the "classes" line\n'
+    )
+    out = tmp_path / "tracks.jsonl"
+    argv = ["track", "--detections", str(path), "--video-id", "v0001", "--roster", str(scenario / "roster.csv")]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+    proc = _fresh_pipeline(_FRESH_PIPELINE, "1", scenario, tmp_path / "out")
     assert (proc.returncode, proc.stderr) == (2, expected)
     assert not (tmp_path / "out").exists()
 
@@ -1579,11 +1609,12 @@ def run(*argv):
 run("eval-det", "--predictions", stream, "--ground-truth", gt, "--video-id", "v0003", "--out", out + "/det.json")
 run("track", "--detections", stream, "--video-id", "v0003", "--roster", roster, "--out", out + "/track.jsonl")
 with open(out + "/track.jsonl") as fh, open(out + "/samples.jsonl", "w") as samples:
+    classes = json.loads(next(fh))["classes"]
     for track in map(json.loads, fh):
         for obs in track["observations"] if track["identity"] else []:
             if "class_scores" in obs:
-                rec = {"class_scores": obs["class_scores"], "true_label": track["identity"]["name"]}
-                samples.write(json.dumps(rec) + "\\n")
+                scores = dict(zip(classes, obs["class_scores"]))
+                samples.write(json.dumps({"class_scores": scores, "true_label": track["identity"]["name"]}) + "\\n")
 run("eval-id", "--samples", out + "/samples.jsonl", "--roster", roster, "--out", out + "/id.json")
 """
 
@@ -1850,12 +1881,14 @@ def test_eval_id_outputs_match_pinned_digests(tmp_path):
             ["track", "--detections", str(stream), "--video-id", stream.stem, "--roster", str(roster),
              "--out", str(fused)]
         ) == 0
-        for track in map(json.loads, fused.read_text().splitlines()):
+        header, *tracks = map(json.loads, fused.read_text().splitlines())
+        for track in tracks:
             if track["identity"] is None:
                 continue
             for obs in track["observations"]:
                 if "class_scores" in obs:
-                    lines.append({"class_scores": obs["class_scores"], "true_label": track["identity"]["name"]})
+                    scores = dict(zip(header["classes"], obs["class_scores"]))
+                    lines.append({"class_scores": scores, "true_label": track["identity"]["name"]})
     assert len(lines) > 100
     (tmp_path / "scenario.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in lines))
 

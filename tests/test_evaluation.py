@@ -11,11 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from troopnet import evaluation
-from troopnet.evaluation import IdSample, confusion_matrix, pooled_detection_metrics, rank_key, topk_accuracy
+from troopnet.evaluation import IdSample, confusion_matrix, pooled_detection_metrics, topk_accuracy
 from troopnet.geometry import BBox, iou
 from troopnet.ingest import Detection, Individual, Roster
 from troopnet.rng import Rng, derive_seed
 from troopnet.tracking import Track, TrackerParams, fuse_identity
+
+from conftest import class_scores
 
 
 def _det(x, y, w, h, score):
@@ -408,13 +410,12 @@ def test_ranking_by_key_equals_the_full_sort(case):
     assert confusion_matrix(samples, roster) == _oracle_confusion(samples, roster)
 
 
-def _walk_rank(scores: dict[str, float], label: str) -> tuple[int, str]:
-    """Oracle: (rank, predicted) by one walk over the names per answer, the
-    count of keys above the label's and the greatest key (the walk the one
-    sort replaced)."""
-    key = rank_key(scores)
-    own = key(label)
-    return sum(key(nm) > own for nm in scores), max(scores, key=key)
+def _sort_rank(scores: dict[str, float], label: str) -> tuple[int, str]:
+    """Oracle: (rank, predicted) by one sort of the names on their (score,
+    name) key, greatest first: the label's place and the first name (the
+    sort that the constructor's count of greater pairs replaced)."""
+    ranked = sorted(scores, key=lambda nm: (scores[nm], nm), reverse=True)
+    return ranked.index(label), ranked[0]
 
 
 # zeros of both signs, which compare equal, so only the name breaks their tie
@@ -428,14 +429,14 @@ def test_one_sort_ranks_as_the_walk(data):
     scores = data.draw(st.fixed_dictionaries({nm: _SIGNED_SCORE for nm in names}))
     label = data.draw(st.sampled_from(names))
     sample = IdSample(scores, label)
-    assert (sample.rank, sample.predicted) == _walk_rank(scores, label)
+    assert (sample.rank, sample.predicted) == _sort_rank(scores, label)
 
 
 @st.composite
 def _tied_track(draw):
     names = draw(_NAMES)
     score_maps = st.none() | st.fixed_dictionaries({nm: _TIED_SCORE for nm in names})
-    frames = draw(st.lists(score_maps, min_size=1, max_size=6))
+    frames = class_scores(draw(st.lists(score_maps, min_size=1, max_size=6)), names)
     return Track(0, "v", [Detection(fi, G1, 0.9, scores) for fi, scores in enumerate(frames)])
 
 

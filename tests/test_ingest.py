@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 from functools import partial
 from unittest import mock
@@ -18,6 +19,7 @@ from troopnet import ingest
 from troopnet.geometry import BBox
 from troopnet.ingest import (
     AssociationMatrix,
+    ClassScores,
     Detection,
     DetectionStream,
     Frame,
@@ -46,9 +48,10 @@ from troopnet.ingest import (
     write_tracks,
 )
 from troopnet.network import IndividualMeasures, NetworkReport
+from troopnet.synth import NoiseParams, build_scenario
 from troopnet.tracking import Identity, Track
 
-from conftest import matrix_value, pair_entry, video_entry
+from conftest import class_scores, matrix_value, pair_entry, video_entry
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +285,14 @@ def test_ground_truth_frames_match_the_document(doc):
 
 
 def _stream():
+    (scores,) = class_scores([{"Ayu": 0.6, "Bora": 0.4}])
     return DetectionStream(
         video_id="v1",
         frames=[
-            Frame(0, [Detection(0, BBox(0.0, 0.0, 10.0, 10.0), 0.9, {"Ayu": 0.6, "Bora": 0.4})]),
+            Frame(0, [Detection(0, BBox(0.0, 0.0, 10.0, 10.0), 0.9, scores)]),
             Frame(2, [Detection(2, BBox(1.0, 1.0, 10.0, 10.0), 0.8), Detection(2, BBox(50.0, 50.0, 5.0, 5.0), 0.4)]),
         ],
+        classes=("Ayu", "Bora"),
     )
 
 
@@ -336,16 +341,16 @@ def test_detection_stream_score_bounds():
 
 def test_detection_stream_class_scores_checked_against_roster():
     roster = Roster([Individual("Ayu")])
-    line = json.dumps(
+    text = '{"classes": ["Zed"]}\n' + json.dumps(
         {
             "frame_index": 0,
-            "detections": [{"bbox": [0, 0, 1, 1], "score": 0.5, "class_scores": {"Zed": 1.0}}],
+            "detections": [{"bbox": [0, 0, 1, 1], "score": 0.5, "class_scores": [1.0]}],
         }
     )
     with pytest.raises(ParseError, match="Zed"):
-        parse_detection_stream(line, "v1", roster)
-    # without a roster the same line parses
-    stream = parse_detection_stream(line, "v1")
+        parse_detection_stream(text, "v1", roster)
+    # without a roster the same lines parse
+    stream = parse_detection_stream(text, "v1")
     assert stream.frames[0].detections[0].class_scores == {"Zed": 1.0}
 
 
@@ -371,8 +376,9 @@ def test_json_lines_split_at_newline_only(ch):
     name = f"a{ch}b"
     roster = parse_roster(write_roster(Roster([Individual(name), Individual("c")])))
     assert roster.names == [name, "c"]
-    observations = [Detection(fi, BBox(0.0, 0.0, 10.0, 10.0), 0.9, {name: 0.75, "c": 0.25}) for fi in (0, 1)]
-    stream = DetectionStream("v1", [Frame(det.frame_index, [det]) for det in observations])
+    scores = class_scores([{name: 0.75, "c": 0.25}] * 2)
+    observations = [Detection(fi, BBox(0.0, 0.0, 10.0, 10.0), 0.9, scores[fi]) for fi in (0, 1)]
+    stream = DetectionStream("v1", [Frame(det.frame_index, [det]) for det in observations], (name, "c"))
     text = write_detection_stream(stream)
     assert (ch in text) == (ch in "\u2028\u2029\x85")
     assert parse_detection_stream(text, "v1", roster) == stream
@@ -389,6 +395,73 @@ def test_json_lines_accept_crlf():
     stream = _stream()
     text = write_detection_stream(stream)
     assert parse_detection_stream(text.replace("\n", "\r\n"), "v1") == stream
+
+
+def _scored_text(classes, *rows) -> str:
+    """A stream of one frame per row of class scores, after its classes line."""
+    frames = [
+        {"frame_index": fi, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, "class_scores": row}]}
+        for fi, row in enumerate(rows)
+    ]
+    return "".join(json.dumps(obj) + "\n" for obj in [{"classes": classes}, *frames])
+
+
+def test_class_scores_read_as_a_mapping_in_class_order():
+    stream = parse_detection_stream(_scored_text(["b", "a", "c"], [0.5, 0.25, 1]), "v")
+    assert stream.classes == ("b", "a", "c")
+    cs = stream.frames[0].detections[0].class_scores
+    assert list(cs) == ["b", "a", "c"] and sorted(cs) == ["a", "b", "c"]
+    assert (cs["a"], cs["c"], len(cs)) == (0.25, 1.0, 3)
+    assert type(cs["c"]) is float  # a JSON integer is converted
+    assert "a" in cs and "z" not in cs and cs.get("z") is None
+    with pytest.raises(KeyError):
+        cs["z"]
+    assert cs == {"a": 0.25, "b": 0.5, "c": 1.0} == cs
+    assert cs != {"a": 0.25, "b": 0.5} and cs != {"a": 0.25, "b": 0.5, "c": 0.75}
+    assert list(cs.items()) == [("b", 0.5), ("a", 0.25), ("c", 1.0)]
+    with pytest.raises(TypeError):
+        cs["a"] = 0.0
+    assert repr(cs) == "ClassScores({'b': 0.5, 'a': 0.25, 'c': 1.0})"
+    again = pickle.loads(pickle.dumps(cs))
+    assert isinstance(again, ClassScores) and again == cs
+    assert (again.names, again.positions, again.row) == (cs.names, cs.positions, cs.row)
+
+
+def test_one_name_index_per_class_list():
+    # every detection of a parsed stream or tracks file shares its file's names and positions,
+    # and every detection of a synth scenario its roster's positions
+    scenario, streams = build_scenario(5, 9, 3, 4, 6, NoiseParams(fp_rate=0.2, fn_rate=0.1))
+    built = [d.class_scores for s in streams.values() for f in s.frames for d in f.detections if d.class_scores]
+    assert len(built) > 50
+    assert {id(cs.positions) for cs in built} == {id(scenario.roster.positions)}
+    for stream in streams.values():
+        parsed = parse_detection_stream(write_detection_stream(stream), stream.video_id, scenario.roster)
+        held = [d.class_scores for f in parsed.frames for d in f.detections if d.class_scores]
+        assert len({id(cs.positions) for cs in held}) == len({id(cs.names) for cs in held}) == 1
+        assert held[0].names is parsed.classes and parsed.classes == stream.classes == tuple(scenario.roster.names)
+        tracks = parse_tracks(write_tracks(scenario.ground_truth_tracks[stream.video_id]), scenario.roster)
+        held = [o.class_scores for t in tracks for o in t.observations]
+        assert len({id(cs.positions) for cs in held}) == len({id(cs.names) for cs in held}) == 1
+
+
+def test_writers_refuse_scores_over_other_classes():
+    box = BBox(0.0, 0.0, 1.0, 1.0)
+    ab, ba = class_scores([{"A": 0.5, "B": 0.5}]) + class_scores([{"B": 0.5, "A": 0.5}])
+    message = "class scores over ['B', 'A'] in a file of classes ['A', 'B']"
+    with pytest.raises(ValueError) as exc:
+        write_detection_stream(DetectionStream("v", [Frame(0, [Detection(0, box, 0.9, ba)])], ("A", "B")))
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:  # a scored stream needs its classes
+        write_detection_stream(DetectionStream("v", [Frame(0, [Detection(0, box, 0.9, ab)])]))
+    assert str(exc.value) == "class scores over ['A', 'B'] in a file of classes []"
+    tracks = [Track(k, "v", [Detection(0, box, 0.9, cs)]) for k, cs in enumerate((ab, ba))]
+    with pytest.raises(ValueError) as exc:
+        write_tracks(tracks)
+    assert str(exc.value) == message
+    # unscored detections need no classes line, and the parser reads them without one
+    bare = DetectionStream("v", [Frame(0, [Detection(0, box, 0.9)])])
+    assert write_detection_stream(bare) == '{"frame_index":0,"detections":[{"bbox":[0.0,0.0,1.0,1.0],"score":0.9}]}\n'
+    assert parse_detection_stream(write_detection_stream(bare), "v") == bare
 
 
 # ---------------------------------------------------------------------------
@@ -778,12 +851,13 @@ def test_bundled_matrix_round_trips_bit_exactly(troop_matrix):
 
 
 def test_tracks_round_trip():
+    (scores,) = class_scores([{"Ayu": 0.7, "Bora": 0.3}])
     tracks = [
         Track(
             track_id=0,
             video_id="v1",
             observations=[
-                Detection(0, BBox(0.0, 0.0, 10.0, 10.0), 0.9, {"Ayu": 0.7, "Bora": 0.3}),
+                Detection(0, BBox(0.0, 0.0, 10.0, 10.0), 0.9, scores),
                 Detection(1, BBox(1.0, 0.0, 10.0, 10.0), 0.8, None),
             ],
             identity=Identity("Ayu", 0.7),
@@ -796,6 +870,7 @@ def test_tracks_round_trip():
         ),
     ]
     text = write_tracks(tracks)
+    assert text.startswith('{"classes":["Ayu","Bora"]}\n')
     again = parse_tracks(text)
     assert again == tracks
     assert write_tracks(again) == text
@@ -1031,15 +1106,21 @@ _FRAMING_ERRORS = [
         json.dumps({"images": [{"id": "a", "width": 10, "height": 10}]}),
         "ground truth: image 0: needs 'frame_index' (image id 'a' is not an integer)",
     ),
-    # an empty class-score object is refused, not fused as a scored frame
+    # an empty class-score row is refused, not fused as a scored frame, and so is an empty class list
     (
         "stream-class-scores-empty", _parse_stream,
-        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, "class_scores": {}}]}\n',
-        "line 1: detection 0: class_scores must be a non-empty object",
+        '{"classes": ["A"]}\n'
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, "class_scores": []}]}\n',
+        "line 2: detection 0: class_scores has 0 entries; the classes line names 1",
     ),
     (
-        "tracks-class-scores-empty", parse_tracks, _track_text({"class_scores": {}}),
-        "tracks line 1: observation 0: class_scores must be a non-empty object",
+        "tracks-class-scores-empty", parse_tracks, '{"classes": ["A"]}\n' + _track_text({"class_scores": []}),
+        "tracks line 2: observation 0: class_scores has 0 entries; the classes line names 1",
+    ),
+    ("stream-classes-empty", _parse_stream, '{"classes": []}\n', "line 1: classes must be a non-empty list, got []"),
+    (
+        "tracks-classes-empty", parse_tracks, '\n{"classes": []}\n',
+        "tracks line 2: classes must be a non-empty list, got []",
     ),
     (
         "stream-frame-index-bool", _parse_stream, '{"frame_index": true, "detections": []}\n',
@@ -1324,6 +1405,77 @@ _FRAMING_ERRORS = [
         "stream-detections-object", _parse_stream, '{"frame_index": 0, "detections": {}}\n',
         "line 1: detections must be a list",
     ),
+    # class scores: a classes line names the classes once, and each detection holds a row of them
+    (
+        "stream-object-form-scores", _parse_stream,
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, "class_scores": {"A": 1.0}}]}\n',
+        'line 1: detection 0: class_scores is an object; scores are now a list in the order of the "classes" line',
+    ),
+    (
+        "tracks-object-form-scores", parse_tracks, '{"classes": ["A"]}\n' + _track_text({"class_scores": {"A": 1}}),
+        'tracks line 2: observation 0: class_scores is an object; '
+        'scores are now a list in the order of the "classes" line',
+    ),
+    (
+        "stream-scores-without-classes", _parse_stream,
+        '{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9}]}\n'
+        '{"frame_index": 1, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, "class_scores": [1.0]}]}\n',
+        'line 2: detection 0: class_scores needs a "classes" line first in the file',
+    ),
+    (
+        "tracks-scores-without-classes", parse_tracks, _track_text({"class_scores": [1.0]}),
+        'tracks line 1: observation 0: class_scores needs a "classes" line first in the file',
+    ),
+    (
+        "stream-classes-not-first", _parse_stream, '{"frame_index": 0}\n{"classes": ["A"]}\n',
+        "line 2: needs integer 'frame_index'",
+    ),
+    (
+        "stream-duplicate-class", _parse_stream, '{"classes": ["A", "B", "A"]}\n',
+        "line 1: duplicate class 'A' in classes",
+    ),
+    (
+        "stream-class-off-roster", partial(_parse_stream, roster=_ONE_NAME_ROSTER), '{"classes": ["Ayu", "ghost"]}\n',
+        "line 1: unknown individual 'ghost' in classes",
+    ),
+    (
+        "tracks-class-off-roster", partial(parse_tracks, roster=_ONE_NAME_ROSTER), '{"classes": ["Zed"]}\n',
+        "tracks line 1: unknown individual 'Zed' in classes",
+    ),
+    ("stream-class-number", _parse_stream, '{"classes": ["A", 5]}\n', "line 1: classes[1] must be a string, got 5"),
+    (
+        "stream-classes-string", _parse_stream, '{"classes": "AB"}\n',
+        "line 1: classes must be a non-empty list, got 'AB'",
+    ),
+    (
+        "stream-scores-too-long", _parse_stream,
+        '{"classes": ["A"]}\n{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, '
+        '"class_scores": [0.5, 0.5]}]}\n',
+        "line 2: detection 0: class_scores has 2 entries; the classes line names 1",
+    ),
+    (
+        "stream-scores-string", _parse_stream,
+        '{"classes": ["A"]}\n{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, '
+        '"class_scores": "0.5"}]}\n',
+        "line 2: detection 0: class_scores must be a list, got '0.5'",
+    ),
+    (
+        "stream-score-entry-string", _parse_stream,
+        '{"classes": ["A", "B", "C"]}\n{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, '
+        '"class_scores": [0.5, 0.25, "0.25"]}]}\n',
+        "line 2: detection 0: class_scores[2]: expected a number, got '0.25'",
+    ),
+    (
+        "stream-score-entry-range", _parse_stream,
+        '{"classes": ["A", "B", "C", "D"]}\n{"frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9, '
+        '"class_scores": [0.5, 0.25, 0, 1.5]}]}\n',
+        "line 2: detection 0: class_scores[3] = 1.5 outside [0, 1]",
+    ),
+    (
+        "tracks-score-entry-beyond-float", parse_tracks,
+        '{"classes": ["A", "B"]}\n' + _track_text({"class_scores": [1, 10**400]}),
+        "tracks line 2: observation 0: class_scores[1]: expected a number, got an integer too large for a float",
+    ),
 ]
 
 
@@ -1374,17 +1526,22 @@ def test_a_matrix_cell_of_other_whitespace_is_not_a_number(space):
 
 
 _AB = Roster([Individual("A"), Individual("B")])
-_DETECTION = {"bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class_scores": {"A": 0.75, "B": 0.25}}
+_DETECTION = {"bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class_scores": [0.75, 0.25]}
 _WELL_FORMED = {
     # name: (parser, JSON lines or one document, the records, the place every error begins with)
     "stream": (
         partial(parse_detection_stream, video_id="v", roster=_AB), True,
-        [{"frame_index": 0, "detections": [_DETECTION]}, {"frame_index": 1, "detections": [_DETECTION] * 2}],
+        [
+            {"classes": ["A", "B"]},
+            {"frame_index": 0, "detections": [_DETECTION]},
+            {"frame_index": 1, "detections": [_DETECTION] * 2},
+        ],
         r"line \d+: ",
     ),
     "tracks": (
         partial(parse_tracks, roster=_AB), True,
         [
+            {"classes": ["B", "A"]},
             {"track_id": 0, "video_id": "v", "identity": {"name": "A", "confidence": 0.75},
              "observations": [{"frame_index": 0, **_DETECTION}, {"frame_index": 1, **_DETECTION}]},
             {"track_id": 1, "video_id": "v", "identity": None, "observations": [{"frame_index": 0, **_DETECTION}]},
@@ -1498,8 +1655,8 @@ def test_id_samples_scores_are_numbers_in_the_unit_interval(score, message):
 
 
 # ---------------------------------------------------------------------------
-# the whole-dict class-score check against the per-name code behind it, and
-# the one detection path against the two it replaced
+# the whole-dict and whole-row class-score checks against the per-entry code
+# behind them, and the one detection path against the two it replaced
 
 
 def _oracle_bbox(raw):
@@ -1510,7 +1667,14 @@ def _oracle_bbox(raw):
     return BBox(ingest._num(raw[0]), ingest._num(raw[1]), ingest._num(raw[2]), ingest._num(raw[3]))
 
 
-def _oracle_detection(obj, frame_index, roster):
+def _oracle_scores(obj, names):
+    raw_scores = obj.get("class_scores")
+    if raw_scores is None:
+        return None
+    return ClassScores(names, _POSITIONS.get(names), ingest._class_row_by_index(raw_scores, names))
+
+
+def _oracle_detection(obj, frame_index, names):
     """The whole-record check and the per-field path that detection records went through before."""
     if type(obj) is dict:
         raw, score = obj.get("bbox"), obj.get("score")
@@ -1522,25 +1686,23 @@ def _oracle_detection(obj, frame_index, roster):
                 and h > 0.0
                 and -math.inf < x + y + w + h < math.inf
             ):
-                raw_scores = obj.get("class_scores")
-                class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, roster)
-                return Detection(frame_index, BBox(x, y, w, h), score, class_scores)
-    return _oracle_detection_by_field(obj, frame_index, roster)
+                return Detection(frame_index, BBox(x, y, w, h), score, _oracle_scores(obj, names))
+    return _oracle_detection_by_field(obj, frame_index, names)
 
 
-def _oracle_detection_by_field(obj, frame_index, roster):
+def _oracle_detection_by_field(obj, frame_index, names):
     if not isinstance(obj, dict):
         raise ValueError("not an object")
     box = _oracle_bbox(obj.get("bbox"))
     score = ingest._num(obj.get("score"), "score: ")
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score} outside [0, 1]")
-    raw_scores = obj.get("class_scores")
-    class_scores = None if raw_scores is None else ingest._class_scores(raw_scores, roster)
-    return Detection(frame_index, box, score, class_scores)
+    return Detection(frame_index, box, score, _oracle_scores(obj, names))
 
 
 _ABC = Roster([Individual("A"), Individual("B"), Individual("C")])
+_ABC_CLASSES = ("A", "B", "C")
+_POSITIONS = {_ABC_CLASSES: {"A": 0, "B": 1, "C": 2}, None: None}
 _ODD_NUMBERS = [0, 1, 2, True, False, -0.0, 0.0, 1.0, math.nan, math.inf, -math.inf, 10**400, 1e308, -1e-300]
 _NOT_NUMBERS = [None, "0.5", [0.5], {"v": 0.5}]
 _score_values = st.one_of(
@@ -1553,6 +1715,12 @@ _score_objects = st.one_of(
     st.dictionaries(st.sampled_from("ABC"), st.floats(0.0, 1.0), min_size=1),
     st.dictionaries(st.sampled_from(["A", "B", "C", "ghost"]), _score_values, max_size=4),
     st.sampled_from([None, [], ["A"], "A", 0.5]),
+)
+_score_rows = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    st.lists(_score_values, min_size=2, max_size=4),
+    st.dictionaries(st.sampled_from("ABC"), st.floats(0.0, 1.0), min_size=1),
+    st.sampled_from([[], "A", 0.5, (0.5, 0.5, 0.5)]),
 )
 _coordinates = st.one_of(
     st.floats(-100.0, 100.0),
@@ -1585,7 +1753,7 @@ def _detection_records(draw):
     if draw(st.integers(0, 19)) == 0:
         del record[draw(st.sampled_from(["bbox", "score"]))]
     if draw(st.booleans()):
-        record["class_scores"] = draw(_score_objects)
+        record["class_scores"] = draw(_score_rows)
     return record
 
 
@@ -1606,28 +1774,39 @@ def test_class_score_check_agrees_with_the_per_name_path(raw, roster):
     assert _outcome(ingest._class_scores, raw, roster) == _outcome(ingest._class_scores_by_name, raw, roster)
 
 
-@given(_detection_records(), st.sampled_from([None, _ABC]))
+@given(_score_rows, st.sampled_from([None, _ABC_CLASSES]))
+@settings(max_examples=400, deadline=None)
+@example([0.5, math.nan, 0.5], _ABC_CLASSES)  # min and max do not see this NaN
+@example([0.5, 10**400, 0.5], _ABC_CLASSES)
+@example([0.5, -0.0, 1], _ABC_CLASSES)
+@example([0.5, 0.5, 0.5], None)
+def test_class_row_check_agrees_with_the_per_entry_path(raw, names):
+    assert _outcome(ingest._class_row, raw, names) == _outcome(ingest._class_row_by_index, raw, names)
+
+
+@given(_detection_records(), st.sampled_from([None, _ABC_CLASSES]))
 @settings(max_examples=400, deadline=None)
 @example({"bbox": [math.nan, 0.0, 1.0, 1.0], "score": 0.5}, None)  # only the sum sees these two
 @example({"bbox": [0.0, 0.0, math.inf, 1.0], "score": 0.5}, None)
 @example({"bbox": [1e308, 0.0, 1e308, 1.0], "score": 0.5}, None)  # the sum overflows; the box is valid
 @example({"bbox": [0.0, 0.0, 1.0, 1.0], "score": 10**400}, None)
-@example({"bbox": [0.0, -0.0, 1.0, 1.0], "score": -0.0, "class_scores": {"A": 1}}, _ABC)
+@example({"bbox": [0.0, -0.0, 1.0, 1.0], "score": -0.0, "class_scores": [1, 0, 0.5]}, _ABC_CLASSES)
 @example({"bbox": [0, 0, 1, 1], "score": 1}, None)  # integers are converted
 @example({"bbox": [0.0, 0.0, True, 1.0], "score": 0.5}, None)  # a bool is no number
 @example({"bbox": [0.0, 0.0, 1.0, 1.0], "score": False}, None)
-def test_detection_check_agrees_with_the_per_field_path(record, roster):
-    assert _outcome(ingest._parse_detection, record, 0, roster) == _outcome(_oracle_detection, record, 0, roster)
+def test_detection_check_agrees_with_the_per_field_path(record, names):
+    got = _outcome(ingest._parse_detection, record, 0, names, _POSITIONS[names])
+    assert got == _outcome(_oracle_detection, record, 0, names)
 
 
 def test_float_records_pass_without_the_per_field_path():
-    scores = {"A": 0.25, "C": 1.0}
+    scores = [0.25, 0.0, 1.0]
     record = {"bbox": [0.5, 1.0, 2.0, 3.0], "score": 0.0, "class_scores": scores}
-    with mock.patch.object(ingest, "_class_scores_by_name") as by_name:
-        det = ingest._parse_detection(record, 4, _ABC)
-    by_name.assert_not_called()
-    assert det == Detection(4, BBox(0.5, 1.0, 2.0, 3.0), 0.0, scores)
-    assert det.class_scores is scores  # json's own dict, not a copy
+    with mock.patch.object(ingest, "_class_row_by_index") as by_index:
+        det = ingest._parse_detection(record, 4, _ABC_CLASSES, _POSITIONS[_ABC_CLASSES])
+    by_index.assert_not_called()
+    assert det == Detection(4, BBox(0.5, 1.0, 2.0, 3.0), 0.0, {"A": 0.25, "B": 0.0, "C": 1.0})
+    assert det.class_scores.row is scores  # json's own list, not a copy
 
 
 def test_string_ids_and_roster_identities_accepted():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from troopnet.ingest import AssociationMatrix, OccurrenceLedger
+from troopnet.ingest import AssociationMatrix, OccurrenceLedger, write_detection_stream
 from troopnet.synth import (
     NoiseParams,
     SynthScenario,
@@ -236,6 +236,24 @@ def test_stream_class_scores_spread_confusion():
     assert values[0] == pytest.approx(0.8)
     assert values[1:] == [pytest.approx(0.05)] * 4
     assert sum(values) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stream_rows_follow_the_roster():
+    # a stream's classes are the roster's names, and each row scores them in that order
+    roster, weights = generate_troop(0, 5, 1)
+    scenario = _bare_scenario(roster, weights, NoiseParams(id_confusion_rate=0.2))
+    scenario.ground_truth_ledger = sample_ledger(scenario, 1, seed=0)
+    entry = scenario.ground_truth_ledger.entries[0]
+    stream, tracks = sample_detection_stream(scenario, entry, 3, seed=0)
+    assert stream.classes == tuple(roster.names)
+    present = [nm for nm in roster.names if nm in entry.present]
+    assert len(tracks) == len(present) > 1
+    for track in tracks:
+        true_name = present[track.track_id]
+        for obs in track.observations:
+            assert obs.class_scores.names == stream.classes
+            assert obs.class_scores.row == [0.8 if nm == true_name else 0.2 / 4 for nm in roster.names]
+    assert write_detection_stream(stream).split("\n", 1)[0] == '{"classes":["m01i01","m01i02","m01i03","m01i04","m01i05"]}'
 
 
 def test_stream_fn_rate_one_empties_frames():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,9 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from troopnet import tracking
+from troopnet import ingest, tracking
 from troopnet.geometry import BBox, ProximityParams, iou, is_proximal
-from troopnet.ingest import Detection, DetectionStream, Frame, parse_detection_stream, write_detection_stream
+from troopnet.ingest import (
+    Detection,
+    DetectionStream,
+    Frame,
+    Individual,
+    Roster,
+    parse_detection_stream,
+    write_detection_stream,
+)
 from troopnet.synth import NoiseParams, build_scenario
 from troopnet.tracking import (
     Identity,
@@ -22,6 +32,8 @@ from troopnet.tracking import (
     fuse_identity,
     tracks_to_ledger,
 )
+
+from conftest import class_scores
 
 
 def _frame(fi, *boxes, score=0.9):
@@ -266,6 +278,57 @@ def test_tracks_equal_the_always_solving_tracker(stream, gate, gap):
     assert build_tracks(stream, params) == _always_solve_tracks(stream, params)
 
 
+# edges that touch, edges a rounded y + h only just passes, and boxes apart on one axis alone
+_EDGES = st.sampled_from([0.0, 0.5, 40.0, 48.0, 80.0, 1e16, 1e16 + 2.0, -1e-300])
+_SIDES = st.sampled_from([1.0, 40.0, 48.0, 0.1 + 0.2, 3e-300])
+
+
+@st.composite
+def _box_pairs(draw):
+    return [BBox(draw(_EDGES), draw(_EDGES), draw(_SIDES), draw(_SIDES)) for _ in range(2)]
+
+
+@given(_box_pairs())
+@settings(max_examples=400, deadline=None)
+def test_a_pair_apart_on_either_axis_has_iou_zero(boxes):
+    # build_tracks' extent tests, each edge rounded as iou rounds it
+    a, b = boxes
+    overlaps = b.x < a.x + a.w and a.x < b.x + b.w and b.y < a.y + a.h and a.y < b.y + b.h
+    if not overlaps:
+        assert iou(a, b) == 0.0
+
+
+@st.composite
+def _columns_of_boxes(draw):
+    """Streams whose boxes share x but not y, and the reverse, so that each extent test alone skips pairs."""
+    frames = []
+    for fi in range(draw(st.integers(1, 6))):
+        dets = [
+            Detection(fi, BBox(draw(_EDGES), draw(_EDGES), draw(_SIDES), draw(_SIDES)), 0.9)
+            for _ in range(draw(st.integers(0, 5)))
+        ]
+        frames.append(Frame(fi, dets))
+    return DetectionStream("v", frames)
+
+
+@given(_columns_of_boxes() | _random_streams(max_dets=8, sides=(40.0, 80.0)), st.sampled_from([1e-9, 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_the_extent_tests_keep_the_tracks_of_iou_on_every_pair(stream, gate):
+    params = TrackerParams(iou_gate=gate)
+    assert build_tracks(stream, params) == _always_solve_tracks(stream, params)
+
+
+def test_a_box_below_another_is_never_scored():
+    # per frame: A and B share x and lie 200 px apart in y, C is beside A; each track
+    # overlaps only its own box, so iou runs 3 times, where the x test alone leaves 5
+    a, b, c = BBox(0.0, 0.0, 64.0, 64.0), BBox(0.0, 200.0, 64.0, 64.0), BBox(200.0, 0.0, 64.0, 64.0)
+    stream = _stream(_frame(0, a, b, c), _frame(1, a, b, c))
+    with mock.patch.object(tracking, "iou", side_effect=iou) as counted:
+        tracks = build_tracks(stream)
+    assert counted.call_count == 3
+    assert [[o.bbox for o in t.observations] for t in tracks] == [[a, a], [b, b], [c, c]]
+
+
 def test_exact_tie_keeps_the_solver_pairs():
     # two tracks on one box; next frame, one box 40 px below it and one on it.
     # Both matchings cost 1 - 1/11. The tracks follow _assign's pairs; a repair
@@ -285,7 +348,7 @@ def test_exact_tie_keeps_the_solver_pairs():
 
 def _scored_track(score_maps, video_id="v"):
     observations = [
-        Detection(fi, BOX, 0.9, scores) for fi, scores in enumerate(score_maps)
+        Detection(fi, BOX, 0.9, scores) for fi, scores in enumerate(class_scores(score_maps))
     ]
     return Track(track_id=0, video_id=video_id, observations=observations)
 
@@ -334,6 +397,132 @@ def test_fuse_identity_does_not_mutate_input():
     track = _scored_track([{"A": 1.0}] * 3)
     fuse_identity(track)
     assert track.identity is None
+
+
+def test_fuse_identity_adds_minus_zero_as_zero():
+    # the sums start at 0.0, so a -0.0 mean is 0.0, and an equal 0.0 goes to the later name
+    track = _scored_track([{"A": -0.0, "B": 0.0}] * 3)
+    identity = fuse_identity(track).identity
+    assert (identity.name, identity.confidence.hex()) == ("B", (0.0).hex())
+    track = _scored_track([{"B": -0.0, "A": 0.0}] * 3)
+    assert fuse_identity(track).identity.confidence.hex() == (0.0).hex()
+
+
+def test_a_track_scores_one_class_list():
+    ab, ba = class_scores([{"A": 0.5, "B": 0.5}]), class_scores([{"B": 0.5, "A": 0.5}])
+    with pytest.raises(ValueError) as exc:
+        Track(0, "v", [Detection(0, BOX, 0.9, ab[0]), Detection(1, BOX, 0.9), Detection(2, BOX, 0.9, ba[0])])
+    assert str(exc.value) == "track observations must score one class list"
+    # equal lists need not be one object, and unscored observations are exempt
+    again = class_scores([{"A": 0.25, "B": 0.75}])
+    Track(0, "v", [Detection(0, BOX, 0.9), Detection(1, BOX, 0.9, ab[0]), Detection(2, BOX, 0.9, again[0])])
+
+
+# ---------------------------------------------------------------------------
+# class scores as one row per detection against the object form they replaced:
+# the object-form parser and the per-name fusion, kept here as the oracle
+
+
+def _object_form_stream(text: str, roster):
+    """Oracle: the stream parser of the object form, for well-formed streams:
+    the stream without scores (Track takes no dicts), and each detection's
+    {name: score} object, checked by the object form's own check, by id."""
+    frames, scores = [], {}
+    for line in text.splitlines():
+        obj = json.loads(line)
+        detections = []
+        for raw in obj["detections"]:
+            det = Detection(obj["frame_index"], BBox(*map(float, raw["bbox"])), float(raw["score"]))
+            if raw.get("class_scores") is not None:
+                scores[id(det)] = ingest._class_scores(raw["class_scores"], roster)
+            detections.append(det)
+        frames.append(Frame(obj["frame_index"], detections))
+    return DetectionStream("v", frames), scores
+
+
+def _fuse_by_name(track, scores, params):
+    """Oracle: the per-name fusion, a sum per name in observation order and the max by (mean, name)."""
+    if len(track.observations) < params.min_track_len_for_id:
+        return None
+    sums: dict[str, float] = {}
+    scored_frames = 0
+    for obs in track.observations:
+        if id(obs) not in scores:
+            continue
+        scored_frames += 1
+        for name, value in scores[id(obs)].items():
+            sums[name] = sums.get(name, 0.0) + value
+    if scored_frames == 0:
+        return None
+    means = {name: total / scored_frames for name, total in sums.items()}
+    best = max(means, key=lambda name: (means[name], name))
+    return Identity(best, means[best])
+
+
+# few distinct scores, so equal means are common; -0.0 and JSON integers too
+_ROW_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 0, 1, 0.1, 0.2, 0.7]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _scored_streams(draw):
+    """(roster, classes, frames): the classes a shuffled subset of the roster, and
+    frames of boxes on a coarse grid, each scoring every class or none. Most
+    boxes stay in their cell from frame to frame, so tracks run long and
+    their sums take many adds."""
+    pool = ["Ayu", "Bora", "Cai", "ayu", "B2", "Dodo"]
+    roster = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6, unique=True))
+    classes = draw(st.permutations(roster))[: draw(st.integers(1, len(roster)))]
+    cell = st.tuples(st.integers(0, 4), st.integers(0, 2))
+    seats = draw(st.lists(cell, min_size=1, max_size=4, unique=True))
+    frames = []
+    for fi in range(draw(st.integers(1, 10))):
+        cells = [seat for seat in seats if draw(st.integers(0, 4))] + draw(st.lists(cell, max_size=1))
+        faces = []
+        for x, y in cells:
+            row = draw(st.none() | st.lists(_ROW_SCORES, min_size=len(classes), max_size=len(classes)))
+            faces.append(([x * 40, y * 40, 48, 48], draw(st.sampled_from([0.5, 0.9])), row))
+        frames.append((fi, faces))
+    return Roster([Individual(name) for name in roster]), classes, frames
+
+
+def _stream_texts(classes, frames) -> tuple[str, str]:
+    """The same scores in the object form (names sorted, as its writer wrote them) and as rows."""
+    def lines(scores):
+        return "".join(
+            json.dumps({"frame_index": fi, "detections": [
+                {"bbox": box, "score": score, **({} if row is None else {"class_scores": scores(row)})}
+                for box, score, row in faces
+            ]}) + "\n"
+            for fi, faces in frames
+        )
+
+    objects = lines(lambda row: dict(sorted(zip(classes, row))))
+    return objects, json.dumps({"classes": classes}) + "\n" + lines(list)
+
+
+@given(_scored_streams(), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_rows_give_what_the_object_form_gave(case, min_len):
+    roster, classes, frames = case
+    objects, rows = _stream_texts(classes, frames)
+    params = TrackerParams(min_track_len_for_id=min_len)
+    prox = ProximityParams(max_gap=3.0)
+
+    stream = parse_detection_stream(rows, "v", roster)
+    fused = [fuse_identity(t, params) for t in build_tracks(stream, params)]
+    old_stream, scores = _object_form_stream(objects, roster)
+    old = [replace(t, identity=_fuse_by_name(t, scores, params)) for t in build_tracks(old_stream, params)]
+
+    def shape(tracks):
+        return [(t.track_id, [(o.frame_index, o.bbox, o.score) for o in t.observations]) for t in tracks]
+
+    def identities(tracks):
+        return [None if t.identity is None else (t.identity.name, t.identity.confidence.hex()) for t in tracks]
+
+    assert shape(fused) == shape(old)
+    assert identities(fused) == identities(old)
+    for mode in tracking.ASSOCIATION_MODES:
+        assert tracks_to_ledger(fused, mode, prox) == tracks_to_ledger(old, mode, prox)
 
 
 # ---------------------------------------------------------------------------
