@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
 
 from .geometry import BBox, iou
@@ -24,25 +24,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, match_args=False)  # __match_args__ would name class_scores
 class IdSample:
-    """One identification sample: a score map and the true label.
+    """One identification sample as its outcome: true label, rank, predicted.
 
-    The constructor holds the one sample rule: class_scores is non-empty and
-    scores the true label. It ranks the (score, name) pairs by plain tuple
-    comparison: rank counts the pairs greater than the true label's,
-    predicted names the greatest. So a greater score ranks first, and equal
-    scores (-0.0 and 0.0 among them) rank the lexicographically later name
-    first; fuse_identity's tie rule is the same.
+    The constructor holds the one sample rule: class_scores, read here and
+    not kept, is non-empty and scores the true label. It ranks the (score,
+    name) pairs by plain tuple comparison: rank counts the pairs greater
+    than the true label's, predicted names the greatest. So a greater score
+    ranks first, and equal scores (-0.0 and 0.0 among them) rank the
+    lexicographically later name first; fuse_identity's tie rule is the same.
     """
 
-    class_scores: dict[str, float]
+    class_scores: InitVar[dict[str, float]]
     true_label: str
-    rank: int = field(init=False, compare=False)
-    predicted: str = field(init=False, compare=False)
+    rank: int = field(init=False)
+    predicted: str = field(init=False)
 
-    def __post_init__(self):
-        scores, label = self.class_scores, self.true_label
+    def __post_init__(self, scores: dict[str, float]):
+        label = self.true_label
         if not scores:
             raise ValueError("class_scores is empty")
         if label not in scores:

@@ -11,7 +11,8 @@ identical bytes.
 A detection stream and a tracks file name their classes once, on a first
 {"classes": [...]} line, and each detection gives its class scores as one
 list in that order, held in memory as a ClassScores over the file's shared
-names. Identification samples keep an object of names and scores each.
+names. An identification sample gives an object of names and scores,
+checked as it is read and ranked by IdSample, which keeps no scores.
 
 Every parser rejects bad input one way. A field check raises ValueError
 naming the field, given as its what argument ("score: expected a number,
@@ -176,7 +177,7 @@ def _text(data: str | bytes) -> str:
 def _loads(text: str, locus: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer past int's digit limit, deep nesting
         _raise_at(f"{locus}: malformed JSON", exc)
 
 
@@ -476,34 +477,33 @@ class DetectionStream:
         return sum(len(f.detections) for f in self.frames)
 
 
-def _class_scores(raw, roster: Roster | None) -> dict[str, float]:
-    """An identification sample's class-score check: a non-empty object of
-    numbers in [0, 1], names in the roster if given.
+def _unit_floats(values) -> bool:
+    """The whole-list accept test of class scores: one or more floats, each in [0, 1]."""
+    # min and max skip a NaN that is not first; the sum carries it
+    return {*map(type, values)} == {float} and 0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))
 
-    An object of floats that passes as a whole is returned as it is, not
-    copied; any other goes to _class_scores_by_name, which converts
-    integers or raises naming the first bad entry.
+
+def _class_scores(raw, roster: Roster | None) -> dict:
+    """An identification sample's class-score check: a non-empty object of
+    numbers in [0, 1], names in the roster if given. The object is returned
+    as json built it, on either path: IdSample ranks by tuple comparison,
+    where 1 == 1.0. One that _unit_floats accepts skips the per-entry check
+    of _class_scores_by_name, which names the first bad entry.
     """
-    if type(raw) is dict and raw and (roster is None or raw.keys() <= roster.positions.keys()):
-        values = raw.values()
-        # min and max skip a NaN that is not first; the sum carries it
-        if {*map(type, values)} == {float} and 0.0 <= min(values) and max(values) <= 1.0:
-            if not math.isnan(sum(values)):
-                return raw
+    if type(raw) is dict and (roster is None or raw.keys() <= roster.positions.keys()) and _unit_floats(raw.values()):
+        return raw
     return _class_scores_by_name(raw, roster)
 
 
-def _class_scores_by_name(raw, roster: Roster | None) -> dict[str, float]:
+def _class_scores_by_name(raw, roster: Roster | None) -> dict:
     if not isinstance(raw, dict) or not raw:
         raise ValueError("class_scores must be a non-empty object")
-    scores = {}
     for name, value in raw.items():
         _on_roster(name, roster, " in class_scores")
         v = _num(value, f"class_scores[{name!r}]: ")
         if not 0.0 <= v <= 1.0:  # also rejects NaN
             raise ValueError(f"class_scores[{name!r}] = {v} outside [0, 1]")
-        scores[name] = v
-    return scores
+    return raw
 
 
 def _classes_line(records, roster: Roster | None, prefix: str):
@@ -535,17 +535,12 @@ def _classes_line(records, roster: Roster | None, prefix: str):
 
 def _class_row(raw, names: tuple[str, ...] | None) -> list[float]:
     """The one check of a detection's class scores: a list of one number in
-    [0, 1] per class, in the order of the classes line.
-
-    A list of floats that passes as a whole is returned as it is, not
-    copied; any other goes to _class_row_by_index, which converts integers
-    or raises naming the first bad entry.
+    [0, 1] per class, in the order of the classes line. A list that
+    _unit_floats accepts is returned as it is, not copied; any other goes to
+    _class_row_by_index, which converts integers or names the first bad entry.
     """
-    if type(raw) is list and names is not None and len(raw) == len(names):
-        # min and max skip a NaN that is not first; the sum carries it
-        if {*map(type, raw)} == {float} and 0.0 <= min(raw) and max(raw) <= 1.0:
-            if not math.isnan(sum(raw)):
-                return raw
+    if type(raw) is list and names is not None and len(raw) == len(names) and _unit_floats(raw):
+        return raw
     return _class_row_by_index(raw, names)
 
 
@@ -948,8 +943,9 @@ def parse_id_samples(data: str | bytes, roster: Roster) -> list:
     """Parse identification samples: {"class_scores": {...}, "true_label": ...} per line.
 
     Samples keep the object form: class_scores must be a non-empty object
-    of numbers in [0, 1] keyed by roster names; true_label
-    must be a roster name with a score of its own. Blank lines are
+    of numbers in [0, 1] keyed by roster names; true_label must be a roster
+    name with a score of its own. Each line becomes an IdSample as it is
+    read, which keeps the label's rank, not the scores. Blank lines are
     ignored; a file with no samples is an error.
     """
     from .evaluation import IdSample
@@ -1033,7 +1029,12 @@ def parse_report(data: str | bytes):
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write a file atomically: temp file in the same directory, then rename."""
+    """Write a file atomically: temp file in the same directory, then rename.
+
+    The file gets the mode open gives a new file, 0o666 less the umask,
+    where mkstemp makes its temp file 0o600; an existing file's mode is
+    not kept.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
@@ -1043,6 +1044,9 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)  # the only way to read the umask is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

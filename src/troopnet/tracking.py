@@ -13,8 +13,9 @@ association modes; the mode decides only each video's joint records.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add
 
 from .geometry import BBox, ProximityParams, iou, is_proximal
@@ -209,28 +210,29 @@ def build_tracks(stream: DetectionStream, params: TrackerParams = TrackerParams(
 
 
 def fuse_identity(track: Track, params: TrackerParams = TrackerParams()) -> Track:
-    """Attach the fused identity: the class of the greatest (mean score,
-    name) pair over the per-frame scores, so equal means go to the
-    lexicographically later name, as in top-k; its mean is the confidence.
+    """A copy of track with the fused identity: the class of the greatest
+    (mean score, name) pair over the per-frame scores, so equal means go to
+    the lexicographically later name, as in top-k; its mean is the confidence.
 
     Each scored frame adds its whole row to the sums, which start at 0.0,
     in frame order. Frames without class_scores contribute nothing. The
-    identity is omitted when the track is shorter than min_track_len_for_id
+    identity is None when the track is shorter than min_track_len_for_id
     or no observation carries scores. Every scored frame of a track scores
     the same class list (Track checks it), every class of it; a roster name
     that the list leaves out is never scored, so it never wins. Names are
     not checked here; parse_detection_stream checks them against the roster.
+    The copy is shallow, so no Track constructor re-checks the observations.
     """
-    if len(track.observations) < params.min_track_len_for_id:
-        return replace(track, identity=None)
+    fused = copy.copy(track)
+    fused.identity = None
     scored = [obs.class_scores for obs in track.observations if obs.class_scores is not None]
-    if not scored:
-        return replace(track, identity=None)
-    sums = [0.0] * len(scored[0].row)
-    for scores in scored:
-        sums = list(map(add, sums, scores.row))
-    mean, best = max(zip([total / len(scored) for total in sums], scored[0].names))
-    return replace(track, identity=Identity(name=best, confidence=mean))
+    if scored and len(track.observations) >= params.min_track_len_for_id:
+        sums = [0.0] * len(scored[0].row)
+        for scores in scored:
+            sums = list(map(add, sums, scores.row))
+        mean, best = max(zip([total / len(scored) for total in sums], scored[0].names))
+        fused.identity = Identity(name=best, confidence=mean)
+    return fused
 
 
 def tracks_to_ledger(

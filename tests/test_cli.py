@@ -1256,6 +1256,68 @@ def test_parse_errors_name_the_file(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
+# JSON nested deeper than the recursion limit: json raises RecursionError, which
+# must end the run as malformed JSON on its line (exit 2), not as a traceback
+_DEEP = "[" * 100_000
+_DEEP_INPUTS = {
+    "track-detections": (
+        "--detections", '{"classes": ["Ayu"]}\n' + _DEEP + "\n", "line 2",
+        lambda d: ["track", "--video-id", "v", "--out", str(d / "o")],
+    ),
+    "eval-det-predictions": (
+        "--predictions", _DEEP + "\n", "line 1",
+        lambda d: ["eval-det", "--ground-truth", str(d / "gt.json"), "--video-id", "v1", "--out", str(d / "o")],
+    ),
+    "eval-det-ground-truth": (
+        "--ground-truth", '{"images": ' + '{"a": ' * 100_000, "ground truth",
+        lambda d: ["eval-det", "--predictions", str(d / "preds.jsonl"), "--video-id", "v1", "--out", str(d / "o")],
+    ),
+    "cooccur-tracks": (
+        "--tracks", _DEEP + "\n", "tracks line 1",
+        lambda d: ["cooccur", "--out", str(d / "o")],
+    ),
+    "eval-id-samples": (
+        "--samples", '{"class_scores": {"Ayu": 1.0}, "true_label": "Ayu"}\n' + _DEEP + "\n", "samples line 2",
+        lambda d: ["eval-id", "--roster", str(d / "roster.csv"), "--out", str(d / "o")],
+    ),
+    "layout-report": (
+        "--report", _DEEP, "report",
+        lambda d: ["layout", "--matrix", str(d / "matrix.csv"), "--seed", "1", "--svg-out", str(d / "o")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_DEEP_INPUTS))
+def test_deeply_nested_json_is_malformed_json(tmp_path, capsys, case):
+    flag, text, place, other_args = _DEEP_INPUTS[case]
+    _eval_det_inputs(tmp_path)  # writes preds.jsonl and gt.json
+    (tmp_path / "roster.csv").write_text("name,sex,age_years\nAyu,female,\n")
+    (tmp_path / "matrix.csv").write_text(",A,B\nA,,0.5\nB,0.5,\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main([*other_args(tmp_path), flag, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"{bad}: {place}: malformed JSON: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_deeply_nested_json_ends_pipeline_at_any_worker_count(tmp_path):
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "6", "--matrilines", "2", "--videos", "3",
+         "--frames", "5", "--out-dir", str(scenario)]
+    ) == 0
+    second = sorted((scenario / "detections").iterdir())[1]
+    with open(second, "a") as fh:
+        fh.write(_DEEP + "\n")  # after the classes line and 5 frames
+    for workers in (1, 2):
+        out = tmp_path / f"out-{workers}"
+        proc = _fresh_pipeline(_FRESH_PIPELINE, str(workers), scenario, out)
+        assert proc.returncode == 2, (workers, proc.stderr[-500:])
+        assert proc.stderr.startswith(f"{second}: line 7: malformed JSON: "), (workers, proc.stderr[:300])
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 _REQUIRED_VALUES = [
     ("a seed", "--seed", "seed"),
     ("a detections directory", "--detections-dir", "paths.detections_dir"),
@@ -1914,3 +1976,43 @@ def test_eval_id_outputs_match_pinned_digests(tmp_path):
     assert report["confusion"][1] == [1 / 3, 1 / 3, 0.0, 1 / 3, 0.0]
 
     assert {name: _digest(path) for name, path in outputs.items()} == _PINNED_EVAL_ID_DIGESTS
+
+
+# SHA-256 of synth's own files at test_outputs_match_pinned_digests' noisy flags:
+# the roster, the latent matrix, the true ledger, and each video's stream and true tracks
+_PINNED_SYNTH_DIGESTS = {
+    "detections/v0000.jsonl": "14c032c2f59d3a4ebf68b867ad6807f03ea0e0b9a54cc9dd93055f3943960ab6",
+    "detections/v0001.jsonl": "029c1654fe5c939719a200720a6e2d7ae3f0f3507c7c8625d873c83e528c04cf",
+    "detections/v0002.jsonl": "633e3d8d755da4c59448693d5d07e6ee33a1aaeb01066b56ca6f4d7a2bd68a4a",
+    "detections/v0003.jsonl": "178f81e63775bc9173d5cd0aa91836ce99f356d113fb00c31425dbe5230ef6a6",
+    "detections/v0004.jsonl": "694ffbd527f06e6fe9b014c8f35eb2da70b3eb31e9f64ddaecfcaff713792871",
+    "detections/v0005.jsonl": "9eb81a1a27868e29c7bf5c20dc25fa35ebd60463d113d48086abca31db6317e7",
+    "detections/v0006.jsonl": "9c74d75bb3e971126a02aacfd5f68049ac14b8fe97ed35291a4e21296395a39f",
+    "detections/v0007.jsonl": "9146ce86524793412d0b239ffc6ff890a7f381e0a7eaf90dbf1d737aacc5531f",
+    "detections/v0008.jsonl": "7b084a8347ec8e0fdf8c7765fd041506c926cb9d57fc9e44f52881a0667fba85",
+    "detections/v0009.jsonl": "5e16317173ed1d5f445928264b8911795860856d52c4128037eea4b16ecf8b7c",
+    "latent.csv": "617c874a1be1a706b89da6d19d4c191c32986bd056998572db92b4b5696a09eb",
+    "ledger.csv": "fe47b11ac25f8339d03eeccc1e6a9829f0c78930004fad542a14a110144c2c66",
+    "roster.csv": "c35a5189ddb5f7f42d825f63a655456f269807ddac071c4173d2952376be2152",
+    "tracks/v0000.jsonl": "4db7451006ffa80f6153018dc8decdd2899d1e6aac39bdd16fd6cdc69952a20b",
+    "tracks/v0001.jsonl": "92abc81ebcfa56ceaa4515580d2a13274f9a4a9aa85c40b8294bc05e59fd949b",
+    "tracks/v0002.jsonl": "54a5eb959430467affbdf82c505853eeecf5f1450b3dcebb0a75a58f66189b51",
+    "tracks/v0003.jsonl": "e8b1b511893f28933707a08932667dbb3fd275cb5136126f0be937146d9a1b18",
+    "tracks/v0004.jsonl": "8c9d3f5ad93188a108769d9577d5f9374664e58d99e4540e13c9d38fc23bdb6a",
+    "tracks/v0005.jsonl": "9d8951303c79996da5e8c5321e9058a1f7204392405fd923175c21485a805025",
+    "tracks/v0006.jsonl": "2d992f614b5b84463e92ff0df536fc3a90b6f6eaefd285650c88e5892663050f",
+    "tracks/v0007.jsonl": "883db3962f9e29306719030f8fe1a090331748a33c610b5176a97148e6fb3b07",
+    "tracks/v0008.jsonl": "14de677e25463b7092d2decaf27ef26b8a12da02909ed5e81628e1b0c3839e12",
+    "tracks/v0009.jsonl": "e46988b9761635fb86fccf51711b10b1f7ff46a8b3c59ffc605beb713802db59",
+}
+
+
+def test_synth_outputs_match_pinned_digests(tmp_path):
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "11", "--individuals", "7", "--matrilines", "2", "--videos", "10",
+         "--frames", "12", "--fp-rate", "0.1", "--fn-rate", "0.1", "--jitter-px", "2",
+         "--id-confusion-rate", "0.2", "--out-dir", str(scenario)]
+    ) == 0
+    written = {path.relative_to(scenario).as_posix(): _digest(path) for path in scenario.rglob("*") if path.is_file()}
+    assert written == _PINNED_SYNTH_DIGESTS

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import accumulate
 from typing import NamedTuple
@@ -332,6 +333,18 @@ def test_topk_errors():
         topk_accuracy([IdSample({"B": 1.0}, "A")], 1)
 
 
+def test_a_sample_keeps_its_outcome_not_its_scores():
+    sample = IdSample({"A": 0.2, "B": 0.8, "C": 0.5}, "A")
+    assert IdSample.__slots__ == ("true_label", "rank", "predicted")
+    assert [f.name for f in dataclasses.fields(IdSample)] == ["true_label", "rank", "predicted"]
+    assert (sample.true_label, sample.rank, sample.predicted) == ("A", 2, "B")
+    assert not hasattr(sample, "class_scores")
+    # the outcome is the sample's content: equal outcomes are equal samples
+    assert sample == IdSample({"C": 0.75, "B": 1.0, "A": 0.0}, "A")
+    assert sample != IdSample({"A": 0.2, "B": 0.8, "C": 0.1}, "A")
+    assert sample != IdSample({"A": 0.2, "B": 0.8, "C": 0.9}, "A")
+
+
 # ---------------------------------------------------------------------------
 # confusion matrix
 
@@ -373,13 +386,14 @@ def _ranked_names(class_scores: dict[str, float]) -> list[str]:
     return sorted(class_scores, key=lambda nm: (class_scores[nm], nm), reverse=True)
 
 
-def _oracle_confusion(samples: list[IdSample], roster: Roster) -> list[list[float]]:
-    """Oracle: argmax counts by the full sort, each non-empty row divided by
-    its sum with np.divide (the numpy matrix the list version replaced)."""
+def _oracle_confusion(pairs: list[tuple[dict[str, float], str]], roster: Roster) -> list[list[float]]:
+    """Oracle: argmax counts by the full sort of each (scores, true label)
+    pair, each non-empty row divided by its sum with np.divide (the numpy
+    matrix the list version replaced)."""
     index = roster.positions
     counts = np.zeros((len(roster), len(roster)))
-    for sample in samples:
-        counts[index[sample.true_label], index[_ranked_names(sample.class_scores)[0]]] += 1.0
+    for scores, label in pairs:
+        counts[index[label], index[_ranked_names(scores)[0]]] += 1.0
     row_sums = counts.sum(axis=1, keepdims=True)
     return np.divide(counts, row_sums, out=counts, where=row_sums > 0).tolist()
 
@@ -391,23 +405,26 @@ _NAMES = st.lists(st.sampled_from(["A", "B", "a", "b", "Ayu", "ayu", "B2", "Bora
 
 @st.composite
 def _tied_id_case(draw):
+    """Names, (scores, true label) pairs over them, and a k: a sample keeps
+    no scores, so the oracles read the pairs it is built from."""
     names = draw(_NAMES)
     score_maps = st.fixed_dictionaries({nm: _TIED_SCORE for nm in names})
-    samples = draw(st.lists(st.builds(IdSample, score_maps, st.sampled_from(names)), min_size=1, max_size=20))
-    return names, samples, draw(st.integers(1, len(names) + 1))
+    pairs = draw(st.lists(st.tuples(score_maps, st.sampled_from(names)), min_size=1, max_size=20))
+    return names, pairs, draw(st.integers(1, len(names) + 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tied_id_case())
 def test_ranking_by_key_equals_the_full_sort(case):
-    names, samples, k = case
-    for s in samples:
-        ranked = _ranked_names(s.class_scores)
-        assert (s.rank, s.predicted) == (ranked.index(s.true_label), ranked[0])
-    hits = sum(s.true_label in _ranked_names(s.class_scores)[:k] for s in samples)
+    names, pairs, k = case
+    samples = [IdSample(scores, label) for scores, label in pairs]
+    for s, (scores, label) in zip(samples, pairs):
+        ranked = _ranked_names(scores)
+        assert (s.true_label, s.rank, s.predicted) == (label, ranked.index(label), ranked[0])
+    hits = sum(label in _ranked_names(scores)[:k] for scores, label in pairs)
     assert topk_accuracy(samples, k) == hits / len(samples)
     roster = Roster([Individual(nm) for nm in names])
-    assert confusion_matrix(samples, roster) == _oracle_confusion(samples, roster)
+    assert confusion_matrix(samples, roster) == _oracle_confusion(pairs, roster)
 
 
 def _sort_rank(scores: dict[str, float], label: str) -> tuple[int, str]:

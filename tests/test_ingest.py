@@ -8,6 +8,9 @@ import math
 import os
 import pickle
 import re
+import stat
+import subprocess
+import sys
 from functools import partial
 from unittest import mock
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from troopnet import ingest
+from troopnet.evaluation import IdSample
 from troopnet.geometry import BBox
 from troopnet.ingest import (
     AssociationMatrix,
@@ -388,7 +392,7 @@ def test_json_lines_split_at_newline_only(ch):
 
     sample = json.dumps({"class_scores": {name: 1.0, "c": 0.0}, "true_label": name}, ensure_ascii=False)
     samples = parse_id_samples(f"{sample}\n{sample}\n", roster)
-    assert [(s.class_scores, s.true_label) for s in samples] == [({name: 1.0, "c": 0.0}, name)] * 2
+    assert [(s.true_label, s.rank, s.predicted) for s in samples] == [(name, 0, name)] * 2
 
 
 def test_json_lines_accept_crlf():
@@ -1625,11 +1629,25 @@ def test_id_samples_parse_bytes_like_text():
         '{"class_scores": {"A": 1}, "true_label": "A"}\n'
     )
     samples = _parse_samples(text)
-    assert [(s.class_scores, s.true_label) for s in samples] == [
-        ({"A": 0.75, "B": 0.25}, "B"),
-        ({"A": 1.0}, "A"),
-    ]
+    assert [(s.true_label, s.rank, s.predicted) for s in samples] == [("B", 1, "A"), ("A", 0, "A")]
     assert _parse_samples(text.encode("utf-8")) == samples
+
+
+_FIVE = Roster([Individual(name) for name in "ABCDE"])
+_WHOLE_SCORES = st.sampled_from([0.0, -0.0, 1.0])  # the values a JSON integer can stand for
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_and_float_scores_give_equal_samples(data):
+    # a sample's object is ranked as json read it: 1 == 1.0 and 0 == -0.0 == 0.0, so no copy converts it
+    names = data.draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True))
+    floats = data.draw(st.fixed_dictionaries({nm: _WHOLE_SCORES | st.floats(0.0, 1.0) for nm in names}))
+    label = data.draw(st.sampled_from(names))
+    ints = {nm: int(v) if v.is_integer() and data.draw(st.booleans()) else v for nm, v in floats.items()}
+    texts = [json.dumps({"class_scores": scores, "true_label": label}) + "\n" for scores in (floats, ints)]
+    (from_floats,), (from_ints,) = (parse_id_samples(text, _FIVE) for text in texts)
+    assert from_ints == from_floats == IdSample(floats, label) == IdSample(ints, label)
 
 
 _BAD_SAMPLE_SCORES = [
@@ -1833,6 +1851,32 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     assert target.read_bytes() == b"third\n"
     # no temp litter left behind
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+# atomic_write_text under the umask sys.argv[1] (octal), to each path after it
+_WRITE_UNDER_UMASK = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from troopnet.ingest import atomic_write_text
+for path in sys.argv[2:]:
+    atomic_write_text(path, "text\\n")
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    # mkstemp makes its temp file 0o600; the file renamed into place gets 0o666 less the umask,
+    # whether it is new or replaces a file, whose own mode is not kept
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("before\n")
+    os.chmod(old, 0o640)
+    proc = subprocess.run([sys.executable, "-c", _WRITE_UNDER_UMASK, oct(umask)[2:], str(new), str(old)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [stat.S_IMODE(os.stat(path).st_mode) for path in (new, old)] == [mode, mode]
+    assert new.read_text() == old.read_text() == "text\n"
+    assert sorted(os.listdir(tmp_path)) == ["new.txt", "old.txt"]
 
 
 def test_atomic_write_names_the_target_when_its_directory_is_missing(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import replace
 from unittest import mock
 
@@ -406,6 +407,44 @@ def test_fuse_identity_adds_minus_zero_as_zero():
     assert (identity.name, identity.confidence.hex()) == ("B", (0.0).hex())
     track = _scored_track([{"B": -0.0, "A": 0.0}] * 3)
     assert fuse_identity(track).identity.confidence.hex() == (0.0).hex()
+
+
+def _fused_by_replace(track, params):
+    """Oracle: the fusion as it was, each path returning dataclasses.replace,
+    which runs Track's constructor."""
+    if len(track.observations) < params.min_track_len_for_id:
+        return replace(track, identity=None)
+    scored = [obs.class_scores for obs in track.observations if obs.class_scores is not None]
+    if not scored:
+        return replace(track, identity=None)
+    sums = [0.0] * len(scored[0].row)
+    for scores in scored:
+        sums = list(map(operator.add, sums, scores.row))
+    mean, best = max(zip([total / len(scored) for total in sums], scored[0].names))
+    return replace(track, identity=Identity(best, mean))
+
+
+def test_fusion_runs_no_track_constructor():
+    noise = NoiseParams(fp_rate=0.1, fn_rate=0.1, jitter_px=2.0, id_confusion_rate=0.2)
+    _, streams = build_scenario(5, 8, 2, 4, 20, noise)
+    params = TrackerParams()
+    tracks = [t for stream in streams.values() for t in build_tracks(stream, params)]
+    check = Track.__post_init__
+    with mock.patch.object(Track, "__post_init__", autospec=True, side_effect=check) as checks:
+        fused = [fuse_identity(t, params) for t in tracks]
+        assert checks.call_count == 0
+        old = [_fused_by_replace(t, params) for t in tracks]
+        assert checks.call_count == len(tracks)
+
+    def identities(tracks):
+        return [None if t.identity is None else (t.identity.name, t.identity.confidence.hex()) for t in tracks]
+
+    assert identities(fused) == identities(old)
+    assert fused == old
+    assert {t.identity is None for t in fused} == {True, False}  # short or unscored tracks, and identified ones
+    # copies sharing the observations; the tracks given stay unidentified
+    assert all(f is not t and f.observations is t.observations for f, t in zip(fused, tracks))
+    assert all(t.identity is None for t in tracks)
 
 
 def test_a_track_scores_one_class_list():
