@@ -314,8 +314,15 @@ def _cmd_cooccur(args: argparse.Namespace) -> int:
     conflicts = []
     if args.tracks:
         tracks = []
+        first_in: dict[tuple[str, int], str] = {}  # the file each (video_id, track_id) came from
         for path in args.tracks:
-            tracks.extend(_parse_file(ingest.parse_tracks, path, roster))
+            for track in _parse_file(ingest.parse_tracks, path, roster):
+                key = (track.video_id, track.track_id)
+                if key in first_in:
+                    where = f"track {track.track_id} of video {track.video_id!r}"
+                    raise ParseError(f"{path}: {where} repeats, first read from {first_in[key]}")
+                first_in[key] = path
+                tracks.append(track)
         ledger, conflicts = tracking.tracks_to_ledger(
             tracks, mode=config.association_mode, prox=config.proximity
         )

@@ -511,15 +511,19 @@ def _classes_line(records, roster: Roster | None, prefix: str):
     (names, positions, the other records), names and positions None
     without one.
 
-    The classes line is the first record, {"classes": [...]}: distinct
-    strings, each on the roster when one is given, checked here once per
-    file. Without it, no record may carry class scores.
+    The classes line is the first record, {"classes": [...]}, with no
+    other key: distinct strings, each on the roster when one is given,
+    checked here once per file. Without it, no record may carry class
+    scores.
     """
     first = next(records, None)
     if first is None or not (isinstance(first[1], dict) and "classes" in first[1]):
         return None, None, itertools.chain([first] if first else [], records)
     lineno, obj = first
     try:
+        extra = [key for key in obj if key != "classes"]
+        if extra:
+            raise ValueError(f'the classes line may hold only "classes", not {", ".join(map(repr, extra))}')
         names = obj["classes"]
         if not isinstance(names, list) or not names:
             raise ValueError(f"classes must be a non-empty list, got {names!r}")

@@ -204,8 +204,8 @@ def gem_layout(m: AssociationMatrix, params: GemParams = GemParams(), seed: int 
     stops after the first round that leaves t below stop_temperature_fraction
     * E, or at the cap. Random draws happen in a fixed order (initial x, y
     per vertex in matrix order; per round a vertex permutation, then jitter
-    x, y per visit, each drawn in one bulk call), so a seed pins the exact
-    result.
+    x, y per visit), all read from the seed's one word stream, so a seed
+    pins the exact result.
     """
     n = m.n
     names = m.names

@@ -26,10 +26,11 @@ generator (an xorshift-family generator), whose step is
 with rotl(x, k) the 64-bit left rotation. Floats in [0, 1) take the top
 53 bits of one 64-bit output: (u >> 11) * 2.0**-53.
 
-The bulk draws, permutation(n) and randoms(k), step the generator inline
-in one loop each and consume the same words in the same order as n - 1
-randrange calls (rejection redraws included) and k random() calls, so
-drawing in bulk changes no output.
+Every draw reads the next words of one stream, in which the step above
+is written once: next_u64() and random() take one word, randoms(k) the
+next k, randrange(n) one word per try of its rejection rule, and
+permutation(n) is n - 1 randrange calls. So any mix of calls consumes
+the words in call order, and a bulk call changes no output.
 
 No seed gives xoshiro256** its forbidden all-zero state: splitmix64's
 output is a one-to-one function of its state (each xor-shift and odd
@@ -38,6 +39,9 @@ as the constant is odd, so at most one of the four words is zero.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import islice
 
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1
@@ -77,88 +81,59 @@ def derive_seed(seed: int, *keys: int | str) -> int:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-class Rng:
-    """xoshiro256** generator with splitmix64 seeding (see module docstring)."""
-
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
-
-    def __init__(self, seed: int):
-        state = int(seed) & _MASK64
-        words = []
-        for _ in range(4):
-            state, out = splitmix64_next(state)
-            words.append(out)
-        self._s0, self._s1, self._s2, self._s3 = words
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+def _xoshiro(seed: int) -> Iterator[int]:
+    """The xoshiro256** words of a seed, forever (see module docstring)."""
+    state = int(seed) & _MASK64
+    words = []
+    for _ in range(4):
+        state, out = splitmix64_next(state)
+        words.append(out)
+    s0, s1, s2, s3 = words
+    while True:
+        x = (s1 * 5) & _MASK64
+        yield (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+
+
+class Rng:
+    """xoshiro256** generator with splitmix64 seeding (see module docstring)."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, seed: int):
+        self._words = _xoshiro(seed)
+
+    def next_u64(self) -> int:
+        return next(self._words)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return (next(self._words) >> 11) * 2.0**-53
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:
             raise ValueError("randrange bound must be positive")
         limit = _TWO64 - _TWO64 % n
-        while True:
-            x = self.next_u64()
+        for x in self._words:
             if x < limit:
                 return x % n
 
     def permutation(self, n: int) -> list[int]:
-        """A Fisher-Yates shuffle of range(n), drawing the words of n - 1
-        randrange(i + 1) calls, i from n - 1 down to 1, rejections included."""
+        """A Fisher-Yates shuffle of range(n): i from n - 1 down to 1 swaps
+        with randrange(i + 1)."""
         out = list(range(n))
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         for i in range(n - 1, 0, -1):
-            bound = i + 1
-            limit = _TWO64 - _TWO64 % bound
-            result = limit
-            while result >= limit:
-                x = (s1 * 5) & _MASK64
-                result = (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
-                t = (s1 << 17) & _MASK64
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            j = result % bound
+            j = self.randrange(i + 1)
             out[i], out[j] = out[j], out[i]
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return out
 
     def randoms(self, k: int) -> list[float]:
         """k floats in [0, 1): the words of k random() calls, in order."""
-        out = []
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        for _ in range(k):
-            x = (s1 * 5) & _MASK64
-            result = (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
-            out.append((result >> 11) * 2.0**-53)
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return out
+        return [(x >> 11) * 2.0**-53 for x in islice(self._words, k)]

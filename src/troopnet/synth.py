@@ -20,7 +20,7 @@ order in which they are generated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .geometry import BBox
 from .ingest import (
@@ -93,26 +93,15 @@ def generate_troop(seed: int, n_individuals: int, n_matrilines: int) -> tuple[Ro
         )
     rng = Rng(derive_seed(seed, "troop"))
 
-    base = n_individuals // n_matrilines
-    remainder = n_individuals % n_matrilines
+    base, remainder = divmod(n_individuals, n_matrilines)
     matriline_of: list[int] = []
-    for line in range(n_matrilines):
-        size = base + (1 if line < remainder else 0)
-        matriline_of.extend([line] * size)
-
     individuals = []
-    member = 0
-    current_line = -1
-    for i in range(n_individuals):
-        if matriline_of[i] != current_line:
-            current_line = matriline_of[i]
-            member = 0
-        member += 1
-        sex = "female" if rng.random() < 0.5 else "male"
-        age = rng.randrange(25)
-        individuals.append(
-            Individual(name=f"m{current_line + 1:02d}i{member:02d}", sex=sex, age_years=age)
-        )
+    for line in range(n_matrilines):
+        for member in range(1, base + (line < remainder) + 1):
+            sex = "female" if rng.random() < 0.5 else "male"
+            age = rng.randrange(25)
+            individuals.append(Individual(name=f"m{line + 1:02d}i{member:02d}", sex=sex, age_years=age))
+            matriline_of.append(line)
 
     weights = [[0.0] * n_individuals for _ in range(n_individuals)]
     for i in range(n_individuals):
@@ -243,24 +232,13 @@ def build_scenario(
     n_frames: int,
     noise: NoiseParams | None = None,
 ) -> tuple[SynthScenario, dict[str, DetectionStream]]:
-    """Assemble a full scenario: troop, ledger, streams and true tracks."""
-    if noise is None:
-        noise = NoiseParams()
+    """Assemble a full scenario: troop, ledger, streams and true tracks (noise-free without noise)."""
     roster, weights = generate_troop(seed, n_individuals, n_matrilines)
-    scenario = SynthScenario(
-        roster=roster,
-        latent_weights=weights,
-        ground_truth_ledger=OccurrenceLedger([]),
-        ground_truth_tracks={},
-        noise=noise,
-    )
-    ledger = sample_ledger(scenario, n_videos, seed)
-    scenario = replace(scenario, ground_truth_ledger=ledger)
+    scenario = SynthScenario(roster, weights, OccurrenceLedger([]), {}, noise or NoiseParams())
+    scenario.ground_truth_ledger = sample_ledger(scenario, n_videos, seed)
     streams = {}
-    tracks = {}
-    for entry in ledger.entries:
-        stream, gt = sample_detection_stream(scenario, entry, n_frames, seed)
-        streams[entry.video_id] = stream
-        tracks[entry.video_id] = gt
-    scenario = replace(scenario, ground_truth_tracks=tracks)
+    for entry in scenario.ground_truth_ledger.entries:
+        streams[entry.video_id], scenario.ground_truth_tracks[entry.video_id] = sample_detection_stream(
+            scenario, entry, n_frames, seed
+        )
     return scenario, streams

@@ -552,6 +552,47 @@ def test_cooccur_rejects_track_identity_off_roster(tmp_path, capsys):
     assert not out.exists()
 
 
+def _track_line(video_id: str, track_id: int, frame_index: int = 0) -> str:
+    obs = {"frame_index": frame_index, "bbox": [0, 0, 1, 1], "score": 0.9}
+    return json.dumps({"track_id": track_id, "video_id": video_id, "observations": [obs],
+                       "identity": {"name": "Ayu", "confidence": 0.9}}) + "\n"
+
+
+def test_cooccur_refuses_a_track_repeated_in_one_file(tmp_path, capsys):
+    tracks = tmp_path / "tracks.jsonl"
+    tracks.write_text(_track_line("v1", 0) + _track_line("v1", 1) + _track_line("v2", 0) + _track_line("v1", 0, 5))
+    out = tmp_path / "matrix.csv"
+    argv = ["cooccur", "--tracks", str(tracks), "--out", str(out), "--conflicts-out", str(tmp_path / "c.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{tracks}: track 0 of video 'v1' repeats, first read from {tracks}\n"
+    assert sorted(tmp_path.iterdir()) == [tracks]
+
+
+@pytest.mark.parametrize("same_file", [True, False], ids=["file-given-twice", "two-files"])
+def test_cooccur_refuses_a_track_repeated_across_files(tmp_path, capsys, same_file):
+    # a track counted twice would be reported in conflict with itself on every frame
+    first = tmp_path / "a.jsonl"
+    first.write_text(_track_line("v1", 0) + _track_line("v1", 1))
+    second = first
+    if not same_file:
+        second = tmp_path / "b.jsonl"
+        second.write_text(_track_line("v2", 0) + _track_line("v1", 1))
+    out = tmp_path / "matrix.csv"
+    argv = ["cooccur", "--tracks", str(first), "--tracks", str(second), "--out", str(out)]
+    assert main(argv) == 2
+    track = 0 if same_file else 1
+    assert capsys.readouterr().err == f"{second}: track {track} of video 'v1' repeats, first read from {first}\n"
+    assert not out.exists()
+
+
+def test_cooccur_reads_one_track_id_in_two_videos(tmp_path):
+    # a track is its (video_id, track_id): the same track_id in another video is another track
+    tracks = tmp_path / "tracks.jsonl"
+    tracks.write_text(_track_line("v1", 0) + _track_line("v2", 0).replace("Ayu", "Bora"))
+    assert main(["cooccur", "--tracks", str(tracks), "--out", str(tmp_path / "m.csv")]) == 0
+    assert (tmp_path / "m.csv").read_text().splitlines()[0] == ",Ayu,Bora"
+
+
 @pytest.mark.parametrize(
     "flag, text", [("--ledger", "video_id,present\nv1,\nv2,\n"), ("--tracks", "")], ids=["ledger", "tracks"]
 )
@@ -1497,6 +1538,25 @@ def test_pipeline_names_the_line_of_a_repeated_frame_index(tmp_path, workers):
     expected = f"{path}: line 4: frame_index 1 not greater than previous 1\n"  # the classes line is line 1
     assert (proc.returncode, proc.stderr) == (2, expected)
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_refuses_a_classes_line_that_holds_a_frame(tmp_path, capsys):
+    # a frame written onto the classes line would otherwise be dropped without a word
+    scenario = tmp_path / "scenario"
+    assert main(
+        ["synth", "--seed", "3", "--individuals", "3", "--matrilines", "1", "--videos", "3",
+         "--frames", "4", "--out-dir", str(scenario)]
+    ) == 0
+    path = scenario / "detections" / "v0001.jsonl"
+    header, first, *frames = [json.loads(text) for text in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [{**header, **first}, *frames]))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--detections-dir", str(scenario / "detections"), "--roster", str(scenario / "roster.csv"),
+            "--out-dir", str(out), "--seed", "5"]
+    assert main(argv) == 2
+    expected = f"{path}: line 1: the classes line may hold only \"classes\", not 'frame_index', 'detections'\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
 
 
 def test_a_stream_in_the_object_form_exits_2_naming_the_new_form(tmp_path, capsys):

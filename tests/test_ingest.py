@@ -1435,6 +1435,17 @@ _FRAMING_ERRORS = [
         "line 2: needs integer 'frame_index'",
     ),
     (
+        "stream-classes-line-holds-a-frame", _parse_stream,
+        '{"classes": ["A"], "frame_index": 0, "detections": [{"bbox": [0, 0, 1, 1], "score": 0.9}]}\n'
+        '{"frame_index": 1, "detections": []}\n',
+        'line 1: the classes line may hold only "classes", not \'frame_index\', \'detections\'',
+    ),
+    (
+        "tracks-classes-line-holds-a-track", parse_tracks, '{"classes": ["A"], ' + _track_text()[1:],
+        'tracks line 1: the classes line may hold only "classes", '
+        "not 'track_id', 'video_id', 'observations', 'identity'",
+    ),
+    (
         "stream-duplicate-class", _parse_stream, '{"classes": ["A", "B", "A"]}\n',
         "line 1: duplicate class 'A' in classes",
     ),

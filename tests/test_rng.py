@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,8 +37,8 @@ def test_splitmix64_zero_seed_first_output():
     assert out == 0xE220A8397B1DCDAF
 
 
-def _xoshiro_oracle_sequence(seed: int, count: int) -> list[int]:
-    # Independent restatement of seeding plus xoshiro256** stepping.
+def _oracle_state(seed: int) -> list[int]:
+    # Independent restatement of splitmix64 seeding.
     s = []
     state = seed & MASK64
     for _ in range(4):
@@ -46,11 +47,15 @@ def _xoshiro_oracle_sequence(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         s.append(z ^ (z >> 31))
-    out = []
-    for _ in range(count):
+    return s
+
+
+def _oracle_words(state: list[int]):
+    # Independent restatement of xoshiro256** stepping, from a copy of state.
+    s = list(state)
+    while True:
         x = (s[1] * 5) & MASK64
-        result = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
-        out.append(result)
+        yield (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
         t = (s[1] << 17) & MASK64
         s[2] ^= s[0]
         s[3] ^= s[1]
@@ -58,7 +63,10 @@ def _xoshiro_oracle_sequence(seed: int, count: int) -> list[int]:
         s[0] ^= s[3]
         s[2] ^= t
         s[3] = ((s[3] << 45) | (s[3] >> 19)) & MASK64
-    return out
+
+
+def _xoshiro_oracle_sequence(seed: int, count: int) -> list[int]:
+    return list(islice(_oracle_words(_oracle_state(seed)), count))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 987654321])
@@ -130,28 +138,58 @@ def test_permutation_is_fisher_yates_over_randrange():
         assert rng.next_u64() == calls.next_u64()
 
 
-def _per_call_draws(seed: int, n: int, k: int):
-    """permutation(n), then k random() floats, then the next word, from the oracle's words."""
-    words = iter(_xoshiro_oracle_sequence(seed, 2 * n + k + 1))
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        bound = i + 1
-        limit = (1 << 64) - (1 << 64) % bound
+def _oracle_randrange(words, n: int) -> int:
+    limit = (1 << 64) - (1 << 64) % n
+    word = next(words)
+    while word >= limit:
         word = next(words)
-        while word >= limit:
-            word = next(words)
-        j = word % bound
+    return word % n
+
+
+def _oracle_call(words, method: str, arg: int):
+    """What one Rng call returns, read from the oracle's words."""
+    if method == "next_u64":
+        return next(words)
+    if method == "random":
+        return (next(words) >> 11) * 2.0**-53
+    if method == "randrange":
+        return _oracle_randrange(words, arg)
+    if method == "randoms":
+        return [(next(words) >> 11) * 2.0**-53 for _ in range(arg)]
+    perm = list(range(arg))
+    for i in range(arg - 1, 0, -1):
+        j = _oracle_randrange(words, i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    floats = [(next(words) >> 11) * 2.0**-53 for _ in range(k)]
-    return perm, floats, next(words)
+    return perm
 
 
 @given(st.integers(min_value=0, max_value=MASK64), st.integers(0, 60), st.integers(0, 130))
 def test_bulk_draws_match_the_per_call_sequence(seed, n, k):
-    rng = Rng(seed)
+    rng, words = Rng(seed), _oracle_words(_oracle_state(seed))
     perm = rng.permutation(n)
     floats = rng.randoms(k)
-    assert (perm, floats, rng.next_u64()) == _per_call_draws(seed, n, k)
+    want = _oracle_call(words, "permutation", n), _oracle_call(words, "randoms", k), next(words)
+    assert (perm, floats, rng.next_u64()) == want
+
+
+# a bound just past 2**63 rejects almost half the words, 3 * 2**62 + 1 a quarter, 3 almost none
+_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "random"]), st.none()),
+    st.tuples(st.just("randrange"), st.integers(1, 1 << 64) | st.sampled_from([3, (1 << 63) + 1, 3 << 62 | 1])),
+    st.tuples(st.just("permutation"), st.integers(0, 40)),
+    st.tuples(st.just("randoms"), st.integers(0, 40)),
+)
+
+
+@given(st.integers(min_value=0, max_value=MASK64), st.lists(_CALLS, max_size=25))
+def test_every_draw_method_reads_one_word_stream(seed, calls):
+    # any mix of calls reads the seed's words in call order, each call as many
+    # as it uses, rejected words included
+    rng, words = Rng(seed), _oracle_words(_oracle_state(seed))
+    for method, arg in calls:
+        got = getattr(rng, method)() if arg is None else getattr(rng, method)(arg)
+        assert got == _oracle_call(words, method, arg), (method, arg)
+    assert rng.next_u64() == next(words)
 
 
 def _rotr(x: int, k: int) -> int:
@@ -160,11 +198,13 @@ def _rotr(x: int, k: int) -> int:
 
 def test_permutation_redraws_a_rejected_word():
     # the next word is rotl(s1 * 5, 7) * 9; pick s1 so that it is 2**64 - 1,
-    # which bound 3 rejects (2**64 % 3 == 1, so the limit is 2**64 - 1)
-    s1 = _rotr(MASK64 * pow(9, -1, 1 << 64) & MASK64, 7) * pow(5, -1, 1 << 64) & MASK64
-    rng, words = Rng(8), Rng(8)
-    rng._s1 = words._s1 = s1
-    drawn = [words.next_u64() for _ in range(4)]
+    # which bound 3 rejects (2**64 % 3 == 1, so the limit is 2**64 - 1); the
+    # generator reads its words from an oracle stream started at that state
+    state = _oracle_state(8)
+    state[1] = _rotr(MASK64 * pow(9, -1, 1 << 64) & MASK64, 7) * pow(5, -1, 1 << 64) & MASK64
+    rng = Rng(8)
+    rng._words = _oracle_words(state)
+    drawn = list(islice(_oracle_words(state), 4))
     assert drawn[0] == MASK64
     perm = [0, 1, 2]
     j = drawn[1] % 3  # the redraw, for i = 2
